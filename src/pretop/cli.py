@@ -54,7 +54,9 @@ class MissingFlag(WorkbenchError):
     """A flag required by the requested action was not given."""
 
 
-def _load(path: str) -> ModelDocument:
+def _load(path: str | None) -> ModelDocument:
+    if not path:
+        raise MissingFlag("-f/--file is required")
     with open(path, encoding="utf-8") as fh:
         return parse_model(fh.read())
 
@@ -145,6 +147,8 @@ def _cmd_compute(args) -> Report:
         else:
             out = cl_theta(target, s, args.iterations)
         return Report(set_literal(out))
+    if args.what == "cl-theta" and args.iterations < 1:
+        raise ValueError("iterations must be at least 1")
     mask = _finite_set(doc, target, args.set)
     if args.what == "adh":
         out = target.adh(mask)

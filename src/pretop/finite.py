@@ -5,12 +5,24 @@ vicinity; on a finite space the vicinity filter is principal over it).
 Subsets and kernels are bitmasks in declaration order, which also fixes
 every deterministic witness: scans run over ascending masks and report
 the first hit.
+
+The operators are read from per-byte union tables.  Adherence preserves
+finite unions, adh(A | B) = adh A | adh B, so adh A is the union of
+adh{j} over the points j of A, and adh{j} is the column of points whose
+least vicinity contains j.  One table per byte of points holds the union
+of that byte's columns for each of its 256 bit patterns, so a lookup per
+nonzero byte of A gives adh A exactly, at any size, with tables that
+grow linearly in the number of points.  Inherence is the dual,
+inh A = X minus adh(X minus A), and images and preimages under a map
+are unions too (``maps``), read from tables built the same way.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .errors import (
     AxiomViolation,
@@ -44,18 +56,74 @@ class PrincipalFilter:
             raise EmptyKernel("a filter kernel cannot be empty")
 
 
+def byte_tables(items, join, empty) -> tuple:
+    """Per-byte tables over ``items``: ``tabs[k][b]`` joins ``items[8k + i]``
+    over the set bits i of ``b``, in ascending i.  Each item doubles its
+    byte's table: the entries with its bit set are the entries without
+    it, joined with the item."""
+    tabs = []
+    for lo in range(0, len(items) or 1, 8):
+        tab = [empty]
+        for item in items[lo : lo + 8]:
+            tab += [join(t, item) for t in tab]
+        tabs.append(tuple(tab))
+    return tuple(tabs)
+
+
+def union_tables(cols) -> tuple:
+    """Per-byte tables of unions of the columns ``cols``."""
+    return byte_tables(cols, operator.or_, 0)
+
+
+def union_of(tabs: tuple, a: int) -> int:
+    """Union of the columns at the bits of ``a``, one lookup per nonzero
+    byte.  ``a`` must not have bits beyond the columns."""
+    if a < 256:
+        return tabs[0][a]
+    out = 0
+    for tab in tabs:
+        if a & 0xFF:
+            out |= tab[a & 0xFF]
+        a >>= 8
+    return out
+
+
+@lru_cache(maxsize=256)
+def _point_name_tables(points: tuple) -> tuple:
+    """Per-byte tables of name tuples, shared by spaces on one point tuple."""
+    return byte_tables([(p,) for p in points], operator.add, ())
+
+
 @dataclass(frozen=True)
 class FinitePretop:
     points: tuple[str, ...]
     vicinity: tuple[int, ...]  # least vicinity kernel per point index
 
-    @property
+    # Derived values are cached in the instance dict; the dataclass
+    # compares, hashes and prints the two fields only.
+
+    @cached_property
     def n(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def full(self) -> int:
         return (1 << self.n) - 1
+
+    @cached_property
+    def _adh_tables(self) -> tuple:
+        cols = [0] * self.n  # cols[j]: the points whose vicinity holds j
+        for i, m in enumerate(self.vicinity):
+            m &= self.full
+            while m:
+                low = m & -m
+                cols[low.bit_length() - 1] |= 1 << i
+                m ^= low
+        return union_tables(cols)
+
+    @cached_property
+    def _name_tables(self) -> tuple:
+        return _point_name_tables(tuple(self.points))
 
     # -- masks and names ---------------------------------------------------
 
@@ -72,7 +140,12 @@ class FinitePretop:
         return m
 
     def names(self, mask: int) -> tuple[str, ...]:
-        return tuple(p for i, p in enumerate(self.points) if mask >> i & 1)
+        mask &= self.full
+        out = ()
+        for tab in self._name_tables:
+            out += tab[mask & 0xFF]
+            mask >>= 8
+        return out
 
     def subsets(self):
         return range(self.full + 1)
@@ -84,19 +157,12 @@ class FinitePretop:
 
     def adh(self, a: int) -> int:
         """Points whose least vicinity meets a."""
-        out = 0
-        for i, m in enumerate(self.vicinity):
-            if m & a:
-                out |= 1 << i
-        return out
+        return union_of(self._adh_tables, a & self.full)
 
     def inh(self, a: int) -> int:
         """Points whose least vicinity lies inside a."""
-        out = 0
-        for i, m in enumerate(self.vicinity):
-            if m & ~a == 0:
-                out |= 1 << i
-        return out
+        full = self.full
+        return full & ~union_of(self._adh_tables, full & ~a)
 
     def adh_filter(self, f: PrincipalFilter) -> int:
         return self.adh(f.kernel)
@@ -104,12 +170,6 @@ class FinitePretop:
     def converges(self, f: PrincipalFilter, x: int) -> bool:
         """Filter convergence: kernel inside the least vicinity of x."""
         return f.kernel & ~self.vicinity[x] == 0
-
-    def adh_table(self) -> tuple[int, ...]:
-        return tuple(self.adh(a) for a in self.subsets())
-
-    def inh_table(self) -> tuple[int, ...]:
-        return tuple(self.inh(a) for a in self.subsets())
 
     def restrict(self, a: int) -> "FinitePretop":
         if a == 0:
@@ -148,10 +208,13 @@ def is_hausdorff(space: FinitePretop) -> Verdict:
 
 
 def is_topological(space: FinitePretop) -> Verdict:
-    for a in space.subsets():
-        adh = space.adh(a)
+    """Idempotent adherence.  adh is additive, so adh(adh A) = adh A holds
+    for every A once it holds for the singletons, and the least failing
+    mask is the singleton of the least failing point."""
+    for k in range(space.n):
+        adh = space.adh(1 << k)
         if space.adh(adh) != adh:
-            return Verdict(False, space.names(a))
+            return Verdict(False, (space.points[k],))
     return Verdict(True)
 
 

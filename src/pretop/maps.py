@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import EmptyPreimage, PointSetMismatch
 from .finite import (
@@ -19,11 +20,23 @@ from .finite import (
     Verdict,
     _compact_at_mask,
     is_cover_compact,
+    union_of,
+    union_tables,
 )
 from .regularize import partial_regularization, theta_of_topology
 
 CONTINUITY_METHODS = ("limit", "adh-filter", "adh-set", "inh", "vicinity")
 PERFECT_METHODS = ("definition", "adh-inequality", "a-and-b")
+
+
+@lru_cache(maxsize=1024)
+def _map_tables(graph: tuple, target_n: int) -> tuple:
+    """(image tables, preimage tables) of a graph.  They depend on the
+    graph alone, so maps sharing one share the tables."""
+    fibers = [0] * target_n
+    for i, j in enumerate(graph):
+        fibers[j] |= 1 << i
+    return union_tables([1 << j for j in graph]), union_tables(fibers)
 
 
 @dataclass(frozen=True)
@@ -40,6 +53,8 @@ class SpaceMap:
         for j in self.graph:
             if not 0 <= j < self.target.n:
                 raise PointSetMismatch(f"graph hits unknown target index {j}")
+        # Not a field: eq, hash and repr stay on source, target and graph.
+        object.__setattr__(self, "_tables", _map_tables(tuple(self.graph), self.target.n))
 
     @classmethod
     def from_table(cls, source: FinitePretop, target: FinitePretop, table) -> "SpaceMap":
@@ -61,18 +76,10 @@ class SpaceMap:
         return self.target.points[self.graph[self.source.index(name)]]
 
     def image_mask(self, a: int) -> int:
-        out = 0
-        for i, j in enumerate(self.graph):
-            if a >> i & 1:
-                out |= 1 << j
-        return out
+        return union_of(self._tables[0], a & self.source.full)
 
     def preimage_mask(self, b: int) -> int:
-        out = 0
-        for i, j in enumerate(self.graph):
-            if b >> j & 1:
-                out |= 1 << i
-        return out
+        return union_of(self._tables[1], b & self.target.full)
 
     def fiber(self, j: int) -> int:
         return self.preimage_mask(1 << j)

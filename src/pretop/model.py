@@ -323,12 +323,16 @@ def _lex(text: str) -> list:
 
 _CMP_LOW = {">": lambda n: (n + 1, None), ">=": lambda n: (n, None)}
 _CMP_HIGH = {"<": lambda n: (None, n - 1), "<=": lambda n: (None, n)}
+# Each nested ~ or ( costs several interpreter frames in the parser and
+# the evaluator; deeper input is refused before it can exhaust the stack.
+_MAX_NESTING = 100
 
 
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # open ~ and ( in the set expression being parsed
 
     # -- token plumbing -----------------------------------------------------
 
@@ -553,17 +557,25 @@ class _Parser:
             node = BinOp("&", node, self.unary_expr())
         return node
 
+    def nest(self, tok: _Token):
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            self._fail(f"set expression nested deeper than {_MAX_NESTING} levels", tok)
+
     def unary_expr(self):
         if self.at_op("~"):
-            self.advance()
-            return Not(self.unary_expr())
+            self.nest(self.advance())
+            node = Not(self.unary_expr())
+            self.depth -= 1
+            return node
         return self.primary()
 
     def primary(self):
         if self.at_op("("):
-            self.advance()
+            self.nest(self.advance())
             node = self.set_expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         if self.at_op("{"):
             self.advance()

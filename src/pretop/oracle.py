@@ -1,10 +1,10 @@
 """Cross-checking batteries replaying every law the package relies on.
 
 Each suite enumerates instances exhaustively at sizes 1 to 3 and, when
-asked for size 4, adds a seeded sample.  Instances are planned once in
-the parent process, split into fixed-size chunks, and merged
-associatively with the counterexample taken at the least instance
-index, so the summary is byte-identical for any worker count.
+asked for size 4, adds a seeded sample.  Suites run one after another:
+each is planned in the parent process, split into fixed-size chunks,
+and merged associatively with the counterexample taken at the least
+instance index, so the summary is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ import itertools
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .construct import (
     end_extension,
@@ -72,6 +74,7 @@ COVER_COMPACT_METHODS = ("cover", "filter-refines", "vicinity-separation")
 HSET_METHODS = ("open-filter", "open-ultrafilter", "theta-adh")
 
 
+@lru_cache(maxsize=None)  # keys are vicinity tuples of at most _MAX_POINTS points
 def _space(vic: tuple) -> FinitePretop:
     return FinitePretop(tuple(str(i + 1) for i in range(len(vic))), tuple(vic))
 
@@ -740,31 +743,33 @@ def run_suites(
                 raise ValueError(f"unknown suite {name!r}")
         names = [n for n in SUITES if n in names]
 
-    tasks = []  # (suite name, chunk, base index)
-    for name in names:
-        rng = random.Random(f"{seed}:{name}")
-        instances = SUITES[name].plan(max_points, rng)
-        for base in range(0, len(instances), _CHUNK):
-            tasks.append((name, instances[base : base + _CHUNK], base))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+        results = [_run_suite(name, max_points, seed, pool) for name in names]
+    return OracleSummary(max_points, seed, tuple(results))
 
-    if workers <= 1:
+
+def _run_suite(name: str, max_points: int, seed: int, pool) -> SuiteResult:
+    """Plan, chunk, run and fold one suite, so that only its instances
+    are alive at a time."""
+    rng = random.Random(f"{seed}:{name}")
+    instances = SUITES[name].plan(max_points, rng)
+    tasks = [
+        (name, instances[base : base + _CHUNK], base)
+        for base in range(0, len(instances), _CHUNK)
+    ]
+    del instances
+    if pool is None:
         outcomes = [_run_chunk(*t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_chunk, *t) for t in tasks]
-            outcomes = [f.result() for f in futures]
+        futures = [pool.submit(_run_chunk, *t) for t in tasks]
+        outcomes = [f.result() for f in futures]
 
-    results = []
-    for name in names:
-        checked = failures = 0
-        first = None
-        witness = None
-        for (task_name, _, _), (got, bad, idx, w) in zip(tasks, outcomes):
-            if task_name != name:
-                continue
-            checked += got
-            failures += bad
-            if idx is not None and (first is None or idx < first):
-                first, witness = idx, w
-        results.append(SuiteResult(name, checked, failures, witness))
-    return OracleSummary(max_points, seed, tuple(results))
+    checked = failures = 0
+    first = None
+    witness = None
+    for got, bad, idx, w in outcomes:
+        checked += got
+        failures += bad
+        if idx is not None and (first is None or idx < first):
+            first, witness = idx, w
+    return SuiteResult(name, checked, failures, witness)
