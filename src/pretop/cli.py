@@ -61,6 +61,15 @@ def _load(path: str | None) -> ModelDocument:
         return parse_model(fh.read())
 
 
+def _target(args) -> tuple:
+    """(document, space): with -f the model's space named by --space,
+    without it the builtin space whose key --space gives."""
+    if args.file:
+        doc = _load(args.file)
+        return doc, doc.space(args.space)
+    return None, builtin(args.space)
+
+
 def _serialize(w):
     """Witnesses as JSON-ready values: names stay strings, sets become lists."""
     if w is None or isinstance(w, (bool, int, str)):
@@ -133,11 +142,7 @@ def _cmd_validate(args) -> Report:
 
 
 def _cmd_compute(args) -> Report:
-    if args.file:
-        doc = _load(args.file)
-        target = doc.space(args.space)
-    else:
-        doc, target = None, builtin(args.space)
+    doc, target = _target(args)
     if isinstance(target, SymbolicPretop):
         s = eval_set(parse_set_expr(args.set), target, doc)
         if args.what == "adh":
@@ -163,8 +168,8 @@ def _cmd_compute(args) -> Report:
 
 
 def _cmd_check(args) -> Report:
-    doc = _load(args.file)
     if args.prop in ("continuous", "perfect"):
+        doc = _load(args.file)
         if not args.map:
             raise MissingFlag("--map is required for map properties")
         f = doc.map(args.map)
@@ -175,7 +180,7 @@ def _cmd_check(args) -> Report:
         return Report.from_verdict(v)
     if not args.space:
         raise MissingFlag("--space is required for space properties")
-    target = doc.space(args.space)
+    _, target = _target(args)
     if isinstance(target, SymbolicPretop):
         if args.method == "theta":
             target = sym_regularize(target)
@@ -259,25 +264,24 @@ def _cmd_oracle(args) -> Report:
 
 
 def _cmd_builtin(args) -> Report:
-    x = builtin(args.name)
-    if not args.check and not args.compute:
-        raise MissingFlag("one of --compute or --check is required")
+    """``builtin NAME --check P`` is ``check P --space NAME`` and
+    ``builtin NAME --compute W`` is ``compute W --space NAME``."""
+    builtin(args.name)  # an unknown name is reported before a missing flag
     if args.check:
-        if args.method == "theta":
-            x = sym_regularize(x)
-        v = sym_hausdorff(x) if args.check == "hausdorff" else sym_is_compact(x)
-        return Report.from_verdict(v)
+        return _cmd_check(
+            argparse.Namespace(
+                prop=args.check, file=None, space=args.name, map=None, method=args.method
+            )
+        )
+    if not args.compute:
+        raise MissingFlag("one of --compute or --check is required")
     if not args.set:
         raise MissingFlag("--set is required with --compute")
-    s = eval_set(parse_set_expr(args.set), x)
-    if args.compute == "adh":
-        out = sym_adh(x, s)
-    elif args.compute == "inh":
-        out = sym_inh(x, s)
-    else:
-        out = cl_theta(x, s, args.iterations)
-    return Report(set_literal(out))
-
+    return _cmd_compute(
+        argparse.Namespace(
+            what=args.compute, file=None, space=args.name, set=args.set, iterations=args.iterations
+        )
+    )
 
 
 _COMMANDS = {
@@ -295,20 +299,20 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="pretop", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *, file=True, json_flag=True):
+    def common(p, *, file=True):
         if file:
             p.add_argument("-f", "--file", help="model file (.pt)")
-        if json_flag:
-            p.add_argument("--json", action="store_true", help="machine-readable report")
+        p.add_argument("--json", action="store_true", help="machine-readable report")
 
     p = sub.add_parser("validate", help="parse and resolve a model file")
-    p.add_argument("-f", "--file", required=True)
-    p.add_argument("--json", action="store_true")
+    common(p)
 
     p = sub.add_parser("compute", help="evaluate an operator over a named set")
     p.add_argument("what", choices=("adh", "inh", "cl-theta"))
     common(p)
-    p.add_argument("--space", required=True, help="space name (model space or builtin key)")
+    p.add_argument(
+        "--space", required=True, help="space name (model space, or builtin key without -f)"
+    )
     p.add_argument("--set", required=True, help="set literal or named set")
     p.add_argument("--iterations", type=int, default=1)
 
@@ -318,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("hausdorff", "topological", "compact", "quasi-phc", "continuous", "perfect"),
     )
     common(p)
-    p.add_argument("--space")
+    p.add_argument("--space", help="space name (model space, or builtin key without -f)")
     p.add_argument("--map")
     p.add_argument("--method")
 
@@ -343,16 +347,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-points", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--json", action="store_true")
+    common(p, file=False)
 
-    p = sub.add_parser("builtin", help="work with a built-in symbolic space")
+    p = sub.add_parser(
+        "builtin", help="shorthand for compute/check on a built-in space: --space NAME without -f"
+    )
     p.add_argument("name", help="urysohn | half_grid | discrete_ray(N)")
     p.add_argument("--compute", choices=("adh", "inh", "cl-theta"))
     p.add_argument("--check", choices=("compact", "hausdorff"))
     p.add_argument("--set")
     p.add_argument("--iterations", type=int, default=1)
     p.add_argument("--method", choices=("plain", "theta"), default="plain")
-    p.add_argument("--json", action="store_true")
+    common(p, file=False)
 
     return top
 

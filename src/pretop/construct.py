@@ -1,8 +1,7 @@
 """Space constructions.
 
-Finite side: quotients along the small-image operator, dense-subset
-extensions with their strict and simple modifications, the projective
-order between extensions, and the degenerate finite compactification.
+Finite side: quotients along the small-image operator, and dense-subset
+extensions with their strict and simple modifications.
 Symbolic side: the end extension, which adds one point per
 non-converging end class and is the exact compactification of a
 definable space at the level of its set algebra, plus the induced
@@ -11,31 +10,26 @@ extension of maps.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .defsets import DefSet, GroundSchema, Point
 from .errors import (
-    DifferentBase,
     EmptySubspace,
     FragmentEscape,
     NotDense,
     NotSurjective,
     PointSetMismatch,
     SchemaMismatch,
-    SizeLimit,
     UnclassifiableImageTrace,
 )
-from .finite import FinitePretop, Verdict, is_cover_compact, is_hausdorff, is_regular
-from .intervals import INF, NEG_INF, IntervalSet
-from .maps import SpaceMap, is_continuous, is_strongly_irreducible, is_w_theta_continuous
+from .finite import FinitePretop, Verdict, is_cover_compact, is_hausdorff
+from .maps import SpaceMap, is_strongly_irreducible, is_w_theta_continuous
+from .regularize import vicinity_sweep
 from .symbolic.analysis import (
     EndClass,
-    _exists_region,
-    _sym_is_empty,
     _trace_sym,
     end_converges,
-    ends,
+    noncompact_ends,
     sym_is_compact,
 )
 from .symbolic.exprs import SymDefSet, var
@@ -82,22 +76,13 @@ def theta_quotient(space: FinitePretop, table: dict, names=None) -> QuotientResu
     if stray:
         raise PointSetMismatch(f"image {sorted(stray)[0]!r} missing from the target points")
 
-    kernels = []
-    for j in range(len(tgt)):
-        k = 0
-        for i in range(space.n):
-            if fibers[j] >> i & 1:
-                k |= space.vicinity[i]
-        kernels.append(sum(1 << j2 for j2, fm in enumerate(fibers) if fm & ~k == 0))
-    sigma = FinitePretop(tgt, tuple(kernels))
+    unions = [vicinity_sweep(space, fm) for fm in fibers]
+    kernels = tuple(sum(1 << j2 for j2, fm in enumerate(fibers) if fm & ~k == 0) for k in unions)
+    sigma = FinitePretop(tgt, kernels)
     f = SpaceMap.from_table(space, sigma, table)
 
     lemma_ok = True
-    for j in range(sigma.n):
-        k = 0
-        for i in range(space.n):
-            if fibers[j] >> i & 1:
-                k |= space.vicinity[i]
+    for j, k in enumerate(unions):
         for s in range(1, sigma.full + 1):
             pre = f.preimage_mask(s)
             if (s & ~sigma.vicinity[j] == 0) != (pre & ~k == 0):
@@ -129,9 +114,6 @@ class Extension:
 
     def trace(self, i: int) -> int:
         return self.space.vicinity[i] & self.base
-
-    def base_space(self) -> FinitePretop:
-        return self.space.restrict(self.base)
 
     def base_adh(self, u: int) -> int:
         """Adherence of ``u`` inside the inherited structure, as a mask
@@ -177,54 +159,6 @@ def simple_extension(e: Extension) -> FinitePretop:
     return FinitePretop(e.space.points, vic)
 
 
-def projectively_leq(ez: Extension, ey: Extension) -> Verdict:
-    """Whether some continuous base-fixing map sends ``ey`` onto ``ez``.
-
-    Candidates enumerate images for the non-base points in point order;
-    the witness is the first continuous map found.
-    """
-    names_z = set(ez.space.names(ez.base))
-    names_y = set(ey.space.names(ey.base))
-    if names_z != names_y:
-        raise DifferentBase("extensions over different base point sets")
-
-    outside = [i for i in range(ey.space.n) if not ey.base >> i & 1]
-    if ez.space.n ** len(outside) > 100_000:
-        raise SizeLimit("too many candidate maps to search")
-    fixed = {p: p for p in names_y}
-    for combo in itertools.product(range(ez.space.n), repeat=len(outside)):
-        table = dict(fixed)
-        for i, j in zip(outside, combo):
-            table[ey.space.points[i]] = ez.space.points[j]
-        g = SpaceMap.from_table(ey.space, ez.space, table)
-        if is_continuous(g).ok:
-            return Verdict(True, g)
-    return Verdict(False, None)
-
-
-@dataclass(frozen=True)
-class StarReport:
-    """Finite compactification, which changes nothing, plus the flags
-    that matter for the general construction."""
-
-    space: FinitePretop
-    kappa: FinitePretop
-    regular: Verdict
-    note: str
-
-
-def star_and_kappa_finite(space: FinitePretop) -> StarReport:
-    """On a finite space every filter has a cluster point already, so
-    both the ultrafilter space and its strict extension are the space
-    itself; the definable engine owns the non-degenerate cases."""
-    return StarReport(
-        space,
-        space,
-        is_regular(space),
-        "finite spaces carry no free ultrafilters; see end_extension",
-    )
-
-
 # -- end extensions of definable spaces ----------------------------------------
 
 @dataclass(frozen=True)
@@ -250,32 +184,19 @@ def _end_atom_name(e: EndClass) -> str:
     return "end_" + "_".join(bits)
 
 
-def _interval_values(s: IntervalSet):
-    for lo, hi in s.parts:
-        yield from range(lo, hi + 1)
-
-
 def _bad_ends(x: SymbolicPretop) -> list:
-    """Pinned end classes whose trace filter admits no limit point."""
+    """Non-converging end classes, each parametric one pinned at every
+    value of its bad parameter region."""
     out = []
-    for e in ends(x):
-        conv = end_converges(x, e)
-        if conv.var is None:
-            if _sym_is_empty(conv.regions[0][1]):
-                out.append(e)
-            continue
-        exists = _exists_region(x, e)
-        for sel, sym in conv.regions:
-            if not _sym_is_empty(sym):
-                continue
-            bad = sel & exists
-            if bad.is_empty():
-                continue
-            if bad.cardinality() is None:
-                raise FragmentEscape(
-                    f"end class {e.describe()} diverges on the infinite range {bad.describe()}"
-                )
-            out.extend(e.pin(v) for v in _interval_values(bad))
+    for e, bad in noncompact_ends(x):
+        if bad is None:
+            out.append(e)
+        elif bad.cardinality() is None:
+            raise FragmentEscape(
+                f"end class {e.describe()} diverges on the infinite range {bad.describe()}"
+            )
+        else:
+            out.extend(e.pin(v) for lo, hi in bad.parts for v in range(lo, hi + 1))
     return out
 
 
@@ -342,15 +263,6 @@ def merged_end_extension(x: SymbolicPretop, name: str = "omega") -> EndExtension
 
 # -- extending maps over end extensions -----------------------------------------
 
-def _least_coord(s: IntervalSet) -> int:
-    lo, hi = s.parts[0]
-    if lo != NEG_INF:
-        return int(lo)
-    if hi != INF:
-        return int(hi)
-    return 0
-
-
 def _least_point(x: SymbolicPretop, d: DefSet) -> Point:
     """First point of a nonempty definable set, in schema order with
     coordinates drawn from the first piece."""
@@ -359,11 +271,11 @@ def _least_point(x: SymbolicPretop, d: DefSet) -> Point:
             return Point.atom(a)
     for n, s in d.rays:
         if not s.is_empty():
-            return Point.ray(n, _least_coord(s))
+            return Point.ray(n, s.least())
     for n, groups in d.grids:
         if groups:
             rows, cols = groups[0]
-            return Point.grid(n, _least_coord(rows), _least_coord(cols))
+            return Point.grid(n, rows.least(), cols.least())
     raise EmptySubspace("no point to pick from an empty set")
 
 

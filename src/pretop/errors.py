@@ -96,10 +96,6 @@ class NotDense(WorkbenchError):
     """Extension whose base set is not dense in the ambient space."""
 
 
-class DifferentBase(WorkbenchError):
-    """Projective comparison of extensions over different base sets."""
-
-
 class UnclassifiableImageTrace(WorkbenchError):
     """Image trace of an end that is neither convergent nor an end of the
     target space."""

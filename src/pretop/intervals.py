@@ -112,10 +112,6 @@ class IntervalSet:
         return cls.from_pairs(axis, [(n, None)])
 
     @classmethod
-    def at_most(cls, axis: AxisDomain, n: int) -> "IntervalSet":
-        return cls.from_pairs(axis, [(None, n)])
-
-    @classmethod
     def bounded(cls, axis: AxisDomain, lo: int, hi: int) -> "IntervalSet":
         return cls.from_pairs(axis, [(lo, hi)])
 
@@ -158,9 +154,15 @@ class IntervalSet:
             has_minus_end=self.has_minus_end(),
         )
 
-    def min_element(self):
-        """Least element (−inf when unbounded below); None when empty."""
-        return self.parts[0][0] if self.parts else None
+    def least(self) -> int:
+        """Representative element of a nonempty set: the least one, else
+        the upper end of the first part, else 0 on the full integer axis."""
+        lo, hi = self.parts[0]
+        if lo != NEG_INF:
+            return int(lo)
+        if hi != INF:
+            return int(hi)
+        return 0
 
     def max_finite_endpoint(self) -> int:
         """Largest |finite endpoint|, 0 when none; used to size scan windows."""

@@ -41,7 +41,7 @@ Line comments start with ``#``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .defsets import DefSet, GroundSchema
 from .errors import (
@@ -131,20 +131,7 @@ class MapDecl:
     source: str
     target: str
     entries: tuple  # ((source point, target point), ...) as declared
-    line: int = 0
-
-    def __eq__(self, other):
-        if not isinstance(other, MapDecl):
-            return NotImplemented
-        return (self.name, self.source, self.target, self.entries) == (
-            other.name,
-            other.source,
-            other.target,
-            other.entries,
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.source, self.target, self.entries))
+    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -162,15 +149,7 @@ class BuiltinDecl:
 class SetDecl:
     name: str
     expr: object
-    line: int = 0
-
-    def __eq__(self, other):
-        if not isinstance(other, SetDecl):
-            return NotImplemented
-        return (self.name, self.expr) == (other.name, other.expr)
-
-    def __hash__(self):
-        return hash((self.name, self.expr))
+    line: int = field(default=0, compare=False)
 
 
 class ModelDocument:
@@ -323,9 +302,13 @@ def _lex(text: str) -> list:
 
 _CMP_LOW = {">": lambda n: (n + 1, None), ">=": lambda n: (n, None)}
 _CMP_HIGH = {"<": lambda n: (None, n - 1), "<=": lambda n: (None, n)}
-# Each nested ~ or ( costs several interpreter frames in the parser and
-# the evaluator; deeper input is refused before it can exhaust the stack.
+# Bounds the open ~ and ( while parsing, each of which costs the parser
+# several interpreter frames, and the height of the syntax tree, where each
+# ~ and each binary operator is one level: evaluation, reference checks,
+# printing, eq and hash all recurse once per level.  Deeper input is
+# refused before it can exhaust the stack.
 _MAX_NESTING = 100
+_BINARY = ("|", "\\", "&")  # loosest first
 
 
 class _Parser:
@@ -333,6 +316,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.depth = 0  # open ~ and ( in the set expression being parsed
+        self.height = 0  # tree height of the set expression last parsed
 
     # -- token plumbing -----------------------------------------------------
 
@@ -536,47 +520,46 @@ class _Parser:
 
     # -- set expressions -----------------------------------------------------
 
-    def set_expr(self):
-        node = self.diff_expr()
-        while self.at_op("|"):
-            self.advance()
-            node = BinOp("|", node, self.diff_expr())
+    def set_expr(self, level: int = 0):
+        """Left-associative chain of the operator ``_BINARY[level]`` over
+        operands of the next level, built in a loop; each operator is one
+        level of the tree."""
+        if level == len(_BINARY):
+            return self.unary_expr()
+        op = _BINARY[level]
+        node = self.set_expr(level + 1)
+        height = self.height
+        while self.at_op(op):
+            tok = self.advance()
+            node = BinOp(op, node, self.set_expr(level + 1))
+            height = self.nest(max(height, self.height) + 1, tok)
+        self.height = height
         return node
 
-    def diff_expr(self):
-        node = self.inter_expr()
-        while self.at_op("\\"):
-            self.advance()
-            node = BinOp("\\", node, self.inter_expr())
-        return node
-
-    def inter_expr(self):
-        node = self.unary_expr()
-        while self.at_op("&"):
-            self.advance()
-            node = BinOp("&", node, self.unary_expr())
-        return node
-
-    def nest(self, tok: _Token):
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
+    def nest(self, level: int, tok: _Token) -> int:
+        """``level`` itself, once it is known to be within the limit."""
+        if level > _MAX_NESTING:
             self._fail(f"set expression nested deeper than {_MAX_NESTING} levels", tok)
+        return level
 
     def unary_expr(self):
         if self.at_op("~"):
-            self.nest(self.advance())
+            tok = self.advance()
+            self.depth = self.nest(self.depth + 1, tok)
             node = Not(self.unary_expr())
             self.depth -= 1
+            self.height = self.nest(self.height + 1, tok)
             return node
         return self.primary()
 
     def primary(self):
         if self.at_op("("):
-            self.nest(self.advance())
+            self.depth = self.nest(self.depth + 1, self.advance())
             node = self.set_expr()
             self.expect_op(")")
             self.depth -= 1
             return node
+        self.height = 0
         if self.at_op("{"):
             self.advance()
             names = []
@@ -709,8 +692,27 @@ def eval_set(expr, space, doc: ModelDocument | None = None):
     if isinstance(space, FiniteTopology):
         space = space.to_pretop()
     if isinstance(space, FinitePretop):
-        return _eval_finite(expr, space, doc)
-    return _eval_symbolic(expr, space, doc)
+        return _evaluate(expr, space.full, lambda t: _finite_term(space, t), doc)
+    return _evaluate(expr, space.carrier_set, lambda t: _symbolic_term(space, t), doc)
+
+
+def _evaluate(expr, whole, term, doc):
+    """The walk both engines share: ``whole`` is the space's full set and
+    ``term`` evaluates literals and strand terms; ``~a`` is ``whole & ~a``
+    and ``a \\ b`` is ``a & ~b``."""
+    if isinstance(expr, SetRef):
+        return _evaluate(_deref(expr, doc), whole, term, doc)
+    if isinstance(expr, Not):
+        return whole & ~_evaluate(expr.arg, whole, term, doc)
+    if isinstance(expr, BinOp):
+        left = _evaluate(expr.left, whole, term, doc)
+        right = _evaluate(expr.right, whole, term, doc)
+        if expr.op == "|":
+            return left | right
+        if expr.op == "&":
+            return left & right
+        return left & ~right
+    return term(expr)
 
 
 def _deref(expr: SetRef, doc: ModelDocument | None):
@@ -719,29 +721,29 @@ def _deref(expr: SetRef, doc: ModelDocument | None):
     return doc.set_expr(expr.name)
 
 
-def _eval_finite(expr, space: FinitePretop, doc) -> int:
-    if isinstance(expr, FiniteLit):
-        mask = 0
-        for name in expr.names:
-            if name not in space.points:
-                raise ResolutionError(f"space has no point {name!r}")
-            mask |= 1 << space.points.index(name)
-        return mask
+def _finite_term(space: FinitePretop, expr) -> int:
     if isinstance(expr, Const):
         return space.full if expr.which == "all" else 0
-    if isinstance(expr, SetRef):
-        return _eval_finite(_deref(expr, doc), space, doc)
-    if isinstance(expr, Not):
-        return space.full & ~_eval_finite(expr.arg, space, doc)
-    if isinstance(expr, BinOp):
-        left = _eval_finite(expr.left, space, doc)
-        right = _eval_finite(expr.right, space, doc)
-        if expr.op == "|":
-            return left | right
-        if expr.op == "&":
-            return left & right
-        return left & ~right
-    raise ResolutionError("strand terms need a symbolic space")
+    if not isinstance(expr, FiniteLit):
+        raise ResolutionError("strand terms need a symbolic space")
+    mask = 0
+    for name in expr.names:
+        if name not in space.points:
+            raise ResolutionError(f"space has no point {name!r}")
+        mask |= 1 << space.points.index(name)
+    return mask
+
+
+def _symbolic_term(space: SymbolicPretop, expr) -> DefSet:
+    schema, carrier = space.schema, space.carrier_set
+    if isinstance(expr, Const):
+        return carrier if expr.which == "all" else DefSet.empty(schema)
+    if isinstance(expr, FiniteLit):
+        for name in expr.names:
+            if not schema.has_atom(name):
+                raise ResolutionError(f"no atom named {name!r}")
+        return DefSet.build(schema, atoms=expr.names) & carrier
+    return _strand_defset(schema, expr) & carrier
 
 
 def _strand_defset(schema: GroundSchema, expr) -> DefSet:
@@ -772,33 +774,6 @@ def _strand_defset(schema: GroundSchema, expr) -> DefSet:
         return DefSet.build(schema, grid_rects={expr.name: [(rows, cols)]})
     except UnknownPoint as e:
         raise ResolutionError(str(e)) from None
-
-
-def _eval_symbolic(expr, space: SymbolicPretop, doc) -> DefSet:
-    schema = space.schema
-    carrier = space.carrier_set
-    if isinstance(expr, (AtomTerm, RayTerm, GridTerm)):
-        return _strand_defset(schema, expr) & carrier
-    if isinstance(expr, FiniteLit):
-        for name in expr.names:
-            if not schema.has_atom(name):
-                raise ResolutionError(f"no atom named {name!r}")
-        return DefSet.build(schema, atoms=expr.names) & carrier
-    if isinstance(expr, Const):
-        return carrier if expr.which == "all" else DefSet.empty(schema)
-    if isinstance(expr, SetRef):
-        return _eval_symbolic(_deref(expr, doc), space, doc)
-    if isinstance(expr, Not):
-        return carrier - _eval_symbolic(expr.arg, space, doc)
-    if isinstance(expr, BinOp):
-        left = _eval_symbolic(expr.left, space, doc)
-        right = _eval_symbolic(expr.right, space, doc)
-        if expr.op == "|":
-            return left | right
-        if expr.op == "&":
-            return left & right
-        return left - right
-    raise ResolutionError(f"cannot evaluate {expr!r} on a symbolic space")
 
 
 # -- printing -------------------------------------------------------------------

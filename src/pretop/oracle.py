@@ -176,18 +176,6 @@ def _check_compact_at(inst) -> str | None:
     return None
 
 
-def _plan_cover_compact(n: int, rng: random.Random) -> list:
-    out = []
-    for size in _sizes(n):
-        for vic in _vics(size):
-            for at in range(1, (1 << size)):
-                out.append((vic, at))
-    if n >= 4:
-        for _ in range(_SAMPLE):
-            out.append((_rand_vic(4, rng), rng.randrange(1, 16)))
-    return out
-
-
 def _check_cover_compact(inst) -> str | None:
     vic, at = inst
     sp = _space(vic)
@@ -652,7 +640,7 @@ SUITES = {
     for s in (
         Suite("continuity-5way", _plan_maps, _check_continuity),
         Suite("compact-at-2way", _plan_compact_at, _check_compact_at),
-        Suite("cover-compact-3way", _plan_cover_compact, _check_cover_compact),
+        Suite("cover-compact-3way", _plan_filters, _check_cover_compact),
         Suite("perfect-3way", _plan_maps, _check_perfect),
         Suite("open-filter-adh", _plan_filters, _check_open_filter),
         Suite("tower-level-adh", _plan_filters, _check_tower_level),

@@ -67,15 +67,6 @@ def _coord_weight(env: dict) -> int:
     return sum(abs(v) for v in env.values())
 
 
-def _least(s: IntervalSet) -> int:
-    lo, hi = s.parts[0]
-    if lo != NEG_INF:
-        return int(lo)
-    if hi != INF:
-        return int(hi)
-    return 0
-
-
 # -- eventual truth of endpoint comparisons ------------------------------------
 
 _LIMITS_K = frozenset(("k",))
@@ -777,25 +768,33 @@ def _sym_is_empty(t: SymDefSet) -> bool:
     )
 
 
+def noncompact_ends(x: SymbolicPretop):
+    """End classes whose trace filter admits no limit point, in ``ends``
+    order: ``(e, None)`` for a class without parameter, and ``(e, bad)``
+    for each convergence region of a parametric class that diverges on
+    the nonempty parameter set ``bad``."""
+    for e in ends(x):
+        conv = end_converges(x, e)
+        if conv.var is None:
+            if _sym_is_empty(conv.regions[0][1]):
+                yield e, None
+            continue
+        exists = _exists_region(x, e)
+        for sel, sym in conv.regions:
+            if _sym_is_empty(sym):
+                bad = sel & exists
+                if not bad.is_empty():
+                    yield e, bad
+
+
 def sym_is_compact(x: SymbolicPretop) -> Verdict:
     """Whether every end filter of the carrier converges.
 
     The witness for failure is the first end class, at its least
     parameter value, whose trace filter admits no limit point.
     """
-    for e in ends(x):
-        conv = end_converges(x, e)
-        if conv.var is None:
-            if _sym_is_empty(conv.regions[0][1]):
-                return Verdict(False, e)
-            continue
-        exists = _exists_region(x, e)
-        for sel, sym in conv.regions:
-            if not _sym_is_empty(sym):
-                continue
-            bad = sel & exists
-            if not bad.is_empty():
-                return Verdict(False, e.pin(_least(bad)))
+    for e, bad in noncompact_ends(x):
+        return Verdict(False, e if bad is None else e.pin(bad.least()))
     return Verdict(True, None)
 
 
@@ -1008,7 +1007,7 @@ def sym_compact_at(x: SymbolicPretop, f, a: DefSet) -> Verdict:
                 )
                 bad = hood - good
                 if not bad.is_empty():
-                    return Verdict(False, e.pin(_least(bad)))
+                    return Verdict(False, e.pin(bad.least()))
         else:
             if not boxes:
                 continue
@@ -1251,4 +1250,4 @@ def sym_separated(x: SymbolicPretop, a: DefSet, b: DefSet) -> int | None:
     region = solve_axis(NATURALS0, apart, ua.bound + ub.bound + 1)
     if region.is_empty():
         return None
-    return _least(region)
+    return region.least()

@@ -255,23 +255,6 @@ class Pieces:
         )
 
 
-def pieces_contains(p: Pieces, point) -> bool:
-    """Membership of a concrete point in evaluated pieces."""
-    if not point.coords:
-        return point.strand in p.atoms
-    if len(point.coords) == 1:
-        (v,) = point.coords
-        for name, ps in p.rays:
-            if name == point.strand:
-                return any(lo <= v <= hi for lo, hi in ps)
-        return False
-    r, c = point.coords
-    for name, ps in p.grids:
-        if name == point.strand:
-            return any(rl <= r <= rh and cl <= c <= ch for rl, rh, cl, ch in ps)
-    return False
-
-
 def pieces_meet(a: Pieces, b: Pieces) -> bool:
     if a.atoms & b.atoms:
         return True

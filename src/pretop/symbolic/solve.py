@@ -9,14 +9,9 @@ those endpoints.  Beyond 2B+3 on either side no endpoint remains, so the
 truth value is constant there, and the whole predicate is determined by
 its values on a finite window plus two constant tails.
 
-The solvers below sample the window, then re-check the presumed tails at
-guard points with pairwise coprime gaps.  For the two-variable solver
-the guard agreement is not just a spot check: once the window clears all
-constant endpoints, the column set at row r decomposes as a fixed part
-plus a part translated by r, and a translated interval family that is
-invariant under two coprime shifts must be empty or everything.  Guard
-agreement therefore certifies the tail exactly.  When the guards
-disagree, the true answer is not a finite union of rectangles and
+The axis solver below samples the window, then re-checks the presumed
+tails at guard points with pairwise coprime gaps.  When the guards
+disagree, the bound was too small for the predicate and
 :class:`~pretop.errors.FragmentEscape` is raised instead of an
 approximation.
 """
@@ -90,56 +85,6 @@ def solve_axis(axis: AxisDomain, pred, bound: int) -> IntervalSet:
             _, hi0 = runs[0]
             runs[0] = (NEG_INF, hi0)
     return IntervalSet.from_pairs(axis, runs)
-
-
-def solve_grid(row_axis: AxisDomain, col_axis: AxisDomain, pred, bound: int) -> tuple:
-    """Exact solution set of a two-variable predicate, as rectangle groups.
-
-    Returns ((rows, cols), ...) pairs of IntervalSets suitable for
-    DefSet.build.  The column solve at row r widens its own bound to
-    ``max(bound, |r|)`` so that endpoints moving with r stay inside the
-    column window and diagonal behaviour is caught by the row consensus
-    check instead of slipping past the column guards.
-    """
-    xs, low_guards, high_guards = axis_window(row_axis, bound)
-
-    def colset(r: int) -> IntervalSet:
-        return solve_axis(col_axis, lambda c: pred(r, c), max(bound, abs(r)))
-
-    sets = [colset(r) for r in xs]
-    groups = []
-    for r, s in zip(xs, sets):
-        if groups and groups[-1][2] == s and groups[-1][1] == r - 1:
-            lo, _, _ = groups[-1]
-            groups[-1] = (lo, r, s)
-        else:
-            groups.append((r, r, s))
-
-    top = sets[-1]
-    for g in high_guards:
-        if colset(g) != top:
-            raise FragmentEscape(
-                f"row family not settled above {xs[-1]}: guard row {g} disagrees"
-            )
-    if not top.is_empty():
-        lo, _, s = groups[-1]
-        groups[-1] = (lo, INF, s)
-    if low_guards:
-        bottom = sets[0]
-        for g in low_guards:
-            if colset(g) != bottom:
-                raise FragmentEscape(
-                    f"row family not settled below {xs[0]}: guard row {g} disagrees"
-                )
-        if not bottom.is_empty():
-            _, hi, s = groups[0]
-            groups[0] = (NEG_INF, hi, s)
-    out = []
-    for lo, hi, s in groups:
-        if s.is_empty():
-            continue
-        out.append((IntervalSet.from_pairs(row_axis, [(lo, hi)]), s))
-    return tuple(out)
 
 
 # -- affine fitting ----------------------------------------------------------

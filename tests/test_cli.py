@@ -1,5 +1,6 @@
 """Command line exit codes and error reports, through ``run_command``."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,97 @@ def test_moderate_nesting_still_parses(capsys):
     expr = "~" * 50 + "(" * 40 + "{1}" + ")" * 40
     code, out, _ = run(capsys, "compute", "adh", "-f", FINITE, "--space", "Q3", "--set", expr)
     assert code == 0 and out == "{1}\n"
+
+
+# -- one path per operation ---------------------------------------------------
+
+BUILTIN_SETS = {
+    "urysohn": "grid(G; cols=1..)",
+    "half_grid": "grid(G; cols=1..)",
+    "discrete_ray(2)": "ray(R2; 1..3)",
+}
+
+
+@pytest.mark.parametrize("key", sorted(BUILTIN_SETS))
+@pytest.mark.parametrize("what", ["adh", "inh", "cl-theta"])
+def test_builtin_compute_is_compute_on_a_builtin_key(capsys, key, what):
+    s = BUILTIN_SETS[key]
+    via_builtin = run(capsys, "builtin", key, "--compute", what, "--set", s)
+    via_compute = run(capsys, "compute", what, "--space", key, "--set", s)
+    assert via_builtin[0] == 0
+    assert via_builtin[:2] == via_compute[:2]
+
+
+@pytest.mark.parametrize("key", sorted(BUILTIN_SETS))
+@pytest.mark.parametrize("prop", ["hausdorff", "compact"])
+@pytest.mark.parametrize("method", [(), ("--method", "theta")])
+def test_builtin_check_is_check_on_a_builtin_key(capsys, key, prop, method):
+    via_builtin = run(capsys, "builtin", key, "--check", prop, *method)
+    via_check = run(capsys, "check", prop, "--space", key, *method)
+    assert via_builtin[0] in (0, 1)
+    assert via_builtin[:2] == via_check[:2]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("builtin", "urysohn"), "error: one of --compute or --check is required\n"),
+        (("builtin", "urysohn", "--compute", "adh"), "error: --set is required with --compute\n"),
+    ],
+)
+def test_builtin_missing_flags(capsys, argv, message):
+    assert run(capsys, *argv) == (3, "", message)
+
+
+def test_validate_without_file_is_a_missing_flag(capsys):
+    assert run(capsys, "validate") == (3, "", "error: -f/--file is required\n")
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (("compute", "adh", "-f", FINITE, "--space", "Q3", "--set", "{1}"), "compute adh"),
+        (("builtin", "urysohn", "--check", "compact"), "builtin"),
+    ],
+)
+def test_json_report_shape(capsys, argv, command):
+    code, out, _ = run(capsys, *argv, "--json")
+    doc = json.loads(out)
+    assert set(doc) == {"result", "witness", "elapsed_ms", "provenance"}
+    assert doc["provenance"]["command"] == command
+    assert code == (0 if doc["result"] is not False else 1)
+
+
+# -- long operator chains -----------------------------------------------------
+
+
+def _chain(term, n):
+    return "|".join([term] * n)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "adh", "-f", FINITE, "--space", "Q3", "--set", _chain("{1}", 3000)),
+        ("compute", "adh", "--space", "urysohn", "--set", _chain("atom(pinf)", 3000)),
+    ],
+    ids=["finite", "symbolic"],
+)
+def test_long_chain_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and "nested deeper" in err
+    assert err.count("\n") == 1
+
+
+def test_long_chain_in_a_model_file_is_a_parse_error(capsys, tmp_path):
+    model = tmp_path / "long.pt"
+    model.write_text(f"space S {{ points: 1; vicinity 1: {{1}}; }}\nset LONG = {_chain('{1}', 3000)}\n")
+    code, out, err = run(capsys, "validate", "-f", str(model))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and "nested deeper" in err
+
+
+def test_hundred_term_chain_still_evaluates(capsys):
+    argv = ("compute", "adh", "-f", FINITE, "--space", "Q3", "--set", _chain("{1}", 100))
+    assert run(capsys, *argv) == (0, "{1}\n", "")
