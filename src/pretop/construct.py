@@ -27,10 +27,10 @@ from .maps import SpaceMap, is_strongly_irreducible, is_w_theta_continuous
 from .regularize import vicinity_sweep
 from .symbolic.analysis import (
     EndClass,
-    _trace_sym,
     end_converges,
     noncompact_ends,
     sym_is_compact,
+    trace_sym,
 )
 from .symbolic.exprs import SymDefSet, var
 from .symbolic.maps import SymbolicMap, build_sym_map, image_end, sym_is_continuous
@@ -229,7 +229,7 @@ def _extend(x: SymbolicPretop, atoms_for: list, label: str) -> EndExtensionSpace
         ray_parts: dict = {}
         grid_rects: dict = {}
         for e in covered:
-            t = _trace_sym(schema2, e, None, param=var("k"))
+            t = trace_sym(schema2, e, None, param=var("k"))
             for n, s in t.rays:
                 ray_parts.setdefault(n, []).extend((p.lo, p.hi) for p in s.parts)
             for n, rects in t.grids:

@@ -250,7 +250,7 @@ def is_cover(space: FinitePretop, family, at: int | None = None) -> Verdict:
     return Verdict(True)
 
 
-def _choice_covers(space: FinitePretop, at: int):
+def choice_covers(space: FinitePretop, at: int):
     """All covers of ``at`` that pick one vicinity per point.  Every cover
     contains such a choice family, and the tested properties are monotone
     under adding members, so quantifying over these suffices."""
@@ -272,10 +272,11 @@ def compact_at(space: FinitePretop, f: PrincipalFilter, at: int, method: str = "
     """Compactness of a filter at a set, by either characterization."""
     if at == 0:
         raise EmptySubspace("compactness at the empty set is not defined")
-    return _compact_at_mask(space, f.kernel, at, method)
+    return compact_at_mask(space, f.kernel, at, method)
 
 
-def _compact_at_mask(space: FinitePretop, kernel: int, at: int, method: str) -> Verdict:
+def compact_at_mask(space: FinitePretop, kernel: int, at: int, method: str) -> Verdict:
+    """:func:`compact_at` for the principal filter with kernel ``kernel``."""
     if method == "filter":
         # every filter meshing with f must adhere inside `at`
         for k in space.kernels():
@@ -284,7 +285,7 @@ def _compact_at_mask(space: FinitePretop, kernel: int, at: int, method: str) -> 
         return Verdict(True)
     if method == "cover":
         # every cover of `at` must swallow a member of f in finitely many steps
-        for pick in _choice_covers(space, at):
+        for pick in choice_covers(space, at):
             union = 0
             for c in pick:
                 union |= c
@@ -299,7 +300,7 @@ def is_cover_compact(space: FinitePretop, at: int, method: str = "cover") -> Ver
     if at == 0:
         raise EmptySubspace("cover-compactness of the empty set is not defined")
     if method == "cover":
-        for pick in _choice_covers(space, at):
+        for pick in choice_covers(space, at):
             union = 0
             for c in pick:
                 union |= c

@@ -18,7 +18,7 @@ from .finite import (
     FiniteTopology,
     PrincipalFilter,
     Verdict,
-    _compact_at_mask,
+    compact_at_mask,
     is_cover_compact,
     union_of,
     union_tables,
@@ -240,7 +240,7 @@ def is_perfect(f: SpaceMap, method: str = "definition") -> Verdict:
             while s:
                 pre = f.preimage_mask(s)
                 if pre:
-                    v = _compact_at_mask(src, pre, fiber, "filter")
+                    v = compact_at_mask(src, pre, fiber, "filter")
                     if not v.ok:
                         return Verdict(False, (tgt.points[j], tgt.names(s), v.witness))
                 s = (s - 1) & tgt.vicinity[j]

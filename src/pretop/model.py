@@ -167,6 +167,8 @@ class ModelDocument:
                 raise ResolutionError(f"name {d.name!r} declared twice")
             self._by_name[d.name] = d
         self._maps = {}
+        self._set_refs = {}  # set name -> names its expression refers to
+        self._set_order = []  # set names, each after the sets it refers to
         self._resolve()
 
     def __eq__(self, other):
@@ -213,6 +215,17 @@ class ModelDocument:
     def names(self, cls) -> tuple:
         return tuple(d.name for d in self.declarations if isinstance(d, cls))
 
+    def set_closure(self, names) -> list:
+        """The named sets and every set they refer to, in dependency order."""
+        need, todo = set(), list(names)
+        while todo:
+            name = todo.pop()
+            if name not in need:
+                self.set_expr(name)
+                need.add(name)
+                todo += self._set_refs[name]
+        return [n for n in self._set_order if n in need]
+
     # -- resolution ------------------------------------------------------------
 
     def _resolve(self):
@@ -220,7 +233,7 @@ class ModelDocument:
             if isinstance(d, MapDecl):
                 self._maps[d.name] = self._resolve_map(d)
             elif isinstance(d, SetDecl):
-                self._check_refs(d.name, d.expr, (d.name,))
+                self._order_sets(d.name)
 
     def _resolve_map(self, d: MapDecl) -> SpaceMap:
         where = f"line {d.line}: map {d.name!r}"
@@ -241,19 +254,33 @@ class ModelDocument:
             raise ResolutionError(f"{where}: no image for point {missing[0]!r}")
         return SpaceMap.from_table(src, dst, table)
 
-    def _check_refs(self, root: str, expr, stack: tuple):
-        if isinstance(expr, SetRef):
-            d = self._by_name.get(expr.name)
-            if not isinstance(d, SetDecl):
-                raise ResolutionError(f"set {root!r} refers to unknown set {expr.name!r}")
-            if expr.name in stack:
-                raise ResolutionError(f"circular set definition through {expr.name!r}")
-            self._check_refs(root, d.expr, stack + (expr.name,))
-        elif isinstance(expr, Not):
-            self._check_refs(root, expr.arg, stack)
-        elif isinstance(expr, BinOp):
-            self._check_refs(root, expr.left, stack)
-            self._check_refs(root, expr.right, stack)
+    def _order_sets(self, root: str):
+        """Depth-first from ``root`` along set references, appending each
+        set to the dependency order once the sets it refers to are there.
+
+        The walk keeps its own stack, so reference chains of any length
+        resolve, and it enters each declaration once.
+        """
+        if root in self._set_refs:
+            return
+        path = {root: self._enter_set(root)}  # the walk's stack, in order
+        while path:
+            top = next(reversed(path))
+            name = next(path[top], None)
+            if name is None:
+                del path[top]
+                self._set_order.append(top)
+            elif not isinstance(self._by_name.get(name), SetDecl):
+                raise ResolutionError(f"set {root!r} refers to unknown set {name!r}")
+            elif name in path:
+                raise ResolutionError(f"circular set definition through {name!r}")
+            elif name not in self._set_refs:
+                path[name] = self._enter_set(name)
+
+    def _enter_set(self, name: str):
+        """Record the set's references; an iterator over them."""
+        refs = self._set_refs[name] = _ref_names(self._by_name[name].expr)
+        return iter(refs)
 
 
 # -- lexer ---------------------------------------------------------------------
@@ -688,37 +715,54 @@ def eval_set(expr, space, doc: ModelDocument | None = None):
 
     Returns a bitmask on a finite space and a DefSet on a symbolic
     one; complements are taken relative to the space's own points.
+    Referenced sets are evaluated once each, in dependency order.
     """
     if isinstance(space, FiniteTopology):
         space = space.to_pretop()
     if isinstance(space, FinitePretop):
-        return _evaluate(expr, space.full, lambda t: _finite_term(space, t), doc)
-    return _evaluate(expr, space.carrier_set, lambda t: _symbolic_term(space, t), doc)
+        whole, term = space.full, lambda t: _finite_term(space, t)
+    else:
+        whole, term = space.carrier_set, lambda t: _symbolic_term(space, t)
+    refs = _ref_names(expr)
+    if refs and doc is None:
+        raise ResolutionError(f"set reference {refs[0]!r} needs a model file")
+    values = {}
+    for name in doc.set_closure(refs) if refs else ():
+        values[name] = _evaluate(doc.set_expr(name), whole, term, values)
+    return _evaluate(expr, whole, term, values)
 
 
-def _evaluate(expr, whole, term, doc):
-    """The walk both engines share: ``whole`` is the space's full set and
-    ``term`` evaluates literals and strand terms; ``~a`` is ``whole & ~a``
-    and ``a \\ b`` is ``a & ~b``."""
+def _ref_names(expr) -> list:
+    """Set names an expression refers to, left to right."""
+    out, todo = [], [expr]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, SetRef):
+            out.append(e.name)
+        elif isinstance(e, Not):
+            todo.append(e.arg)
+        elif isinstance(e, BinOp):
+            todo += [e.right, e.left]
+    return out
+
+
+def _evaluate(expr, whole, term, values: dict):
+    """The walk both engines share: ``whole`` is the space's full set,
+    ``term`` evaluates literals and strand terms and ``values`` holds the
+    referenced sets; ``~a`` is ``whole & ~a`` and ``a \\ b`` is ``a & ~b``."""
     if isinstance(expr, SetRef):
-        return _evaluate(_deref(expr, doc), whole, term, doc)
+        return values[expr.name]
     if isinstance(expr, Not):
-        return whole & ~_evaluate(expr.arg, whole, term, doc)
+        return whole & ~_evaluate(expr.arg, whole, term, values)
     if isinstance(expr, BinOp):
-        left = _evaluate(expr.left, whole, term, doc)
-        right = _evaluate(expr.right, whole, term, doc)
+        left = _evaluate(expr.left, whole, term, values)
+        right = _evaluate(expr.right, whole, term, values)
         if expr.op == "|":
             return left | right
         if expr.op == "&":
             return left & right
         return left & ~right
     return term(expr)
-
-
-def _deref(expr: SetRef, doc: ModelDocument | None):
-    if doc is None:
-        raise ResolutionError(f"set reference {expr.name!r} needs a model file")
-    return doc.set_expr(expr.name)
 
 
 def _finite_term(space: FinitePretop, expr) -> int:

@@ -64,6 +64,7 @@ from .symbolic import (
     sym_is_continuous,
     sym_regularize,
 )
+from .symbolic.exprs import defset_bound
 from .symbolic.space import box_points, truncate
 
 _SAMPLE = 1200
@@ -499,16 +500,6 @@ def _check_defsets(inst) -> str | None:
 # -- symbolic engine batteries ------------------------------------------------------
 
 
-def _defset_bound(d: DefSet) -> int:
-    best = 0
-    for _, sel in d.rays:
-        best = max(best, sel.max_finite_endpoint())
-    for _, groups in d.grids:
-        for rows, cols in groups:
-            best = max(best, rows.max_finite_endpoint(), cols.max_finite_endpoint())
-    return best
-
-
 def _box_defset(x, w: int) -> DefSet:
     schema = x.schema
     d = DefSet.build(
@@ -550,7 +541,7 @@ def _check_dual_engine(inst) -> str | None:
     key, lit = inst
     x = builtin(key)
     s = eval_set(parse_set_expr(lit), x)
-    w = 2 * (x.bound + _defset_bound(s)) + 5
+    w = 2 * (x.bound + defset_bound(s)) + 5
     fin = truncate(x, w)
     pts = box_points(x, w)
     mask = sum(1 << i for i, p in enumerate(pts) if p in s)

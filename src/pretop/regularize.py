@@ -17,7 +17,7 @@ from .finite import (
     FiniteTopology,
     PrincipalFilter,
     Verdict,
-    _choice_covers,
+    choice_covers,
     is_hausdorff,
 )
 
@@ -145,7 +145,7 @@ def is_quasi_phc(space: FinitePretop, method: str = "rpi-compact") -> Verdict:
                 return Verdict(False, space.names(k))
         return Verdict(True)
     if method == "adh-cover":
-        for pick in _choice_covers(space, space.full):
+        for pick in choice_covers(space, space.full):
             union = 0
             for c in pick:
                 union |= space.adh(c)

@@ -1,12 +1,18 @@
 """Exact analysis of rule spaces: adherence, ends, compactness, separation.
 
 Pointwise questions (is this point in the adherence, does this filter
-mesh that trace) reduce to Boolean combinations of interval overlap
-facts whose endpoints are affine with slope +1 or -1 in the coordinates
-and parameters.  Each comparison is solved in closed form; a parameter
-that only shrinks the family is resolved by its eventual truth, which
-is the answer to the universal question because the family is
-decreasing.  Whole-family questions (replace every template by its
+mesh that trace, do these two points keep meeting) reduce to Boolean
+combinations of interval overlap facts whose endpoints are affine with
+slope +1 or -1 in the coordinates and parameters.  A parameter that only
+shrinks the family is resolved by its eventual truth, which is the
+answer to the universal question because the family is decreasing.
+Every remaining comparison has the form ``±x ± y <= c`` (UTVPI): one
+variable gives a bound, and a conjunction of bounds is a box; two
+variables, as when Hausdorff separation names both points of a pair,
+give a system decided exactly by tight integer closure (Lahiri &
+Musuvathi, FroCoS 2005; Bagnara, Hill & Zaffanella, 2008-09).  A
+witness fixes its variables in a stated order, each to the feasible
+value nearest 0.  Whole-family questions (replace every template by its
 adherence, classify the limits of a parametric end) are answered by
 sampling exact windows with consensus guards and refitting the results
 into the endpoint language, splitting the coordinate range when no
@@ -19,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from ..defsets import DefSet, GroundSchema, Point
 from ..errors import (
@@ -38,12 +43,11 @@ from .exprs import (
     SymExpr,
     SymInterval,
     SymIntervalSet,
-    _as_endpoint,
-    _mask_ray_pieces,
+    as_endpoint,
     pieces_meet,
     var,
 )
-from .solve import GUARD_OFFSETS, fit_defsets, solve_axis, stabilization
+from .solve import GUARD_OFFSETS, fit_defsets, solve_axis
 from .space import PointPattern, SymbolicPretop, VicinityRule, validation_window
 
 _B = var("b")
@@ -63,10 +67,6 @@ def _point_of(pat: PointPattern, env: dict) -> Point:
     return Point.grid(pat.strand, env["n"], env["m"])
 
 
-def _coord_weight(env: dict) -> int:
-    return sum(abs(v) for v in env.values())
-
-
 # -- eventual truth of endpoint comparisons ------------------------------------
 
 _LIMITS_K = frozenset(("k",))
@@ -79,9 +79,10 @@ def _le(e1, e2, limits: frozenset):
     Endpoints are infinities, constants, or unit-slope expressions.  A
     variable named in ``limits`` is resolved by its behaviour at large
     values; two such variables racing upward together have no eventual
-    order and leave the fragment, as does a comparison tying two
-    distinct free variables.  The result is True, False, or a
-    (var, lo, hi) constraint on one free variable.
+    order and leave the fragment.  The result is True, False, a
+    (var, lo, hi) constraint on one free variable, or, for a comparison
+    tying two distinct free variables, the UTVPI constraint
+    (a, x, b, y, c) stating ``a*x + b*y <= c`` with unit signs a, b.
     """
     if isinstance(e1, float):
         return True if e1 == NEG_INF else (isinstance(e2, float) and e2 == INF)
@@ -109,7 +110,7 @@ def _le(e1, e2, limits: frozenset):
             return (e1.var, NEG_INF, e2.offset - e1.offset)
         return (e1.var, e1.offset - e2.offset, INF)
     if e1.var != e2.var:
-        raise FragmentEscape(f"comparison ties {e1.var} to {e2.var}")
+        return (e1.sign, e1.var, -e2.sign, e2.var, e2.offset - e1.offset)
     if e1.sign == e2.sign:
         return e1.offset <= e2.offset
     if e1.sign > 0:
@@ -118,21 +119,80 @@ def _le(e1, e2, limits: frozenset):
 
 
 def _conjoin(conds, limits: frozenset):
-    """Box of free-variable values satisfying every comparison, or None."""
-    box = {}
+    """Free-variable values satisfying every comparison, or None.
+
+    Unary bounds intersect into a box ``{var: (lo, hi)}``, which is its
+    own closure and is returned as is.  When comparisons tie two
+    variables, the system goes through tight integer closure, which
+    decides it exactly, and comes back as (tight box, ties).
+    """
+    box, ties = {}, []
     for e1, e2 in conds:
         got = _le(e1, e2, limits)
         if got is True:
             continue
         if got is False:
             return None
+        if len(got) == 5:
+            ties.append(got)
+            continue
         name, lo, hi = got
         plo, phi = box.get(name, (NEG_INF, INF))
         lo, hi = max(lo, plo), min(hi, phi)
         if lo > hi:
             return None
         box[name] = (lo, hi)
-    return box
+    if not ties:
+        return box
+    box = _tight_box(box, ties)
+    return None if box is None else (box, tuple(ties))
+
+
+def _tight_box(box: dict, ties) -> dict | None:
+    """Bounds of every variable after tight integer closure of a UTVPI
+    system (Bagnara, Hill & Zaffanella), or None when it has no integer
+    solution.
+
+    Node 2i stands for +x_i and node 2i+1 for -x_i; ``m[u][v]`` bounds
+    value(v) - value(u).  Shortest paths, then rounding each bound
+    ``2x <= c`` down to an even ``c``, decide the system, and every
+    integer inside the resulting bounds of a variable extends to a
+    solution.
+    """
+    names = sorted(set(box).union(*((t[1], t[3]) for t in ties)))
+    at = {v: 2 * i for i, v in enumerate(names)}
+    size = 2 * len(names)
+    m = [[0 if u == v else INF for v in range(size)] for u in range(size)]
+    for name, (lo, hi) in box.items():
+        u = at[name]
+        m[u + 1][u], m[u][u + 1] = 2 * hi, -2 * lo
+    for a, x, b, y, c in ties:
+        p, q = at[x] + (a < 0), at[y] + (b > 0)
+        m[q][p] = min(m[q][p], c)
+        m[p ^ 1][q ^ 1] = min(m[p ^ 1][q ^ 1], c)
+    for w in range(size):
+        for mu in m:
+            if mu[w] != INF:
+                for v in range(size):
+                    mu[v] = min(mu[v], mu[w] + m[w][v])
+    if any(m[u][u] < 0 for u in range(size)):
+        return None
+    half = [INF if m[u][u ^ 1] == INF else m[u][u ^ 1] // 2 for u in range(size)]
+    if any(half[u] + half[u ^ 1] < 0 for u in range(size)):
+        return None
+    return {v: (-half[at[v]], half[at[v] + 1]) for v in names}
+
+
+def _solution(system, names) -> dict:
+    """Integer point of a satisfiable system, fixing each of ``names`` in
+    turn to its feasible value nearest 0."""
+    box, ties = (system, ()) if isinstance(system, dict) else system
+    env = {}
+    for name in names:
+        lo, hi = box.get(name, (NEG_INF, INF))
+        env[name] = min(max(0, lo), hi)
+        box = _tight_box({**box, name: (env[name], env[name])}, ties)
+    return env
 
 
 def _overlap_conds(intervals, low):
@@ -154,7 +214,7 @@ def _ray_factors(mask, name: str) -> tuple:
     if mask is None:
         return ([],)
     return tuple(
-        [(_as_endpoint(lo), _as_endpoint(hi))] for lo, hi in mask.ray_part(name).parts
+        [(as_endpoint(lo), as_endpoint(hi))] for lo, hi in mask.ray_part(name).parts
     )
 
 
@@ -168,26 +228,21 @@ def _grid_factors(mask, name: str) -> tuple:
             for clo, chi in cols.parts:
                 out.append(
                     (
-                        [(_as_endpoint(rlo), _as_endpoint(rhi))],
-                        [(_as_endpoint(clo), _as_endpoint(chi))],
+                        [(as_endpoint(rlo), as_endpoint(rhi))],
+                        [(as_endpoint(clo), as_endpoint(chi))],
                     )
                 )
     return tuple(out)
 
 
-def _meets_boxes(left: SymDefSet, right: SymDefSet, limits: frozenset) -> list:
-    """Free-variable boxes on which the two sets share a point.
-
-    The answer is eventual in the limit variables, which is the value of
-    the universal question for families decreasing in them.  An empty
-    box holds unconditionally; no boxes means never.
-    """
+def _meet_conds(left: SymDefSet, right: SymDefSet):
+    """Comparison lists, one per pair of pieces of the two sets, each
+    stating that the sets share a point in those pieces."""
     schema = left.schema
-    boxes = []
     la = left.atoms if left.mask is None else left.atoms & left.mask.atoms
     ra = right.atoms if right.mask is None else right.atoms & right.mask.atoms
     if la & ra:
-        boxes.append({})
+        yield []
     rrays = dict(right.rays)
     for name, s1 in left.rays:
         s2 = rrays.get(name)
@@ -200,9 +255,7 @@ def _meets_boxes(left: SymDefSet, right: SymDefSet, limits: frozenset) -> list:
                 for m1 in _ray_factors(left.mask, name):
                     for m2 in _ray_factors(right.mask, name):
                         items = [(p1.lo, p1.hi), (p2.lo, p2.hi)] + m1 + m2
-                        box = _conjoin(_overlap_conds(items, low), limits)
-                        if box is not None:
-                            boxes.append(box)
+                        yield _overlap_conds(items, low)
     rgrids = dict(right.grids)
     for name, rects1 in left.grids:
         rects2 = rgrids.get(name, ())
@@ -222,15 +275,32 @@ def _meets_boxes(left: SymDefSet, right: SymDefSet, limits: frozenset) -> list:
                                 for cp1 in cols1.parts:
                                     for cp2 in cols2.parts:
                                         citems = [(cp1.lo, cp1.hi), (cp2.lo, cp2.hi)] + mc1 + mc2
-                                        box = _conjoin(
-                                            rconds + _overlap_conds(citems, clow), limits
-                                        )
-                                        if box is not None:
-                                            boxes.append(box)
-    return boxes
+                                        yield rconds + _overlap_conds(citems, clow)
 
 
-def _box_interval(box: dict, name: str, axis: AxisDomain) -> IntervalSet:
+def _meets_boxes(left: SymDefSet, right: SymDefSet, limits: frozenset, extra=([],)) -> list:
+    """Satisfiable free-variable systems on which the two sets share a
+    point, in :func:`_meet_conds` order.
+
+    Each piece pair's comparisons are conjoined with each list in
+    ``extra`` in turn.  The answer is eventual in the limit variables,
+    which is the value of the universal question for families
+    decreasing in them.  An empty box holds unconditionally; no systems
+    means never.
+    """
+    out = []
+    for conds in _meet_conds(left, right):
+        for more in extra:
+            system = _conjoin(conds + more, limits)
+            if system is not None:
+                out.append(system)
+    return out
+
+
+def _box_interval(box, name: str, axis: AxisDomain) -> IntervalSet:
+    if isinstance(box, tuple):
+        _, ties = box
+        raise FragmentEscape(f"comparison ties {ties[0][1]} to {ties[0][3]}")
     lo, hi = box.get(name, (NEG_INF, INF))
     return IntervalSet.from_pairs(axis, [(lo, hi)])
 
@@ -609,7 +679,7 @@ def _fixed_axis(schema: GroundSchema, e: EndClass) -> AxisDomain:
     return rows_ax if e.row == "fixed" else cols_ax
 
 
-def _trace_sym(schema: GroundSchema, e: EndClass, mask, param=_B) -> SymDefSet:
+def trace_sym(schema: GroundSchema, e: EndClass, mask, param=_B) -> SymDefSet:
     """Base rectangle of the end's trace filter, symbolic in ``b``."""
 
     def side(status):
@@ -629,7 +699,7 @@ def _trace_sym(schema: GroundSchema, e: EndClass, mask, param=_B) -> SymDefSet:
 def _exists_region(x: SymbolicPretop, e: EndClass):
     """Where the end's trace stays inside the carrier: a bool for a
     pinned or coordinate-free class, else the region of parameters."""
-    trace = _trace_sym(x.schema, e, x.carrier)
+    trace = trace_sym(x.schema, e, x.carrier)
     boxes = _meets_boxes(trace, SymDefSet.from_defset(DefSet.full(x.schema)), _LIMITS_KB)
     if not e.parametric:
         return bool(boxes)
@@ -697,7 +767,7 @@ class ParametricAnswer:
 
 def _end_limits_at(x: SymbolicPretop, e: EndClass, p) -> DefSet:
     """Points whose every vicinity meets every trace rectangle."""
-    trace = _trace_sym(x.schema, e, x.carrier)
+    trace = trace_sym(x.schema, e, x.carrier)
     if p is not None:
         trace = trace.substitute({"p": p})
     out = DefSet.empty(x.schema)
@@ -963,12 +1033,12 @@ def _core_union(x: SymbolicPretop, a: DefSet) -> DefSet:
 def _end_filter(x: SymbolicPretop, e: EndClass) -> DefFilterBase:
     if e.parametric:
         raise ValueError("pin the fixed coordinate of the end class first")
-    return DefFilterBase(_trace_sym(x.schema, e, x.carrier, param=var("k")))
+    return DefFilterBase(trace_sym(x.schema, e, x.carrier, param=var("k")))
 
 
 def _mesh_boxes(x: SymbolicPretop, e: EndClass, f: DefFilterBase) -> list:
     """Boxes over the end's parameter where its trace meshes the family."""
-    trace = _trace_sym(x.schema, e, x.carrier)
+    trace = trace_sym(x.schema, e, x.carrier)
     return _meets_boxes(f.family, trace, _LIMITS_KB)
 
 
@@ -1041,198 +1111,58 @@ def sym_restrict(x: SymbolicPretop, a: DefSet) -> SymbolicPretop:
 
 # -- Hausdorff separation ---------------------------------------------------------
 
-def _eval_piece(piece: SymInterval, env: dict, axis: AxisDomain, mask) -> list:
-    lo, hi = piece.evaluate(env)
-    lo = max(lo, axis.low_value)
-    if lo > hi:
-        return []
-    pairs = [(lo, hi)]
-    if mask is not None:
-        pairs = list(_mask_ray_pieces(pairs, mask))
-    return pairs
+def _pair_side(x: SymbolicPretop, rule: VicinityRule, tag: str) -> tuple:
+    """The rule's template with its coordinates renamed ``n<tag>`` and
+    ``m<tag>``, and one comparison list per carrier box of its pattern."""
+    names = {v: var(v + tag) for v in rule.pattern.vars}
+    boxes = []
+    for box in _region_boxes(x, rule.pattern, x.carrier_set):
+        conds = []
+        for v, (lo, hi) in box.items():
+            conds += [(as_endpoint(lo), names[v]), (names[v], as_endpoint(hi))]
+        boxes.append(conds)
+    return rule.template.substitute(names), boxes
 
 
-def _overlap(pairs1, pairs2) -> bool:
-    return any(
-        max(l1, l2) <= min(h1, h2) for l1, h1 in pairs1 for l2, h2 in pairs2
-    )
-
-
-def _side_env(keymap: dict, env: dict, kk: int) -> dict:
-    out = {tv: env[key] for key, tv in keymap.items()}
-    out["k"] = kk
+def _apart(pat: PointPattern) -> list:
+    """Comparison lists, one of which holds exactly when two points of
+    the pattern differ: n1 < n2, n1 > n2, m1 < m2, m1 > m2."""
+    out = []
+    for v in pat.vars:
+        a, b = var(v + "1"), var(v + "2")
+        out += [[(a, b - 1)], [(b, a - 1)]]
     return out
-
-
-def _pair_conds(x: SymbolicPretop, t1: SymDefSet, t2: SymDefSet):
-    """Piece-pair overlap conditions whose conjunctions cover the meets
-    test; yields (conds, base) where each cond is (fn, var-keys)."""
-    bx = 2 * x.bound + 2
-    masks = (t1.mask, t2.mask)
-
-    def keymap(piece_vars, side):
-        return {(v, side): v for v in piece_vars if v != "k"}
-
-    def ray_cond(ax, p1, m1, p2, m2):
-        k1, k2 = keymap(p1.vars, 1), keymap(p2.vars, 2)
-
-        def fn(env):
-            kk = stabilization(bx + _coord_weight(env))
-            a = _eval_piece(p1, _side_env(k1, env, kk), ax, m1)
-            b = _eval_piece(p2, _side_env(k2, env, kk), ax, m2)
-            return _overlap(a, b)
-
-        return fn, frozenset(k1) | frozenset(k2)
-
-    shared = t1.atoms & t2.atoms
-    if masks[0] is not None:
-        shared &= masks[0].atoms
-    if masks[1] is not None:
-        shared &= masks[1].atoms
-    if shared:
-        yield []
-    rays2 = dict(t2.rays)
-    for name, s1 in t1.rays:
-        ax = t1.schema.ray_axis(name)
-        m1 = masks[0].ray_part(name) if masks[0] is not None else None
-        m2 = masks[1].ray_part(name) if masks[1] is not None else None
-        for p1 in s1.parts:
-            for p2 in rays2.get(name, SymIntervalSet.empty(ax)).parts:
-                yield [ray_cond(ax, p1, m1, p2, m2)]
-    grids2 = dict(t2.grids)
-    for name, rects1 in t1.grids:
-        rows_ax, cols_ax = t1.schema.grid_axes(name)
-        mg1 = masks[0].grid_part(name) if masks[0] is not None else ((None, None),)
-        mg2 = masks[1].grid_part(name) if masks[1] is not None else ((None, None),)
-        for rows1, cols1 in rects1:
-            for rows2, cols2 in grids2.get(name, ()):
-                for mr1, mc1 in mg1:
-                    for mr2, mc2 in mg2:
-                        for rp1 in rows1.parts:
-                            for rp2 in rows2.parts:
-                                for cp1 in cols1.parts:
-                                    for cp2 in cols2.parts:
-                                        yield [
-                                            ray_cond(rows_ax, rp1, mr1, rp2, mr2),
-                                            ray_cond(cols_ax, cp1, mc1, cp2, mc2),
-                                        ]
-
-
-def _pair_windows(x: SymbolicPretop, rule: VicinityRule, side: int, w: int) -> dict:
-    pat = rule.pattern
-    out = {}
-    if pat.kind == "atom":
-        return out
-    sels = pat.selectors(x.schema)
-    if pat.kind == "ray":
-        names_axes = [("n", x.schema.ray_axis(pat.strand))]
-    else:
-        rows_ax, cols_ax = x.schema.grid_axes(pat.strand)
-        names_axes = [("n", rows_ax), ("m", cols_ax)]
-    for (name, ax), sel in zip(names_axes, sels):
-        lo = ax.low if ax.kind == "nat" else -w
-        out[(name, side)] = [v for v in range(lo, w + 1) if v in sel]
-    return out
-
-
-def _satisfy(conds, windows, distinct):
-    """First assignment meeting every condition, or None.
-
-    Conditions and forced-distinct pairs connect variables into
-    components searched independently; the windows are wide enough for
-    the search to be conclusive for unit-slope conditions.
-    """
-    parent = {key: key for key in windows}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def join(a, b):
-        parent[find(a)] = find(b)
-
-    for fn, keys in conds:
-        keys = list(keys)
-        for other in keys[1:]:
-            join(keys[0], other)
-    for a, b in distinct:
-        join(a, b)
-    comps = {}
-    for key in windows:
-        comps.setdefault(find(key), []).append(key)
-    for fn, keys in conds:
-        if not keys and not fn({}):
-            return None
-    env = {}
-    for root, keys in comps.items():
-        keys = sorted(keys)
-        local_conds = [(fn, ks) for fn, ks in conds if ks and find(next(iter(ks))) == root]
-        local_distinct = [(a, b) for a, b in distinct if find(a) == root]
-        found = None
-        for combo in product(*(windows[k] for k in keys)):
-            candidate = dict(zip(keys, combo))
-            if any(candidate[a] == candidate[b] for a, b in local_distinct):
-                continue
-            if all(fn(candidate) for fn, _ in local_conds):
-                found = candidate
-                break
-        if found is None:
-            return None
-        env.update(found)
-    return env
-
-
-def _coords_point(pat: PointPattern, env: dict, side: int, windows: dict) -> Point:
-    def val(name):
-        return env.get((name, side), windows[(name, side)][0])
-
-    if pat.kind == "atom":
-        return Point.atom(pat.strand)
-    if pat.kind == "ray":
-        return Point.ray(pat.strand, val("n"))
-    return Point.grid(pat.strand, val("n"), val("m"))
 
 
 def sym_hausdorff(x: SymbolicPretop) -> Verdict:
     """Whether distinct points always get eventually disjoint vicinities.
 
-    Searches for a counterexample pair whose vicinities keep meeting at
-    every parameter value; the witness is the offending pair of points.
+    For each pair of rules, in order with the first at or before the
+    second, the two templates are renamed to one variable per
+    coordinate (``n1``, ``m1`` for the first point, ``n2``, ``m2`` for
+    the second) and asked whether they meet for every ``k``, with both
+    points confined to the carrier boxes of their patterns and, within
+    one rule, kept apart.  Every comparison has the form
+    ``±x ± y <= c``, so tight integer closure decides each system
+    exactly.  The witness comes from the first satisfiable system in
+    :func:`_meets_boxes` order, with n1, m1, n2, m2 fixed in turn to
+    the feasible value nearest 0.
     """
-    w = validation_window(2 * x.bound + 2)
     for i, r1 in enumerate(x.rules):
+        t1, boxes1 = _pair_side(x, r1, "1")
         for r2 in x.rules[i:]:
             same = r1 is r2
             if same and r1.pattern.kind == "atom":
                 continue
-            windows = {**_pair_windows(x, r1, 1, w), **_pair_windows(x, r2, 2, w)}
-            extra = []
-            if x.carrier is not None:
-                # points must come from the carrier and its grid parts
-                # may couple the two coordinates of one side
-                for pat, side in ((r1.pattern, 1), (r2.pattern, 2)):
-                    def inside(env, pat=pat, side=side):
-                        return _coords_point(pat, env, side, windows) in x.carrier
-
-                    extra.append((inside, frozenset((v, side) for v in pat.vars)))
-            if same:
-                variants = [[(k1, k2)] for (k1, k2) in (
-                    (("n", 1), ("n", 2)),
-                    (("m", 1), ("m", 2)),
-                ) if k1 in windows]
-            else:
-                variants = [[]]
-            for conds in _pair_conds(x, r1.template, r2.template):
-                for distinct in variants:
-                    env = _satisfy(list(conds) + extra, windows, distinct)
-                    if env is None:
-                        continue
-                    p1 = _coords_point(r1.pattern, env, 1, windows)
-                    p2 = _coords_point(r2.pattern, env, 2, windows)
-                    if p1 != p2:
-                        return Verdict(False, (p1, p2))
+            t2, boxes2 = _pair_side(x, r2, "2")
+            apart = _apart(r1.pattern) if same else [[]]
+            extra = [b1 + b2 + d for b1 in boxes1 for b2 in boxes2 for d in apart]
+            systems = _meets_boxes(t1, t2, _LIMITS_K, extra)
+            if systems:
+                env = _solution(systems[0], ("n1", "m1", "n2", "m2"))
+                p1 = _point_of(r1.pattern, {"n": env["n1"], "m": env["m1"]})
+                p2 = _point_of(r2.pattern, {"n": env["n2"], "m": env["m2"]})
+                return Verdict(False, (p1, p2))
     return Verdict(True, None)
 
 

@@ -43,9 +43,14 @@ class SymExpr:
         return self.sign * env[self.var] + self.offset
 
     def substitute(self, env: dict) -> "SymExpr":
-        if self.var is not None and self.var in env:
-            return SymExpr.const(self.sign * env[self.var] + self.offset)
-        return self
+        """Bind the variable to an integer, or rename it when ``env`` maps
+        it to another expression."""
+        if self.var is None or self.var not in env:
+            return self
+        value = env[self.var]
+        if isinstance(value, SymExpr):
+            return (value if self.sign > 0 else -value) + self.offset
+        return SymExpr.const(self.sign * value + self.offset)
 
     def shift(self, delta: int) -> "SymExpr":
         return SymExpr(self.var, self.sign, self.offset + delta)
@@ -87,7 +92,8 @@ def var(name: str) -> SymExpr:
     return SymExpr.plus(name)
 
 
-def _as_endpoint(e):
+def as_endpoint(e):
+    """An endpoint as an expression, or as an infinity unchanged."""
     if isinstance(e, SymExpr):
         return e
     if e == INF or e == NEG_INF:
@@ -123,8 +129,8 @@ class SymInterval:
     hi: object
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _as_endpoint(self.lo))
-        object.__setattr__(self, "hi", _as_endpoint(self.hi))
+        object.__setattr__(self, "lo", as_endpoint(self.lo))
+        object.__setattr__(self, "hi", as_endpoint(self.hi))
 
     def evaluate(self, env: dict) -> tuple:
         return (_endpoint_value(self.lo, env), _endpoint_value(self.hi, env))
@@ -216,24 +222,14 @@ class SymIntervalSet:
         return " | ".join(p.describe() for p in self.parts) or "{}"
 
 
-def _interval_set_bound(s: IntervalSet) -> int:
-    b = 0
-    for lo, hi in s.parts:
-        if lo != NEG_INF:
-            b = max(b, abs(int(lo)))
-        if hi != INF:
-            b = max(b, abs(int(hi)))
-    return b
-
-
 def defset_bound(d: DefSet) -> int:
     """Largest absolute finite endpoint appearing in a concrete set."""
     b = 0
     for _, s in d.rays:
-        b = max(b, _interval_set_bound(s))
+        b = max(b, s.max_finite_endpoint())
     for _, groups in d.grids:
         for rows, cols in groups:
-            b = max(b, _interval_set_bound(rows), _interval_set_bound(cols))
+            b = max(b, rows.max_finite_endpoint(), cols.max_finite_endpoint())
     return b
 
 

@@ -20,7 +20,7 @@ from ..finite import Verdict
 from ..intervals import INF, NEG_INF, IntervalSet
 from .analysis import EndClass, sym_adh
 from .solve import GUARD_OFFSETS, stabilization
-from .space import SymbolicPretop, _rule_points, validation_window
+from .space import SymbolicPretop, rule_points, validation_window
 
 # widest finite interval an image computation will enumerate pointwise
 _ENUMERATION_CAP = 4096
@@ -187,7 +187,7 @@ def build_sym_map(
     f = SymbolicMap(source, target, tuple(table), label)
     w = validation_window(f.bound)
     for rule in source.rules:
-        for p, _ in _rule_points(source.schema, rule, source.carrier, w):
+        for p, _ in rule_points(source.schema, rule, source.carrier, w):
             f.apply(p)  # raises UnknownPoint when the image leaves the target
     return f
 
@@ -343,7 +343,7 @@ def sym_is_continuous(f: SymbolicMap, method: str = "vicinity", probes=None) -> 
     w = validation_window(b)
     jtop = stabilization(b)
     for rule in f.source.rules:
-        for p, _ in _rule_points(f.source.schema, rule, f.source.carrier, w):
+        for p, _ in rule_points(f.source.schema, rule, f.source.carrier, w):
             y = f.apply(p)
             t = f.source.template_at(p)
             u = f.target.template_at(y)

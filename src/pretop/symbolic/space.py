@@ -28,7 +28,7 @@ from ..errors import (
 )
 from ..finite import FinitePretop
 from ..intervals import INF, NEG_INF, INTEGERS, NATURALS0, NATURALS1, AxisDomain, IntervalSet
-from .exprs import SymDefSet, _interval_set_bound, defset_bound, var
+from .exprs import SymDefSet, defset_bound, var
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class PointPattern:
         b = 0
         for s in (self.rows, self.cols):
             if s is not None:
-                b = max(b, _interval_set_bound(s))
+                b = max(b, s.max_finite_endpoint())
         return b
 
     def describe(self) -> str:
@@ -188,7 +188,11 @@ class SymbolicPretop:
 
 
 def validation_window(bound: int) -> int:
-    """Sampling radius that decides universal unit-slope facts.
+    """Sampling radius for the checks that still sample points: rule
+    validation in :func:`build_symbolic`, the decreasing check of a
+    filter family, and map validation and continuity in
+    :mod:`~pretop.symbolic.maps`, whose scaled strands fall outside
+    unit-slope constraints.
 
     Violations of the pointwise axioms are satisfiability questions for
     difference constraints over the coordinates and the parameter, and
@@ -203,7 +207,7 @@ def _axis_samples(axis: AxisDomain, selector: IntervalSet, w: int) -> list:
     return [x for x in range(lo, w + 1) if x in selector]
 
 
-def _rule_points(schema: GroundSchema, rule: VicinityRule, carrier: DefSet | None, w: int):
+def rule_points(schema: GroundSchema, rule: VicinityRule, carrier: DefSet | None, w: int):
     """Sample points covered by the rule, paired with variable bindings."""
     pat = rule.pattern
     if pat.kind == "atom":
@@ -229,7 +233,7 @@ def _check_rule(schema: GroundSchema, rule: VicinityRule, carrier: DefSet | None
     template = rule.template if carrier is None else rule.template.with_mask(carrier)
     k_dependent = "k" in template.vars
     ks = range(w + 1) if k_dependent else (0,)
-    for p, env in _rule_points(schema, rule, carrier, w):
+    for p, env in rule_points(schema, rule, carrier, w):
         t = template.substitute(env)
         prev = None
         for k in ks:
@@ -383,7 +387,7 @@ def box_points(x: SymbolicPretop, window: int) -> list:
     for a in x.schema.atoms:
         pts.append(Point.atom(a))
     for name, ax in x.schema.rays:
-        for i in range(ax.low, window + 1):
+        for i in range(-window if ax.kind == "int" else ax.low, window + 1):
             pts.append(Point.ray(name, i))
     for name, rows_ax, cols_ax in x.schema.grids:
         r_lo = -window if rows_ax.kind == "int" else rows_ax.low

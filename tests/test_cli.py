@@ -141,3 +141,42 @@ def test_long_chain_in_a_model_file_is_a_parse_error(capsys, tmp_path):
 def test_hundred_term_chain_still_evaluates(capsys):
     argv = ("compute", "adh", "-f", FINITE, "--space", "Q3", "--set", _chain("{1}", 100))
     assert run(capsys, *argv) == (0, "{1}\n", "")
+
+
+# -- set references -----------------------------------------------------------
+
+_Q3 = "space Q3 { points: 1 2 3; vicinity 1: {1 2}; vicinity 2: {2 3}; vicinity 3: {3}; }\n"
+
+
+def _model(tmp_path, sets):
+    path = tmp_path / "sets.pt"
+    path.write_text(_Q3 + "".join(f"set {name} = {expr}\n" for name, expr in sets))
+    return str(path)
+
+
+def test_long_reference_chain_resolves(capsys, tmp_path):
+    sets = [("A0", "{1}")] + [(f"A{i}", f"A{i - 1}") for i in range(1, 1500)]
+    model = _model(tmp_path, sets)
+    assert run(capsys, "validate", "-f", model) == (0, "ok: 1501 declarations\n", "")
+    argv = ("compute", "adh", "-f", model, "--space", "Q3", "--set", "A1499")
+    assert run(capsys, *argv) == (0, "{1}\n", "")
+
+
+def test_doubling_references_resolve_once_each(capsys, tmp_path):
+    sets = [("B0", "{2}")] + [(f"B{i}", f"B{i - 1} | B{i - 1}") for i in range(1, 40)]
+    model = _model(tmp_path, sets)
+    assert run(capsys, "validate", "-f", model) == (0, "ok: 41 declarations\n", "")
+    argv = ("compute", "adh", "-f", model, "--space", "Q3", "--set", "B39")
+    assert run(capsys, *argv) == (0, "{1 2}\n", "")
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        ([("A", "B"), ("B", "C"), ("C", "B")], "circular set definition through 'B'"),
+        ([("A", "A")], "circular set definition through 'A'"),
+        ([("A", "B"), ("B", "C | D"), ("C", "{1}")], "set 'A' refers to unknown set 'D'"),
+    ],
+)
+def test_bad_references_are_resolution_errors(capsys, tmp_path, sets, message):
+    assert run(capsys, "validate", "-f", _model(tmp_path, sets)) == (3, "", f"error: {message}\n")

@@ -2,17 +2,22 @@
 finite snapshot wide enough to be faithful, and the worked grid space
 must reproduce its known closures, ends and compactness splits."""
 
-import pytest
+from itertools import combinations, product
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from pretop.construct import end_extension, merged_end_extension
 from pretop.defsets import DefSet, GroundSchema, Point
 from pretop.errors import (
+    FragmentEscape,
     PatternGap,
     PatternOverlap,
     SelfMembershipViolation,
     UnknownBuiltin,
     WindowTooSmall,
 )
-from pretop.intervals import INF, AxisDomain, IntervalSet
+from pretop.intervals import INF, INTEGERS, NATURALS0, AxisDomain, IntervalSet
 from pretop.model import eval_set, parse_set_expr, set_literal
 from pretop.symbolic import (
     DefFilterBase,
@@ -35,7 +40,8 @@ from pretop.symbolic import (
     sym_separated,
     vicinity_core,
 )
-from pretop.symbolic.exprs import var
+from pretop.symbolic.analysis import _conjoin, _solution
+from pretop.symbolic.exprs import SymExpr, sym_grid, var
 from pretop.symbolic.space import box_points, truncate
 
 
@@ -303,3 +309,158 @@ def test_build_symbolic_rejects_growing_template():
     )
     with pytest.raises(NonMonotoneRule):
         build_symbolic(schema, rules)
+
+
+# -- Hausdorff separation by tight closure --------------------------------------
+
+_N, _K = var("n"), var("k")
+_NAT = GroundSchema(rays=(("R", NATURALS0),))
+_ZZ = GroundSchema(rays=(("Z", INTEGERS),))
+
+
+def _one_rule(schema: GroundSchema, *pieces) -> SymbolicPretop:
+    name = schema.rays[0][0]
+    return build_symbolic(schema, [VicinityRule(PointPattern.ray(name), sym_ray(schema, name, *pieces))])
+
+
+def _split_mirror() -> SymbolicPretop:
+    # {n, -n+9} on Z, one rule for ..3 and one for 4..
+    t = sym_ray(_ZZ, "Z", (_N, _N), (-_N + 9, -_N + 9))
+    halves = ((None, 3), (4, None))
+    return build_symbolic(
+        _ZZ,
+        [VicinityRule(PointPattern.ray("Z", IntervalSet.from_pairs(INTEGERS, [h])), t) for h in halves],
+    )
+
+
+def _coupled() -> SymbolicPretop:
+    # rows [n, m] tie the two coordinates, so adherence regions are no boxes
+    schema = GroundSchema(grids=(("G", NATURALS0, NATURALS0),))
+    rows = IntervalSet.from_pairs(NATURALS0, [(0, 3)])
+    cols = IntervalSet.from_pairs(NATURALS0, [(4, None)])
+    t = sym_grid(schema, "G", (_N, var("m"), var("m"), var("m")))
+    carrier = DefSet.build(schema, grid_rects={"G": [(rows, cols)]})
+    return build_symbolic(schema, [VicinityRule(PointPattern.grid("G", rows, cols), t)], carrier=carrier)
+
+
+def _ray_from_zero() -> DefSet:
+    # the carrier alone keeps -n and n apart
+    return DefSet.build(_ZZ, ray_parts={"Z": IntervalSet.from_pairs(INTEGERS, [(0, None)])})
+
+
+def _restricted(text: str) -> SymbolicPretop:
+    x = builtin("urysohn")
+    return sym_restrict(x, _set(x, text))
+
+
+_HAUSDORFF_SPACES = {
+    **{key: (lambda key=key: builtin(key)) for key in ("urysohn", "half_grid", "discrete_ray(1)", "discrete_ray(2)")},
+    **{
+        f"r({key})": (lambda key=key: sym_regularize(builtin(key)))
+        for key in ("urysohn", "half_grid", "discrete_ray(1)", "discrete_ray(2)")
+    },
+    "U|cols=0": lambda: _restricted("grid(G; cols=0) | atom(pinf)"),
+    "r(U|cols=0)": lambda: sym_regularize(_restricted("grid(G; cols=0) | atom(pinf)")),
+    "U|rows=1..3": lambda: _restricted("grid(G; rows=1..3) | atom(minf)"),
+    "ends(discrete_ray(2))": lambda: end_extension(builtin("discrete_ray(2)")).space,
+    "merged(discrete_ray(2))": lambda: merged_end_extension(builtin("discrete_ray(2)")).space,
+    "ends(urysohn)": lambda: end_extension(builtin("urysohn")).space,
+    "merged(urysohn)": lambda: merged_end_extension(builtin("urysohn")).space,
+    "[n,inf)": lambda: _one_rule(_NAT, (_N, INF)),
+    "{n}|[k+1,inf)": lambda: _one_rule(_NAT, (_N, _N), (_K + 1, INF)),
+    "[n-1,n+1]": lambda: _one_rule(_ZZ, (_N - 1, _N + 1)),
+    "{n,-n}": lambda: _one_rule(_ZZ, (_N, _N), (-_N, -_N)),
+    "{n,-n}|0..": lambda: sym_restrict(_one_rule(_ZZ, (_N, _N), (-_N, -_N)), _ray_from_zero()),
+    "{n,n+1}": lambda: _one_rule(_ZZ, (_N, _N), (_N + 1, _N + 1)),
+    "{n,-n+9} split": _split_mirror,
+    "rows [n,m]": _coupled,
+}
+
+# Witnesses of the non-Hausdorff spaces; every other space is Hausdorff.
+# Within a rule pair the witness fixes n1, m1, n2, m2 in turn to the
+# feasible value nearest 0.
+_WITNESSES = {
+    "r(urysohn)": ("pinf", "minf"),
+    "[n,inf)": ("R(0)", "R(1)"),
+    "{n}|[k+1,inf)": ("R(0)", "R(1)"),
+    "[n-1,n+1]": ("Z(0)", "Z(1)"),
+    "{n,-n}": ("Z(-1)", "Z(1)"),
+    "{n,n+1}": ("Z(0)", "Z(-1)"),  # the first piece pair needs n1 > n2
+    "{n,-n+9} split": ("Z(0)", "Z(9)"),
+    "rows [n,m]": ("G(0,4)", "G(1,4)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HAUSDORFF_SPACES))
+def test_hausdorff_verdict_and_certificate(name):
+    x = _HAUSDORFF_SPACES[name]()
+    v = sym_hausdorff(x)
+    if name in _WITNESSES:
+        assert not v.ok
+        p, q = v.witness
+        assert (p.describe(), q.describe()) == _WITNESSES[name]
+        assert p != q and p in x.carrier_set and q in x.carrier_set
+        for k in range(2 * x.bound + 12):
+            assert x.vicinity(p, k).meets(x.vicinity(q, k)), k
+        return
+    assert v.ok and v.witness is None
+    # brute force: every pair of distinct points in a small box parts by
+    # some parameter, hence by the largest one tried
+    w = 3
+    big = 2 * (w + x.bound) + 4
+    vics = {p: x.vicinity(p, big) for p in box_points(x, w)}
+    for p, q in combinations(vics, 2):
+        assert not vics[p].meets(vics[q]), (p.describe(), q.describe())
+
+
+def test_coupled_system_still_escapes_box_callers():
+    x = _HAUSDORFF_SPACES["rows [n,m]"]()
+    for op in (sym_adh, sym_inh):
+        with pytest.raises(FragmentEscape, match="^comparison ties n to m$"):
+            op(x, _set(x, "grid(G; rows=2)"))
+
+
+_VARS = ("a", "b", "c")
+_R = 3
+
+
+@st.composite
+def _utvpi(draw):
+    """Random comparisons over three variables, each boxed in [-R, R]."""
+    conds = []
+    for v in _VARS:
+        lo = draw(st.integers(-_R, _R))
+        hi = draw(st.integers(-_R, _R))
+        conds += [(SymExpr.const(lo), var(v)), (var(v), SymExpr.const(hi))]
+    for _ in range(draw(st.integers(0, 6))):
+        x, y = draw(st.sampled_from(_VARS)), draw(st.sampled_from(_VARS))
+        sx, sy = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+        conds.append((SymExpr(x, sx, 0), SymExpr(y, sy, draw(st.integers(-4, 4)))))
+    return conds
+
+
+# x + y = 1 with x = y has a rational solution but no integer one
+_HALF = [
+    (var("a"), SymExpr("b", -1, 1)),
+    (SymExpr("b", -1, 1), var("a")),
+    (var("a"), var("b")),
+    (var("b"), var("a")),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@example(_HALF)
+@given(_utvpi())
+def test_tight_closure_decides_utvpi_systems(conds):
+    def holds(env):
+        return all(e1.evaluate(env) <= e2.evaluate(env) for e1, e2 in conds)
+
+    points = [dict(zip(_VARS, vals)) for vals in product(range(-_R, _R + 1), repeat=len(_VARS))]
+    solutions = [env for env in points if holds(env)]
+    system = _conjoin(conds, frozenset())
+    assert (system is None) == (not solutions)
+    if system is not None:
+        env = _solution(system, _VARS)
+        assert holds(env)
+        # each variable in turn nearest 0, the smaller one on a tie
+        assert env == min(solutions, key=lambda e: [(abs(e[v]), e[v]) for v in _VARS])
