@@ -33,7 +33,6 @@ from .model import (
     print_model,
     set_literal,
 )
-from .oracle import run_suites
 from .regularize import is_quasi_phc, partial_regularization
 from .symbolic import (
     EndClass,
@@ -163,7 +162,9 @@ def _cmd_compute(args) -> Report:
         r = partial_regularization(target)
         out = mask
         for _ in range(args.iterations):
-            out = r.adh(out)
+            out, prev = r.adh(out), out
+            if out == prev:
+                break  # every further step would repeat the fixed point
     return Report(finite_literal(target, out))
 
 
@@ -182,6 +183,8 @@ def _cmd_check(args) -> Report:
         raise MissingFlag("--space is required for space properties")
     _, target = _target(args)
     if isinstance(target, SymbolicPretop):
+        if args.method not in (None, "plain", "theta"):
+            raise ValueError(f"unknown method {args.method!r}")
         if args.method == "theta":
             target = sym_regularize(target)
         if args.prop == "hausdorff":
@@ -189,10 +192,11 @@ def _cmd_check(args) -> Report:
         if args.prop == "compact":
             return Report.from_verdict(sym_is_compact(target))
         raise MissingFlag(f"{args.prop} is a finite-space property")
-    if args.prop == "hausdorff":
-        return Report.from_verdict(is_hausdorff(target))
-    if args.prop == "topological":
-        return Report.from_verdict(is_topological(target))
+    if args.prop in ("hausdorff", "topological"):
+        if args.method is not None:  # the one route takes no method
+            raise ValueError(f"unknown method {args.method!r}")
+        decide = is_hausdorff if args.prop == "hausdorff" else is_topological
+        return Report.from_verdict(decide(target))
     if args.prop == "compact":
         method = args.method or "cover"
         return Report.from_verdict(is_cover_compact(target, target.full, method))
@@ -239,6 +243,8 @@ def _cmd_construct(args) -> Report:
 
 
 def _cmd_oracle(args) -> Report:
+    from .oracle import run_suites  # the batteries load only for this command
+
     names = "all" if args.suites == "all" else [s for s in args.suites.split(",") if s]
     summary = run_suites(
         suites=names,

@@ -22,9 +22,8 @@ from .errors import (
     SchemaMismatch,
     UnclassifiableImageTrace,
 )
-from .finite import FinitePretop, Verdict, is_cover_compact, is_hausdorff
+from .finite import FinitePretop, Verdict, is_cover_compact, is_hausdorff, vicinity_sweep
 from .maps import SpaceMap, is_strongly_irreducible, is_w_theta_continuous
-from .regularize import vicinity_sweep
 from .symbolic.analysis import (
     EndClass,
     end_converges,

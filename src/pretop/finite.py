@@ -250,22 +250,23 @@ def is_cover(space: FinitePretop, family, at: int | None = None) -> Verdict:
     return Verdict(True)
 
 
-def choice_covers(space: FinitePretop, at: int):
-    """All covers of ``at`` that pick one vicinity per point.  Every cover
-    contains such a choice family, and the tested properties are monotone
-    under adding members, so quantifying over these suffices."""
-    idx = [i for i in range(space.n) if at >> i & 1]
-    pools = []
-    for i in idx:
-        m = space.vicinity[i]
-        sup = [m]
-        t = m
-        while t != space.full:
-            t = (t + 1) | m
-            sup.append(t)
-        pools.append(sup)
-    for pick in itertools.product(*pools):
-        yield pick
+def vicinity_sweep(space: FinitePretop, a: int) -> int:
+    """Union of the least vicinities over a."""
+    out = 0
+    for i in range(space.n):
+        if a >> i & 1:
+            out |= space.vicinity[i]
+    return out
+
+
+def least_choice(space: FinitePretop, at: int) -> tuple:
+    """The cover of ``at`` picking each point's least vicinity, by names; its
+    union is ``vicinity_sweep(space, at)``.  It refines every cover of
+    ``at``, and the cover conditions tested here and in ``regularize`` are
+    monotone in the members (union, ``inh`` and ``adh`` are), so they hold
+    for every cover once they hold for this one, and when they fail this
+    cover is the first failing choice in ascending order."""
+    return tuple(space.names(space.vicinity[i]) for i in range(space.n) if at >> i & 1)
 
 
 def compact_at(space: FinitePretop, f: PrincipalFilter, at: int, method: str = "filter") -> Verdict:
@@ -285,12 +286,8 @@ def compact_at_mask(space: FinitePretop, kernel: int, at: int, method: str) -> V
         return Verdict(True)
     if method == "cover":
         # every cover of `at` must swallow a member of f in finitely many steps
-        for pick in choice_covers(space, at):
-            union = 0
-            for c in pick:
-                union |= c
-            if kernel & ~union:
-                return Verdict(False, tuple(space.names(c) for c in pick))
+        if kernel & ~vicinity_sweep(space, at):
+            return Verdict(False, least_choice(space, at))
         return Verdict(True)
     raise ValueError(f"unknown method {method!r}")
 
@@ -300,12 +297,8 @@ def is_cover_compact(space: FinitePretop, at: int, method: str = "cover") -> Ver
     if at == 0:
         raise EmptySubspace("cover-compactness of the empty set is not defined")
     if method == "cover":
-        for pick in choice_covers(space, at):
-            union = 0
-            for c in pick:
-                union |= c
-            if at & ~space.inh(union):
-                return Verdict(False, tuple(space.names(c) for c in pick))
+        if at & ~space.inh(vicinity_sweep(space, at)):
+            return Verdict(False, least_choice(space, at))
         return Verdict(True)
     if method == "filter-refines":
         # adh F disjoint from `at` forces a member already avoiding it

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
@@ -469,13 +468,14 @@ def _check_defsets(inst) -> str | None:
     s = _rand_defset(rng, schema)
     t = _rand_defset(rng, schema)
     where = f"schema={key} seed={mini_seed}"
-    if ~(s | t) != (~s & ~t):
+    union, inter, comp = s | t, s & t, ~s
+    if ~union != (comp & ~t):
         return f"De Morgan fails {where}"
-    if ~~s != s:
+    if ~comp != s:
         return f"double complement fails {where}"
     if (s - t) != (s & ~t):
         return f"difference fails {where}"
-    if s.meets(t) != (not (s & t).is_empty()):
+    if s.meets(t) != (not inter.is_empty()):
         return f"meets fails {where}"
     if (s | s) != s or (s & s) != s:
         return f"idempotence fails {where}"
@@ -483,16 +483,16 @@ def _check_defsets(inst) -> str | None:
         itertools.chain(
             s.iter_sample_points(),
             t.iter_sample_points(),
-            (~s).iter_sample_points(),
-            (s | t).iter_sample_points(),
+            comp.iter_sample_points(),
+            union.iter_sample_points(),
         )
     )
     for p in probes:
-        if ((p in s) or (p in t)) != (p in (s | t)):
+        if ((p in s) or (p in t)) != (p in union):
             return f"union membership fails at {p.describe()} {where}"
-        if ((p in s) and (p in t)) != (p in (s & t)):
+        if ((p in s) and (p in t)) != (p in inter):
             return f"intersection membership fails at {p.describe()} {where}"
-        if (p in s) == (p in ~s):
+        if (p in s) == (p in comp):
             return f"complement membership fails at {p.describe()} {where}"
     return None
 
@@ -722,7 +722,11 @@ def run_suites(
                 raise ValueError(f"unknown suite {name!r}")
         names = [n for n in SUITES if n in names]
 
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
+        pool = ProcessPoolExecutor(max_workers=workers)
+    with pool or nullcontext():
         results = [_run_suite(name, max_points, seed, pool) for name in names]
     return OracleSummary(max_points, seed, tuple(results))
 

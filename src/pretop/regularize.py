@@ -17,22 +17,14 @@ from .finite import (
     FiniteTopology,
     PrincipalFilter,
     Verdict,
-    choice_covers,
     is_hausdorff,
+    least_choice,
+    vicinity_sweep,
 )
 
 
 def partial_regularization(space: FinitePretop) -> FinitePretop:
     return FinitePretop(space.points, tuple(space.adh(m) for m in space.vicinity))
-
-
-def vicinity_sweep(space: FinitePretop, a: int) -> int:
-    """Union of the least vicinities over a."""
-    out = 0
-    for i in range(space.n):
-        if a >> i & 1:
-            out |= space.vicinity[i]
-    return out
 
 
 @dataclass(frozen=True)
@@ -145,12 +137,10 @@ def is_quasi_phc(space: FinitePretop, method: str = "rpi-compact") -> Verdict:
                 return Verdict(False, space.names(k))
         return Verdict(True)
     if method == "adh-cover":
-        for pick in choice_covers(space, space.full):
-            union = 0
-            for c in pick:
-                union |= space.adh(c)
-            if union != space.full:
-                return Verdict(False, tuple(space.names(c) for c in pick))
+        # adh is additive, so the adherences of a cover's members cover
+        # the space exactly when the adherence of their union does
+        if space.adh(vicinity_sweep(space, space.full)) != space.full:
+            return Verdict(False, least_choice(space, space.full))
         return Verdict(True)
     if method == "inherent-filter":
         for k in space.kernels():

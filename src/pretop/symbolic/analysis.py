@@ -630,7 +630,9 @@ def cl_theta(x: SymbolicPretop, s: DefSet, iterations: int = 1) -> DefSet:
     r = sym_regularize(x)
     out = s
     for _ in range(iterations):
-        out = sym_adh(r, out)
+        out, prev = sym_adh(r, out), out
+        if out == prev:
+            break  # every further step would repeat the fixed point
     return out
 
 

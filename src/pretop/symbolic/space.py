@@ -418,13 +418,27 @@ def truncate(x: SymbolicPretop, window: int) -> FinitePretop:
     if window < b + 2:
         raise WindowTooSmall(f"window {window} below rule constants, need at least {b + 2}")
     pts = box_points(x, window)
-    index = {p: i for i, p in enumerate(pts)}
-    kernels = []
-    for p in pts:
-        v = x.vicinity(p, window)
-        bits = 0
-        for q, i in index.items():
-            if q in v:
-                bits |= 1 << i
-        kernels.append(bits)
-    return FinitePretop(tuple(_point_name(p) for p in pts), tuple(kernels))
+    index = {(p.strand, p.coords): i for i, p in enumerate(pts)}
+    kernels = tuple(_box_mask(x.vicinity(p, window), index, window) for p in pts)
+    return FinitePretop(tuple(_point_name(p) for p in pts), kernels)
+
+
+def _box_mask(v: DefSet, index: dict, window: int) -> int:
+    """Bits of the box points in ``v``: each part of ``v``, clipped to the
+    radius ``window``, is looked up point by point in ``index``, which holds
+    the box points inside the carrier.  Canonical parts are disjoint, so
+    no bit is added twice."""
+
+    def clipped(s: IntervalSet) -> list:
+        return [i for lo, hi in s.parts for i in range(max(lo, -window), min(hi, window) + 1)]
+
+    keys = [(a, ()) for a in v.atoms]
+    keys += [(name, (i,)) for name, s in v.rays for i in clipped(s)]
+    keys += [
+        (name, (r, c))
+        for name, groups in v.grids
+        for rows, cols in groups
+        for r in clipped(rows)
+        for c in clipped(cols)
+    ]
+    return sum(1 << index[key] for key in keys if key in index)

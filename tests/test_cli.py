@@ -1,13 +1,18 @@
 """Command line exit codes and error reports, through ``run_command``."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from pretop.cli import run_command
 
-FINITE = str(Path(__file__).resolve().parent.parent / "corpus" / "finite.pt")
+ROOT = Path(__file__).resolve().parent.parent
+FINITE = str(ROOT / "corpus" / "finite.pt")
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -180,3 +185,75 @@ def test_doubling_references_resolve_once_each(capsys, tmp_path):
 )
 def test_bad_references_are_resolution_errors(capsys, tmp_path, sets, message):
     assert run(capsys, "validate", "-f", _model(tmp_path, sets)) == (3, "", f"error: {message}\n")
+
+
+# -- least-choice routes, fixed points and methods ------------------------------
+
+
+def test_compact_on_a_24_cycle_answers_true(capsys, tmp_path):
+    # 2^24 choice covers: decided by the least one alone
+    n = 24
+    kernels = "".join(f"vicinity z{i}: {{z{i} z{i % n + 1}}}; " for i in range(1, n + 1))
+    points = " ".join(f"z{i}" for i in range(1, n + 1))
+    model = tmp_path / "cycle.pt"
+    model.write_text(f"space Z24 {{ points: {points}; {kernels}}}\n")
+    assert run(capsys, "check", "compact", "-f", str(model), "--space", "Z24") == (0, "true\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("-f", FINITE, "--space", "Q3", "--set", "{1}"), "{1 2 3}\n"),
+        (("--space", "urysohn", "--set", "grid(G; cols=1..)"), "atom(pinf) | atom(minf) | grid(G; cols=0..)\n"),
+    ],
+    ids=["finite", "symbolic"],
+)
+def test_cl_theta_stops_at_its_fixed_point(capsys, argv, out):
+    assert run(capsys, "compute", "cl-theta", *argv, "--iterations", "100000000") == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "compact", "--space", "urysohn", "--method", "bogus"),
+        ("check", "hausdorff", "--space", "half_grid", "--method", "cover"),
+        ("check", "hausdorff", "-f", FINITE, "--space", "Q3", "--method", "bogus"),
+        ("check", "topological", "-f", FINITE, "--space", "Q3", "--method", "theta"),
+        ("check", "compact", "-f", FINITE, "--space", "Q3", "--method", "theta"),
+        ("check", "quasi-phc", "-f", FINITE, "--space", "Q3", "--method", "bogus"),
+    ],
+)
+def test_a_method_the_property_does_not_take_is_rejected(capsys, argv):
+    assert run(capsys, *argv) == (3, "", f"error: unknown method {argv[-1]!r}\n")
+
+
+@pytest.mark.parametrize("method", ["plain", "theta"])
+def test_symbolic_checks_take_plain_and_theta(capsys, method):
+    code, out, _ = run(capsys, "check", "compact", "--space", "urysohn", "--method", method)
+    assert (code, out) == ((1, 'false\nwitness: "G(+,0)"\n') if method == "plain" else (0, "true\n"))
+
+
+def test_cli_import_leaves_the_oracle_unloaded():
+    # perfbench/tracer.py wraps functions in these modules after importing
+    # pretop.cli alone, so they must stay loaded by it
+    traced = [
+        "pretop.finite",
+        "pretop.maps",
+        "pretop.regularize",
+        "pretop.construct",
+        "pretop.model",
+        "pretop.intervals",
+        "pretop.defsets",
+        "pretop.symbolic.space",
+        "pretop.symbolic.analysis",
+        "pretop.symbolic.maps",
+        "pretop.symbolic.solve",
+    ]
+    code = (
+        "import sys, json, pretop.cli\n"
+        f"print(json.dumps([m for m in {traced + ['pretop.oracle', 'concurrent.futures']!r}"
+        " if m in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert json.loads(done.stdout) == traced

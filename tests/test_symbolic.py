@@ -464,3 +464,13 @@ def test_tight_closure_decides_utvpi_systems(conds):
         assert holds(env)
         # each variable in turn nearest 0, the smaller one on a tie
         assert env == min(solutions, key=lambda e: [(abs(e[v]), e[v]) for v in _VARS])
+
+
+@pytest.mark.parametrize("name", sorted(_HAUSDORFF_SPACES))
+def test_truncate_kernels_match_pointwise_membership(name):
+    x = _HAUSDORFF_SPACES[name]()
+    for w in (x.bound + 2, x.bound + 3, x.bound + 5):
+        pts = box_points(x, w)
+        vics = [x.vicinity(p, w) for p in pts]
+        want = tuple(sum(1 << i for i, q in enumerate(pts) if q in v) for v in vics)
+        assert truncate(x, w).vicinity == want, w
