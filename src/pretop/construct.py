@@ -114,15 +114,6 @@ class Extension:
     def trace(self, i: int) -> int:
         return self.space.vicinity[i] & self.base
 
-    def base_adh(self, u: int) -> int:
-        """Adherence of ``u`` inside the inherited structure, as a mask
-        of the ambient space."""
-        out = 0
-        for i in range(self.space.n):
-            if self.base >> i & 1 and self.trace(i) & u:
-                out |= 1 << i
-        return out
-
 
 def make_extension(space: FinitePretop, base) -> Extension:
     """Present ``space`` as an extension of the subset ``base``.
@@ -146,14 +137,19 @@ def o_set(e: Extension, a: int) -> int:
 
 
 def strict_extension(e: Extension) -> FinitePretop:
-    """Finest extension inducing the same traces: kernels ``{p} ∪ trace(p)``."""
+    """Finest extension inducing the same traces: kernels ``{p} ∪ trace(p)``.
+
+    Porter and Woods call this the simple extension Y⁺ and the one of
+    :func:`simple_extension` the strict extension Y♯; the two names here
+    follow the ``construct`` subcommands, which keep them."""
     vic = tuple((1 << i) | e.trace(i) for i in range(e.space.n))
     return FinitePretop(e.space.points, vic)
 
 
 def simple_extension(e: Extension) -> FinitePretop:
-    """Extension with kernels ``o(trace(p))``; coarser than a topological
-    ambient space, though not than an arbitrary one."""
+    """Extension with kernels ``o(trace(p))`` (Porter and Woods' strict
+    extension Y♯); coarser than a topological ambient space, though not
+    than an arbitrary one."""
     vic = tuple(o_set(e, e.trace(i)) for i in range(e.space.n))
     return FinitePretop(e.space.points, vic)
 

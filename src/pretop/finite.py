@@ -279,10 +279,11 @@ def compact_at(space: FinitePretop, f: PrincipalFilter, at: int, method: str = "
 def compact_at_mask(space: FinitePretop, kernel: int, at: int, method: str) -> Verdict:
     """:func:`compact_at` for the principal filter with kernel ``kernel``."""
     if method == "filter":
-        # every filter meshing with f must adhere inside `at`
-        for k in space.kernels():
-            if k & kernel and not space.adh(k) & at:
-                return Verdict(False, space.names(k))
+        # every filter meshing with f must adhere inside `at`; adh k meets
+        # `at` exactly when k meets the vicinity sweep of `at`
+        bad = kernel & ~vicinity_sweep(space, at)
+        if bad:
+            return Verdict(False, space.names(bad & -bad))
         return Verdict(True)
     if method == "cover":
         # every cover of `at` must swallow a member of f in finitely many steps
@@ -293,53 +294,34 @@ def compact_at_mask(space: FinitePretop, kernel: int, at: int, method: str) -> V
 
 
 def is_cover_compact(space: FinitePretop, at: int, method: str = "cover") -> Verdict:
-    """Cover-compact subsets, by any of the three characterizations."""
+    """Cover-compact subsets, by any of the three characterizations.
+
+    The filter routes quantify over the filters whose adherence misses
+    ``at``: adh is additive, so their kernels are the subsets of
+    ``rest``, which decides both conditions.  Neither can fail: a
+    filter's least member is its kernel, and adh k misses ``at`` exactly
+    when k misses ``vicinity_sweep(space, at)``, the least vicinity of
+    ``at``.
+    """
     if at == 0:
         raise EmptySubspace("cover-compactness of the empty set is not defined")
     if method == "cover":
         if at & ~space.inh(vicinity_sweep(space, at)):
             return Verdict(False, least_choice(space, at))
         return Verdict(True)
+    rest = 0
+    for b in range(space.n):
+        if not space.adh(1 << b) & at:
+            rest |= 1 << b
     if method == "filter-refines":
         # adh F disjoint from `at` forces a member already avoiding it
-        for k in space.kernels():
-            if space.adh(k) & at:
-                continue
-            member = k
-            found = False
-            while True:
-                if not space.adh(member) & at:
-                    found = True
-                    break
-                if member == space.full:
-                    break
-                member = (member + 1) | k
-            if not found:
-                return Verdict(False, space.names(k))
-        return Verdict(True)
-    if method == "vicinity-separation":
+        ok = not space.adh(rest) & at
+    elif method == "vicinity-separation":
         # adh F disjoint from `at` forces a vicinity of `at` missing a member
-        for k in space.kernels():
-            if space.adh(k) & at:
-                continue
-            hit = False
-            for v in space.subsets():
-                if at & ~space.inh(v):
-                    continue
-                member = k
-                while True:
-                    if v & member == 0:
-                        hit = True
-                        break
-                    if member == space.full:
-                        break
-                    member = (member + 1) | k
-                if hit:
-                    break
-            if not hit:
-                return Verdict(False, space.names(k))
-        return Verdict(True)
-    raise ValueError(f"unknown method {method!r}")
+        ok = not rest & vicinity_sweep(space, at)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return Verdict(True) if ok else Verdict(False, space.names(rest))
 
 
 # -- enumeration -----------------------------------------------------------------

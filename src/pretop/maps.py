@@ -120,38 +120,47 @@ def preimage_filter(f: SpaceMap, flt: PrincipalFilter) -> PrincipalFilter:
 
 
 def is_continuous(f: SpaceMap, method: str = "vicinity") -> Verdict:
-    """One of five equivalent routes, each checked by its own loop.
+    """One of five equivalent routes (adh-filter and adh-set share one).
 
     Witness shapes: limit (kernel names, source point), adh-filter and
     adh-set (set names, escaping target point), inh (set names, escaping
-    source point), vicinity (source point, target vicinity names).
+    source point), vicinity (source point, target vicinity names), each
+    the first of an ascending scan of every kernel or subset.  Images,
+    preimages and adherences preserve unions, so that first failure is
+    a singleton or a least vicinity.
     """
     src, tgt = f.source, f.target
     if method == "limit":
-        # image filters of converging filters converge to the image point
-        for k in src.kernels():
-            fk = f.image_mask(k)
-            for i in range(src.n):
-                if k & ~src.vicinity[i] == 0 and fk & ~tgt.vicinity[f.graph[i]]:
-                    return Verdict(False, (src.names(k), src.points[i]))
+        # image filters of converging filters converge to the image point;
+        # a kernel inside x's least vicinity fails at x when it meets bad[x]
+        bad = [src.vicinity[i] & ~f.preimage_mask(tgt.vicinity[j]) for i, j in enumerate(f.graph)]
+        low = 0
+        for m in bad:
+            low |= m
+        low &= -low
+        if low:
+            i = next(i for i, m in enumerate(bad) if m & low)
+            return Verdict(False, (src.names(low), src.points[i]))
         return Verdict(True)
-    if method == "adh-filter":
-        for k in src.kernels():
-            bad = f.image_mask(src.adh(k)) & ~tgt.adh(f.image_mask(k))
+    if method in ("adh-filter", "adh-set"):
+        # f[adh A] inside adh f[A] for every kernel (every set) A
+        for b in range(src.n):
+            bad = f.image_mask(src.adh(1 << b)) & ~tgt.adh(1 << f.graph[b])
             if bad:
-                return Verdict(False, (src.names(k), tgt.names(bad)[0]))
-        return Verdict(True)
-    if method == "adh-set":
-        for a in src.subsets():
-            bad = f.image_mask(src.adh(a)) & ~tgt.adh(f.image_mask(a))
-            if bad:
-                return Verdict(False, (src.names(a), tgt.names(bad)[0]))
+                return Verdict(False, (src.names(1 << b), tgt.names(bad)[0]))
         return Verdict(True)
     if method == "inh":
-        for b in tgt.subsets():
+        # f^-1[inh B] inside inh f^-1[B]: x escapes at B when B holds the
+        # least vicinity of f(x) but not the image of x's least vicinity
+        fails = [
+            tgt.vicinity[j]
+            for i, j in enumerate(f.graph)
+            if f.image_mask(src.vicinity[i]) & ~tgt.vicinity[j]
+        ]
+        if fails:
+            b = min(fails)
             bad = f.preimage_mask(tgt.inh(b)) & ~src.inh(f.preimage_mask(b))
-            if bad:
-                return Verdict(False, (tgt.names(b), src.names(bad)[0]))
+            return Verdict(False, (tgt.names(b), src.names(bad)[0]))
         return Verdict(True)
     if method == "vicinity":
         # every target vicinity of f(x) absorbs the image of some source
@@ -192,14 +201,18 @@ class PerfectConditions:
         return self.adh_onto.ok and self.fibers_cover_compact.ok
 
 
+def _adh_onto(f: SpaceMap) -> Verdict:
+    """adh f[A] inside f[adh A] for every set A, decided by singletons."""
+    src, tgt = f.source, f.target
+    for b in range(src.n):
+        bad = tgt.adh(1 << f.graph[b]) & ~f.image_mask(src.adh(1 << b))
+        if bad:
+            return Verdict(False, (src.names(1 << b), tgt.names(bad)[0]))
+    return Verdict(True)
+
+
 def perfect_conditions(f: SpaceMap) -> PerfectConditions:
     src, tgt = f.source, f.target
-    adh_onto = Verdict(True)
-    for a in src.subsets():
-        bad = tgt.adh(f.image_mask(a)) & ~f.image_mask(src.adh(a))
-        if bad:
-            adh_onto = Verdict(False, (src.names(a), tgt.names(bad)[0]))
-            break
     fibers = Verdict(True)
     for j in range(tgt.n):
         fib = f.fiber(j)
@@ -209,36 +222,31 @@ def perfect_conditions(f: SpaceMap) -> PerfectConditions:
         if not v.ok:
             fibers = Verdict(False, (tgt.points[j], v.witness))
             break
-    return PerfectConditions(adh_onto, fibers)
+    return PerfectConditions(_adh_onto(f), fibers)
 
 
 def is_perfect(f: SpaceMap, method: str = "definition") -> Verdict:
     """Perfect maps, by any of three routes.
 
-    The definition route walks, for each target point, the kernels of
-    every filter converging to it; a converging kernel whose preimage is
-    empty generates the degenerate filter, which no filter meshes, so it
-    is skipped as vacuously compact.
+    The definition route asks that each filter converging to a target
+    point pull back to one compact at its fiber.  Compactness at a set
+    only gets easier as the kernel shrinks, so the least vicinity, the
+    first kernel a scan of them all would visit, decides it.  A kernel
+    whose preimage is empty generates the degenerate filter, which no
+    filter meshes, so it is skipped as vacuously compact.
     """
     src, tgt = f.source, f.target
     if method == "definition":
         for j in range(tgt.n):
-            fiber = f.fiber(j)
             s = tgt.vicinity[j]
-            while s:
-                pre = f.preimage_mask(s)
-                if pre:
-                    v = compact_at_mask(src, pre, fiber, "filter")
-                    if not v.ok:
-                        return Verdict(False, (tgt.points[j], tgt.names(s), v.witness))
-                s = (s - 1) & tgt.vicinity[j]
+            pre = f.preimage_mask(s)
+            if pre:
+                v = compact_at_mask(src, pre, f.fiber(j), "filter")
+                if not v.ok:
+                    return Verdict(False, (tgt.points[j], tgt.names(s), v.witness))
         return Verdict(True)
     if method == "adh-inequality":
-        for k in src.kernels():
-            bad = tgt.adh(f.image_mask(k)) & ~f.image_mask(src.adh(k))
-            if bad:
-                return Verdict(False, (src.names(k), tgt.names(bad)[0]))
-        return Verdict(True)
+        return _adh_onto(f)
     if method == "a-and-b":
         rep = perfect_conditions(f)
         if not rep.adh_onto.ok:

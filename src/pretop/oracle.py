@@ -342,8 +342,12 @@ def _check_extension_order(inst) -> str | None:
 
 
 def _check_strict_adh(inst) -> str | None:
-    """Adherence formula in the strict extension: for a point outside the
-    base and a base set containing its trace, adh({p} + U) = oU + adh U."""
+    """Adherence formula in Y+ (kernels ``{p} + trace(p)``): for a point p
+    outside the base and a base set U containing its trace,
+    adh({p} + U) = oU + adh U, both adherences taken in Y+.  Traces are
+    nonempty (the base is dense), so p and every point of oU adhere to U
+    already; the base's own adherence of U would miss the points outside
+    the base whose traces meet U without lying in it."""
     vic, base = inst
     sp = _space(vic)
     e = make_extension(sp, base)
@@ -356,7 +360,7 @@ def _check_strict_adh(inst) -> str | None:
             if tr & ~u:
                 continue
             left = yplus.adh((1 << i) | u)
-            right = o_set(e, u) | e.base_adh(u)
+            right = o_set(e, u) | yplus.adh(u)
             if left != right:
                 return (
                     f"adh {left} vs oU|adh {right} at p={sp.points[i]}"
@@ -713,6 +717,8 @@ def run_suites(
     """Run the batteries and fold the chunk results into one summary."""
     if not 1 <= max_points <= _MAX_POINTS:
         raise SizeLimit(f"exhaustive batteries support 1..{_MAX_POINTS} points, got {max_points}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if suites == "all" or suites is None:
         names = list(SUITES)
     else:
@@ -721,6 +727,8 @@ def run_suites(
             if name not in SUITES:
                 raise ValueError(f"unknown suite {name!r}")
         names = [n for n in SUITES if n in names]
+        if not names:
+            raise ValueError("no suite given")
 
     pool = None
     if workers > 1:

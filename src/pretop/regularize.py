@@ -129,12 +129,14 @@ def theta_of_topology(topo: FiniteTopology) -> ThetaForms:
 def is_quasi_phc(space: FinitePretop, method: str = "rpi-compact") -> Verdict:
     """Compactness of the partially regularized space, via any of the
     four finite characterizations.  On a finite space each one holds
-    outright; the value of running all four is their agreement."""
-    reg = partial_regularization(space)
+    outright; the value of running all four is their agreement.  The
+    kernel routes report the first failing kernel in ascending order;
+    adh and the tower levels preserve unions, so that is a singleton."""
     if method == "rpi-compact":
-        for k in space.kernels():
-            if reg.adh(k) == 0:
-                return Verdict(False, space.names(k))
+        reg = partial_regularization(space)
+        for b in range(space.n):
+            if reg.adh(1 << b) == 0:
+                return Verdict(False, space.names(1 << b))
         return Verdict(True)
     if method == "adh-cover":
         # adh is additive, so the adherences of a cover's members cover
@@ -143,15 +145,17 @@ def is_quasi_phc(space: FinitePretop, method: str = "rpi-compact") -> Verdict:
             return Verdict(False, least_choice(space, space.full))
         return Verdict(True)
     if method == "inherent-filter":
-        for k in space.kernels():
-            if space.inh(k) != 0 and space.adh(k) == 0:
-                return Verdict(False, space.names(k))
+        # adherence is empty on the kernels inside `lonely`, the points in
+        # no vicinity, so the only vicinity such a kernel can hold is empty
+        lonely = space.full & ~vicinity_sweep(space, space.full)
+        if lonely and 0 in space.vicinity:
+            return Verdict(False, space.names(lonely & -lonely))
         return Verdict(True)
     if method == "tower-adh":
-        for k in space.kernels():
-            tower = filter_tower(space, PrincipalFilter(k))
-            if space.adh(tower.level(1)) == 0:
-                return Verdict(False, space.names(k))
+        # level 1 of the tower over a point is the point's least vicinity
+        for b in range(space.n):
+            if space.adh(space.vicinity[b]) == 0:
+                return Verdict(False, space.names(1 << b))
         return Verdict(True)
     raise ValueError(f"unknown method {method!r}")
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from pretop.cli import run_command
+from pretop.maps import CONTINUITY_METHODS, PERFECT_METHODS
 
 ROOT = Path(__file__).resolve().parent.parent
 FINITE = str(ROOT / "corpus" / "finite.pt")
@@ -257,3 +258,48 @@ def test_cli_import_leaves_the_oracle_unloaded():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert json.loads(done.stdout) == traced
+
+
+# -- kernel-scan routes on a larger space and oracle arguments ------------------
+
+
+def _chain_space(name, n):
+    points = " ".join(f"{name}{i}" for i in range(1, n + 1))
+    vic = "".join(f"vicinity {name}{i}: {{{name}{i} {name}{min(i + 1, n)}}}; " for i in range(1, n + 1))
+    return f"space {name.upper()}{n} {{ points: {points}; {vic}}}\n"
+
+
+@pytest.fixture
+def chain_model(tmp_path):
+    # 2^20 kernels and subsets: the routes decide by singletons and least vicinities
+    ident = "".join(f"c{i} -> c{i}; " for i in range(1, 21))
+    halve = "".join(f"c{i} -> d{(i + 1) // 2}; " for i in range(1, 21))
+    model = tmp_path / "chain.pt"
+    model.write_text(
+        _chain_space("c", 20)
+        + _chain_space("d", 10)
+        + f"map ident: C20 -> C20 {{ {ident}}}\nmap halve: C20 -> D10 {{ {halve}}}\n"
+    )
+    return str(model)
+
+
+@pytest.mark.parametrize(
+    "prop, fmap, method",
+    [("continuous", fmap, m) for fmap in ("ident", "halve") for m in CONTINUITY_METHODS]
+    + [("perfect", "ident", m) for m in PERFECT_METHODS],
+)
+def test_map_checks_on_a_20_point_chain(capsys, chain_model, prop, fmap, method):
+    argv = ("check", prop, "-f", chain_model, "--map", fmap, "--method", method)
+    assert run(capsys, *argv) == (0, "true\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--workers", "0"), "workers must be at least 1, got 0"),
+        (("--workers", "-1"), "workers must be at least 1, got -1"),
+        (("--suites", ","), "no suite given"),
+    ],
+)
+def test_oracle_rejects_empty_runs(capsys, argv, message):
+    assert run(capsys, "oracle", *argv) == (3, "", f"error: {message}\n")
