@@ -84,10 +84,6 @@ class WindowTooSmall(WorkbenchError):
 
 # -- maps and constructions -------------------------------------------------
 
-class EmptyPreimage(WorkbenchError):
-    """Preimage filter undefined: some member pulls back to the empty set."""
-
-
 class NotSurjective(WorkbenchError):
     """Quotient construction applied to a non-surjective map."""
 

@@ -15,20 +15,24 @@ nonzero byte of A gives adh A exactly, at any size, with tables that
 grow linearly in the number of points.  Inherence is the dual,
 inh A = X minus adh(X minus A), and images and preimages under a map
 are unions too (``maps``), read from tables built the same way.
+
+A finite topology is a space for which :func:`is_topological` holds.
+Its opens are the masks with ``inh(a) == a``, the least open at a point
+is that point's least vicinity, its closure is ``adh``, and its minimal
+nonempty opens are its minimal least vicinities.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import (
     AxiomViolation,
     EmptyKernel,
     EmptySubspace,
-    InvalidTopology,
     PointSetMismatch,
     SizeLimit,
 )
@@ -196,7 +200,7 @@ def validate_space(points, table) -> FinitePretop:
     return FinitePretop(points, tuple(vic))
 
 
-# -- separation, topologicity, regularity -----------------------------------
+# -- separation and topologicity -------------------------------------------
 
 
 def is_hausdorff(space: FinitePretop) -> Verdict:
@@ -218,36 +222,7 @@ def is_topological(space: FinitePretop) -> Verdict:
     return Verdict(True)
 
 
-def is_regular(space: FinitePretop) -> Verdict:
-    """Closed least vicinities: adh(M(x)) = M(x) for every x."""
-    for i in range(space.n):
-        if space.adh(space.vicinity[i]) != space.vicinity[i]:
-            return Verdict(False, space.points[i])
-    return Verdict(True)
-
-
-def coarser_leq(sp1: FinitePretop, sp2: FinitePretop) -> Verdict:
-    """sp1 <= sp2 in the coarser-than order: every sp2-limit is an
-    sp1-limit, i.e. sp2's vicinity kernels sit inside sp1's."""
-    if sp1.points != sp2.points:
-        raise PointSetMismatch("comparing spaces over different point tuples")
-    for i in range(sp1.n):
-        if sp2.vicinity[i] & ~sp1.vicinity[i]:
-            return Verdict(False, sp1.points[i])
-    return Verdict(True)
-
-
 # -- covers and compactness ---------------------------------------------------
-
-
-def is_cover(space: FinitePretop, family, at: int | None = None) -> Verdict:
-    """A family covers ``at`` when each of its points has a family member
-    among its vicinities (i.e. containing its least vicinity)."""
-    at = space.full if at is None else at
-    for i in range(space.n):
-        if at >> i & 1 and not any(space.vicinity[i] & ~c == 0 for c in family):
-            return Verdict(False, space.points[i])
-    return Verdict(True)
 
 
 def vicinity_sweep(space: FinitePretop, a: int) -> int:
@@ -353,71 +328,3 @@ def enumerate_pretops(n: int):
 
 def count_hausdorff(n: int) -> int:
     return sum(1 for sp in enumerate_pretops(n) if is_hausdorff(sp).ok)
-
-
-# -- finite topologies --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiniteTopology:
-    """Open-set family on a finite point tuple, as masks."""
-
-    points: tuple[str, ...]
-    opens: frozenset = field(default_factory=frozenset)
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    @property
-    def full(self) -> int:
-        return (1 << self.n) - 1
-
-    def validate(self) -> "FiniteTopology":
-        if 0 not in self.opens or self.full not in self.opens:
-            raise InvalidTopology("missing empty set or whole set")
-        for u in self.opens:
-            for v in self.opens:
-                if u | v not in self.opens or u & v not in self.opens:
-                    raise InvalidTopology("family not closed under union/intersection")
-        return self
-
-    def min_open(self, i: int) -> int:
-        m = self.full
-        for u in self.opens:
-            if u >> i & 1:
-                m &= u
-        return m
-
-    def closure(self, a: int) -> int:
-        out = 0
-        for i in range(self.n):
-            if self.min_open(i) & a:
-                out |= 1 << i
-        return out
-
-    def to_pretop(self) -> FinitePretop:
-        """The open-neighborhood pretopology: least vicinity = least open."""
-        return FinitePretop(self.points, tuple(self.min_open(i) for i in range(self.n)))
-
-    def atoms(self):
-        """Minimal nonempty opens; they generate the maximal open filters."""
-        out = []
-        for u in sorted(self.opens):
-            if u and not any(v and v != u and v & ~u == 0 for v in self.opens):
-                out.append(u)
-        return out
-
-
-def topology_from_pretop(space: FinitePretop) -> FiniteTopology:
-    """Opens of a topological pretopology (sets equal to their inherence)."""
-    if not is_topological(space).ok:
-        raise InvalidTopology("pretopology has a non-idempotent adherence")
-    opens = frozenset(a for a in space.subsets() if space.inh(a) == a)
-    return FiniteTopology(space.points, opens).validate()
-
-
-def enumerate_topologies(n: int):
-    for sp in enumerate_pretops(n):
-        if is_topological(sp).ok:
-            yield topology_from_pretop(sp)

@@ -270,8 +270,3 @@ def _describe_part(lo, hi) -> str:
     left = "" if lo == NEG_INF else str(lo)
     right = "" if hi == INF else str(hi)
     return f"{left}..{right}"
-
-
-def make_interval_set(axis: AxisDomain, pairs) -> IntervalSet:
-    """Public constructor name used by the model layer."""
-    return IntervalSet.from_pairs(axis, pairs)

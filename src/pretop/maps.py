@@ -12,18 +12,16 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import EmptyPreimage, PointSetMismatch
+from .errors import PointSetMismatch
 from .finite import (
     FinitePretop,
-    FiniteTopology,
-    PrincipalFilter,
     Verdict,
     compact_at_mask,
     is_cover_compact,
     union_of,
     union_tables,
 )
-from .regularize import partial_regularization, theta_of_topology
+from .regularize import partial_regularization
 
 CONTINUITY_METHODS = ("limit", "adh-filter", "adh-set", "inh", "vicinity")
 PERFECT_METHODS = ("definition", "adh-inequality", "a-and-b")
@@ -88,32 +86,10 @@ class SpaceMap:
         return self.image_mask(self.source.full) == self.target.full
 
 
-def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:
-    """g after f; the middle spaces must be identical."""
-    if f.target != g.source:
-        raise PointSetMismatch("composition needs a matching middle space")
-    return SpaceMap(f.source, g.target, tuple(g.graph[j] for j in f.graph))
-
-
 def enumerate_maps(source: FinitePretop, target: FinitePretop):
     """All total maps, lexicographic in the graph tuple."""
     for graph in itertools.product(range(target.n), repeat=source.n):
         yield SpaceMap(source, target, graph)
-
-
-# -- filters across a map ------------------------------------------------------
-
-
-def image_filter(f: SpaceMap, flt: PrincipalFilter) -> PrincipalFilter:
-    """Pushforward filter; principal over the image of the kernel."""
-    return PrincipalFilter(f.image_mask(flt.kernel))
-
-
-def preimage_filter(f: SpaceMap, flt: PrincipalFilter) -> PrincipalFilter:
-    kernel = f.preimage_mask(flt.kernel)
-    if kernel == 0:
-        raise EmptyPreimage("filter kernel misses the range of the map")
-    return PrincipalFilter(kernel)
 
 
 # -- continuity ------------------------------------------------------------------
@@ -172,12 +148,6 @@ def is_continuous(f: SpaceMap, method: str = "vicinity") -> Verdict:
                 return Verdict(False, (src.points[i], tgt.names(least)))
         return Verdict(True)
     raise ValueError(f"unknown method {method!r}")
-
-
-def is_theta_continuous(src: FiniteTopology, tgt: FiniteTopology, table, method: str = "vicinity") -> Verdict:
-    """Continuity between the closed-vicinity forms of two topologies."""
-    f = SpaceMap.from_table(theta_of_topology(src).theta, theta_of_topology(tgt).theta, table)
-    return is_continuous(f, method)
 
 
 def is_w_theta_continuous(f: SpaceMap, method: str = "vicinity") -> Verdict:

@@ -2,7 +2,9 @@
 
 A document is a sequence of declarations.  Point order in a ``space``
 or ``topology`` block fixes the bitmask index order used everywhere
-downstream, so it is preserved verbatim.
+downstream, so it is preserved verbatim.  A ``topology`` block lists its
+opens; it is read into its vicinity form, whose least vicinity at a
+point is the least open holding it, and the opens are kept for printing.
 
     # three-point chain
     space Q3 {
@@ -46,13 +48,13 @@ from dataclasses import dataclass, field
 from .defsets import DefSet, GroundSchema
 from .errors import (
     AxiomViolation,
+    InvalidTopology,
     ParseError,
     ResolutionError,
     UnknownBuiltin,
     UnknownPoint,
-    WorkbenchError,
 )
-from .finite import FinitePretop, FiniteTopology, validate_space
+from .finite import FinitePretop, validate_space
 from .intervals import IntervalSet
 from .maps import SpaceMap
 from .symbolic import SymbolicPretop, builtin
@@ -122,7 +124,8 @@ class SpaceDecl:
 @dataclass(frozen=True)
 class TopologyDecl:
     name: str
-    topology: FiniteTopology
+    space: FinitePretop  # least open per point
+    opens: tuple  # the distinct open masks, ascending
 
 
 @dataclass(frozen=True)
@@ -189,11 +192,7 @@ class ModelDocument:
 
     def finite(self, name: str) -> FinitePretop:
         """A finite space by name; topologies give their vicinity form."""
-        d = self._decl(name, (SpaceDecl, TopologyDecl), "finite space")
-        return d.space if isinstance(d, SpaceDecl) else d.topology.to_pretop()
-
-    def topology(self, name: str) -> FiniteTopology:
-        return self._decl(name, (TopologyDecl,), "topology").topology
+        return self._decl(name, (SpaceDecl, TopologyDecl), "finite space").space
 
     def symbolic(self, name: str) -> SymbolicPretop:
         return builtin(self._decl(name, (BuiltinDecl,), "builtin").key)
@@ -458,16 +457,25 @@ class _Parser:
             self._fail("expected an opens line", t)
         self.expect_op(":")
         shell = FinitePretop(points, tuple(0 for _ in points))
-        opens = []
+        opens = set()
         while self.at_op("{"):
-            opens.append(shell.mask(self.brace_names(points, name)))
+            opens.add(shell.mask(self.brace_names(points, name)))
         self.expect_op(";")
         self.expect_op("}")
-        try:
-            topo = FiniteTopology(points, frozenset(opens)).validate()
-        except WorkbenchError as e:
-            raise type(e)(f"line {head.line}: {e}") from None
-        return TopologyDecl(name, topo)
+        if 0 not in opens or shell.full not in opens:
+            raise InvalidTopology(f"line {head.line}: missing empty set or whole set")
+        for u in opens:
+            for v in opens:
+                if u | v not in opens or u & v not in opens:
+                    raise InvalidTopology(
+                        f"line {head.line}: family not closed under union/intersection"
+                    )
+        least = [shell.full] * len(points)
+        for u in opens:
+            for i in range(len(points)):
+                if u >> i & 1:
+                    least[i] &= u
+        return TopologyDecl(name, FinitePretop(points, tuple(least)), tuple(sorted(opens)))
 
     def points_line(self) -> tuple:
         t = self.ident()
@@ -717,8 +725,6 @@ def eval_set(expr, space, doc: ModelDocument | None = None):
     one; complements are taken relative to the space's own points.
     Referenced sets are evaluated once each, in dependency order.
     """
-    if isinstance(space, FiniteTopology):
-        space = space.to_pretop()
     if isinstance(space, FinitePretop):
         whole, term = space.full, lambda t: _finite_term(space, t)
     else:
@@ -897,14 +903,12 @@ def print_model(doc: ModelDocument) -> str:
             lines.append("}")
             blocks.append("\n".join(lines))
         elif isinstance(d, TopologyDecl):
-            topo = d.topology
-            shell = FinitePretop(topo.points, tuple(0 for _ in topo.points))
-            opens = " ".join(_braces(shell.names(u)) for u in sorted(topo.opens))
+            opens = " ".join(_braces(d.space.names(u)) for u in d.opens)
             blocks.append(
                 "\n".join(
                     [
                         f"topology {d.name} {{",
-                        f"  points: {' '.join(topo.points)};",
+                        f"  points: {' '.join(d.space.points)};",
                         f"  opens: {opens};",
                         "}",
                     ]

@@ -30,12 +30,10 @@ from .defsets import DefSet, Point
 from .errors import SizeLimit
 from .finite import (
     FinitePretop,
-    FiniteTopology,
     PrincipalFilter,
     compact_at,
     count_hausdorff,
     enumerate_pretops,
-    enumerate_topologies,
     is_cover_compact,
     is_topological,
 )
@@ -243,19 +241,18 @@ def _plan_hset(n: int, rng: random.Random) -> list:
     del rng  # the topology count stays exhaustive through size 4
     out = []
     for size in range(1, min(n, 4) + 1):
-        for topo in enumerate_topologies(size):
-            opens = tuple(sorted(topo.opens))
-            for at in range(1, topo.full + 1):
-                out.append((size, opens, at))
+        for sp in enumerate_pretops(size):
+            if is_topological(sp).ok:
+                out += [(sp.vicinity, at) for at in range(1, sp.full + 1)]
     return out
 
 
 def _check_hset(inst) -> str | None:
-    size, opens, at = inst
-    topo = FiniteTopology(tuple(str(i + 1) for i in range(size)), frozenset(opens))
-    got = {m: hset_check(topo, at, m).ok for m in HSET_METHODS}
+    vic, at = inst
+    sp = _space(vic)
+    got = {m: hset_check(sp, at, m).ok for m in HSET_METHODS}
     if len(set(got.values())) != 1:
-        return f"routes disagree {got} on opens={opens} at={at}"
+        return f"routes disagree {got} on vic={vic} at={at}"
     return None
 
 

@@ -11,19 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptySubspace
+from .errors import AxiomViolation, EmptySubspace, InvalidTopology
 from .finite import (
     FinitePretop,
-    FiniteTopology,
     PrincipalFilter,
     Verdict,
     is_hausdorff,
+    is_topological,
     least_choice,
     vicinity_sweep,
 )
 
 
 def partial_regularization(space: FinitePretop) -> FinitePretop:
+    """Each least vicinity replaced by its adherence.  On a topology this
+    is the θ-form (Porter & Woods, *Extensions and Absolutes of Hausdorff
+    Spaces*, 1988): the closure of a least open is the adherence of a
+    least vicinity."""
     return FinitePretop(space.points, tuple(space.adh(m) for m in space.vicinity))
 
 
@@ -61,11 +65,17 @@ class FilterTower:
 
 
 def filter_tower(space: FinitePretop, f: PrincipalFilter) -> FilterTower:
+    """The tower of ``f``.  Under the point axiom each sweep contains its
+    kernel, so the kernels grow and stop within n steps; a sweep that
+    drops a point of its kernel could cycle forever, so it raises
+    :class:`AxiomViolation`."""
     kernels = [f.kernel]
     while True:
         nxt = vicinity_sweep(space, kernels[-1])
         if nxt == kernels[-1]:
             break
+        if kernels[-1] & ~nxt:
+            raise AxiomViolation("a vicinity sweep misses a point of its kernel")
         kernels.append(nxt)
     return FilterTower(space, tuple(kernels))
 
@@ -103,24 +113,6 @@ def tower_lemmas_check(space: FinitePretop, f: PrincipalFilter) -> TowerLemmaRep
         level_identity=adh_reg == adh_l1,
         open_identity=(not tower.is_open) or adh_base == adh_reg,
     )
-
-
-# -- theta structure of a finite topology ------------------------------------
-
-
-@dataclass(frozen=True)
-class ThetaForms:
-    plain: FinitePretop  # open-neighborhood pretopology
-    theta: FinitePretop  # closures of the least open neighborhoods
-
-
-def theta_of_topology(topo: FiniteTopology) -> ThetaForms:
-    topo.validate()
-    plain = topo.to_pretop()
-    theta = FinitePretop(
-        topo.points, tuple(topo.closure(topo.min_open(i)) for i in range(topo.n))
-    )
-    return ThetaForms(plain, theta)
 
 
 # -- compactness of the partial regularization --------------------------------
@@ -178,47 +170,50 @@ def phc_report(space: FinitePretop) -> PhcReport:
     return PhcReport(quasi=quasi, hausdorff=h, phc=quasi and h, methods=methods)
 
 
-def adh_cover_subfamily(space: FinitePretop, family) -> tuple | None:
-    """Smallest subfamily whose adherences cover the space; None when the
-    whole family fails.  Scans subsets by size then index order."""
-    fam = list(family)
-    import itertools
-
-    for size in range(1, len(fam) + 1):
-        for pick in itertools.combinations(range(len(fam)), size):
-            union = 0
-            for i in pick:
-                union |= space.adh(fam[i])
-            if union == space.full:
-                return tuple(fam[i] for i in pick)
-    return None
-
-
 # -- H-set checks on finite topologies -----------------------------------------
 
 
-def hset_check(topo: FiniteTopology, at: int, method: str = "open-filter") -> Verdict:
-    """H-set conditions relativized to a finite topology.  All three hold
-    for every subset of a finite space; the three routes are kept separate
-    so their agreement stays a checked fact, not an assumption."""
-    topo.validate()
+def hset_check(space: FinitePretop, at: int, method: str = "open-filter") -> Verdict:
+    """H-set conditions relative to a finite topology, given by its
+    vicinity form; raises :class:`AxiomViolation` when a point misses its
+    own vicinity and :class:`InvalidTopology` unless ``space`` is
+    topological.  Each route reports the first failure of its old scan in
+    ascending order:
+
+    * open-filter: a failing open contains the least vicinity of each of
+      its points, and the one of a point in ``at`` fails too and is no
+      larger, so the least failing ``vicinity[i]`` with i in ``at`` decides;
+    * open-ultrafilter: the atoms (minimal nonempty opens) are the least
+      vicinities inside the adherence of their point;
+    * theta-adh: the adherence of the partial regularization, the θ-form
+      of the topology, is additive, so the least failing kernel is a
+      singleton of ``at``.
+
+    None of them can fail: every candidate u meets ``at``, and u lies in
+    adh u by the point axiom.  The three routes are kept separate so their
+    agreement stays a checked fact, not an assumption.
+    """
+    if any(not v >> i & 1 for i, v in enumerate(space.vicinity)):
+        raise AxiomViolation("a point is missing from its own vicinity")
+    if not is_topological(space).ok:
+        raise InvalidTopology("pretopology has a non-idempotent adherence")
     if at == 0:
         raise EmptySubspace("H-set check at the empty set is not defined")
     if method == "open-filter":
-        # open filters are principal over a nonempty open generator
-        for u in sorted(topo.opens):
-            if u and u & at and not topo.closure(u) & at:
-                return Verdict(False, tuple(topo.points[i] for i in range(topo.n) if u >> i & 1))
-        return Verdict(True)
+        fails = [
+            v for i, v in enumerate(space.vicinity) if at >> i & 1 and not space.adh(v) & at
+        ]
+        return Verdict(False, space.names(min(fails))) if fails else Verdict(True)
     if method == "open-ultrafilter":
-        for u in topo.atoms():
-            if u & at and not topo.closure(u) & at:
-                return Verdict(False, tuple(topo.points[i] for i in range(topo.n) if u >> i & 1))
+        atoms = {v for i, v in enumerate(space.vicinity) if v & ~space.adh(1 << i) == 0}
+        for u in sorted(atoms):
+            if u & at and not space.adh(u) & at:
+                return Verdict(False, space.names(u))
         return Verdict(True)
     if method == "theta-adh":
-        theta = theta_of_topology(topo).theta
-        for k in range(1, topo.full + 1):
-            if k & at and not theta.adh(k) & at:
-                return Verdict(False, tuple(topo.points[i] for i in range(topo.n) if k >> i & 1))
+        theta = partial_regularization(space)
+        for j in range(space.n):
+            if at >> j & 1 and not theta.adh(1 << j) & at:
+                return Verdict(False, space.names(1 << j))
         return Verdict(True)
     raise ValueError(f"unknown method {method!r}")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from pretop.finite import topology_from_pretop, validate_space
+from pretop.finite import validate_space
 
 
 @pytest.fixture
@@ -31,8 +31,3 @@ def p3():
 def s2():
     # Sierpinski-like: a sticks to b
     return validate_space(("a", "b"), {"a": ["a"], "b": ["a", "b"]})
-
-
-@pytest.fixture
-def p3_topology(p3):
-    return topology_from_pretop(p3)

@@ -188,6 +188,28 @@ def test_bad_references_are_resolution_errors(capsys, tmp_path, sets, message):
     assert run(capsys, "validate", "-f", _model(tmp_path, sets)) == (3, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "opens, message",
+    [
+        ("{a} {a b}", "missing empty set or whole set"),
+        ("{} {a} {b} {a b c}", "family not closed under union/intersection"),
+    ],
+    ids=("no-empty-set", "not-closed"),
+)
+def test_bad_topology_blocks_exit_3(capsys, tmp_path, opens, message):
+    path = tmp_path / "topology.pt"
+    path.write_text(f"# a comment\ntopology T {{\n  points: a b c;\n  opens: {opens};\n}}\n")
+    assert run(capsys, "validate", "-f", str(path)) == (3, "", f"error: line 2: {message}\n")
+
+
+def test_topology_block_reads_as_its_least_opens(capsys):
+    # S2 has opens {} {a} {a b}: the least open at a is {a}, at b all of S2
+    argv = ("compute", "adh", "-f", FINITE, "--space", "S2", "--set", "{a}")
+    assert run(capsys, *argv) == (0, "{a b}\n", "")
+    argv = ("check", "topological", "-f", FINITE, "--space", "S2")
+    assert run(capsys, *argv) == (0, "true\n", "")
+
+
 # -- least-choice routes, fixed points and methods ------------------------------
 
 

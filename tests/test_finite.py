@@ -16,22 +16,17 @@ from pretop.errors import (
     SizeLimit,
 )
 from pretop.finite import (
-    FinitePretop,
-    FiniteTopology,
     PrincipalFilter,
     compact_at,
-    coarser_leq,
     count_hausdorff,
     enumerate_pretops,
-    enumerate_topologies,
-    is_cover,
     is_cover_compact,
     is_hausdorff,
-    is_regular,
     is_topological,
-    topology_from_pretop,
     validate_space,
 )
+from pretop.model import parse_model
+from pretop.regularize import hset_check
 
 
 def masked(space, *names):
@@ -137,28 +132,7 @@ def test_topological(p3, q3):
     assert not v.ok and v.witness == ("3",)
 
 
-def test_regular(d2, q3, p3):
-    assert is_regular(d2).ok
-    assert is_regular(q3).witness == "2"
-    assert is_regular(p3).witness == "a"
-
-
-def test_coarser_leq(q3):
-    discrete = validate_space(("1", "2", "3"), {"1": ["1"], "2": ["2"], "3": ["3"]})
-    assert coarser_leq(q3, discrete).ok  # discrete is finest
-    assert not coarser_leq(discrete, q3).ok
-    with pytest.raises(PointSetMismatch):
-        coarser_leq(q3, validate_space(("a",), {"a": ["a"]}))
-
-
 # -- covers and compactness ------------------------------------------------------
-
-
-def test_is_cover(q3):
-    fam = [masked(q3, "1", "2"), masked(q3, "2", "3")]
-    assert is_cover(q3, fam).ok
-    v = is_cover(q3, [masked(q3, "1", "2")])
-    assert not v.ok and v.witness == "2"  # M(2)={2,3} has no superset in the family
 
 
 def test_compact_at_methods_agree_exhaustive():
@@ -210,40 +184,72 @@ def test_restrict_adh_consistent(q3):
 
 
 # -- topologies ----------------------------------------------------------------------
+#
+# A finite topology is a space whose adherence is idempotent.  Its opens
+# are the masks fixed by inh; the tests below derive the least opens,
+# the minimal opens and the closure from that family and compare them
+# with the vicinity form.
+
+
+def topologies(n):
+    return [sp for sp in enumerate_pretops(n) if is_topological(sp).ok]
+
+
+def opens_of(space):
+    return [a for a in space.subsets() if space.inh(a) == a]
 
 
 def test_topology_from_p3(p3):
-    topo = topology_from_pretop(p3)
-    opens = {p3.names(u) for u in topo.opens}
-    assert opens == {(), ("b",), ("a", "b"), ("b", "c"), ("a", "b", "c")}
-    assert topo.to_pretop() == p3
+    opens = opens_of(p3)
+    assert {p3.names(u) for u in opens} == {(), ("b",), ("a", "b"), ("b", "c"), ("a", "b", "c")}
+    # the least open at a point, a submask of every open holding it, is
+    # its least vicinity
+    assert tuple(min(u for u in opens if u >> i & 1) for i in range(3)) == p3.vicinity
 
 
 def test_topology_from_q3_rejected(q3):
-    with pytest.raises(InvalidTopology):
-        topology_from_pretop(q3)
+    assert not is_topological(q3).ok
+    for method in ("open-filter", "open-ultrafilter", "theta-adh"):
+        with pytest.raises(InvalidTopology):
+            hset_check(q3, q3.full, method)
 
 
 def test_invalid_topology():
-    with pytest.raises(InvalidTopology):
-        FiniteTopology(("a", "b"), frozenset({0b01, 0b11})).validate()
-    with pytest.raises(InvalidTopology):
-        FiniteTopology(("a", "b", "c"), frozenset({0, 0b001, 0b010, 0b111})).validate()
+    for opens, message in [
+        ("{a} {a b}", "missing empty set or whole set"),
+        ("{} {a} {b} {a b c}", "family not closed under union/intersection"),
+    ]:
+        text = f"# two lines\n\ntopology T {{ points: a b c; opens: {opens}; }}\n"
+        with pytest.raises(InvalidTopology, match=f"^line 3: {message}$"):
+            parse_model(text)
 
 
 def test_topology_count_three_points():
     # labeled topologies on 3 points
-    assert sum(1 for _ in enumerate_topologies(3)) == 29
+    assert len(topologies(3)) == 29
+
+
+def minimal(masks):
+    return {u for u in masks if not any(v != u and v & ~u == 0 for v in masks)}
 
 
 def test_topology_atoms(p3):
-    topo = topology_from_pretop(p3)
-    assert [topo.points[i] for u in topo.atoms() for i in range(3) if u >> i & 1] == ["b"]
+    # the minimal nonempty opens are the minimal least vicinities
+    assert minimal(p3.vicinity) == {p3.mask(["b"])}
+    for sp in topologies(3):
+        assert minimal([u for u in opens_of(sp) if u]) == minimal(sp.vicinity)
 
 
 def test_closure(p3):
-    topo = topology_from_pretop(p3)
-    assert p3.names(topo.closure(p3.mask(["a", "b"]))) == ("a", "b", "c")
+    assert p3.names(p3.adh(p3.mask(["a", "b"]))) == ("a", "b", "c")
+    for sp in topologies(3):
+        closed = [sp.full & ~u for u in opens_of(sp)]
+        for a in sp.subsets():
+            closure = sp.full
+            for c in closed:
+                if a & ~c == 0:
+                    closure &= c
+            assert closure == sp.adh(a)
 
 
 # -- filter-form compactness matches cover form on every space+filter pair ----------
@@ -262,4 +268,5 @@ def test_choice_cover_reduction_is_faithful(q3):
     v = compact_at(q3, PrincipalFilter(masked(q3, "3")), masked(q3, "1"), "cover")
     assert not v.ok
     fam = [q3.mask(names) for names in v.witness]
-    assert is_cover(q3, fam, at=masked(q3, "1")).ok
+    # each point of the set has a member holding its least vicinity
+    assert any(q3.vicinity[q3.index("1")] & ~c == 0 for c in fam)

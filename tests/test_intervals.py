@@ -17,7 +17,6 @@ from pretop.intervals import (
     NATURALS1,
     AxisDomain,
     IntervalSet,
-    make_interval_set,
 )
 
 
@@ -53,30 +52,30 @@ def raw_pairs(draw):
 @st.composite
 def interval_sets(draw, axis=None):
     ax = axis if axis is not None else draw(axes)
-    return make_interval_set(ax, draw(raw_pairs()))
+    return IntervalSet.from_pairs(ax, draw(raw_pairs()))
 
 
 # -- construction and normal form -------------------------------------------
 
 
 def test_merge_adjacent():
-    s = make_interval_set(INTEGERS, [(1, 3), (4, 9)])
+    s = IntervalSet.from_pairs(INTEGERS, [(1, 3), (4, 9)])
     assert s.parts == ((1, 9),)
 
 
 def test_clip_to_axis_floor():
-    s = make_interval_set(NATURALS0, [(-3, 2)])
+    s = IntervalSet.from_pairs(NATURALS0, [(-3, 2)])
     assert s.parts == ((0, 2),)
 
 
 def test_interval_below_axis_dropped():
-    s = make_interval_set(NATURALS1, [(-5, -3), (2, 2)])
+    s = IntervalSet.from_pairs(NATURALS1, [(-5, -3), (2, 2)])
     assert s.parts == ((2, 2),)
 
 
 def test_malformed_reversed():
     with pytest.raises(MalformedInterval):
-        make_interval_set(INTEGERS, [(4, 1)])
+        IntervalSet.from_pairs(INTEGERS, [(4, 1)])
 
 
 def test_malformed_infinite_lo():
@@ -98,20 +97,20 @@ def test_integer_axis_rejects_low():
 
 @given(axes, raw_pairs())
 def test_construction_matches_raw_scan(axis, pairs):
-    s = make_interval_set(axis, pairs)
+    s = IntervalSet.from_pairs(axis, pairs)
     for n in window(s):
         assert (n in s) == raw_member(pairs, axis, n)
 
 
 @given(axes, raw_pairs())
 def test_normal_form_idempotent(axis, pairs):
-    s = make_interval_set(axis, pairs)
+    s = IntervalSet.from_pairs(axis, pairs)
     assert IntervalSet.from_pairs(axis, s.parts) == s
 
 
 @given(axes, raw_pairs())
 def test_normal_form_sorted_disjoint_nonadjacent(axis, pairs):
-    s = make_interval_set(axis, pairs)
+    s = IntervalSet.from_pairs(axis, pairs)
     for (lo1, hi1), (lo2, hi2) in zip(s.parts, s.parts[1:]):
         assert hi1 + 1 < lo2
 
@@ -151,14 +150,14 @@ def test_complement_involution_and_self_difference(a):
 
 
 def test_intersect_example():
-    a = make_interval_set(INTEGERS, [(None, 0), (5, None)])
-    b = make_interval_set(INTEGERS, [(-2, 7)])
+    a = IntervalSet.from_pairs(INTEGERS, [(None, 0), (5, None)])
+    b = IntervalSet.from_pairs(INTEGERS, [(-2, 7)])
     assert (a & b).parts == ((-2, 0), (5, 7))
 
 
 def test_union_with_infinite_tail():
-    a = make_interval_set(NATURALS0, [(0, 3)])
-    b = make_interval_set(NATURALS0, [(2, None)])
+    a = IntervalSet.from_pairs(NATURALS0, [(0, 3)])
+    b = IntervalSet.from_pairs(NATURALS0, [(2, None)])
     assert (a | b) == IntervalSet.full(NATURALS0)
 
 
@@ -166,12 +165,12 @@ def test_union_with_infinite_tail():
 
 
 def test_classify_finite():
-    c = make_interval_set(INTEGERS, [(1, 4), (8, 9)]).classify()
+    c = IntervalSet.from_pairs(INTEGERS, [(1, 4), (8, 9)]).classify()
     assert c.is_finite and c.cardinality == 6 and not c.has_plus_end
 
 
 def test_classify_cofinite():
-    s = ~make_interval_set(INTEGERS, [(0, 10)])
+    s = ~IntervalSet.from_pairs(INTEGERS, [(0, 10)])
     c = s.classify()
     assert c.is_cofinite and not c.is_finite
     assert c.has_plus_end and c.has_minus_end
@@ -214,5 +213,5 @@ def test_subset_and_meets(pair):
 
 
 def test_describe_roundtrip_flavor():
-    s = make_interval_set(INTEGERS, [(None, -2), (0, 0), (4, None)])
+    s = IntervalSet.from_pairs(INTEGERS, [(None, -2), (0, 0), (4, None)])
     assert s.describe() == "..-2,0,4.."

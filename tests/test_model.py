@@ -30,3 +30,12 @@ def test_declarations_ignore_their_line():
     s1, s2 = SetDecl("S", e, line=1), SetDecl("S", e, line=40)
     assert s1 == s2 and hash(s1) == hash(s2)
     assert s1 != SetDecl("T", e, line=1)
+
+
+def test_topology_block_prints_its_sorted_opens():
+    doc = parse_model((CORPUS[0].parent / "finite.pt").read_text(encoding="utf-8"))
+    text = print_model(doc)
+    assert "topology S2 {\n  points: a b;\n  opens: {} {a} {a b};\n}\n" in text
+    assert doc.finite("S2").vicinity == (0b01, 0b11)
+    shuffled = parse_model("topology T { points: x y; opens: {x y} {} {y} {y}; }")
+    assert print_model(shuffled) == "topology T {\n  points: x y;\n  opens: {} {y} {x y};\n}\n"

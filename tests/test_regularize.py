@@ -4,25 +4,30 @@ and the closed-form kernels must match it on every space and kernel."""
 
 import pytest
 
+from pretop.errors import AxiomViolation, EmptySubspace
 from pretop.finite import (
+    FinitePretop,
     PrincipalFilter,
     enumerate_pretops,
-    enumerate_topologies,
-    topology_from_pretop,
+    is_topological,
     validate_space,
 )
 from pretop.regularize import (
     PHC_METHODS,
-    adh_cover_subfamily,
     filter_tower,
     hset_check,
     is_quasi_phc,
     partial_regularization,
     phc_report,
-    theta_of_topology,
     tower_lemmas_check,
     tower_level_members,
 )
+
+HSET_METHODS = ("open-filter", "open-ultrafilter", "theta-adh")
+
+
+def topologies(n):
+    return [sp for sp in enumerate_pretops(n) if is_topological(sp).ok]
 
 
 def test_partial_regularization_q3(q3):
@@ -37,11 +42,14 @@ def test_partial_regularization_p3(p3):
     assert all(m == reg.full for m in reg.vicinity)
 
 
-def test_regularization_coarsens():
-    from pretop.finite import coarser_leq
+def coarsens(reg, sp):
+    """Every least vicinity of ``sp`` lies inside the one of ``reg``."""
+    return all(v & ~r == 0 for v, r in zip(sp.vicinity, reg.vicinity))
 
+
+def test_regularization_coarsens():
     for sp in enumerate_pretops(3):
-        assert coarser_leq(partial_regularization(sp), sp).ok
+        assert coarsens(partial_regularization(sp), sp)
 
 
 def test_tower_q3(q3):
@@ -78,6 +86,13 @@ def test_tower_lemmas_exhaustive():
             assert rep.open_identity, (sp.vicinity, k)
 
 
+def test_tower_raises_when_the_sweep_drops_its_kernel():
+    # without the point axiom the sweep of {1} is {2} and that of {2} is {1}
+    cycling = FinitePretop(("1", "2"), (2, 1))
+    with pytest.raises(AxiomViolation):
+        filter_tower(cycling, PrincipalFilter(1))
+
+
 def test_tower_limit_is_largest_open_refinement():
     # the stabilized kernel is the smallest open kernel above the filter;
     # its filter is the largest pretopologically open filter inside it
@@ -92,28 +107,25 @@ def test_tower_limit_is_largest_open_refinement():
 
 
 # -- theta of a topology -------------------------------------------------------
+#
+# The θ-form of a topology has the closures of the least opens as its
+# kernels; the closure of a least open is the adherence of a least
+# vicinity, so the θ-form is the partial regularization.
 
 
 def test_theta_p3(p3):
-    forms = theta_of_topology(topology_from_pretop(p3))
-    assert forms.plain == p3
-    assert forms.theta.names(forms.theta.vicinity[0]) == ("a", "b", "c")
+    theta = partial_regularization(p3)
+    assert theta.names(theta.vicinity[0]) == ("a", "b", "c")
 
 
 def test_theta_indiscrete():
-    topo = topology_from_pretop(
-        validate_space(("a", "b"), {"a": ["a", "b"], "b": ["a", "b"]})
-    )
-    forms = theta_of_topology(topo)
-    assert forms.theta == forms.plain
+    sp = validate_space(("a", "b"), {"a": ["a", "b"], "b": ["a", "b"]})
+    assert partial_regularization(sp) == sp
 
 
 def test_theta_coarsens_exhaustive():
-    from pretop.finite import coarser_leq
-
-    for topo in enumerate_topologies(3):
-        forms = theta_of_topology(topo)
-        assert coarser_leq(forms.theta, forms.plain).ok
+    for sp in topologies(3):
+        assert coarsens(partial_regularization(sp), sp)
 
 
 # -- quasi-PHC ---------------------------------------------------------------------
@@ -133,37 +145,34 @@ def test_phc_report(q3, d2):
     assert rep.quasi and rep.hausdorff and rep.phc
 
 
-def test_adh_cover_subfamily(q3):
-    fam = [q3.mask(["1", "2"]), q3.mask(["2", "3"]), q3.mask(["3"])]
-    sub = adh_cover_subfamily(q3, fam)
-    assert sub == (q3.mask(["2", "3"]),)  # adh {2,3} is everything
-    assert adh_cover_subfamily(q3, [q3.mask(["1"])]) is None  # adh {1} = {1}
-
-
 # -- H-set checks -------------------------------------------------------------------
 
 
 def test_hset_p3(p3):
-    topo = topology_from_pretop(p3)
     at = p3.mask(["c"])
-    for method in ("open-filter", "open-ultrafilter", "theta-adh"):
-        assert hset_check(topo, at, method).ok
-    # the unique minimal open {b} misses {c}, so the ultrafilter clause is vacuous
-    assert topo.atoms() == [p3.mask(["b"])]
+    for method in HSET_METHODS:
+        assert hset_check(p3, at, method).ok
+    # {b} is a least vicinity inside every other, so it is the unique
+    # minimal open; it misses {c}, so the ultrafilter clause is vacuous
+    assert all(p3.mask(["b"]) & ~v == 0 for v in p3.vicinity)
 
 
 def test_hset_methods_agree_exhaustive():
-    for topo in enumerate_topologies(3):
-        for at in range(1, topo.full + 1):
-            verdicts = [
-                hset_check(topo, at, m).ok
-                for m in ("open-filter", "open-ultrafilter", "theta-adh")
-            ]
+    for sp in topologies(3):
+        for at in range(1, sp.full + 1):
+            verdicts = [hset_check(sp, at, m).ok for m in HSET_METHODS]
             assert verdicts == [True, True, True]
 
 
-def test_hset_empty_rejected(p3):
-    from pretop.errors import EmptySubspace
+def test_hset_rejects_a_space_without_the_point_axiom():
+    # adherence is empty everywhere, hence idempotent, so only the point
+    # axiom tells this tuple from a topology; the routes would disagree
+    sp = FinitePretop(("1", "2"), (0, 0))
+    for method in HSET_METHODS:
+        with pytest.raises(AxiomViolation):
+            hset_check(sp, 1, method)
 
+
+def test_hset_empty_rejected(p3):
     with pytest.raises(EmptySubspace):
-        hset_check(topology_from_pretop(p3), 0)
+        hset_check(p3, 0)
