@@ -14,7 +14,13 @@ of that byte's columns for each of its 256 bit patterns, so a lookup per
 nonzero byte of A gives adh A exactly, at any size, with tables that
 grow linearly in the number of points.  Inherence is the dual,
 inh A = X minus adh(X minus A), and images and preimages under a map
-are unions too (``maps``), read from tables built the same way.
+are unions too (``maps``), read from tables built the same way.  The
+columns themselves are kept as ``cols`` (``cols[j]`` is adh{j}), so a
+scan over singletons reads them without a lookup, and the vicinity sweep
+(the union of the least vicinities over a set) is read from tables of
+the least vicinities built the same way.  ``names`` joins per-byte
+tables of name tuples.  Every passing route returns the one shared
+:data:`PASS`; a ``Verdict`` is frozen, so sharing it is safe.
 
 A finite topology is a space for which :func:`is_topological` holds.
 Its opens are the masks with ``inh(a) == a``, the least open at a point
@@ -47,6 +53,9 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+PASS = Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -115,15 +124,24 @@ class FinitePretop:
         return (1 << self.n) - 1
 
     @cached_property
-    def _adh_tables(self) -> tuple:
-        cols = [0] * self.n  # cols[j]: the points whose vicinity holds j
+    def cols(self) -> tuple:
+        """``cols[j]`` is adh{j}: the points whose least vicinity holds j."""
+        cols = [0] * self.n
         for i, m in enumerate(self.vicinity):
             m &= self.full
             while m:
                 low = m & -m
                 cols[low.bit_length() - 1] |= 1 << i
                 m ^= low
-        return union_tables(cols)
+        return tuple(cols)
+
+    @cached_property
+    def _adh_tables(self) -> tuple:
+        return union_tables(self.cols)
+
+    @cached_property
+    def _sweep_tables(self) -> tuple:
+        return union_tables(self.vicinity)
 
     @cached_property
     def _name_tables(self) -> tuple:
@@ -145,6 +163,8 @@ class FinitePretop:
 
     def names(self, mask: int) -> tuple[str, ...]:
         mask &= self.full
+        if mask < 256:
+            return self._name_tables[0][mask]
         out = ()
         for tab in self._name_tables:
             out += tab[mask & 0xFF]
@@ -208,18 +228,17 @@ def is_hausdorff(space: FinitePretop) -> Verdict:
         for j in range(i + 1, space.n):
             if space.vicinity[i] & space.vicinity[j]:
                 return Verdict(False, (space.points[i], space.points[j]))
-    return Verdict(True)
+    return PASS
 
 
 def is_topological(space: FinitePretop) -> Verdict:
     """Idempotent adherence.  adh is additive, so adh(adh A) = adh A holds
     for every A once it holds for the singletons, and the least failing
     mask is the singleton of the least failing point."""
-    for k in range(space.n):
-        adh = space.adh(1 << k)
+    for k, adh in enumerate(space.cols):
         if space.adh(adh) != adh:
             return Verdict(False, (space.points[k],))
-    return Verdict(True)
+    return PASS
 
 
 # -- covers and compactness ---------------------------------------------------
@@ -227,11 +246,7 @@ def is_topological(space: FinitePretop) -> Verdict:
 
 def vicinity_sweep(space: FinitePretop, a: int) -> int:
     """Union of the least vicinities over a."""
-    out = 0
-    for i in range(space.n):
-        if a >> i & 1:
-            out |= space.vicinity[i]
-    return out
+    return union_of(space._sweep_tables, a & space.full)
 
 
 def least_choice(space: FinitePretop, at: int) -> tuple:
@@ -259,12 +274,12 @@ def compact_at_mask(space: FinitePretop, kernel: int, at: int, method: str) -> V
         bad = kernel & ~vicinity_sweep(space, at)
         if bad:
             return Verdict(False, space.names(bad & -bad))
-        return Verdict(True)
+        return PASS
     if method == "cover":
         # every cover of `at` must swallow a member of f in finitely many steps
         if kernel & ~vicinity_sweep(space, at):
             return Verdict(False, least_choice(space, at))
-        return Verdict(True)
+        return PASS
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -283,10 +298,10 @@ def is_cover_compact(space: FinitePretop, at: int, method: str = "cover") -> Ver
     if method == "cover":
         if at & ~space.inh(vicinity_sweep(space, at)):
             return Verdict(False, least_choice(space, at))
-        return Verdict(True)
+        return PASS
     rest = 0
-    for b in range(space.n):
-        if not space.adh(1 << b) & at:
+    for b, col in enumerate(space.cols):
+        if not col & at:
             rest |= 1 << b
     if method == "filter-refines":
         # adh F disjoint from `at` forces a member already avoiding it
@@ -296,7 +311,7 @@ def is_cover_compact(space: FinitePretop, at: int, method: str = "cover") -> Ver
         ok = not rest & vicinity_sweep(space, at)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return Verdict(True) if ok else Verdict(False, space.names(rest))
+    return PASS if ok else Verdict(False, space.names(rest))
 
 
 # -- enumeration -----------------------------------------------------------------

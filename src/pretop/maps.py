@@ -8,12 +8,12 @@ ascending-mask order, matching the space-level conventions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import PointSetMismatch
 from .finite import (
+    PASS,
     FinitePretop,
     Verdict,
     compact_at_mask,
@@ -29,12 +29,15 @@ PERFECT_METHODS = ("definition", "adh-inequality", "a-and-b")
 
 @lru_cache(maxsize=1024)
 def _map_tables(graph: tuple, target_n: int) -> tuple:
-    """(image tables, preimage tables) of a graph.  They depend on the
-    graph alone, so maps sharing one share the tables."""
+    """(image tables, preimage tables, fibers) of a graph.  They depend on
+    the graph alone, so maps sharing one share them.  A graph index out of
+    range raises; the cache keeps no exception, so it raises every time."""
     fibers = [0] * target_n
     for i, j in enumerate(graph):
+        if not 0 <= j < target_n:
+            raise PointSetMismatch(f"graph hits unknown target index {j}")
         fibers[j] |= 1 << i
-    return union_tables([1 << j for j in graph]), union_tables(fibers)
+    return union_tables([1 << j for j in graph]), union_tables(fibers), tuple(fibers)
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,6 @@ class SpaceMap:
     def __post_init__(self):
         if len(self.graph) != self.source.n:
             raise PointSetMismatch("graph must assign every source point")
-        for j in self.graph:
-            if not 0 <= j < self.target.n:
-                raise PointSetMismatch(f"graph hits unknown target index {j}")
         # Not a field: eq, hash and repr stay on source, target and graph.
         object.__setattr__(self, "_tables", _map_tables(tuple(self.graph), self.target.n))
 
@@ -80,16 +80,10 @@ class SpaceMap:
         return union_of(self._tables[1], b & self.target.full)
 
     def fiber(self, j: int) -> int:
-        return self.preimage_mask(1 << j)
+        return self._tables[2][j]
 
     def is_surjective(self) -> bool:
         return self.image_mask(self.source.full) == self.target.full
-
-
-def enumerate_maps(source: FinitePretop, target: FinitePretop):
-    """All total maps, lexicographic in the graph tuple."""
-    for graph in itertools.product(range(target.n), repeat=source.n):
-        yield SpaceMap(source, target, graph)
 
 
 # -- continuity ------------------------------------------------------------------
@@ -117,14 +111,15 @@ def is_continuous(f: SpaceMap, method: str = "vicinity") -> Verdict:
         if low:
             i = next(i for i, m in enumerate(bad) if m & low)
             return Verdict(False, (src.names(low), src.points[i]))
-        return Verdict(True)
+        return PASS
     if method in ("adh-filter", "adh-set"):
         # f[adh A] inside adh f[A] for every kernel (every set) A
+        scols, tcols = src.cols, tgt.cols
         for b in range(src.n):
-            bad = f.image_mask(src.adh(1 << b)) & ~tgt.adh(1 << f.graph[b])
+            bad = f.image_mask(scols[b]) & ~tcols[f.graph[b]]
             if bad:
                 return Verdict(False, (src.names(1 << b), tgt.names(bad)[0]))
-        return Verdict(True)
+        return PASS
     if method == "inh":
         # f^-1[inh B] inside inh f^-1[B]: x escapes at B when B holds the
         # least vicinity of f(x) but not the image of x's least vicinity
@@ -137,7 +132,7 @@ def is_continuous(f: SpaceMap, method: str = "vicinity") -> Verdict:
             b = min(fails)
             bad = f.preimage_mask(tgt.inh(b)) & ~src.inh(f.preimage_mask(b))
             return Verdict(False, (tgt.names(b), src.names(bad)[0]))
-        return Verdict(True)
+        return PASS
     if method == "vicinity":
         # every target vicinity of f(x) absorbs the image of some source
         # one; images are monotone, so the least vicinities decide it, and
@@ -146,7 +141,7 @@ def is_continuous(f: SpaceMap, method: str = "vicinity") -> Verdict:
             least = tgt.vicinity[f.graph[i]]
             if f.image_mask(src.vicinity[i]) & ~least:
                 return Verdict(False, (src.points[i], tgt.names(least)))
-        return Verdict(True)
+        return PASS
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -159,40 +154,27 @@ def is_w_theta_continuous(f: SpaceMap, method: str = "vicinity") -> Verdict:
 # -- perfect maps -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerfectConditions:
-    """The two halves of the perfect criterion, reported separately."""
-
-    adh_onto: Verdict  # f[adh A] contains adh f[A] for every A
-    fibers_cover_compact: Verdict
-
-    @property
-    def ok(self) -> bool:
-        return self.adh_onto.ok and self.fibers_cover_compact.ok
-
-
 def _adh_onto(f: SpaceMap) -> Verdict:
     """adh f[A] inside f[adh A] for every set A, decided by singletons."""
     src, tgt = f.source, f.target
+    scols, tcols = src.cols, tgt.cols
     for b in range(src.n):
-        bad = tgt.adh(1 << f.graph[b]) & ~f.image_mask(src.adh(1 << b))
+        bad = tcols[f.graph[b]] & ~f.image_mask(scols[b])
         if bad:
             return Verdict(False, (src.names(1 << b), tgt.names(bad)[0]))
-    return Verdict(True)
+    return PASS
 
 
-def perfect_conditions(f: SpaceMap) -> PerfectConditions:
-    src, tgt = f.source, f.target
-    fibers = Verdict(True)
-    for j in range(tgt.n):
+def _fibers_cover_compact(f: SpaceMap) -> Verdict:
+    """Every nonempty fiber is cover-compact in the source; the first
+    failing target point, with the cover that fails."""
+    for j in range(f.target.n):
         fib = f.fiber(j)
-        if fib == 0:
-            continue  # the empty set is cover-compact for free
-        v = is_cover_compact(src, fib, "cover")
-        if not v.ok:
-            fibers = Verdict(False, (tgt.points[j], v.witness))
-            break
-    return PerfectConditions(_adh_onto(f), fibers)
+        if fib:  # the empty set is cover-compact for free
+            v = is_cover_compact(f.source, fib, "cover")
+            if not v.ok:
+                return Verdict(False, (f.target.points[j], v.witness))
+    return PASS
 
 
 def is_perfect(f: SpaceMap, method: str = "definition") -> Verdict:
@@ -204,6 +186,13 @@ def is_perfect(f: SpaceMap, method: str = "definition") -> Verdict:
     first kernel a scan of them all would visit, decides it.  A kernel
     whose preimage is empty generates the degenerate filter, which no
     filter meshes, so it is skipped as vacuously compact.
+
+    The a-and-b route decides half (a), adh f[A] inside f[adh A], and then
+    half (b), cover-compact fibers, and stops at the first half that
+    fails.  Half (b) cannot fail: each point of a fiber has its least
+    vicinity inside the fiber's vicinity sweep, so it lies in the
+    inherence of that sweep.  It is still evaluated, so that its
+    agreement stays a checked fact.
     """
     src, tgt = f.source, f.target
     if method == "definition":
@@ -214,16 +203,15 @@ def is_perfect(f: SpaceMap, method: str = "definition") -> Verdict:
                 v = compact_at_mask(src, pre, f.fiber(j), "filter")
                 if not v.ok:
                     return Verdict(False, (tgt.points[j], tgt.names(s), v.witness))
-        return Verdict(True)
+        return PASS
     if method == "adh-inequality":
         return _adh_onto(f)
     if method == "a-and-b":
-        rep = perfect_conditions(f)
-        if not rep.adh_onto.ok:
-            return Verdict(False, ("a", rep.adh_onto.witness))
-        if not rep.fibers_cover_compact.ok:
-            return Verdict(False, ("b", rep.fibers_cover_compact.witness))
-        return Verdict(True)
+        for half, decide in (("a", _adh_onto), ("b", _fibers_cover_compact)):
+            v = decide(f)
+            if not v.ok:
+                return Verdict(False, (half, v.witness))
+        return PASS
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -257,4 +245,4 @@ def is_strongly_irreducible(f: SpaceMap) -> Verdict:
         for v in pool:
             if u & v and not fiber_inside(f, u & v):
                 return Verdict(False, (src.names(u), src.names(v)))
-    return Verdict(True)
+    return PASS

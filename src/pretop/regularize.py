@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import AxiomViolation, EmptySubspace, InvalidTopology
 from .finite import (
+    PASS,
     FinitePretop,
     PrincipalFilter,
     Verdict,
@@ -80,15 +81,6 @@ def filter_tower(space: FinitePretop, f: PrincipalFilter) -> FilterTower:
     return FilterTower(space, tuple(kernels))
 
 
-def tower_level_members(space: FinitePretop, f: PrincipalFilter, level: int):
-    """Enumerate a tower level directly from its definition; the oracle
-    for the kernel formula above."""
-    members = {m for m in space.subsets() if f.kernel & ~m == 0}
-    for _ in range(level):
-        members = {m for m in members if space.inh(m) in members}
-    return members
-
-
 @dataclass(frozen=True)
 class TowerLemmaReport:
     adh_base: int          # adh of the filter in the base space
@@ -125,30 +117,29 @@ def is_quasi_phc(space: FinitePretop, method: str = "rpi-compact") -> Verdict:
     kernel routes report the first failing kernel in ascending order;
     adh and the tower levels preserve unions, so that is a singleton."""
     if method == "rpi-compact":
-        reg = partial_regularization(space)
-        for b in range(space.n):
-            if reg.adh(1 << b) == 0:
+        for b, col in enumerate(partial_regularization(space).cols):
+            if col == 0:
                 return Verdict(False, space.names(1 << b))
-        return Verdict(True)
+        return PASS
     if method == "adh-cover":
         # adh is additive, so the adherences of a cover's members cover
         # the space exactly when the adherence of their union does
         if space.adh(vicinity_sweep(space, space.full)) != space.full:
             return Verdict(False, least_choice(space, space.full))
-        return Verdict(True)
+        return PASS
     if method == "inherent-filter":
         # adherence is empty on the kernels inside `lonely`, the points in
         # no vicinity, so the only vicinity such a kernel can hold is empty
         lonely = space.full & ~vicinity_sweep(space, space.full)
         if lonely and 0 in space.vicinity:
             return Verdict(False, space.names(lonely & -lonely))
-        return Verdict(True)
+        return PASS
     if method == "tower-adh":
         # level 1 of the tower over a point is the point's least vicinity
         for b in range(space.n):
             if space.adh(space.vicinity[b]) == 0:
                 return Verdict(False, space.names(1 << b))
-        return Verdict(True)
+        return PASS
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -203,17 +194,16 @@ def hset_check(space: FinitePretop, at: int, method: str = "open-filter") -> Ver
         fails = [
             v for i, v in enumerate(space.vicinity) if at >> i & 1 and not space.adh(v) & at
         ]
-        return Verdict(False, space.names(min(fails))) if fails else Verdict(True)
+        return Verdict(False, space.names(min(fails))) if fails else PASS
     if method == "open-ultrafilter":
-        atoms = {v for i, v in enumerate(space.vicinity) if v & ~space.adh(1 << i) == 0}
+        atoms = {v for v, col in zip(space.vicinity, space.cols) if v & ~col == 0}
         for u in sorted(atoms):
             if u & at and not space.adh(u) & at:
                 return Verdict(False, space.names(u))
-        return Verdict(True)
+        return PASS
     if method == "theta-adh":
-        theta = partial_regularization(space)
-        for j in range(space.n):
-            if at >> j & 1 and not theta.adh(1 << j) & at:
+        for j, col in enumerate(partial_regularization(space).cols):
+            if at >> j & 1 and not col & at:
                 return Verdict(False, space.names(1 << j))
-        return Verdict(True)
+        return PASS
     raise ValueError(f"unknown method {method!r}")

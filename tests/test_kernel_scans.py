@@ -23,7 +23,7 @@ from pretop.finite import (
     is_cover_compact,
     is_topological,
 )
-from pretop.maps import SpaceMap, is_continuous, is_perfect, perfect_conditions
+from pretop.maps import SpaceMap, is_continuous, is_perfect
 from pretop.regularize import filter_tower, hset_check, is_quasi_phc, partial_regularization
 
 
@@ -71,6 +71,32 @@ def ref_adh_onto(f, sets):
         bad = tgt.adh(f.image_mask(a)) & ~f.image_mask(src.adh(a))
         if bad:
             return fail((src.names(a), tgt.names(bad)[0]))
+    return PASS
+
+
+def ref_perfect_conditions(f):
+    """The two halves of the perfect criterion, each evaluated in full:
+    (a) adh f[A] inside f[adh A] for every set A, (b) cover-compact fibers."""
+    src, tgt = f.source, f.target
+    fibers = PASS
+    for j in range(tgt.n):
+        fib = f.preimage_mask(1 << j)
+        if fib == 0:
+            continue  # the empty set is cover-compact for free
+        v = is_cover_compact(src, fib, "cover")
+        if not v.ok:
+            fibers = fail((tgt.points[j], v.witness))
+            break
+    return ref_adh_onto(f, src.subsets()), fibers
+
+
+def ref_a_and_b(f):
+    adh_onto, fibers = ref_perfect_conditions(f)
+    # every fiber is cover-compact: a point's least vicinity lies inside
+    # the fiber's vicinity sweep, so the point lies in its inherence
+    assert fibers == PASS, f
+    if not adh_onto[0]:
+        return fail(("a", adh_onto[1]))
     return PASS
 
 
@@ -223,7 +249,8 @@ def map_routes(f):
     yield "inh", is_continuous(f, "inh"), ref_inh(f)
     yield "definition", is_perfect(f, "definition"), ref_definition(f)
     yield "adh-inequality", is_perfect(f, "adh-inequality"), ref_adh_onto(f, src.kernels())
-    yield "adh-onto", perfect_conditions(f).adh_onto, ref_adh_onto(f, src.subsets())
+    yield "adh-onto", is_perfect(f, "adh-inequality"), ref_adh_onto(f, src.subsets())
+    yield "a-and-b", is_perfect(f, "a-and-b"), ref_a_and_b(f)
 
 
 def check_maps(maps):

@@ -1,16 +1,27 @@
 """The table-driven finite kernel against its definitions.
 
-The operators read per-byte union tables; here they are compared with
-the per-point loops that define them, at sizes on both sides of each
-byte boundary, and the oracle output is pinned to digests taken from the
-loop implementation.
+The operators, the singleton columns, the vicinity sweep, the fibers and
+the name lookup read per-byte tables or cached tuples; here they are
+compared with the per-point loops that define them, at sizes on both
+sides of each byte boundary, and the oracle output is pinned to digests
+taken from the loop implementation.
 """
 
+import dataclasses
 import hashlib
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pretop.finite import FinitePretop, Verdict, enumerate_pretops, is_topological
+from pretop.errors import PointSetMismatch
+from pretop.finite import (
+    PASS,
+    FinitePretop,
+    Verdict,
+    enumerate_pretops,
+    is_topological,
+    vicinity_sweep,
+)
 from pretop.maps import SpaceMap
 from pretop.oracle import run_suites
 
@@ -48,6 +59,18 @@ def preimage_by_loop(f, b):
     return sum(1 << i for i, j in enumerate(f.graph) if b >> j & 1)
 
 
+def sweep_by_loop(space, a):
+    out = 0
+    for i in range(space.n):
+        if a >> i & 1:
+            out |= space.vicinity[i]
+    return out
+
+
+def names_by_bit(space, a):
+    return tuple(p for i, p in enumerate(space.points) if a >> i & 1)
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_space_operators_match_their_definitions(data):
@@ -56,7 +79,10 @@ def test_space_operators_match_their_definitions(data):
         a = data.draw(st.integers(0, space.full))
         assert space.adh(a) == adh_by_loop(space, a)
         assert space.inh(a) == inh_by_loop(space, a)
-        assert space.names(a) == tuple(p for i, p in enumerate(space.points) if a >> i & 1)
+        assert space.names(a) == names_by_bit(space, a)
+        assert vicinity_sweep(space, a) == sweep_by_loop(space, a)
+    assert space.cols == tuple(space.adh(1 << j) for j in range(space.n))
+    assert space.cols == tuple(adh_by_loop(space, 1 << j) for j in range(space.n))
 
 
 @given(st.data())
@@ -71,6 +97,22 @@ def test_map_operators_match_their_definitions(data):
         b = data.draw(st.integers(0, tgt.full))
         assert f.image_mask(a) == image_by_loop(f, a)
         assert f.preimage_mask(b) == preimage_by_loop(f, b)
+    for j in range(tgt.n):
+        assert f.fiber(j) == f.preimage_mask(1 << j) == preimage_by_loop(f, 1 << j)
+
+
+def test_shared_pass_is_frozen():
+    assert PASS == Verdict(True) and PASS.witness is None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        PASS.ok = False
+
+
+def test_a_bad_graph_raises_on_every_call():
+    # the map tables are cached per graph, and a failed check must not be
+    sp = FinitePretop(("1", "2"), (1, 2))
+    for _ in range(2):
+        with pytest.raises(PointSetMismatch):
+            SpaceMap(sp, sp, (0, 2))
 
 
 def test_tables_grow_linearly():
@@ -118,4 +160,11 @@ def test_map_suites_match_loop_kernel_digest():
     assert (
         hashlib.sha256(text.encode()).hexdigest()
         == "28651f6ecbde8b825e34249e6b779d5a6d4fda64aeb590641e44f07f508fcf88"
+    )
+    # The seeded 4-point sample, digest taken before the singleton columns,
+    # the sweep tables and the cached fibers.
+    text = run_suites(["continuity-5way", "perfect-3way"], max_points=4, seed=1).to_json()
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "1e816618dff55550e86a2973880b885d4adae4ff91b520966142e1389313f955"
     )

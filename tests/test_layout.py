@@ -9,8 +9,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "pretop"
 
 # Public names that no module of the package uses, each kept on purpose.
 UNREACHED = {
-    "enumerate_maps": "the tests' generator of every map between two spaces",
-    "tower_level_members": "the definition-level reference for filter_tower's kernels",
     "phc_report": "H-closed on finite spaces, to be reached by `check h-closed`",
     "sym_compact_at": "the symbolic H-set check is compactness at a set of the regularization",
     "sym_f_sharp": "the symbolic small-image operator, the counterpart of maps.f_sharp",

@@ -5,6 +5,8 @@ conftest; the agreement batteries let the independent routes check one
 another.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,14 +21,12 @@ from pretop.maps import (
     CONTINUITY_METHODS,
     PERFECT_METHODS,
     SpaceMap,
-    enumerate_maps,
     f_sharp,
     fiber_inside,
     is_continuous,
     is_perfect,
     is_strongly_irreducible,
     is_w_theta_continuous,
-    perfect_conditions,
 )
 from pretop.regularize import partial_regularization
 
@@ -41,6 +41,12 @@ def spaces3(draw):
 
 
 graphs3 = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+
+def enumerate_maps(source, target):
+    """All total maps, lexicographic in the graph tuple."""
+    for graph in itertools.product(range(target.n), repeat=source.n):
+        yield SpaceMap(source, target, graph)
 
 
 # -- construction ------------------------------------------------------------
@@ -185,14 +191,11 @@ def test_discrete_bijection_is_perfect(d2):
 
 
 def test_perfect_conditions_reported_separately(d2, s2):
-    rep = perfect_conditions(SpaceMap.from_table(d2, s2, {"1": "a", "2": "b"}))
-    # adh {a} = {a,b} in the target outgrows the image of adh {1} = {1}
-    assert not rep.adh_onto.ok
-    assert rep.adh_onto.witness == (("1",), "b")
-    # finite fibers are always cover-compact: a cover holds a vicinity
-    # superset per point, and their union's inherence absorbs the fiber
-    assert rep.fibers_cover_compact.ok
-    assert not rep.ok
+    v = is_perfect(SpaceMap.from_table(d2, s2, {"1": "a", "2": "b"}), "a-and-b")
+    # half (a) fails first: adh {a} = {a,b} in the target outgrows the
+    # image of adh {1} = {1}
+    assert not v.ok
+    assert v.witness == ("a", (("1",), "b"))
 
 
 def test_definition_vs_adh_inequality_exhaustive_small():

@@ -20,10 +20,18 @@ from pretop.regularize import (
     partial_regularization,
     phc_report,
     tower_lemmas_check,
-    tower_level_members,
 )
 
 HSET_METHODS = ("open-filter", "open-ultrafilter", "theta-adh")
+
+
+def tower_level_members(space, f, level):
+    """A tower level enumerated from its definition: keep a member when
+    its inherence is again a member."""
+    members = {m for m in space.subsets() if f.kernel & ~m == 0}
+    for _ in range(level):
+        members = {m for m in members if space.inh(m) in members}
+    return members
 
 
 def topologies(n):
