@@ -10,8 +10,6 @@ extension of maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .defsets import DefSet, GroundSchema, Point
 from .errors import (
     EmptySubspace,
@@ -24,6 +22,7 @@ from .errors import (
 )
 from .finite import FinitePretop, Verdict, is_cover_compact, is_hausdorff, vicinity_sweep
 from .maps import SpaceMap, is_strongly_irreducible, is_w_theta_continuous
+from .record import record
 from .symbolic.analysis import (
     EndClass,
     end_converges,
@@ -38,7 +37,7 @@ from .symbolic.space import PointPattern, SymbolicPretop, VicinityRule, build_sy
 
 # -- theta quotients of finite spaces -----------------------------------------
 
-@dataclass(frozen=True)
+@record
 class QuotientResult:
     """Quotient space, the projection onto it, and the verified facts."""
 
@@ -100,7 +99,7 @@ def theta_quotient(space: FinitePretop, table: dict, names=None) -> QuotientResu
 
 # -- finite extensions ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Extension:
     """Finite space together with a dense base subset.
 
@@ -156,7 +155,7 @@ def simple_extension(e: Extension) -> FinitePretop:
 
 # -- end extensions of definable spaces ----------------------------------------
 
-@dataclass(frozen=True)
+@record
 class EndExtensionSpace:
     """Definable space plus one new point per non-converging end."""
 
@@ -274,7 +273,7 @@ def _least_point(x: SymbolicPretop, d: DefSet) -> Point:
     raise EmptySubspace("no point to pick from an empty set")
 
 
-@dataclass(frozen=True)
+@record
 class KappaMap:
     """Extended map together with its continuity verdict."""
 

@@ -6,18 +6,19 @@ holds, per strand, an atom flag, an interval set, or a union of
 rectangles.  Grid parts are canonicalized into row groups: pairwise
 disjoint row selectors, each paired with a distinct nonempty column
 set, sorted by first row.  Equal canonical forms are semantically equal
-sets, so dataclass equality is set equality.
+sets, so record equality is set equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SchemaMismatch, UnknownPoint
 from .intervals import INF, NEG_INF, AxisDomain, IntervalSet
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class GroundSchema:
     """Strand names are unique across atoms, rays and grids."""
 
@@ -30,23 +31,26 @@ class GroundSchema:
         if len(names) != len(set(names)):
             raise SchemaMismatch("duplicate strand name in schema")
 
+    @cached_property
+    def _axes(self) -> dict:
+        """Strand name -> ``(axis,)`` for a ray, ``(rows, cols)`` for a grid."""
+        return {n: (ax,) for n, ax in self.rays} | {n: (r, c) for n, r, c in self.grids}
+
     def ray_axis(self, name: str) -> AxisDomain:
-        for n, ax in self.rays:
-            if n == name:
-                return ax
-        raise UnknownPoint(f"no ray named {name!r}")
+        if len(axes := self._axes.get(name, ())) != 1:
+            raise UnknownPoint(f"no ray named {name!r}")
+        return axes[0]
 
     def grid_axes(self, name: str) -> tuple[AxisDomain, AxisDomain]:
-        for n, rows, cols in self.grids:
-            if n == name:
-                return rows, cols
-        raise UnknownPoint(f"no grid named {name!r}")
+        if len(axes := self._axes.get(name, ())) != 2:
+            raise UnknownPoint(f"no grid named {name!r}")
+        return axes
 
     def has_atom(self, name: str) -> bool:
         return name in self.atoms
 
 
-@dataclass(frozen=True)
+@record
 class Point:
     """A concrete point of a schema: atom(name), ray(name, i) or
     grid(name, row, col)."""
@@ -140,7 +144,7 @@ def _check_schema(a: "DefSet", b: "DefSet"):
         raise SchemaMismatch("definable sets over different schemas")
 
 
-@dataclass(frozen=True)
+@record
 class DefSet:
     """Definable subset of a schema's ground set, in canonical form.
 

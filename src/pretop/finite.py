@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import (
@@ -42,9 +41,10 @@ from .errors import (
     PointSetMismatch,
     SizeLimit,
 )
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     """Boolean outcome plus the first counterexample found, if any."""
 
@@ -58,7 +58,7 @@ class Verdict:
 PASS = Verdict(True)
 
 
-@dataclass(frozen=True)
+@record
 class PrincipalFilter:
     """Filter on a finite space, represented by its kernel mask."""
 
@@ -107,12 +107,12 @@ def _point_name_tables(points: tuple) -> tuple:
     return byte_tables([(p,) for p in points], operator.add, ())
 
 
-@dataclass(frozen=True)
+@record
 class FinitePretop:
     points: tuple[str, ...]
     vicinity: tuple[int, ...]  # least vicinity kernel per point index
 
-    # Derived values are cached in the instance dict; the dataclass
+    # Derived values are cached in the instance dict; the record
     # compares, hashes and prints the two fields only.
 
     @cached_property

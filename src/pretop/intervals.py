@@ -9,15 +9,14 @@ on heavily.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AxisMismatch, MalformedInterval
+from .record import record
 
 INF = float("inf")
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
+@record
 class AxisDomain:
     """An integer axis: ``naturals`` with least element ``low``, or the
     unbounded ``integers`` (``low`` is None)."""
@@ -57,7 +56,7 @@ def _check_axes(a: "IntervalSet", b: "IntervalSet"):
         raise AxisMismatch(f"{a.axis.describe()} vs {b.axis.describe()}")
 
 
-@dataclass(frozen=True)
+@record
 class IntervalSet:
     """Normalized finite union of integer intervals over one axis.
 
@@ -239,7 +238,7 @@ class IntervalSet:
         return ",".join(_describe_part(lo, hi) for lo, hi in self.parts)
 
 
-@dataclass(frozen=True)
+@record
 class IntervalClassification:
     is_empty: bool
     is_finite: bool

@@ -8,7 +8,6 @@ ascending-mask order, matching the space-level conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import PointSetMismatch
@@ -21,6 +20,7 @@ from .finite import (
     union_of,
     union_tables,
 )
+from .record import record
 from .regularize import partial_regularization
 
 CONTINUITY_METHODS = ("limit", "adh-filter", "adh-set", "inh", "vicinity")
@@ -40,7 +40,7 @@ def _map_tables(graph: tuple, target_n: int) -> tuple:
     return union_tables([1 << j for j in graph]), union_tables(fibers), tuple(fibers)
 
 
-@dataclass(frozen=True)
+@record
 class SpaceMap:
     """Total function between finite spaces, as a target-index table."""
 

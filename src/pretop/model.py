@@ -43,7 +43,6 @@ Line comments start with ``#``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .defsets import DefSet, GroundSchema
 from .errors import (
@@ -57,6 +56,7 @@ from .errors import (
 from .finite import FinitePretop, validate_space
 from .intervals import IntervalSet
 from .maps import SpaceMap
+from .record import field, record
 from .symbolic import SymbolicPretop, builtin
 
 # -- set-expression syntax tree ----------------------------------------------
@@ -67,45 +67,45 @@ from .symbolic import SymbolicPretop, builtin
 # compare equal structurally, which the round-trip law relies on.
 
 
-@dataclass(frozen=True)
+@record
 class AtomTerm:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class RayTerm:
     name: str
     parts: tuple | None = None
 
 
-@dataclass(frozen=True)
+@record
 class GridTerm:
     name: str
     rows: tuple | None = None
     cols: tuple | None = None
 
 
-@dataclass(frozen=True)
+@record
 class FiniteLit:
     names: tuple
 
 
-@dataclass(frozen=True)
+@record
 class Const:
     which: str  # "all" | "empty"
 
 
-@dataclass(frozen=True)
+@record
 class SetRef:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     arg: object
 
 
-@dataclass(frozen=True)
+@record
 class BinOp:
     op: str  # "|" | "&" | "\\"
     left: object
@@ -115,20 +115,20 @@ class BinOp:
 # -- declarations -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SpaceDecl:
     name: str
     space: FinitePretop
 
 
-@dataclass(frozen=True)
+@record
 class TopologyDecl:
     name: str
     space: FinitePretop  # least open per point
     opens: tuple  # the distinct open masks, ascending
 
 
-@dataclass(frozen=True)
+@record
 class MapDecl:
     name: str
     source: str
@@ -137,7 +137,7 @@ class MapDecl:
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class BuiltinDecl:
     name: str
     kind: str  # "urysohn" | "half_grid" | "discrete_ray"
@@ -148,7 +148,7 @@ class BuiltinDecl:
         return self.kind if self.arg is None else f"{self.kind}({self.arg})"
 
 
-@dataclass(frozen=True)
+@record
 class SetDecl:
     name: str
     expr: object
@@ -294,7 +294,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@record
 class _Token:
     kind: str  # "op" | "int" | "name" | "eof"
     value: str

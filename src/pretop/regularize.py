@@ -9,8 +9,6 @@ with kernels growing by one vicinity sweep per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AxiomViolation, EmptySubspace, InvalidTopology
 from .finite import (
     PASS,
@@ -22,6 +20,7 @@ from .finite import (
     least_choice,
     vicinity_sweep,
 )
+from .record import record
 
 
 def partial_regularization(space: FinitePretop) -> FinitePretop:
@@ -32,7 +31,7 @@ def partial_regularization(space: FinitePretop) -> FinitePretop:
     return FinitePretop(space.points, tuple(space.adh(m) for m in space.vicinity))
 
 
-@dataclass(frozen=True)
+@record
 class FilterTower:
     """Levels of a principal filter under the inherence refinement.
 
@@ -81,7 +80,7 @@ def filter_tower(space: FinitePretop, f: PrincipalFilter) -> FilterTower:
     return FilterTower(space, tuple(kernels))
 
 
-@dataclass(frozen=True)
+@record
 class TowerLemmaReport:
     adh_base: int          # adh of the filter in the base space
     adh_regularized: int   # adh of the filter in the partial regularization
@@ -143,7 +142,7 @@ def is_quasi_phc(space: FinitePretop, method: str = "rpi-compact") -> Verdict:
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass(frozen=True)
+@record
 class PhcReport:
     quasi: bool
     hausdorff: bool

@@ -23,7 +23,6 @@ approximate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ..defsets import DefSet, GroundSchema, Point
@@ -38,6 +37,7 @@ from ..errors import (
 )
 from ..finite import Verdict
 from ..intervals import INF, NEG_INF, NATURALS0, AxisDomain, IntervalSet
+from ..record import record
 from .exprs import (
     SymDefSet,
     SymExpr,
@@ -391,7 +391,7 @@ def vicinity_core(x: SymbolicPretop, p: Point) -> DefSet:
 
 # -- refitting families of concrete answers into templates --------------------
 
-@dataclass(frozen=True)
+@record
 class _FitAxis:
     name: str
     axis: AxisDomain
@@ -638,7 +638,7 @@ def cl_theta(x: SymbolicPretop, s: DefSet, iterations: int = 1) -> DefSet:
 
 # -- ends of the carrier -------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class EndClass:
     """One direction to infinity on a strand.
 
@@ -739,7 +739,7 @@ def ends(x: SymbolicPretop) -> tuple:
 
 # -- convergence of end filters -----------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ParametricAnswer:
     """Family of definable answers indexed by one integer parameter.
 
@@ -872,7 +872,7 @@ def sym_is_compact(x: SymbolicPretop) -> Verdict:
 
 # -- filters given by definable families ---------------------------------------
 
-@dataclass(frozen=True)
+@record
 class DefFilterBase:
     """Decreasing definable family ``F(0) ⊇ F(1) ⊇ ...`` generating a filter."""
 

@@ -10,14 +10,13 @@ which is how subspaces stay inside the fragment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..defsets import DefSet, GroundSchema
 from ..errors import UnknownPoint
 from ..intervals import INF, NEG_INF, AxisDomain, IntervalSet
+from ..record import record
 
 
-@dataclass(frozen=True)
+@record
 class SymExpr:
     """Affine integer expression ``sign * var + offset`` (or a constant)."""
 
@@ -121,7 +120,7 @@ def _describe_endpoint(e) -> str:
     return e.describe()
 
 
-@dataclass(frozen=True)
+@record
 class SymInterval:
     """One interval whose endpoints are expressions or infinities."""
 
@@ -159,7 +158,7 @@ class SymInterval:
         return f"[{_describe_endpoint(self.lo)}, {_describe_endpoint(self.hi)}]"
 
 
-@dataclass(frozen=True)
+@record
 class SymIntervalSet:
     """Finite union of symbolic intervals over one axis.
 
@@ -233,7 +232,7 @@ def defset_bound(d: DefSet) -> int:
     return b
 
 
-@dataclass(frozen=True)
+@record
 class Pieces:
     """Raw evaluated pieces of a symbolic set, skipping canonicalization.
 
@@ -296,7 +295,7 @@ def _mask_grid_pieces(rects, mask_groups) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class SymDefSet:
     """Definable set with symbolic interval endpoints.
 

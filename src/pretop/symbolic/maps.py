@@ -12,12 +12,11 @@ catching any residual drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..defsets import DefSet, Point
 from ..errors import FragmentEscape, SchemaMismatch, UnclassifiableImageTrace, UnknownPoint
 from ..finite import Verdict
 from ..intervals import INF, NEG_INF, IntervalSet
+from ..record import record
 from .analysis import EndClass, sym_adh
 from .solve import GUARD_OFFSETS, stabilization
 from .space import SymbolicPretop, rule_points, validation_window
@@ -26,7 +25,7 @@ from .space import SymbolicPretop, rule_points, validation_window
 _ENUMERATION_CAP = 4096
 
 
-@dataclass(frozen=True)
+@record
 class AffineAxis:
     """One coordinate action ``i -> scale*i + offset`` with scale >= 1."""
 
@@ -50,7 +49,7 @@ class AffineAxis:
         return f"{head}{self.offset:+d}"
 
 
-@dataclass(frozen=True)
+@record
 class StrandMap:
     """Action of a map on one source strand.
 
@@ -85,7 +84,7 @@ class StrandMap:
         return f"-> {self.target}({inner})"
 
 
-@dataclass(frozen=True)
+@record
 class SymbolicMap:
     """Total map between two rule-presented spaces, given per strand.
 

@@ -13,7 +13,6 @@ unit-slope templates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ..defsets import DefSet, GroundSchema, Point
@@ -28,10 +27,11 @@ from ..errors import (
 )
 from ..finite import FinitePretop
 from ..intervals import INF, NEG_INF, INTEGERS, NATURALS0, NATURALS1, AxisDomain, IntervalSet
+from ..record import record
 from .exprs import SymDefSet, defset_bound, var
 
 
-@dataclass(frozen=True)
+@record
 class PointPattern:
     """Region of points one rule is responsible for.
 
@@ -116,7 +116,7 @@ class PointPattern:
         return f"{self.kind} {self.strand} ({where})"
 
 
-@dataclass(frozen=True)
+@record
 class VicinityRule:
     """One pattern together with its vicinity template."""
 
@@ -131,7 +131,7 @@ class VicinityRule:
         return f"{self.pattern.describe()} -> {self.template.describe()}"
 
 
-@dataclass(frozen=True)
+@record
 class SymbolicPretop:
     """Rule-presented pretopology, trusted as already validated.
 

@@ -1,8 +1,12 @@
 """Module boundaries: no module of the package imports a private name
-(one starting with an underscore) from another module, and every public
-top-level function or class is reached from the package itself."""
+(one starting with an underscore) from another module, every public
+top-level function or class is reached from the package itself, and
+``import pretop.cli`` stays cheap."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pretop"
@@ -16,6 +20,16 @@ UNREACHED = {
     "sym_grid": "builds a parametric set on one grid, for the symbolic tests",
     "sym_restrict": "symbolic subspaces, the counterpart of FinitePretop.restrict",
     "sym_separated": "the least parameter separating two sets, a tested companion of sym_hausdorff",
+}
+
+# Modules that import ``dataclasses`` when they load, each kept on purpose.
+# Value classes use ``pretop.record.record``: ``dataclasses`` spends about
+# 1 ms per class in six ``exec`` calls and imports ``inspect``: about 60%
+# of ``import pretop.cli`` before. An import inside a function (the error
+# path of ``record``) runs only when called, so it is not counted.
+DATACLASSES_USERS = {
+    "oracle.py": "perfbench/oracle_child.py calls dataclasses.replace on oracle.Suite, "
+    "and the oracle is loaded only for `pretop oracle`",
 }
 
 
@@ -53,3 +67,35 @@ def test_every_public_name_is_reached_or_allowed():
                 named.add(node.name)
     unreached = {name for name in defined if name not in named}
     assert unreached == set(UNREACHED), sorted(unreached ^ set(UNREACHED))
+
+
+def _import_time_nodes(tree):
+    """The nodes of a module that run when it loads: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_only_the_allowed_modules_import_dataclasses():
+    users = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in _import_time_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+            ):
+                users.add(str(path.relative_to(SRC)))
+    assert users == set(DATACLASSES_USERS)
+
+
+def test_cli_start_up_loads_no_dataclasses_inspect_or_oracle():
+    # -S keeps site hooks (.pth files) from importing modules of their own
+    code = (
+        "import sys, pretop.cli\n"
+        "print(*[m for m in ('dataclasses', 'inspect', 'pretop.oracle') if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split() == []
