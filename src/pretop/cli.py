@@ -227,7 +227,7 @@ def _cmd_construct(args) -> Report:
             raise MissingFlag("--map is required for quotient")
         f = doc.map(args.map)
         table = {f.source.points[i]: f.target.points[j] for i, j in enumerate(f.graph)}
-        out, name = theta_quotient(space, table).space, f"{args.space}_quotient"
+        out, name = theta_quotient(space, table).target, f"{args.space}_quotient"
     elif args.what == "regularize":
         out, name = partial_regularization(space), f"r_{args.space}"
     else:

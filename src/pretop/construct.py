@@ -1,7 +1,8 @@
 """Space constructions.
 
-Finite side: quotients along the small-image operator, and dense-subset
-extensions with their strict and simple modifications.
+Finite side: quotients along the small-image operator, returned as their
+projections, and dense-subset extensions with their strict and simple
+modifications.
 Symbolic side: the end extension, which adds one point per
 non-converging end class and is the exact compactification of a
 definable space at the level of its set algebra, plus the induced
@@ -15,13 +16,12 @@ from .errors import (
     EmptySubspace,
     FragmentEscape,
     NotDense,
-    NotSurjective,
     PointSetMismatch,
     SchemaMismatch,
     UnclassifiableImageTrace,
 )
-from .finite import FinitePretop, Verdict, is_cover_compact, is_hausdorff, vicinity_sweep
-from .maps import SpaceMap, is_strongly_irreducible, is_w_theta_continuous
+from .finite import FinitePretop, Verdict, vicinity_sweep
+from .maps import SpaceMap
 from .record import record
 from .symbolic.analysis import (
     EndClass,
@@ -37,64 +37,22 @@ from .symbolic.space import PointPattern, SymbolicPretop, VicinityRule, build_sy
 
 # -- theta quotients of finite spaces -----------------------------------------
 
-@record
-class QuotientResult:
-    """Quotient space, the projection onto it, and the verified facts."""
-
-    space: FinitePretop
-    map: SpaceMap
-    lemma_ok: bool
-    source_hausdorff: Verdict
-    source_compact: Verdict
-    strongly_irreducible: Verdict
-    w_theta_continuous: Verdict | None
-
-
-def theta_quotient(space: FinitePretop, table: dict, names=None) -> QuotientResult:
-    """Quotient whose vicinities are small images of fiber vicinities.
+def theta_quotient(space: FinitePretop, table: dict) -> SpaceMap:
+    """Projection onto the quotient whose vicinities are small images of
+    fiber vicinities; its ``target`` is the quotient.
 
     Each target kernel is ``{y' : fiber(y') ⊆ K}`` for ``K`` the union
-    of the fiber's least vicinities.  The report replays the defining
-    convergence condition against the constructed kernels on every
-    target subset, and evaluates the hypotheses (Hausdorffness and
-    compactness of the source, strong irreducibility of the projection)
-    without enforcing them.
+    of the fiber's least vicinities.  Target points come in the order
+    their fibers first appear among the source points.
     """
     for p in space.points:
         if p not in table:
             raise PointSetMismatch(f"no image assigned to point {p!r}")
-    tgt = tuple(dict.fromkeys(table[p] for p in space.points)) if names is None else tuple(names)
-    fibers = []
-    for y in tgt:
-        m = sum(1 << i for i, p in enumerate(space.points) if table[p] == y)
-        if m == 0:
-            raise NotSurjective(f"no point maps to {y!r}")
-        fibers.append(m)
-    stray = set(table[p] for p in space.points) - set(tgt)
-    if stray:
-        raise PointSetMismatch(f"image {sorted(stray)[0]!r} missing from the target points")
-
+    tgt = tuple(dict.fromkeys(table[p] for p in space.points))
+    fibers = [sum(1 << i for i, p in enumerate(space.points) if table[p] == y) for y in tgt]
     unions = [vicinity_sweep(space, fm) for fm in fibers]
     kernels = tuple(sum(1 << j2 for j2, fm in enumerate(fibers) if fm & ~k == 0) for k in unions)
-    sigma = FinitePretop(tgt, kernels)
-    f = SpaceMap.from_table(space, sigma, table)
-
-    lemma_ok = True
-    for j, k in enumerate(unions):
-        for s in range(1, sigma.full + 1):
-            pre = f.preimage_mask(s)
-            if (s & ~sigma.vicinity[j] == 0) != (pre & ~k == 0):
-                lemma_ok = False
-    irr = is_strongly_irreducible(f)
-    return QuotientResult(
-        sigma,
-        f,
-        lemma_ok,
-        is_hausdorff(space),
-        is_cover_compact(space, space.full),
-        irr,
-        is_w_theta_continuous(f) if irr.ok else None,
-    )
+    return SpaceMap.from_table(space, FinitePretop(tgt, kernels), table)
 
 
 # -- finite extensions ---------------------------------------------------------

@@ -84,10 +84,6 @@ class WindowTooSmall(WorkbenchError):
 
 # -- maps and constructions -------------------------------------------------
 
-class NotSurjective(WorkbenchError):
-    """Quotient construction applied to a non-surjective map."""
-
-
 class NotDense(WorkbenchError):
     """Extension whose base set is not dense in the ambient space."""
 

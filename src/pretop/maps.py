@@ -21,7 +21,6 @@ from .finite import (
     union_tables,
 )
 from .record import record
-from .regularize import partial_regularization
 
 CONTINUITY_METHODS = ("limit", "adh-filter", "adh-set", "inh", "vicinity")
 PERFECT_METHODS = ("definition", "adh-inequality", "a-and-b")
@@ -145,12 +144,6 @@ def is_continuous(f: SpaceMap, method: str = "vicinity") -> Verdict:
     raise ValueError(f"unknown method {method!r}")
 
 
-def is_w_theta_continuous(f: SpaceMap, method: str = "vicinity") -> Verdict:
-    """Continuity into the partial regularization of the target."""
-    reg = partial_regularization(f.target)
-    return is_continuous(SpaceMap(f.source, reg, f.graph), method)
-
-
 # -- perfect maps -----------------------------------------------------------------
 
 
@@ -235,14 +228,23 @@ def fiber_inside(f: SpaceMap, a: int) -> bool:
 def is_strongly_irreducible(f: SpaceMap) -> Verdict:
     """Every overlap of two inherence-nonempty sets swallows a fiber.
 
-    The scan runs over ascending (U, V) mask pairs with U = V allowed
-    and reports the first violating pair.  An empty fiber sits inside
-    every overlap, so maps missing part of the target pass outright.
+    A set has nonempty inherence exactly when it holds a least vicinity,
+    and a fiber fits an overlap the more easily the larger it is, so the
+    least vicinities decide it.  The map fails at the first pair i <= j
+    whose vicinities meet in a set holding no fiber, witnessed by the
+    two vicinities.  Failing that, two disjoint vicinities grown by one
+    point x overlap in {x} alone, so the map fails when some pair is
+    disjoint and some singleton holds no fiber: the first such pair,
+    each grown by the least such x.  An empty fiber sits inside every
+    overlap, so maps missing part of the target pass.
     """
     src = f.source
-    pool = [u for u in src.subsets() if src.inh(u)]
-    for u in pool:
-        for v in pool:
-            if u & v and not fiber_inside(f, u & v):
-                return Verdict(False, (src.names(u), src.names(v)))
+    pairs = [(u, v) for i, u in enumerate(src.vicinity) for v in src.vicinity[i:]]
+    for u, v in pairs:
+        if u & v and not fiber_inside(f, u & v):
+            return Verdict(False, (src.names(u), src.names(v)))
+    apart = next(((u, v) for u, v in pairs if not u & v), None)
+    lonely = next((1 << x for x in range(src.n) if not fiber_inside(f, 1 << x)), 0)
+    if apart and lonely:
+        return Verdict(False, (src.names(apart[0] | lonely), src.names(apart[1] | lonely)))
     return PASS

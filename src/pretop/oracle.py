@@ -29,20 +29,25 @@ from .construct import (
 from .defsets import DefSet, Point
 from .errors import SizeLimit
 from .finite import (
+    PASS,
     FinitePretop,
     PrincipalFilter,
+    Verdict,
     compact_at,
     count_hausdorff,
     enumerate_pretops,
     is_cover_compact,
     is_topological,
+    vicinity_sweep,
 )
 from .intervals import AxisDomain, IntervalSet
 from .maps import (
     CONTINUITY_METHODS,
     SpaceMap,
+    fiber_inside,
     is_continuous,
     is_perfect,
+    is_strongly_irreducible,
 )
 from .model import eval_set, parse_set_expr
 from .regularize import (
@@ -286,13 +291,32 @@ def _plan_quotients(n: int, rng: random.Random) -> list:
     return out
 
 
+def _irreducible_by_scan(f: SpaceMap) -> Verdict:
+    """Strong irreducibility by its definition: the first violating pair of
+    an ascending scan of every two sets with nonempty inherence."""
+    src = f.source
+    pool = [u for u in src.subsets() if src.inh(u)]
+    for u in pool:
+        for v in pool:
+            if u & v and not fiber_inside(f, u & v):
+                return Verdict(False, (src.names(u), src.names(v)))
+    return PASS
+
+
 def _check_quotient(inst) -> str | None:
+    """The convergence lemma on every target set, and strong irreducibility
+    of the projection by its route and by the definition scan."""
     vic, labels = inst
     sp = _space(vic)
-    table = {p: f"c{labels[i]}" for i, p in enumerate(sp.points)}
-    res = theta_quotient(sp, table)
-    if not res.lemma_ok:
-        return f"convergence mismatch on vic={vic} labels={labels}"
+    f = theta_quotient(sp, {p: f"c{labels[i]}" for i, p in enumerate(sp.points)})
+    sigma = f.target
+    for j in range(sigma.n):
+        k = vicinity_sweep(sp, f.fiber(j))
+        for s in sigma.kernels():
+            if (s & ~sigma.vicinity[j] == 0) != (f.preimage_mask(s) & ~k == 0):
+                return f"convergence mismatch on vic={vic} labels={labels}"
+    if is_strongly_irreducible(f).ok != _irreducible_by_scan(f).ok:
+        return f"strong irreducibility mismatch on vic={vic} labels={labels}"
     return None
 
 

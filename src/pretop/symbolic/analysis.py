@@ -911,11 +911,6 @@ class DefFilterBase:
         return self.family.describe()
 
 
-def _filter_core(x: SymbolicPretop, f: DefFilterBase) -> DefSet:
-    """Carrier points lying in every member of the family."""
-    return _membership_region(x, f.family)
-
-
 # -- unions swept over definable regions ---------------------------------------
 
 def _sweep_endpoint(e, name: str, vlo, vhi, want_max: bool):
@@ -1038,12 +1033,6 @@ def _end_filter(x: SymbolicPretop, e: EndClass) -> DefFilterBase:
     return DefFilterBase(trace_sym(x.schema, e, x.carrier, param=var("k")))
 
 
-def _mesh_boxes(x: SymbolicPretop, e: EndClass, f: DefFilterBase) -> list:
-    """Boxes over the end's parameter where its trace meshes the family."""
-    trace = trace_sym(x.schema, e, x.carrier)
-    return _meets_boxes(f.family, trace, _LIMITS_KB)
-
-
 def sym_compact_at(x: SymbolicPretop, f, a: DefSet) -> Verdict:
     """Whether every filter meshing ``f`` clusters inside ``a``.
 
@@ -1058,12 +1047,14 @@ def sym_compact_at(x: SymbolicPretop, f, a: DefSet) -> Verdict:
     if f.schema != x.schema:
         raise SchemaMismatch("filter family uses a different ground schema than the space")
     a = a & x.carrier_set
-    stray = _filter_core(x, f) - _core_union(x, a)
+    # carrier points in every member of the family
+    stray = _membership_region(x, f.family) - _core_union(x, a)
     if not stray.is_empty():
         return Verdict(False, next(stray.iter_sample_points()))
     a_sym = SymDefSet.from_defset(a)
     for e in ends(x):
-        boxes = _mesh_boxes(x, e, f)
+        # boxes over the end's parameter where its trace meshes the family
+        boxes = _meets_boxes(f.family, trace_sym(x.schema, e, x.carrier), _LIMITS_KB)
         if e.parametric:
             axis = _fixed_axis(x.schema, e)
             mesh = _boxes_interval(boxes, "p", axis)

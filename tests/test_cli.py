@@ -316,6 +316,29 @@ def test_map_checks_on_a_20_point_chain(capsys, chain_model, prop, fmap, method)
 
 
 @pytest.mark.parametrize(
+    "fmap, points",
+    [("fold", ("1", "2")), ("collapse", ("a", "b"))],
+    ids=["fold", "collapse"],
+)
+def test_quotient_of_q3(capsys, fmap, points):
+    # both maps have fibers {1 2} and {3}, which sweep to all of Q3 and to {3}
+    x, y = points
+    out = f"space Q3_quotient {{\n  points: {x} {y};\n  vicinity {x}: {{{x} {y}}};\n  vicinity {y}: {{{y}}};\n}}\n"
+    argv = ("construct", "quotient", "-f", FINITE, "--space", "Q3", "--map", fmap)
+    assert run(capsys, *argv) == (0, out, "")
+
+
+def test_quotient_of_a_20_point_chain(capsys, chain_model):
+    # every fiber {c(2i-1) c(2i)} sweeps to a set holding no other fiber,
+    # so the quotient is discrete
+    points = [f"d{i}" for i in range(1, 11)]
+    block = "".join(f"  vicinity {p}: {{{p}}};\n" for p in points)
+    out = f"space C20_quotient {{\n  points: {' '.join(points)};\n{block}}}\n"
+    argv = ("construct", "quotient", "-f", chain_model, "--space", "C20", "--map", "halve")
+    assert run(capsys, *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("--workers", "0"), "workers must be at least 1, got 0"),

@@ -8,7 +8,9 @@ vicinity.  The scans are kept here as references, and the routes must
 return the same verdicts and witnesses.  The H-set routes once scanned
 the opens of a topology, its atoms and every kernel of its θ-form; they
 now read the vicinity form, and ``OpenFamily`` rebuilds the old
-structure from the opens for the references.
+structure from the opens for the references.  Strong irreducibility
+once scanned every pair of sets with nonempty inherence; its reference
+is the oracle's, and its route may report another violating pair.
 """
 
 import itertools
@@ -23,7 +25,8 @@ from pretop.finite import (
     is_cover_compact,
     is_topological,
 )
-from pretop.maps import SpaceMap, is_continuous, is_perfect
+from pretop.maps import SpaceMap, is_continuous, is_perfect, is_strongly_irreducible
+from pretop.oracle import _irreducible_by_scan
 from pretop.regularize import filter_tower, hset_check, is_quasi_phc, partial_regularization
 
 
@@ -240,6 +243,10 @@ def random_space(rng, n):
     return FinitePretop(points, tuple((1 << i) | rng.getrandbits(n) for i in range(n)))
 
 
+def discrete(n):
+    return FinitePretop(tuple(str(j + 1) for j in range(n)), tuple(1 << j for j in range(n)))
+
+
 def map_routes(f):
     """(route, new verdict, reference verdict) for every rewritten map route."""
     src = f.source
@@ -361,3 +368,40 @@ def test_inherent_filter_takes_an_empty_vicinity_at_the_least_lonely_point():
     # inside {b} is inherent with empty adherence
     sp = FinitePretop(("a", "b", "c"), (0b000, 0b001, 0b101))
     assert verdict(is_quasi_phc(sp, "inherent-filter")) == ref_inherent_filter(sp) == (False, ("b",))
+
+
+def test_strong_irreducibility_matches_the_definition_scan():
+    """The verdict reads only the source and the fiber partition, so the
+    targets are discrete; graphs that miss target points are included."""
+    targets = [discrete(t) for t in range(1, 7)]
+    sources = spaces_up_to(3) + [sp for n in (1, 2) for sp in axiom_breaking_spaces(n)]
+    maps = [
+        SpaceMap(src, tgt, g)
+        for src in sources
+        for tgt in targets[:3]
+        for g in itertools.product(range(tgt.n), repeat=src.n)
+    ]
+    assert len(maps) == 2602
+    rng = random.Random(12)
+    for _ in range(3000):
+        src = random_space(rng, rng.randint(4, 6))
+        tgt = targets[rng.randrange(src.n)]
+        maps.append(SpaceMap(src, tgt, tuple(rng.randrange(tgt.n) for _ in range(src.n))))
+    by_vicinities = grown = 0
+    for f in maps:
+        got = is_strongly_irreducible(f)
+        assert got.ok == _irreducible_by_scan(f).ok, f
+        if got.ok:
+            continue
+        src = f.source
+        u, v = (src.mask(names) for names in got.witness)
+        meet = u & v
+        assert src.inh(u) and src.inh(v) and meet, f
+        assert all(f.fiber(j) & ~meet for j in range(f.target.n)), f
+        if u in src.vicinity and v in src.vicinity:
+            by_vicinities += 1
+        else:
+            grown += 1
+    # both failing branches: a pair of least vicinities, and a disjoint
+    # pair grown by a point whose singleton holds no fiber
+    assert by_vicinities > 0 and grown > 0, (by_vicinities, grown)

@@ -1,7 +1,8 @@
 """Module boundaries: no module of the package imports a private name
 (one starting with an underscore) from another module, every public
-top-level function or class is reached from the package itself, and
-``import pretop.cli`` stays cheap."""
+top-level function or class is reached from the package itself, only
+the oracle scans every subset of a finite space, and ``import
+pretop.cli`` stays cheap."""
 
 import ast
 import os
@@ -67,6 +68,44 @@ def test_every_public_name_is_reached_or_allowed():
                 named.add(node.name)
     unreached = {name for name in defined if name not in named}
     assert unreached == set(UNREACHED), sorted(unreached ^ set(UNREACHED))
+
+
+def _subset_scans(root):
+    """``file:line`` of every call that walks all subsets of a finite space:
+    ``.subsets()``, ``.kernels()`` or a ``range`` reading ``.full``.  The
+    oracle's reference scans and the two ``FinitePretop`` methods
+    themselves are exempt."""
+    scans = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {
+            id(n)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "FinitePretop"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name in ("subsets", "kernels")
+            for n in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in exempt:
+                continue
+            func = node.func
+            walks = (isinstance(func, ast.Attribute) and func.attr in ("subsets", "kernels")) or (
+                isinstance(func, ast.Name)
+                and func.id == "range"
+                and any(isinstance(n, ast.Attribute) and n.attr == "full" for arg in node.args for n in ast.walk(arg))
+            )
+            if walks:
+                scans.append(f"{path.relative_to(root)}:{node.lineno}")
+    return scans
+
+
+def test_only_the_oracle_scans_every_subset():
+    # such a scan is exponential in the points; the product routes decide
+    # by singletons and least vicinities instead
+    assert _subset_scans(SRC) == []
 
 
 def _import_time_nodes(tree):
