@@ -12,13 +12,25 @@ variables, as when Hausdorff separation names both points of a pair,
 give a system decided exactly by tight integer closure (Lahiri &
 Musuvathi, FroCoS 2005; Bagnara, Hill & Zaffanella, 2008-09).  A
 witness fixes its variables in a stated order, each to the feasible
-value nearest 0.  Whole-family questions (replace every template by its
-adherence, classify the limits of a parametric end) are answered by
-sampling exact windows with consensus guards and refitting the results
-into the endpoint language, splitting the coordinate range when no
-single formula covers it.  When a result cannot be expressed exactly
-the functions raise :class:`~pretop.errors.FragmentEscape` rather than
-approximate.
+value nearest 0.
+
+A region of points is read off the same systems: conjoined with a
+carrier box of a rule's pattern, each satisfiable system contributes its
+box, exactly when every comparison tying two coordinates holds
+throughout that carrier box.  Whole-family questions (the adherence of
+every template, the core of every vicinity) keep the point and its
+parameter as outer variables ``N``, ``M``, ``K``.  Each comparison then
+bounds an inner coordinate by an endpoint in at most one outer
+variable, or compares outer variables alone, so at each outer point a
+system's inner solutions form the box between its greatest lower and
+least upper endpoints.  The outer range is cut into cells on which every
+such comparison holds or fails throughout, decided by the same closure,
+and each side keeps its dominating endpoint there: variable elimination
+on octagons (Miné, HOSC 2006; Bagnara, Hill & Zaffanella 2009).  Only
+the limits of a parametric end are still found by sampling exact
+windows and refitting them into the endpoint language.  When a result
+cannot be expressed exactly the functions raise
+:class:`~pretop.errors.FragmentEscape` rather than approximate.
 """
 
 from __future__ import annotations
@@ -297,40 +309,99 @@ def _meets_boxes(left: SymDefSet, right: SymDefSet, limits: frozenset, extra=([]
     return out
 
 
-def _box_interval(box, name: str, axis: AxisDomain) -> IntervalSet:
-    if isinstance(box, tuple):
-        _, ties = box
-        raise FragmentEscape(f"comparison ties {ties[0][1]} to {ties[0][3]}")
-    lo, hi = box.get(name, (NEG_INF, INF))
-    return IntervalSet.from_pairs(axis, [(lo, hi)])
+def _region_boxes(schema: GroundSchema, pat: PointPattern, s: DefSet):
+    """Coordinate boxes of the pattern's region intersected with ``s``."""
+    if pat.kind == "atom":
+        if pat.strand in s.atoms:
+            yield {}
+        return
+    if pat.kind == "ray":
+        (sel,) = pat.selectors(schema)
+        for lo, hi in (s.ray_part(pat.strand) & sel).parts:
+            yield {"n": (lo, hi)}
+        return
+    rows_sel, cols_sel = pat.selectors(schema)
+    for rows, cols in s.grid_part(pat.strand):
+        rr = rows & rows_sel
+        cc = cols & cols_sel
+        for rpart in rr.parts:
+            for cpart in cc.parts:
+                yield {"n": rpart, "m": cpart}
 
 
-def _boxes_interval(boxes, name: str, axis: AxisDomain) -> IntervalSet:
-    out = IntervalSet.empty(axis)
-    for box in boxes:
-        out = out | _box_interval(box, name, axis)
+@lru_cache(maxsize=None)
+def _carrier_conds(schema: GroundSchema, pat: PointPattern, carrier, tag: str = "") -> tuple:
+    """Comparison lists, one per box of the pattern's carrier points,
+    confining its coordinates renamed ``n<tag>`` and ``m<tag>``."""
+    out = []
+    for box in _region_boxes(schema, pat, DefSet.full(schema) if carrier is None else carrier):
+        conds = []
+        for v, (lo, hi) in box.items():
+            if lo != NEG_INF:
+                conds.append((SymExpr.const(lo), var(v + tag)))
+            if hi != INF:
+                conds.append((var(v + tag), SymExpr.const(hi)))
+        out.append(tuple(conds))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _discrete_rules(schema: GroundSchema) -> tuple:
+    """One rule per strand whose template is the point itself: the
+    adherence of a family in the discrete space is the set of points
+    lying in the family at every large parameter."""
+    n, m = var("n"), var("m")
+    rules = [VicinityRule(PointPattern.atom(a), SymDefSet.assemble(schema, atoms=[a])) for a in schema.atoms]
+    rules += [
+        VicinityRule(PointPattern.ray(name), SymDefSet.assemble(schema, ray_parts={name: [(n, n)]}))
+        for name, _ in schema.rays
+    ]
+    rules += [
+        VicinityRule(PointPattern.grid(name), SymDefSet.assemble(schema, grid_rects={name: [(n, n, m, m)]}))
+        for name, *_ in schema.grids
+    ]
+    return tuple(rules)
+
+
+def _sections(x: SymbolicPretop, rules, right: SymDefSet, limits: frozenset) -> list:
+    """The systems on which a rule's template meets ``right``, each
+    conjoined with one carrier box of the rule's pattern and sorted by
+    :func:`_section`."""
+    out = []
+    for rule in rules:
+        boxes = _carrier_conds(x.schema, rule.pattern, x.carrier)
+        for conds in _meet_conds(rule.template, right):
+            for box in boxes:
+                sec = _section(rule.pattern, [*conds, *box], limits)
+                if sec is not None:
+                    out.append(sec)
     return out
 
 
-def _boxes_region(x: SymbolicPretop, pat: PointPattern, boxes) -> DefSet:
-    """Region of the pattern's points selected by coordinate boxes."""
+def _region(x: SymbolicPretop, rules, right: SymDefSet, limits: frozenset) -> DefSet:
+    """Carrier points whose template, by the rule covering them, meets
+    ``right`` eventually in the limit variables: the pieces of
+    :func:`_pieces` on the one cell of a question without outer
+    variables."""
     schema = x.schema
-    if not boxes:
-        return DefSet.empty(schema)
-    if pat.kind == "atom":
-        region = DefSet.build(schema, atoms=[pat.strand])
-    elif pat.kind == "ray":
-        axis = schema.ray_axis(pat.strand)
-        region = DefSet.build(
-            schema, ray_parts={pat.strand: _boxes_interval(boxes, "n", axis)}
-        )
-    else:
-        rows_ax, cols_ax = schema.grid_axes(pat.strand)
-        groups = [
-            (_box_interval(b, "n", rows_ax), _box_interval(b, "m", cols_ax)) for b in boxes
+    pieces = _pieces({}, _sections(x, rules, right, limits), limits)
+    atoms, rays, grids = _collect(
+        (pat, tuple(e if isinstance(e, float) else e.offset for e in ends)) for pat, ends in pieces
+    )
+    ray_parts = {name: IntervalSet.from_pairs(schema.ray_axis(name), parts) for name, parts in rays.items()}
+    grid_rects = {}
+    for name, rects in grids.items():
+        rows_ax, cols_ax = schema.grid_axes(name)
+        grid_rects[name] = [
+            (IntervalSet.from_pairs(rows_ax, [(rl, rh)]), IntervalSet.from_pairs(cols_ax, [(cl, ch)]))
+            for rl, rh, cl, ch in rects
         ]
-        region = DefSet.build(schema, grid_rects={pat.strand: groups})
-    return region & pat.to_defset(schema)
+    return DefSet.build(schema, atoms, ray_parts, grid_rects)
+
+
+def _param_region(systems, axis: AxisDomain) -> IntervalSet:
+    """Values of the end parameter ``p`` at which one of the systems holds."""
+    return IntervalSet.from_pairs(axis, [s.get("p", (NEG_INF, INF)) for s in systems])
 
 
 # -- adherence and inherence --------------------------------------------------
@@ -340,259 +411,217 @@ def sym_adh(x: SymbolicPretop, s: DefSet) -> DefSet:
     _check_schema(x, s)
     if s.is_empty():
         return s
-    right = SymDefSet.from_defset(s)
-    out = DefSet.empty(x.schema)
-    for rule in x.rules:
-        boxes = _meets_boxes(rule.template, right, _LIMITS_K)
-        out = out | _boxes_region(x, rule.pattern, boxes)
-    return out if x.carrier is None else out & x.carrier
+    return _region(x, x.rules, SymDefSet.from_defset(s), _LIMITS_K)
 
 
 def sym_inh(x: SymbolicPretop, s: DefSet) -> DefSet:
     """Points with some vicinity inside ``s``."""
     _check_schema(x, s)
     right = SymDefSet.from_defset(DefSet.full(x.schema) - s)
-    out = DefSet.empty(x.schema)
-    for rule in x.rules:
-        boxes = _meets_boxes(rule.template, right, _LIMITS_K)
-        out = out | (rule.pattern.to_defset(x.schema) - _boxes_region(x, rule.pattern, boxes))
-    return out if x.carrier is None else out & x.carrier
+    return x.carrier_set - _region(x, x.rules, right, _LIMITS_K)
 
 
 def _membership_region(x: SymbolicPretop, left: SymDefSet) -> DefSet:
-    """Carrier points lying in the set at every parameter value.
+    """Carrier points lying in the set at every large parameter."""
+    return _region(x, _discrete_rules(x.schema), left, _LIMITS_K)
 
-    Probes each strand with a variable singleton; sound because the
-    probed set only uses the parameter variables, never ``n`` or ``m``.
+
+# -- families of regions, symbolic in a point -------------------------------------
+
+_OUTER = {"n": var("N"), "m": var("M")}
+_OUTER_K = {**_OUTER, "k": var("K")}
+
+
+class _Open(Exception):
+    """A comparison that a cell leaves open on one outer variable; it
+    holds where the variable lies in ``inside``."""
+
+    def __init__(self, name: str, inside: IntervalSet):
+        super().__init__(name)
+        self.name, self.inside = name, inside
+
+
+def _section(pat: PointPattern, conds: list, limits: frozenset):
+    """One system sorted by what each comparison bounds, or None when one
+    never holds.
+
+    Returns (pattern, guards, bounds): the guards compare outer variables
+    (``N``, ``M``, ``K``) alone, and ``bounds`` lists, per coordinate of
+    the pattern, the lower and upper endpoint candidates that the other
+    comparisons give it, each constant or in one outer variable.  A
+    comparison tying two coordinates must follow from the others, as a
+    carrier box with rows below its columns makes ``n <= m`` follow.
     """
-    schema = x.schema
-    atoms = left.atoms if left.mask is None else left.atoms & left.mask.atoms
-    ray_parts = {}
-    for name, ax in schema.rays:
-        probe = SymDefSet.assemble(schema, ray_parts={name: [(var("n"), var("n"))]})
-        ray_parts[name] = _boxes_interval(_meets_boxes(left, probe, _LIMITS_K), "n", ax)
-    grid_rects = {}
-    for name, rows_ax, cols_ax in schema.grids:
-        probe = SymDefSet.assemble(
-            schema, grid_rects={name: [(var("n"), var("n"), var("m"), var("m"))]}
-        )
-        grid_rects[name] = [
-            (_box_interval(b, "n", rows_ax), _box_interval(b, "m", cols_ax))
-            for b in _meets_boxes(left, probe, _LIMITS_K)
-        ]
-    out = DefSet.build(schema, atoms, ray_parts, grid_rects)
-    return out if x.carrier is None else out & x.carrier
-
-
-def vicinity_core(x: SymbolicPretop, p: Point) -> DefSet:
-    """Points lying in every vicinity of ``p``."""
-    return _membership_region(x, x.template_at(p))
-
-
-# -- refitting families of concrete answers into templates --------------------
-
-@record
-class _FitAxis:
-    name: str
-    axis: AxisDomain
-    selector: IntervalSet
-
-
-def _sweep_values(v: _FitAxis, span: int) -> tuple:
-    """Core sampling positions along one variable, plus outside guards."""
-    if v.axis.kind == "nat":
-        lo, hi = v.axis.low, v.axis.low + 2 * span
-    else:
-        lo, hi = -span, span
-    core = [t for t in range(lo, hi + 1) if t in v.selector]
-    guards = []
-    if core:
-        top = core[-1]
-        guards += [top + g for g in GUARD_OFFSETS if top + g in v.selector]
-        if v.axis.kind == "int":
-            bottom = core[0]
-            guards += [bottom - g for g in GUARD_OFFSETS if bottom - g in v.selector]
-    return core, guards
-
-
-def _merge_endpoint(base_value, fitted):
-    if isinstance(base_value, float):
-        return base_value
-    dep = [e for e in fitted if not isinstance(e, float) and e.var is not None]
-    if not dep:
-        return SymExpr.const(base_value)
-    if len(dep) > 1:
-        return None
-    return dep[0]
-
-
-def _merge_sets(axis: AxisDomain, base: IntervalSet, fitted) -> SymIntervalSet | None:
-    n = len(base.parts)
-    if any(len(f.parts) != n for f in fitted):
-        return None
-    pieces = []
-    for i, (blo, bhi) in enumerate(base.parts):
-        lo = _merge_endpoint(blo, [f.parts[i].lo for f in fitted])
-        hi = _merge_endpoint(bhi, [f.parts[i].hi for f in fitted])
-        if lo is None or hi is None:
+    inner = pat.vars
+    guards, ties, lows, highs = [], [], {v: [] for v in inner}, {v: [] for v in inner}
+    for e1, e2 in conds:
+        got = _le(e1, e2, limits)
+        if got is True:
+            continue
+        if got is False:
             return None
-        pieces.append(SymInterval(lo, hi))
-    return SymIntervalSet(axis, tuple(pieces))
-
-
-def _merge_fits(schema: GroundSchema, base: DefSet, fits) -> SymDefSet | None:
-    """Combine per-variable fits into one template.
-
-    Each endpoint may depend on at most one variable; the per-variable
-    fits tell which one, and any disagreement or cross dependence means
-    the family is outside the endpoint language.
-    """
-    for f in fits:
-        if f.atoms != base.atoms:
-            return None
-    rays = []
-    for idx, (name, s) in enumerate(base.rays):
-        fitted = _merge_sets(schema.ray_axis(name), s, [f.rays[idx][1] for f in fits])
-        if fitted is None:
-            return None
-        rays.append((name, fitted))
-    grids = []
-    for idx, (name, groups) in enumerate(base.grids):
-        rows_ax, cols_ax = schema.grid_axes(name)
-        if any(len(f.grids[idx][1]) != len(groups) for f in fits):
-            return None
-        rects = []
-        for g, (rows, cols) in enumerate(groups):
-            frows = _merge_sets(rows_ax, rows, [f.grids[idx][1][g][0] for f in fits])
-            fcols = _merge_sets(cols_ax, cols, [f.grids[idx][1][g][1] for f in fits])
-            if frows is None or fcols is None:
-                return None
-            rects.append((frows, fcols))
-        grids.append((name, tuple(rects)))
-    return SymDefSet(schema, base.atoms, tuple(rays), tuple(grids), None)
-
-
-def _joint_probes(fit_vars, vals, guards):
-    if len(fit_vars) < 2:
-        return []
-
-    def stagger(v, i):
-        pool = vals[v.name][1:] + guards[v.name]
-        return pool[min(i, len(pool) - 1)] if pool else vals[v.name][0]
-
-    return [
-        {v.name: vals[v.name][-1] for v in fit_vars},
-        {v.name: (guards[v.name][-1] if guards[v.name] else vals[v.name][-1]) for v in fit_vars},
-        {v.name: stagger(v, 2 * i + 1) for i, v in enumerate(fit_vars)},
-    ]
-
-
-def _fit_uniform(schema: GroundSchema, fit_vars, compute, span: int) -> SymDefSet | None:
-    vals, guards = {}, {}
-    for v in fit_vars:
-        c, g = _sweep_values(v, span)
-        if not c:
-            return None
-        vals[v.name], guards[v.name] = c, g
-    base_env = {name: c[0] for name, c in vals.items()}
-    base = compute(base_env)
-    fits = []
-    for v in fit_vars:
-        fam = [(t, compute({**base_env, v.name: t})) for t in vals[v.name]]
-        if len(fam) == 1:
-            fitted = SymDefSet.from_defset(fam[0][1])
-        else:
-            fitted = fit_defsets(v.name, fam)
-        if fitted is None:
-            return None
-        for g in guards[v.name]:
-            if fitted.evaluate({v.name: g}) != compute({**base_env, v.name: g}):
-                return None
-        fits.append(fitted)
-    merged = _merge_fits(schema, base, fits)
-    if merged is None:
-        return None
-    for env in _joint_probes(fit_vars, vals, guards):
-        if merged.evaluate(env) != compute(env):
-            return None
-    return merged
-
-
-def _fit_over_pattern(x: SymbolicPretop, rule: VicinityRule, compute, with_k: bool) -> tuple:
-    """Fit a family of concrete answers over a rule's region.
-
-    Returns (pattern, template) pairs that cover the region.  A failed
-    uniform fit first retries with the parameter rebased past its early
-    values (legal: a cofinal decreasing subfamily generates the same
-    filter), then splits the first coordinate whose range admits more
-    than one value; a split coordinate range that still fails is
-    outside the fragment.
-    """
-    schema = x.schema
-    span = 2 * x.bound + 6
-    pat = rule.pattern
-    axes = []
-    if pat.kind == "ray":
-        axes.append(("n", schema.ray_axis(pat.strand)))
-    elif pat.kind == "grid":
-        rows_ax, cols_ax = schema.grid_axes(pat.strand)
-        axes.append(("n", rows_ax))
-        axes.append(("m", cols_ax))
-    selectors = dict(zip((n for n, _ in axes), pat.selectors(schema)))
-    cache = {}
-
-    def cached(env):
-        key = tuple(sorted(env.items()))
-        if key not in cache:
-            cache[key] = compute(env)
-        return cache[key]
-
-    def attempt(sel_map):
-        fit_vars = [_FitAxis(name, ax, sel_map[name]) for name, ax in axes]
-        if with_k:
-            fit_vars.append(_FitAxis("k", NATURALS0, IntervalSet.full(NATURALS0)))
-        t = _fit_uniform(schema, fit_vars, cached, span)
-        if t is None and with_k:
-            rebased = fit_vars[:-1] + [
-                _FitAxis("k", NATURALS0, IntervalSet.at_least(NATURALS0, span + 1))
-            ]
-            t = _fit_uniform(schema, rebased, cached, span)
-            if t is not None:
-                t = t.shift_var("k", span + 1)
-        return t
-
-    def subpattern(sel_map):
-        if pat.kind == "atom":
-            return pat
-        if pat.kind == "ray":
-            return PointPattern.ray(pat.strand, sel_map["n"])
-        return PointPattern.grid(pat.strand, sel_map["n"], sel_map["m"])
-
-    def go(sel_map, depth):
-        t = attempt(sel_map)
-        if t is not None:
-            return [(subpattern(sel_map), t)]
-        for name, ax in axes:
-            sel = sel_map[name]
-            if sel.cardinality() == 1:
+        if len(got) == 3:
+            v, lo, hi = got
+            if v not in inner:
+                guards.append((e1, e2))
                 continue
-            if depth.get(name, 0) >= 2:
-                break
-            core, _ = _sweep_values(_FitAxis(name, ax, sel), span)
-            covered = IntervalSet.from_pairs(ax, [(t0, t0) for t0 in core])
-            out = []
-            for t0 in core:
-                out += go({**sel_map, name: IntervalSet.single(ax, t0)}, depth)
-            rest = sel - covered
-            for lo, hi in rest.parts:
-                part = IntervalSet.from_pairs(ax, [(lo, hi)])
-                out += go({**sel_map, name: part}, {**depth, name: depth.get(name, 0) + 1})
-            return out
-        raise FragmentEscape(
-            f"adherence family of rule [{rule.pattern.describe()}] leaves the endpoint language"
+            if lo != NEG_INF:
+                lows[v].append(SymExpr.const(lo))
+            if hi != INF:
+                highs[v].append(SymExpr.const(hi))
+            continue
+        a, x, b, y, c = got
+        if x in inner and y in inner:
+            ties.append((e1, e2))
+        elif x in inner:  # a*x <= c - b*y
+            (highs if a > 0 else lows)[x].append(SymExpr(y, -a * b, a * c))
+        elif y in inner:
+            (highs if b > 0 else lows)[y].append(SymExpr(x, -a * b, b * c))
+        else:
+            guards.append((e1, e2))
+    rest = [cond for cond in conds if cond not in ties]
+    for e1, e2 in ties:
+        if _conjoin(rest + [(e2 + 1, e1)], limits) is not None:
+            raise FragmentEscape(f"comparison ties {e1.var} to {e2.var}")
+    bounds = tuple((v, tuple(dict.fromkeys(lows[v])), tuple(dict.fromkeys(highs[v]))) for v in inner)
+    return pat, tuple(guards), bounds
+
+
+def _holds(cell: dict, e1, e2, limits: frozenset):
+    """True or False when ``e1 <= e2`` holds or fails at every point of
+    the cell, None when the cell leaves it open."""
+    got = _le(e1, e2, limits)
+    if got is True or got is False:
+        return got
+    if len(got) == 3:
+        v, lo, hi = got
+        sel = cell[v]
+        inside = sel & IntervalSet.from_pairs(sel.axis, [(lo, hi)])
+        return True if inside == sel else False if inside.is_empty() else None
+    a, x, b, y, c = got
+
+    def feasible(tie):
+        return any(
+            _tight_box({x: px, y: py}, [tie]) is not None for px in cell[x].parts for py in cell[y].parts
         )
 
-    return tuple(go(selectors, {}))
+    if not feasible((-a, x, -b, y, -c - 1)):
+        return True
+    return False if not feasible(got) else None
+
+
+def _open(cell: dict, e1, e2, limits: frozenset):
+    """Raise the cut that settles an open ``e1 <= e2``; a comparison of
+    two outer variables cannot be cut into cells and leaves the fragment."""
+    got = _le(e1, e2, limits)
+    if len(got) == 5:
+        raise FragmentEscape(f"comparison ties {got[1]} to {got[3]}")
+    v, lo, hi = got
+    raise _Open(v, cell[v] & IntervalSet.from_pairs(cell[v].axis, [(lo, hi)]))
+
+
+def _extreme(cell: dict, cands: tuple, limits: frozenset, top: bool):
+    """The candidate at or above every other throughout the cell (at or
+    below when not ``top``); infinite when there is none."""
+    if not cands:
+        return NEG_INF if top else INF
+    best = cands[0]
+    for c in cands[1:]:
+        lo, hi = (best, c) if top else (c, best)
+        if _holds(cell, lo, hi, limits) is True:
+            best = c
+        elif _holds(cell, hi, lo, limits) is not True:
+            _open(cell, lo, hi, limits)
+    return best
+
+
+def _pieces(cell: dict, sections: list, limits: frozenset) -> list:
+    """(pattern, lower and upper endpoint of each coordinate) of every
+    section that is nonempty on the cell.
+
+    A section is dropped when one of its guards, or one of its "lower
+    candidate <= upper candidate" pairs, fails throughout the cell; it
+    keeps the dominating candidate on each side.  A comparison the cell
+    leaves open raises :class:`_Open`.
+    """
+    out = []
+    for pat, guards, bounds in sections:
+        pairs = list(guards) + [(lo, hi) for _, lows, highs in bounds for lo in lows for hi in highs]
+        verdicts = [_holds(cell, e1, e2, limits) for e1, e2 in pairs]
+        if False in verdicts:
+            continue
+        if None in verdicts:
+            _open(cell, *pairs[verdicts.index(None)], limits)
+        ends = []
+        for _, lows, highs in bounds:
+            ends += [_extreme(cell, lows, limits, True), _extreme(cell, highs, limits, False)]
+        out.append((pat, tuple(ends)))
+    return out
+
+
+def _cells(x: SymbolicPretop, pat: PointPattern, cell: dict, sections: list, limits: frozenset) -> list:
+    """(cell, pieces) pairs in ascending coordinate order, covering the
+    carrier points of the cell.
+
+    An open comparison on ``N`` or ``M`` cuts the cell at its threshold.
+    One on ``K`` raises the cell's floor of ``K`` to the side that every
+    large ``K`` reaches: a decreasing family and its tail generate the
+    same filter.
+    """
+    sub = PointPattern(pat.strand, pat.kind, cell.get("N"), cell.get("M"))
+    if not sub.to_defset(x.schema).meets(x.carrier_set):
+        return []
+    try:
+        return [(cell, _pieces(cell, sections, limits))]
+    except _Open as cut:
+        rest = cell[cut.name] - cut.inside
+        if cut.name == "K":
+            tail = cut.inside if cut.inside.has_plus_end() else rest
+            return _cells(x, pat, {**cell, "K": tail}, sections, limits)
+        halves = sorted((cut.inside, rest), key=lambda s: s.parts)
+        return [c for half in halves for c in _cells(x, pat, {**cell, cut.name: half}, sections, limits)]
+
+
+def _collect(pieces) -> tuple:
+    """Atoms, ray pieces and grid rectangles of (pattern, endpoints)
+    pieces, each listed once."""
+    atoms, rays, grids = [], {}, {}
+    for pat, ends in pieces:
+        if pat.kind == "atom":
+            atoms.append(pat.strand)
+        else:
+            (rays if pat.kind == "ray" else grids).setdefault(pat.strand, {})[ends] = None
+    return atoms, rays, grids
+
+
+def _family(x: SymbolicPretop, pat: PointPattern, right: SymDefSet, rules, limits: frozenset) -> tuple:
+    """(pattern, template) pairs covering the carrier points of ``pat``.
+
+    ``right`` is symbolic in the outer point's coordinates ``N``, ``M``
+    and, for a regularization, in its parameter ``K``.  At each outer
+    point the template holds the carrier points whose template, by their
+    rule among ``rules``, meets ``right`` eventually in the limit
+    variables.  Each system of those meets, conjoined with a carrier box
+    of the inner pattern, is sorted by :func:`_section`; the outer
+    selectors are cut into cells on which every section is settled
+    (:func:`_cells`).  One template for all cells gives one rule with
+    the pattern's selectors made explicit.
+    """
+    schema = x.schema
+    sections = _sections(x, rules, right, limits)
+    cell = dict(zip(("N", "M"), pat.selectors(schema)))
+    if "K" in right.vars:
+        cell["K"] = IntervalSet.full(NATURALS0)
+    out, shapes = [], set()
+    for c, pieces in _cells(x, pat, cell, sections, limits):
+        floor = c["K"].least() if "K" in c else 0
+        shapes.add((floor, frozenset((p.strand, ends) for p, ends in pieces)))
+        outer = {"N": var("n"), "M": var("m"), "K": var("k") + floor}
+        template = SymDefSet.assemble(schema, *_collect(pieces)).substitute(outer)
+        out.append((PointPattern(pat.strand, pat.kind, c.get("N"), c.get("M")), template))
+    if len(shapes) == 1:
+        return ((PointPattern(pat.strand, pat.kind, *pat.selectors(schema)), out[0][1]),)
+    return tuple(out)
 
 
 # -- regularization and theta closure -----------------------------------------
@@ -605,20 +634,13 @@ def sym_regularize(x: SymbolicPretop) -> SymbolicPretop:
     templates shrink, and each point stays inside the adherence of its
     own vicinity, so the pointwise axioms cannot break.
     """
-    carrier = x.carrier
     new_rules = []
     for rule in x.rules:
-        if carrier is not None and (rule.pattern.to_defset(x.schema) & carrier).is_empty():
-            continue
-        with_k = "k" in rule.template.vars
-
-        def compute(env, rule=rule):
-            return sym_adh(x, rule.template.evaluate({**env, "k": env.get("k", 0)}))
-
-        for sub_pat, template in _fit_over_pattern(x, rule, compute, with_k):
-            new_rules.append(VicinityRule(sub_pat, template.with_mask(carrier)))
+        right = rule.template.substitute(_OUTER_K)
+        for pat, template in _family(x, rule.pattern, right, x.rules, _LIMITS_K):
+            new_rules.append(VicinityRule(pat, template.with_mask(x.carrier)))
     label = f"r({x.label})" if x.label else "regularized"
-    return SymbolicPretop(x.schema, tuple(new_rules), False, carrier, label)
+    return SymbolicPretop(x.schema, tuple(new_rules), False, x.carrier, label)
 
 
 def cl_theta(x: SymbolicPretop, s: DefSet, iterations: int = 1) -> DefSet:
@@ -705,7 +727,7 @@ def _exists_region(x: SymbolicPretop, e: EndClass):
     boxes = _meets_boxes(trace, SymDefSet.from_defset(DefSet.full(x.schema)), _LIMITS_KB)
     if not e.parametric:
         return bool(boxes)
-    return _boxes_interval(boxes, "p", _fixed_axis(x.schema, e))
+    return _param_region(boxes, _fixed_axis(x.schema, e))
 
 
 @lru_cache(maxsize=None)
@@ -772,11 +794,7 @@ def _end_limits_at(x: SymbolicPretop, e: EndClass, p) -> DefSet:
     trace = trace_sym(x.schema, e, x.carrier)
     if p is not None:
         trace = trace.substitute({"p": p})
-    out = DefSet.empty(x.schema)
-    for rule in x.rules:
-        boxes = _meets_boxes(rule.template, trace, _LIMITS_KB)
-        out = out | _boxes_region(x, rule.pattern, boxes)
-    return out if x.carrier is None else out & x.carrier
+    return _region(x, x.rules, trace, _LIMITS_KB)
 
 
 def _greedy_runs(samples: list) -> list:
@@ -963,26 +981,6 @@ def _sweep_symdefset(t: SymDefSet, ranges: dict) -> SymDefSet:
     return SymDefSet(t.schema, t.atoms, rays, tuple(grids), t.mask)
 
 
-def _region_boxes(x: SymbolicPretop, pat: PointPattern, s: DefSet):
-    """Coordinate boxes of the pattern's region intersected with ``s``."""
-    if pat.kind == "atom":
-        if pat.strand in s.atoms:
-            yield {}
-        return
-    if pat.kind == "ray":
-        (sel,) = pat.selectors(x.schema)
-        for lo, hi in (s.ray_part(pat.strand) & sel).parts:
-            yield {"n": (lo, hi)}
-        return
-    rows_sel, cols_sel = pat.selectors(x.schema)
-    for rows, cols in s.grid_part(pat.strand):
-        rr = rows & rows_sel
-        cc = cols & cols_sel
-        for rpart in rr.parts:
-            for cpart in cc.parts:
-                yield {"n": rpart, "m": cpart}
-
-
 def _vicinity_union(x: SymbolicPretop, s: DefSet) -> SymDefSet:
     """Union of the vicinity templates over the points of ``s``."""
     _check_schema(x, s)
@@ -991,7 +989,7 @@ def _vicinity_union(x: SymbolicPretop, s: DefSet) -> SymDefSet:
     ray_acc = {name: [] for name, _ in x.schema.rays}
     grid_acc = {name: [] for name, *_ in x.schema.grids}
     for rule in x.rules:
-        for ranges in _region_boxes(x, rule.pattern, s):
+        for ranges in _region_boxes(x.schema, rule.pattern, s):
             swept = _sweep_symdefset(rule.template, ranges)
             atoms |= swept.atoms
             for name, sis in swept.rays:
@@ -1007,9 +1005,8 @@ def _vicinity_union(x: SymbolicPretop, s: DefSet) -> SymDefSet:
 
 @lru_cache(maxsize=None)
 def _core_templates(x: SymbolicPretop, rule: VicinityRule) -> tuple:
-    return _fit_over_pattern(
-        x, rule, lambda env: vicinity_core(x, _point_of(rule.pattern, env)), with_k=False
-    )
+    """Vicinity cores of the rule's points: the points lying in every vicinity."""
+    return _family(x, rule.pattern, rule.template.substitute(_OUTER), _discrete_rules(x.schema), _LIMITS_K)
 
 
 def _core_union(x: SymbolicPretop, a: DefSet) -> DefSet:
@@ -1017,10 +1014,8 @@ def _core_union(x: SymbolicPretop, a: DefSet) -> DefSet:
     a = a & x.carrier_set
     total = DefSet.empty(x.schema)
     for rule in x.rules:
-        if x.carrier is not None and (rule.pattern.to_defset(x.schema) & x.carrier).is_empty():
-            continue
         for sub_pat, ct in _core_templates(x, rule):
-            for ranges in _region_boxes(x, sub_pat, a):
+            for ranges in _region_boxes(x.schema, sub_pat, a):
                 total = total | _sweep_symdefset(ct, ranges).evaluate({})
     return total
 
@@ -1057,7 +1052,7 @@ def sym_compact_at(x: SymbolicPretop, f, a: DefSet) -> Verdict:
         boxes = _meets_boxes(f.family, trace_sym(x.schema, e, x.carrier), _LIMITS_KB)
         if e.parametric:
             axis = _fixed_axis(x.schema, e)
-            mesh = _boxes_interval(boxes, "p", axis)
+            mesh = _param_region(boxes, axis)
             if mesh.is_empty():
                 continue
             conv = end_converges(x, e)
@@ -1065,9 +1060,7 @@ def sym_compact_at(x: SymbolicPretop, f, a: DefSet) -> Verdict:
                 hood = sel & mesh
                 if hood.is_empty():
                     continue
-                good = _boxes_interval(
-                    _meets_boxes(sym, a_sym, frozenset()), "p", axis
-                )
+                good = _param_region(_meets_boxes(sym, a_sym, frozenset()), axis)
                 bad = hood - good
                 if not bad.is_empty():
                     return Verdict(False, e.pin(bad.least()))
@@ -1108,13 +1101,7 @@ def _pair_side(x: SymbolicPretop, rule: VicinityRule, tag: str) -> tuple:
     """The rule's template with its coordinates renamed ``n<tag>`` and
     ``m<tag>``, and one comparison list per carrier box of its pattern."""
     names = {v: var(v + tag) for v in rule.pattern.vars}
-    boxes = []
-    for box in _region_boxes(x, rule.pattern, x.carrier_set):
-        conds = []
-        for v, (lo, hi) in box.items():
-            conds += [(as_endpoint(lo), names[v]), (names[v], as_endpoint(hi))]
-        boxes.append(conds)
-    return rule.template.substitute(names), boxes
+    return rule.template.substitute(names), _carrier_conds(x.schema, rule.pattern, x.carrier, tag)
 
 
 def _apart(pat: PointPattern) -> list:
@@ -1149,7 +1136,7 @@ def sym_hausdorff(x: SymbolicPretop) -> Verdict:
                 continue
             t2, boxes2 = _pair_side(x, r2, "2")
             apart = _apart(r1.pattern) if same else [[]]
-            extra = [b1 + b2 + d for b1 in boxes1 for b2 in boxes2 for d in apart]
+            extra = [[*b1, *b2, *d] for b1 in boxes1 for b2 in boxes2 for d in apart]
             systems = _meets_boxes(t1, t2, _LIMITS_K, extra)
             if systems:
                 env = _solution(systems[0], ("n1", "m1", "n2", "m2"))

@@ -1,8 +1,8 @@
 """Module boundaries: no module of the package imports a private name
 (one starting with an underscore) from another module, every public
 top-level function or class is reached from the package itself, only
-the oracle scans every subset of a finite space, and ``import
-pretop.cli`` stays cheap."""
+the oracle scans every subset of a finite space, ``import pretop.cli``
+stays cheap and loads every name the benchmark's tracer wraps."""
 
 import ast
 import os
@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pretop"
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 
 # Public names that no module of the package uses, each kept on purpose.
 UNREACHED = {
@@ -138,3 +139,28 @@ def test_cli_start_up_loads_no_dataclasses_inspect_or_oracle():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.split() == []
+
+
+def _tracer_literal(name: str):
+    """The literal bound to ``name`` at the top level of perfbench/tracer.py."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/tracer.py binds no {name}")
+
+
+def test_every_name_the_tracer_wraps_resolves_after_importing_the_cli():
+    # the tracer reads sys.modules after `import pretop.cli`; a name it
+    # cannot find fails the traced benchmark run
+    import pretop.cli  # noqa: F401
+
+    def resolve(modname: str, path: str):
+        obj = sys.modules[modname]
+        for part in path.split("."):
+            obj = getattr(obj, part)
+        return obj
+
+    for _, modname, path in _tracer_literal("FUNCTIONS"):
+        assert callable(resolve(modname, path)), (modname, path)
+    for modname, path in _tracer_literal("CACHES").values():
+        assert hasattr(resolve(modname, path), "cache_info"), (modname, path)

@@ -38,9 +38,8 @@ from pretop.symbolic import (
     sym_regularize,
     sym_restrict,
     sym_separated,
-    vicinity_core,
 )
-from pretop.symbolic.analysis import _conjoin, _solution
+from pretop.symbolic.analysis import _conjoin, _membership_region, _solution
 from pretop.symbolic.exprs import SymExpr, sym_grid, var
 from pretop.symbolic.space import box_points, truncate
 
@@ -120,7 +119,8 @@ def test_plain_adh_of_right_half_is_smaller():
 
 def test_vicinity_core_of_pole():
     x = builtin("urysohn")
-    assert set_literal(vicinity_core(x, Point.atom("pinf"))) == "atom(pinf)"
+    core = _membership_region(x, x.template_at(Point.atom("pinf")))
+    assert set_literal(core) == "atom(pinf)"
 
 
 # -- ends ---------------------------------------------------------------------
@@ -174,6 +174,29 @@ def test_zero_column_is_compact_inside_theta_but_not_alone():
     sub = sym_regularize(sym_restrict(x, a))
     v = sym_is_compact(sub)
     assert not v.ok and v.witness.describe() == "G(+,0)"
+
+
+@pytest.mark.parametrize(
+    "key,family,at,witness",
+    [
+        ("discrete_ray(1)", "ray(R1)", "ray(R1)", "R1(+)"),
+        ("discrete_ray(1)", "ray(R1; 0..5)", "ray(R1; 0..5)", None),
+        ("discrete_ray(2)", "ray(R1)", "all", "R1(+)"),
+    ],
+)
+def test_compact_at_pinned_end(key, family, at, witness):
+    # an end without parameter whose trace meshes the family must have a
+    # limit point inside the set
+    x = builtin(key)
+    v = sym_compact_at(x, DefFilterBase.principal(_set(x, family)), _set(x, at))
+    assert v.ok == (witness is None)
+    assert (v.witness and v.witness.describe()) == witness
+
+
+def test_compact_at_pinned_end_of_the_end_extension():
+    x = end_extension(builtin("discrete_ray(1)")).space
+    everything = _set(x, "all")
+    assert sym_compact_at(x, DefFilterBase.principal(everything), everything).ok
 
 
 def test_discrete_ray_not_compact_until_extended():
@@ -374,6 +397,11 @@ _HAUSDORFF_SPACES = {
     "{n,n+1}": lambda: _one_rule(_ZZ, (_N, _N), (_N + 1, _N + 1)),
     "{n,-n+9} split": _split_mirror,
     "rows [n,m]": _coupled,
+    "r(U|rows=1..3)": lambda: sym_regularize(_restricted("grid(G; rows=1..3) | atom(minf)")),
+    "r(rows [n,m])": lambda: sym_regularize(_coupled()),
+    "r({n,-n+9} split)": lambda: sym_regularize(_split_mirror()),
+    "r({n,-n})": lambda: sym_regularize(_one_rule(_ZZ, (_N, _N), (-_N, -_N))),
+    "r({n,-n}|0..)": lambda: sym_regularize(sym_restrict(_one_rule(_ZZ, (_N, _N), (-_N, -_N)), _ray_from_zero())),
 }
 
 # Witnesses of the non-Hausdorff spaces; every other space is Hausdorff.
@@ -388,7 +416,26 @@ _WITNESSES = {
     "{n,n+1}": ("Z(0)", "Z(-1)"),  # the first piece pair needs n1 > n2
     "{n,-n+9} split": ("Z(0)", "Z(9)"),
     "rows [n,m]": ("G(0,4)", "G(1,4)"),
+    "r(rows [n,m])": ("G(0,4)", "G(1,4)"),
+    "r({n,-n+9} split)": ("Z(0)", "Z(9)"),
+    "r({n,-n})": ("Z(-1)", "Z(1)"),
 }
+
+# Parameter shifts of the regularizations: at the point named, the
+# regularized template at k is the adherence of the vicinity at k + shift.
+# Only the minus pole of U|rows=1..3 needs one: its vicinity keeps grid
+# points up to k = 2 only, so its adherence settles from k = 3 on.
+_REBASE = {("U|rows=1..3", "minf"): 3}
+
+
+@pytest.mark.parametrize("name", sorted(n for n in _HAUSDORFF_SPACES if not n.startswith("r(")))
+def test_regularization_is_the_adherence_of_each_vicinity(name):
+    x = _HAUSDORFF_SPACES[name]()
+    r = sym_regularize(x)
+    for p in box_points(x, 4):
+        shift = _REBASE.get((name, p.describe()), 0)
+        for k in range(8):
+            assert r.vicinity(p, k) == sym_adh(x, x.vicinity(p, k + shift)), (p.describe(), k)
 
 
 @pytest.mark.parametrize("name", sorted(_HAUSDORFF_SPACES))
@@ -413,11 +460,43 @@ def test_hausdorff_verdict_and_certificate(name):
         assert not vics[p].meets(vics[q]), (p.describe(), q.describe())
 
 
-def test_coupled_system_still_escapes_box_callers():
+def test_coupled_system_answers_box_callers_exactly():
+    # the tie n <= m holds throughout the pattern's box rows 0..3 x cols 4..
     x = _HAUSDORFF_SPACES["rows [n,m]"]()
-    for op in (sym_adh, sym_inh):
-        with pytest.raises(FragmentEscape, match="^comparison ties n to m$"):
-            op(x, _set(x, "grid(G; rows=2)"))
+    s = _set(x, "grid(G; rows=2)")
+    adh, inh = sym_adh(x, s), sym_inh(x, s)
+    assert adh == _set(x, "grid(G; rows=0..2; cols=4..)")
+    assert inh.is_empty()
+    for w in (8, 12):
+        _agrees_with_snapshot(x, s, w, adh=adh, inh=inh)
+
+
+def test_a_tie_the_other_comparisons_imply_is_answered_exactly():
+    # rows [n, m] x cols [m, m] meets rows 2 only where n <= 2 <= m, so n <= m
+    # follows; meeting cols 5 leaves n <= m = 5 to the tie alone
+    schema = GroundSchema(grids=(("G", NATURALS0, NATURALS0),))
+    t = sym_grid(schema, "G", (_N, _N, var("m"), var("m")), (_N, var("m"), var("m"), var("m")))
+    x = build_symbolic(schema, [VicinityRule(PointPattern.grid("G"), t)])
+    s = _set(x, "grid(G; rows=2)")
+    adh = sym_adh(x, s)
+    assert adh == _set(x, "grid(G; rows=2) | grid(G; rows=0..2; cols=2..)")
+    _agrees_with_snapshot(x, s, 8, adh=adh)
+    with pytest.raises(FragmentEscape, match="^comparison ties n to m$"):
+        sym_adh(x, _set(x, "grid(G; cols=5)"))
+
+
+def _agrees_with_snapshot(x: SymbolicPretop, s: DefSet, w: int, **answers):
+    """Each answer (keyed by the finite operator) matches the truncation at
+    ``w`` on every point whose kernel the window does not clip."""
+    fin = truncate(x, w)
+    pts = box_points(x, w)
+    mask = sum(1 << i for i, p in enumerate(pts) if p in s)
+    box = _box(x, w)
+    for op, answer in answers.items():
+        got = getattr(fin, op)(mask)
+        for i, p in enumerate(pts):
+            if x.vicinity(p, w).subset_of(box):
+                assert bool(got >> i & 1) == (p in answer), (op, w, p.describe())
 
 
 _VARS = ("a", "b", "c")
