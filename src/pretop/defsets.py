@@ -274,31 +274,27 @@ class DefSet:
 
     # -- algebra -------------------------------------------------------------
 
+    # Both operands list every strand in schema order, so their entries pair up.
+
     def __or__(self, other: "DefSet") -> "DefSet":
         _check_schema(self, other)
         return DefSet.build(
             self.schema,
             atoms=self.atoms | other.atoms,
-            ray_parts={n: s | other.ray_part(n) for n, s in self.rays},
-            grid_rects={
-                n: list(groups) + list(other.grid_part(n)) for n, groups in self.grids
-            },
+            ray_parts={n: s | t for (n, s), (_, t) in zip(self.rays, other.rays)},
+            grid_rects={n: [*g, *h] for (n, g), (_, h) in zip(self.grids, other.grids)},
         )
 
     def __and__(self, other: "DefSet") -> "DefSet":
         _check_schema(self, other)
-        grid_rects = {}
-        for n, groups in self.grids:
-            pieces = []
-            for r1, c1 in groups:
-                for r2, c2 in other.grid_part(n):
-                    pieces.append((r1 & r2, c1 & c2))
-            grid_rects[n] = pieces
         return DefSet.build(
             self.schema,
             atoms=self.atoms & other.atoms,
-            ray_parts={n: s & other.ray_part(n) for n, s in self.rays},
-            grid_rects=grid_rects,
+            ray_parts={n: s & t for (n, s), (_, t) in zip(self.rays, other.rays)},
+            grid_rects={
+                n: [(r1 & r2, c1 & c2) for r1, c1 in g for r2, c2 in h]
+                for (n, g), (_, h) in zip(self.grids, other.grids)
+            },
         )
 
     def __invert__(self) -> "DefSet":

@@ -26,10 +26,18 @@ system's inner solutions form the box between its greatest lower and
 least upper endpoints.  The outer range is cut into cells on which every
 such comparison holds or fails throughout, decided by the same closure,
 and each side keeps its dominating endpoint there: variable elimination
-on octagons (Miné, HOSC 2006; Bagnara, Hill & Zaffanella 2009).  Only
-the limits of a parametric end are still found by sampling exact
-windows and refitting them into the endpoint language.  When a result
-cannot be expressed exactly the functions raise
+on octagons (Miné, HOSC 2006; Bagnara, Hill & Zaffanella 2009).
+
+Validation and separation run on the same systems, with ``k`` a free
+variable rather than a limit.  A point outside its own vicinity is a
+system that fails one comparison of each template piece; a vicinity
+growing from ``k`` to ``k + 1`` adds a point of the template at
+``k + 1`` that fails one comparison of each piece at ``k``; a filter
+family's emptiness and the least parameter separating two sets are read
+off the ``k``-region where two sets meet.  Only the limits of a
+parametric end (:func:`end_converges`) are still found by sampling
+exact windows and refitting them into the endpoint language.  When a
+result cannot be expressed exactly the functions raise
 :class:`~pretop.errors.FragmentEscape` rather than approximate.
 """
 
@@ -45,6 +53,7 @@ from ..errors import (
     InvalidTopology,
     NonMonotoneRule,
     SchemaMismatch,
+    SelfMembershipViolation,
     UnknownPoint,
 )
 from ..finite import Verdict
@@ -56,11 +65,10 @@ from .exprs import (
     SymInterval,
     SymIntervalSet,
     as_endpoint,
-    pieces_meet,
     var,
 )
-from .solve import GUARD_OFFSETS, fit_defsets, solve_axis
-from .space import PointPattern, SymbolicPretop, VicinityRule, validation_window
+from .solve import GUARD_OFFSETS, fit_defsets
+from .space import PointPattern, SymbolicPretop, VicinityRule
 
 _B = var("b")
 _P = var("p")
@@ -333,16 +341,20 @@ def _region_boxes(schema: GroundSchema, pat: PointPattern, s: DefSet):
 def _carrier_conds(schema: GroundSchema, pat: PointPattern, carrier, tag: str = "") -> tuple:
     """Comparison lists, one per box of the pattern's carrier points,
     confining its coordinates renamed ``n<tag>`` and ``m<tag>``."""
-    out = []
-    for box in _region_boxes(schema, pat, DefSet.full(schema) if carrier is None else carrier):
-        conds = []
-        for v, (lo, hi) in box.items():
-            if lo != NEG_INF:
-                conds.append((SymExpr.const(lo), var(v + tag)))
-            if hi != INF:
-                conds.append((var(v + tag), SymExpr.const(hi)))
-        out.append(tuple(conds))
-    return tuple(out)
+    boxes = _region_boxes(schema, pat, DefSet.full(schema) if carrier is None else carrier)
+    return tuple(tuple(_bound_conds(box, tag)) for box in boxes)
+
+
+def _bound_conds(box: dict, tag: str = "") -> list:
+    """Comparisons confining each variable of the box, renamed
+    ``<var><tag>``, to its finite bounds."""
+    conds = []
+    for v, (lo, hi) in box.items():
+        if lo != NEG_INF:
+            conds.append((SymExpr.const(lo), var(v + tag)))
+        if hi != INF:
+            conds.append((var(v + tag), SymExpr.const(hi)))
+    return conds
 
 
 @lru_cache(maxsize=None)
@@ -399,9 +411,10 @@ def _region(x: SymbolicPretop, rules, right: SymDefSet, limits: frozenset) -> De
     return DefSet.build(schema, atoms, ray_parts, grid_rects)
 
 
-def _param_region(systems, axis: AxisDomain) -> IntervalSet:
-    """Values of the end parameter ``p`` at which one of the systems holds."""
-    return IntervalSet.from_pairs(axis, [s.get("p", (NEG_INF, INF)) for s in systems])
+def _param_region(systems, axis: AxisDomain, name: str = "p") -> IntervalSet:
+    """Values of the parameter ``name`` (the end parameter ``p`` unless
+    given) at which one of the systems holds."""
+    return IntervalSet.from_pairs(axis, [s.get(name, (NEG_INF, INF)) for s in systems])
 
 
 # -- adherence and inherence --------------------------------------------------
@@ -441,7 +454,7 @@ class _Open(Exception):
         self.name, self.inside = name, inside
 
 
-def _section(pat: PointPattern, conds: list, limits: frozenset):
+def _section(pat: PointPattern, conds: list, limits: frozenset, closed: bool = False):
     """One system sorted by what each comparison bounds, or None when one
     never holds.
 
@@ -451,6 +464,10 @@ def _section(pat: PointPattern, conds: list, limits: frozenset):
     comparisons give it, each constant or in one outer variable.  A
     comparison tying two coordinates must follow from the others, as a
     carrier box with rows below its columns makes ``n <= m`` follow.
+    When it does not, the system is tried once more with the tightly
+    closed bounds of the coordinates added (``closed``), as ``m = 5``
+    bounds ``n`` by 5 under ``n <= m``; the bounds are implied, so the
+    points stay the same.
     """
     inner = pat.vars
     guards, ties, lows, highs = [], [], {v: [] for v in inner}, {v: [] for v in inner}
@@ -482,7 +499,13 @@ def _section(pat: PointPattern, conds: list, limits: frozenset):
     rest = [cond for cond in conds if cond not in ties]
     for e1, e2 in ties:
         if _conjoin(rest + [(e2 + 1, e1)], limits) is not None:
-            raise FragmentEscape(f"comparison ties {e1.var} to {e2.var}")
+            if closed:
+                raise FragmentEscape(f"comparison ties {e1.var} to {e2.var}")
+            system = _conjoin(conds, limits)
+            if system is None:
+                return None
+            box = system[0]
+            return _section(pat, [*_bound_conds({v: box[v] for v in inner if v in box}), *conds], limits, True)
     bounds = tuple((v, tuple(dict.fromkeys(lows[v])), tuple(dict.fromkeys(highs[v]))) for v in inner)
     return pat, tuple(guards), bounds
 
@@ -888,11 +911,96 @@ def sym_is_compact(x: SymbolicPretop) -> Verdict:
     return Verdict(True, None)
 
 
+# -- the pointwise axioms of rules and filter families ---------------------------
+
+_K0 = (SymExpr.const(0), var("k"))
+
+
+def _outside(t: SymDefSet, strand: str, coords: tuple, bases) -> list:
+    """Satisfiable systems on which the point of ``strand`` at ``coords``
+    lies outside every piece of ``t`` there, ``t``'s mask aside: a base
+    list and, for each piece, one comparison the point fails.  An atom
+    of ``t`` is a piece with no comparison to fail."""
+    if not coords:
+        pieces = [()] if strand in t.atoms else []
+    elif len(coords) == 1:
+        pieces = [((p.lo, p.hi),) for p in dict(t.rays)[strand].parts]
+    else:
+        pieces = [
+            ((r.lo, r.hi), (c.lo, c.hi)) for rows, cols in dict(t.grids)[strand] for r in rows.parts for c in cols.parts
+        ]
+    systems = [b for b in bases if _conjoin(b, frozenset()) is not None]
+    for piece in pieces:
+        fails = [cond for (lo, hi), x in zip(piece, coords) for cond in ((x + 1, lo), (hi + 1, x))]
+        systems = [[*s, f] for s in systems for f in fails if _conjoin([*s, f], frozenset()) is not None]
+    return systems
+
+
+@lru_cache(maxsize=None)
+def _symbolic_points(schema: GroundSchema) -> tuple:
+    """(strand, coordinates, the set of that one point) for a point
+    ``q = (i, j)`` of each strand."""
+    i, j = var("i"), var("j")
+    out = [(a, (), SymDefSet.assemble(schema, atoms=[a])) for a in schema.atoms]
+    out += [(n, (i,), SymDefSet.assemble(schema, ray_parts={n: [(i, i)]})) for n, _ in schema.rays]
+    out += [(n, (i, j), SymDefSet.assemble(schema, grid_rects={n: [(i, i, j, j)]})) for n, *_ in schema.grids]
+    return tuple(out)
+
+
+def _growth(t: SymDefSet, bases) -> list:
+    """Satisfiable systems, each with a base list, on which a point ``q``
+    lies in ``t`` at ``k + 1`` but outside it at ``k``.  Its place in
+    ``t``'s mask is stated on the ``k + 1`` side, so at ``k`` it only
+    escapes the pieces."""
+    later = t.shift_var("k", 1)
+    out = []
+    for strand, coords, q in _symbolic_points(t.schema):
+        out += _outside(t, strand, coords, [[*conds, *b] for conds in _meet_conds(later, q) for b in bases])
+    return out
+
+
+def _witness(pat: PointPattern, system: list) -> tuple:
+    env = _solution(_conjoin(system, frozenset()), ("n", "m", "k"))
+    return _point_of(pat, env), env["k"]
+
+
+def check_rule(schema: GroundSchema, rule: VicinityRule, carrier: DefSet | None):
+    """Raise unless, at every point ``p`` of the rule's pattern in the
+    carrier and every ``k >= 0``, ``p`` lies in ``T_p(k)`` and
+    ``T_p(k+1) ⊆ T_p(k)``.
+
+    A violation is a system of comparisons in ``p``'s coordinates ``n``,
+    ``m``, in ``k`` and, for growth, in the coordinates ``i``, ``j`` of a
+    point of ``T_p(k+1)`` outside ``T_p(k)``, each confined to a carrier
+    box; tight closure decides it, and the first satisfiable one gives
+    the witness, each of ``n``, ``m``, ``k`` fixed in turn nearest 0.  A
+    rule breaking both axioms raises :class:`SelfMembershipViolation`.
+    """
+    pat = rule.pattern
+    t = rule.template if carrier is None else rule.template.with_mask(carrier)
+    bases = [[*box, _K0] for box in _carrier_conds(schema, pat, carrier)]
+    outside = _outside(t, pat.strand, tuple(var(v) for v in pat.vars), bases)
+    if carrier is None and t.mask is not None:
+        outside += [[*box, _K0] for box in _carrier_conds(schema, pat, ~t.mask)]
+    if outside:
+        p, k = _witness(pat, outside[0])
+        raise SelfMembershipViolation(f"{p.describe()} missing from its own vicinity at k={k}")
+    grows = _growth(t, bases) if "k" in t.vars else []
+    if grows:
+        p, k = _witness(pat, grows[0])
+        raise NonMonotoneRule(f"vicinity of {p.describe()} grows from k={k} to k={k + 1}")
+
+
 # -- filters given by definable families ---------------------------------------
 
 @record
 class DefFilterBase:
-    """Decreasing definable family ``F(0) ⊇ F(1) ⊇ ...`` generating a filter."""
+    """Decreasing definable family ``F(0) ⊇ F(1) ⊇ ...`` generating a filter.
+
+    Emptiness and growth are decided on the comparison systems; when
+    both happen, the error names the lesser ``k``, emptiness first, as a
+    walk up ``k`` meets them.
+    """
 
     family: SymDefSet
 
@@ -900,15 +1008,14 @@ class DefFilterBase:
         extra = self.family.vars - {"k"}
         if extra:
             raise ValueError(f"filter family may only use k, found {sorted(extra)}")
-        w = validation_window(self.family.bound)
-        prev = None
-        for k in range(w + 1):
-            cur = self.family.evaluate({"k": k})
-            if cur.is_empty():
-                raise EmptyKernel(f"filter family is empty at k={k}")
-            if prev is not None and not cur.subset_of(prev):
-                raise NonMonotoneRule(f"filter family grows from k={k - 1} to k={k}")
-            prev = cur
+        full = SymDefSet.from_defset(DefSet.full(self.schema))
+        empty = ~_param_region(_meets_boxes(self.family, full, frozenset()), NATURALS0, "k")
+        grows = _growth(self.family, [[_K0]]) if "k" in self.family.vars else []
+        g = min((_solution(_conjoin(s, frozenset()), ("k",))["k"] for s in grows), default=INF)
+        if not empty.is_empty() and empty.least() <= g + 1:
+            raise EmptyKernel(f"filter family is empty at k={empty.least()}")
+        if grows:
+            raise NonMonotoneRule(f"filter family grows from k={g} to k={g + 1}")
 
     @classmethod
     def principal(cls, d: DefSet) -> "DefFilterBase":
@@ -917,10 +1024,6 @@ class DefFilterBase:
     @property
     def schema(self) -> GroundSchema:
         return self.family.schema
-
-    @property
-    def bound(self) -> int:
-        return self.family.bound
 
     def at(self, k: int) -> DefSet:
         return self.family.evaluate({"k": k})
@@ -1151,13 +1254,6 @@ def sym_hausdorff(x: SymbolicPretop) -> Verdict:
 def sym_separated(x: SymbolicPretop, a: DefSet, b: DefSet) -> int | None:
     """Least parameter at which the vicinity unions of two sets are
     disjoint, or None when no parameter separates them."""
-    ua = _vicinity_union(x, a)
-    ub = _vicinity_union(x, b)
-
-    def apart(k):
-        return not pieces_meet(ua.eval_pieces({"k": k}), ub.eval_pieces({"k": k}))
-
-    region = solve_axis(NATURALS0, apart, ua.bound + ub.bound + 1)
-    if region.is_empty():
-        return None
-    return region.least()
+    meet = _meets_boxes(_vicinity_union(x, a), _vicinity_union(x, b), frozenset(), [[_K0]])
+    apart = ~_param_region(meet, NATURALS0, "k")
+    return None if apart.is_empty() else apart.least()

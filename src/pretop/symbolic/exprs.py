@@ -186,19 +186,11 @@ class SymIntervalSet:
     def from_concrete(cls, s: IntervalSet) -> "SymIntervalSet":
         return cls(s.axis, tuple(SymInterval(lo, hi) for lo, hi in s.parts))
 
-    def eval_pairs(self, env: dict) -> list:
-        """Evaluated (lo, hi) pairs, clipped to the axis, empties dropped."""
-        low = self.axis.low_value
-        out = []
-        for p in self.parts:
-            lo, hi = p.evaluate(env)
-            lo = max(lo, low)
-            if lo <= hi:
-                out.append((lo, hi))
-        return out
-
     def evaluate(self, env: dict) -> IntervalSet:
-        return IntervalSet.from_pairs(self.axis, self.eval_pairs(env))
+        """The evaluated pieces clipped to the axis, empties dropped."""
+        low = self.axis.low_value
+        pairs = [(max(lo, low), hi) for lo, hi in (p.evaluate(env) for p in self.parts)]
+        return IntervalSet.from_pairs(self.axis, [(lo, hi) for lo, hi in pairs if lo <= hi])
 
     def substitute(self, env: dict) -> "SymIntervalSet":
         return SymIntervalSet(self.axis, tuple(p.substitute(env) for p in self.parts))
@@ -230,69 +222,6 @@ def defset_bound(d: DefSet) -> int:
         for rows, cols in groups:
             b = max(b, rows.max_finite_endpoint(), cols.max_finite_endpoint())
     return b
-
-
-@record
-class Pieces:
-    """Raw evaluated pieces of a symbolic set, skipping canonicalization.
-
-    Used in inner loops that only need overlap tests; the piece lists
-    are clipped and empty-free but may overlap each other.
-    """
-
-    atoms: frozenset
-    rays: tuple  # ((name, ((lo, hi), ...)), ...)
-    grids: tuple  # ((name, ((rlo, rhi, clo, chi), ...)), ...)
-
-    def is_empty(self) -> bool:
-        return not self.atoms and all(not ps for _, ps in self.rays) and all(
-            not ps for _, ps in self.grids
-        )
-
-
-def pieces_meet(a: Pieces, b: Pieces) -> bool:
-    if a.atoms & b.atoms:
-        return True
-    brays = dict(b.rays)
-    for name, ps in a.rays:
-        qs = brays.get(name, ())
-        for lo, hi in ps:
-            for lo2, hi2 in qs:
-                if max(lo, lo2) <= min(hi, hi2):
-                    return True
-    bgrids = dict(b.grids)
-    for name, ps in a.grids:
-        qs = bgrids.get(name, ())
-        for rl, rh, cl, ch in ps:
-            for rl2, rh2, cl2, ch2 in qs:
-                if max(rl, rl2) <= min(rh, rh2) and max(cl, cl2) <= min(ch, ch2):
-                    return True
-    return False
-
-
-def _mask_ray_pieces(pairs, mask_set: IntervalSet) -> tuple:
-    out = []
-    for lo, hi in pairs:
-        for mlo, mhi in mask_set.parts:
-            l, h = max(lo, mlo), min(hi, mhi)
-            if l <= h:
-                out.append((l, h))
-    return tuple(out)
-
-
-def _mask_grid_pieces(rects, mask_groups) -> tuple:
-    out = []
-    for rl, rh, cl, ch in rects:
-        for rows, cols in mask_groups:
-            for mrl, mrh in rows.parts:
-                a, b = max(rl, mrl), min(rh, mrh)
-                if a > b:
-                    continue
-                for mcl, mch in cols.parts:
-                    c, d = max(cl, mcl), min(ch, mch)
-                    if c <= d:
-                        out.append((a, b, c, d))
-    return tuple(out)
 
 
 @record
@@ -375,27 +304,6 @@ class SymDefSet:
         if self.mask is not None:
             out = out & self.mask
         return out
-
-    def eval_pieces(self, env: dict) -> Pieces:
-        """Fast evaluation to raw clipped pieces for overlap tests."""
-        rays = []
-        for n, s in self.rays:
-            pairs = tuple(s.eval_pairs(env))
-            if self.mask is not None:
-                pairs = _mask_ray_pieces(pairs, self.mask.ray_part(n))
-            rays.append((n, pairs))
-        grids = []
-        for n, rects in self.grids:
-            flat = []
-            for rows, cols in rects:
-                for rl, rh in rows.eval_pairs(env):
-                    for cl, ch in cols.eval_pairs(env):
-                        flat.append((rl, rh, cl, ch))
-            if self.mask is not None:
-                flat = list(_mask_grid_pieces(flat, self.mask.grid_part(n)))
-            grids.append((n, tuple(flat)))
-        atoms = self.atoms if self.mask is None else self.atoms & self.mask.atoms
-        return Pieces(atoms, tuple(rays), tuple(grids))
 
     def substitute(self, env: dict) -> "SymDefSet":
         rays = tuple((n, s.substitute(env)) for n, s in self.rays)

@@ -12,17 +12,53 @@ catching any residual drift.
 
 from __future__ import annotations
 
-from ..defsets import DefSet, Point
+from ..defsets import DefSet, GroundSchema, Point
 from ..errors import FragmentEscape, SchemaMismatch, UnclassifiableImageTrace, UnknownPoint
 from ..finite import Verdict
-from ..intervals import INF, NEG_INF, IntervalSet
+from ..intervals import INF, NEG_INF, AxisDomain, IntervalSet
 from ..record import record
 from .analysis import EndClass, sym_adh
 from .solve import GUARD_OFFSETS, stabilization
-from .space import SymbolicPretop, rule_points, validation_window
+from .space import SymbolicPretop, VicinityRule
 
 # widest finite interval an image computation will enumerate pointwise
 _ENUMERATION_CAP = 4096
+
+
+def _validation_window(bound: int) -> int:
+    """Sampling radius of map validation and continuity.
+
+    A strand map with scale > 1 falls outside the unit-slope comparisons
+    that the rest of the engine decides exactly, so these two checks
+    still sample the source points within this radius: a few times the
+    largest constant of the map and its two spaces, beyond every
+    endpoint of their templates and selectors.
+    """
+    return 6 * bound + 12
+
+
+def _axis_samples(axis: AxisDomain, selector: IntervalSet, w: int) -> list:
+    lo = -w if axis.kind == "int" else axis.low
+    return [x for x in range(lo, w + 1) if x in selector]
+
+
+def _rule_points(schema: GroundSchema, rule: VicinityRule, carrier: DefSet | None, w: int) -> list:
+    """Sample points covered by the rule within the window."""
+    pat = rule.pattern
+    if pat.kind == "atom":
+        pts = [Point.atom(pat.strand)]
+    elif pat.kind == "ray":
+        (rows,) = pat.selectors(schema)
+        pts = [Point.ray(pat.strand, n) for n in _axis_samples(schema.ray_axis(pat.strand), rows, w)]
+    else:
+        rows, cols = pat.selectors(schema)
+        rows_ax, cols_ax = schema.grid_axes(pat.strand)
+        pts = [
+            Point.grid(pat.strand, n, m)
+            for n in _axis_samples(rows_ax, rows, w)
+            for m in _axis_samples(cols_ax, cols, w)
+        ]
+    return pts if carrier is None else [p for p in pts if p in carrier]
 
 
 @record
@@ -184,9 +220,9 @@ def build_sym_map(
         raise UnknownPoint(f"assignment for unknown strand {sorted(extra)[0]!r}")
 
     f = SymbolicMap(source, target, tuple(table), label)
-    w = validation_window(f.bound)
+    w = _validation_window(f.bound)
     for rule in source.rules:
-        for p, _ in rule_points(source.schema, rule, source.carrier, w):
+        for p in _rule_points(source.schema, rule, source.carrier, w):
             f.apply(p)  # raises UnknownPoint when the image leaves the target
     return f
 
@@ -339,10 +375,10 @@ def sym_is_continuous(f: SymbolicMap, method: str = "vicinity", probes=None) -> 
     if method != "vicinity":
         raise ValueError(f"unknown method {method!r}")
     b = f.bound
-    w = validation_window(b)
+    w = _validation_window(b)
     jtop = stabilization(b)
     for rule in f.source.rules:
-        for p, _ in rule_points(f.source.schema, rule, f.source.carrier, w):
+        for p in _rule_points(f.source.schema, rule, f.source.carrier, w):
             y = f.apply(p)
             t = f.source.template_at(p)
             u = f.target.template_at(y)

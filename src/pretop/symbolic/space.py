@@ -5,9 +5,8 @@ definable subset, and one rule per region of points.  The rule's
 template gives the vicinity ``T_x(k)`` as a symbolic set in the point's
 coordinates and the shrink parameter ``k``; the filter of vicinities at
 ``x`` is generated by the decreasing family ``T_x(0) ⊇ T_x(1) ⊇ ...``.
-Build through :func:`build_symbolic`, which checks coverage exactly and
-the pointwise axioms on a window large enough to be conclusive for
-unit-slope templates.
+Build through :func:`build_symbolic`, which decides coverage and the
+pointwise axioms exactly; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -17,16 +16,14 @@ from functools import lru_cache
 
 from ..defsets import DefSet, GroundSchema, Point
 from ..errors import (
-    NonMonotoneRule,
     PatternGap,
     PatternOverlap,
-    SelfMembershipViolation,
     UnknownBuiltin,
     UnknownPoint,
     WindowTooSmall,
 )
 from ..finite import FinitePretop
-from ..intervals import INF, NEG_INF, INTEGERS, NATURALS0, NATURALS1, AxisDomain, IntervalSet
+from ..intervals import INF, NEG_INF, INTEGERS, NATURALS0, NATURALS1, IntervalSet
 from ..record import record
 from .exprs import SymDefSet, defset_bound, var
 
@@ -187,68 +184,6 @@ class SymbolicPretop:
         return "\n".join(lines)
 
 
-def validation_window(bound: int) -> int:
-    """Sampling radius for the checks that still sample points: rule
-    validation in :func:`build_symbolic`, the decreasing check of a
-    filter family, and map validation and continuity in
-    :mod:`~pretop.symbolic.maps`, whose scaled strands fall outside
-    unit-slope constraints.
-
-    Violations of the pointwise axioms are satisfiability questions for
-    difference constraints over the coordinates and the parameter, and
-    integer difference systems that are satisfiable at all are
-    satisfiable within a few times their largest constant.
-    """
-    return 6 * bound + 12
-
-
-def _axis_samples(axis: AxisDomain, selector: IntervalSet, w: int) -> list:
-    lo = -w if axis.kind == "int" else axis.low
-    return [x for x in range(lo, w + 1) if x in selector]
-
-
-def rule_points(schema: GroundSchema, rule: VicinityRule, carrier: DefSet | None, w: int):
-    """Sample points covered by the rule, paired with variable bindings."""
-    pat = rule.pattern
-    if pat.kind == "atom":
-        pts = [(Point.atom(pat.strand), {})]
-    elif pat.kind == "ray":
-        (rows,) = pat.selectors(schema)
-        ax = schema.ray_axis(pat.strand)
-        pts = [(Point.ray(pat.strand, n), {"n": n}) for n in _axis_samples(ax, rows, w)]
-    else:
-        rows, cols = pat.selectors(schema)
-        rows_ax, cols_ax = schema.grid_axes(pat.strand)
-        pts = [
-            (Point.grid(pat.strand, n, m), {"n": n, "m": m})
-            for n in _axis_samples(rows_ax, rows, w)
-            for m in _axis_samples(cols_ax, cols, w)
-        ]
-    if carrier is not None:
-        pts = [(p, env) for p, env in pts if p in carrier]
-    return pts
-
-
-def _check_rule(schema: GroundSchema, rule: VicinityRule, carrier: DefSet | None, w: int):
-    template = rule.template if carrier is None else rule.template.with_mask(carrier)
-    k_dependent = "k" in template.vars
-    ks = range(w + 1) if k_dependent else (0,)
-    for p, env in rule_points(schema, rule, carrier, w):
-        t = template.substitute(env)
-        prev = None
-        for k in ks:
-            cur = t.evaluate({"k": k})
-            if p not in cur:
-                raise SelfMembershipViolation(
-                    f"{p.describe()} missing from its own vicinity at k={k}"
-                )
-            if prev is not None and not cur.subset_of(prev):
-                raise NonMonotoneRule(
-                    f"vicinity of {p.describe()} grows from k={k - 1} to k={k}"
-                )
-            prev = cur
-
-
 def build_symbolic(
     schema: GroundSchema,
     rules,
@@ -259,10 +194,13 @@ def build_symbolic(
     """Validate rules against a schema and assemble the space.
 
     Coverage and disjointness of the patterns are decided exactly on the
-    definable algebra; self-membership and shrinking of the templates
-    are decided by sampling a window wide enough for unit-slope
-    endpoints.
+    definable algebra, and self-membership and shrinking of the
+    templates exactly on comparison systems
+    (:func:`~pretop.symbolic.analysis.check_rule`).
     """
+    # analysis imports this module's classes, so its checker loads here
+    from .analysis import check_rule
+
     rules = tuple(rules)
     carrier_set = DefSet.full(schema) if carrier is None else carrier
     masked = [r.pattern.to_defset(schema) & carrier_set for r in rules]
@@ -278,13 +216,9 @@ def build_symbolic(
     if not gap.is_empty():
         raise PatternGap(f"no rule covers {gap.describe()}")
 
-    b = max((r.bound for r in rules), default=0)
-    if carrier is not None:
-        b = max(b, defset_bound(carrier))
-    w = validation_window(b)
     out_rules = []
     for r in rules:
-        _check_rule(schema, r, carrier, w)
+        check_rule(schema, r, carrier)
         template = r.template if carrier is None else r.template.with_mask(carrier)
         out_rules.append(VicinityRule(r.pattern, template))
     return SymbolicPretop(schema, tuple(out_rules), topological, carrier, label)

@@ -22,6 +22,7 @@ UNREACHED = {
     "sym_grid": "builds a parametric set on one grid, for the symbolic tests",
     "sym_restrict": "symbolic subspaces, the counterpart of FinitePretop.restrict",
     "sym_separated": "the least parameter separating two sets, a tested companion of sym_hausdorff",
+    "solve_axis": "perfbench/tracer.py wraps it by name; goes with ROADMAP item 1",
 }
 
 # Modules that import ``dataclasses`` when they load, each kept on purpose.

@@ -473,7 +473,8 @@ def test_coupled_system_answers_box_callers_exactly():
 
 def test_a_tie_the_other_comparisons_imply_is_answered_exactly():
     # rows [n, m] x cols [m, m] meets rows 2 only where n <= 2 <= m, so n <= m
-    # follows; meeting cols 5 leaves n <= m = 5 to the tie alone
+    # follows; meeting cols 5 leaves n <= m = 5 to the tie, which the closed
+    # bound n <= 5 then implies
     schema = GroundSchema(grids=(("G", NATURALS0, NATURALS0),))
     t = sym_grid(schema, "G", (_N, _N, var("m"), var("m")), (_N, var("m"), var("m"), var("m")))
     x = build_symbolic(schema, [VicinityRule(PointPattern.grid("G"), t)])
@@ -481,8 +482,14 @@ def test_a_tie_the_other_comparisons_imply_is_answered_exactly():
     adh = sym_adh(x, s)
     assert adh == _set(x, "grid(G; rows=2) | grid(G; rows=0..2; cols=2..)")
     _agrees_with_snapshot(x, s, 8, adh=adh)
+    s = _set(x, "grid(G; cols=5)")
+    adh = sym_adh(x, s)
+    assert adh == s
+    _agrees_with_snapshot(x, s, 12, adh=adh)
+    # the complement of rows 2 meets [n, m] x [m, m] on the triangle n <= m,
+    # which no bound of n or m alone describes
     with pytest.raises(FragmentEscape, match="^comparison ties n to m$"):
-        sym_adh(x, _set(x, "grid(G; cols=5)"))
+        sym_inh(x, _set(x, "grid(G; rows=2)"))
 
 
 def _agrees_with_snapshot(x: SymbolicPretop, s: DefSet, w: int, **answers):
