@@ -18,8 +18,9 @@ A region of points is read off the same systems: conjoined with a
 carrier box of a rule's pattern, each satisfiable system contributes its
 box, exactly when every comparison tying two coordinates holds
 throughout that carrier box.  Whole-family questions (the adherence of
-every template, the core of every vicinity) keep the point and its
-parameter as outer variables ``N``, ``M``, ``K``.  Each comparison then
+every template, the core of every vicinity, the limits of a parametric
+end) keep the point and its parameter, or the end's fixed coordinate,
+as outer variables ``N``, ``M``, ``K``, ``P``.  Each comparison then
 bounds an inner coordinate by an endpoint in at most one outer
 variable, or compares outer variables alone, so at each outer point a
 system's inner solutions form the box between its greatest lower and
@@ -28,16 +29,13 @@ such comparison holds or fails throughout, decided by the same closure,
 and each side keeps its dominating endpoint there: variable elimination
 on octagons (Miné, HOSC 2006; Bagnara, Hill & Zaffanella 2009).
 
-Validation and separation run on the same systems, with ``k`` a free
-variable rather than a limit.  A point outside its own vicinity is a
-system that fails one comparison of each template piece; a vicinity
-growing from ``k`` to ``k + 1`` adds a point of the template at
-``k + 1`` that fails one comparison of each piece at ``k``; a filter
-family's emptiness and the least parameter separating two sets are read
-off the ``k``-region where two sets meet.  Only the limits of a
-parametric end (:func:`end_converges`) are still found by sampling
-exact windows and refitting them into the endpoint language.  When a
-result cannot be expressed exactly the functions raise
+Validation runs on the same systems, with ``k`` a free variable rather
+than a limit.  A point outside its own vicinity is a system that fails
+one comparison of each template piece; a vicinity growing from ``k`` to
+``k + 1`` adds a point of the template at ``k + 1`` that fails one
+comparison of each piece at ``k``; a filter family's emptiness is read
+off the ``k``-region where it meets the ground set.  When a result
+cannot be expressed exactly the functions raise
 :class:`~pretop.errors.FragmentEscape` rather than approximate.
 """
 
@@ -67,7 +65,6 @@ from .exprs import (
     as_endpoint,
     var,
 )
-from .solve import GUARD_OFFSETS, fit_defsets
 from .space import PointPattern, SymbolicPretop, VicinityRule
 
 _B = var("b")
@@ -582,18 +579,20 @@ def _pieces(cell: dict, sections: list, limits: frozenset) -> list:
     return out
 
 
-def _cells(x: SymbolicPretop, pat: PointPattern, cell: dict, sections: list, limits: frozenset) -> list:
+def _cells(x: SymbolicPretop, pat: PointPattern | None, cell: dict, sections: list, limits: frozenset) -> list:
     """(cell, pieces) pairs in ascending coordinate order, covering the
     carrier points of the cell.
 
-    An open comparison on ``N`` or ``M`` cuts the cell at its threshold.
-    One on ``K`` raises the cell's floor of ``K`` to the side that every
-    large ``K`` reaches: a decreasing family and its tail generate the
-    same filter.
+    An open comparison on ``N``, ``M`` or ``P`` cuts the cell at its
+    threshold.  One on ``K`` raises the cell's floor of ``K`` to the side
+    that every large ``K`` reaches: a decreasing family and its tail
+    generate the same filter.  Without a pattern (``pat`` None) the
+    outer variables are no point's coordinates, and every cell is kept.
     """
-    sub = PointPattern(pat.strand, pat.kind, cell.get("N"), cell.get("M"))
-    if not sub.to_defset(x.schema).meets(x.carrier_set):
-        return []
+    if pat is not None:
+        sub = PointPattern(pat.strand, pat.kind, cell.get("N"), cell.get("M"))
+        if not sub.to_defset(x.schema).meets(x.carrier_set):
+            return []
     try:
         return [(cell, _pieces(cell, sections, limits))]
     except _Open as cut:
@@ -812,65 +811,26 @@ class ParametricAnswer:
         return "; ".join(bits)
 
 
-def _end_limits_at(x: SymbolicPretop, e: EndClass, p) -> DefSet:
-    """Points whose every vicinity meets every trace rectangle."""
-    trace = trace_sym(x.schema, e, x.carrier)
-    if p is not None:
-        trace = trace.substitute({"p": p})
-    return _region(x, x.rules, trace, _LIMITS_KB)
-
-
-def _greedy_runs(samples: list) -> list:
-    """Maximal consecutive runs each covered by one fitted formula."""
-    runs = []
-    cur = [samples[0]]
-    cur_fit = SymDefSet.from_defset(samples[0][1])
-    for p, d in samples[1:]:
-        trial = fit_defsets("p", cur + [(p, d)])
-        if trial is not None:
-            cur.append((p, d))
-            cur_fit = trial
-        else:
-            runs.append((cur, cur_fit))
-            cur = [(p, d)]
-            cur_fit = SymDefSet.from_defset(d)
-    runs.append((cur, cur_fit))
-    return runs
-
-
 @lru_cache(maxsize=None)
 def end_converges(x: SymbolicPretop, e: EndClass) -> ParametricAnswer:
-    """Limit points admitted by the end's trace filter.
+    """Limit points admitted by the end's trace filter: the carrier
+    points whose every vicinity meets every trace rectangle.
 
-    For a parametric class the answer is refitted over the fixed
-    coordinate, splitting its range where the limit structure changes;
-    tails are certified by guard agreement.
+    The fixed coordinate of a parametric class is the outer variable
+    ``P`` of one projection, cut into the cells on which the answer's
+    pieces are settled (:func:`_cells`); neighbouring cells may give the
+    same answer.  A pinned or coordinate-free class is the one cell
+    without outer variables.
     """
-    if not e.parametric:
-        limits = _end_limits_at(x, e, None)
-        return ParametricAnswer(None, None, ((None, SymDefSet.from_defset(limits)),))
-    axis = _fixed_axis(x.schema, e)
-    w = 2 * x.bound + 6
-    lo = axis.low if axis.kind == "nat" else -w
-    samples = [(p, _end_limits_at(x, e, p)) for p in range(lo, w + 1)]
-    runs = _greedy_runs(samples)
-
-    def agree(fit, p):
-        return fit.evaluate({"p": p}) == _end_limits_at(x, e, p)
-
-    regions = []
-    for i, (run, fit) in enumerate(runs):
-        plo, phi = run[0][0], run[-1][0]
-        if i == len(runs) - 1:
-            if not all(agree(fit, phi + g) for g in GUARD_OFFSETS):
-                raise FragmentEscape(f"end behaviour not settled above {phi}")
-            phi = INF
-        if i == 0 and axis.kind == "int":
-            if not all(agree(fit, plo - g) for g in GUARD_OFFSETS):
-                raise FragmentEscape(f"end behaviour not settled below {plo}")
-            plo = NEG_INF
-        regions.append((IntervalSet.from_pairs(axis, [(plo, phi)]), fit))
-    return ParametricAnswer("p", axis, tuple(regions))
+    trace = trace_sym(x.schema, e, x.carrier).substitute({"p": var("P")})
+    cell = {"P": IntervalSet.full(_fixed_axis(x.schema, e))} if e.parametric else {}
+    regions = tuple(
+        (c.get("P"), SymDefSet.assemble(x.schema, *_collect(pieces)).substitute({"P": _P}))
+        for c, pieces in _cells(x, None, cell, _sections(x, x.rules, trace, _LIMITS_KB), _LIMITS_KB)
+    )
+    if e.parametric:
+        return ParametricAnswer("p", cell["P"].axis, regions)
+    return ParametricAnswer(None, None, regions)
 
 
 def _sym_is_empty(t: SymDefSet) -> bool:
@@ -1084,28 +1044,6 @@ def _sweep_symdefset(t: SymDefSet, ranges: dict) -> SymDefSet:
     return SymDefSet(t.schema, t.atoms, rays, tuple(grids), t.mask)
 
 
-def _vicinity_union(x: SymbolicPretop, s: DefSet) -> SymDefSet:
-    """Union of the vicinity templates over the points of ``s``."""
-    _check_schema(x, s)
-    s = s & x.carrier_set
-    atoms = set()
-    ray_acc = {name: [] for name, _ in x.schema.rays}
-    grid_acc = {name: [] for name, *_ in x.schema.grids}
-    for rule in x.rules:
-        for ranges in _region_boxes(x.schema, rule.pattern, s):
-            swept = _sweep_symdefset(rule.template, ranges)
-            atoms |= swept.atoms
-            for name, sis in swept.rays:
-                ray_acc[name].extend(sis.parts)
-            for name, rects in swept.grids:
-                grid_acc[name].extend(rects)
-    rays = tuple(
-        (name, SymIntervalSet(ax, tuple(ray_acc[name]))) for name, ax in x.schema.rays
-    )
-    grids = tuple((name, tuple(grid_acc[name])) for name, *_ in x.schema.grids)
-    return SymDefSet(x.schema, frozenset(atoms), rays, grids, x.carrier)
-
-
 @lru_cache(maxsize=None)
 def _core_templates(x: SymbolicPretop, rule: VicinityRule) -> tuple:
     """Vicinity cores of the rule's points: the points lying in every vicinity."""
@@ -1247,13 +1185,3 @@ def sym_hausdorff(x: SymbolicPretop) -> Verdict:
                 p2 = _point_of(r2.pattern, {"n": env["n2"], "m": env["m2"]})
                 return Verdict(False, (p1, p2))
     return Verdict(True, None)
-
-
-# -- eventual separation of two sets -------------------------------------------
-
-def sym_separated(x: SymbolicPretop, a: DefSet, b: DefSet) -> int | None:
-    """Least parameter at which the vicinity unions of two sets are
-    disjoint, or None when no parameter separates them."""
-    meet = _meets_boxes(_vicinity_union(x, a), _vicinity_union(x, b), frozenset(), [[_K0]])
-    apart = ~_param_region(meet, NATURALS0, "k")
-    return None if apart.is_empty() else apart.least()

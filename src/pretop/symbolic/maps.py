@@ -334,18 +334,6 @@ def sym_image(f: SymbolicMap, s: DefSet) -> DefSet:
     return img
 
 
-def sym_f_sharp(f: SymbolicMap, a: DefSet) -> DefSet:
-    """Small-image operator: target points whose whole fiber lies in ``a``.
-
-    Computed as the target minus the image of the complement, which is
-    exact only for non-stretching maps.
-    """
-    if not f.scale_one:
-        raise FragmentEscape("small images under a stretching map are not definable")
-    outside = f.source.carrier_set - a
-    return f.target.carrier_set - sym_image(f, outside)
-
-
 # -- continuity ---------------------------------------------------------------
 
 def _image_inside(f: SymbolicMap, v: DefSet, w: DefSet) -> bool:

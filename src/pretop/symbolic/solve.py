@@ -15,12 +15,12 @@ disagree, the bound was too small for the predicate and
 :class:`~pretop.errors.FragmentEscape` is raised instead of an
 approximation.
 
-Remaining users: :func:`~pretop.symbolic.analysis.end_converges` fits
-the limits of a parametric end with :func:`fit_defsets` and checks its
-tails at ``GUARD_OFFSETS``, and the continuity check of
-:mod:`~pretop.symbolic.maps` samples up to :func:`stabilization` and at
-the same guards.  Nothing in the package calls :func:`solve_axis` any
-more; the benchmark tracer wraps it by name.
+Remaining users: the continuity check of :mod:`~pretop.symbolic.maps`
+samples up to :func:`stabilization` and at ``GUARD_OFFSETS``, since a
+map with scale > 1 falls outside the unit-slope comparisons that
+:mod:`~pretop.symbolic.analysis` decides exactly.  Nothing in the
+package calls :func:`solve_axis` or :func:`fit_defsets` any more; the
+benchmark tracer wraps both by name.
 """
 
 from __future__ import annotations

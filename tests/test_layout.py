@@ -1,8 +1,9 @@
 """Module boundaries: no module of the package imports a private name
 (one starting with an underscore) from another module, every public
 top-level function or class is reached from the package itself, only
-the oracle scans every subset of a finite space, ``import pretop.cli``
-stays cheap and loads every name the benchmark's tracer wraps."""
+the oracle scans every subset of a finite space, the symbolic analysis
+imports nothing from the window sampler, ``import pretop.cli`` stays
+cheap and loads every name the benchmark's tracer wraps."""
 
 import ast
 import os
@@ -17,12 +18,11 @@ TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 UNREACHED = {
     "phc_report": "H-closed on finite spaces, to be reached by `check h-closed`",
     "sym_compact_at": "the symbolic H-set check is compactness at a set of the regularization",
-    "sym_f_sharp": "the symbolic small-image operator, the counterpart of maps.f_sharp",
     "sym_ray": "builds a parametric set on one ray, for the symbolic tests",
     "sym_grid": "builds a parametric set on one grid, for the symbolic tests",
     "sym_restrict": "symbolic subspaces, the counterpart of FinitePretop.restrict",
-    "sym_separated": "the least parameter separating two sets, a tested companion of sym_hausdorff",
     "solve_axis": "perfbench/tracer.py wraps it by name; goes with ROADMAP item 1",
+    "fit_defsets": "perfbench/tracer.py wraps it by name; goes with ROADMAP item 1",
 }
 
 # Modules that import ``dataclasses`` when they load, each kept on purpose.
@@ -70,6 +70,19 @@ def test_every_public_name_is_reached_or_allowed():
                 named.add(node.name)
     unreached = {name for name in defined if name not in named}
     assert unreached == set(UNREACHED), sorted(unreached ^ set(UNREACHED))
+
+
+def test_the_symbolic_analysis_imports_nothing_from_the_window_sampler():
+    # every region of symbolic/analysis.py comes from one UTVPI projection;
+    # the sampling of symbolic/solve.py stays with the maps of scale > 1
+    tree = ast.parse((SRC / "symbolic" / "analysis.py").read_text(encoding="utf-8"))
+    imported = [
+        node.module if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert [m for m in imported if m and m.split(".")[-1] == "solve"] == []
 
 
 def _subset_scans(root):

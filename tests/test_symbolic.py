@@ -37,7 +37,6 @@ from pretop.symbolic import (
     sym_ray,
     sym_regularize,
     sym_restrict,
-    sym_separated,
 )
 from pretop.symbolic.analysis import _conjoin, _membership_region, _solution
 from pretop.symbolic.exprs import SymExpr, sym_grid, var
@@ -137,6 +136,7 @@ def test_column_tails_split_by_side():
     x = builtin("urysohn")
     up = next(e for e in ends(x) if e.describe() == "G(+,p)")
     ans = end_converges(x, up)
+    assert ans.describe() == "..-1 -> atom minf; 0 -> empty; 1.. -> atom pinf"
     assert ans.at(2) == _set(x, "atom(pinf)")
     assert ans.at(-1) == _set(x, "atom(minf)")
     assert ans.at(0).is_empty()  # the zero column escapes, hence no compactness
@@ -204,13 +204,6 @@ def test_discrete_ray_not_compact_until_extended():
     v = sym_is_compact(r)
     assert not v.ok and v.witness.describe() == "R1(+)"
     assert sym_hausdorff(r).ok
-
-
-def test_separation_parameters():
-    x = builtin("urysohn")
-    assert sym_separated(x, _set(x, "atom(pinf)"), _set(x, "atom(minf)")) == 0
-    # the zero column reaches both poles at every parameter
-    assert sym_separated(x, _set(x, "grid(G; cols=0)"), _set(x, "atom(pinf) | atom(minf)")) is None
 
 
 # -- engine versus brute force ---------------------------------------------------
@@ -458,6 +451,21 @@ def test_hausdorff_verdict_and_certificate(name):
     vics = {p: x.vicinity(p, big) for p in box_points(x, w)}
     for p, q in combinations(vics, 2):
         assert not vics[p].meets(vics[q]), (p.describe(), q.describe())
+
+
+@pytest.mark.parametrize("name", sorted(_HAUSDORFF_SPACES))
+def test_parametric_ends_agree_with_their_pinned_classes(name):
+    # the cells over the end parameter P give at each p the limits that
+    # the one-cell projection of the pinned trace gives
+    x = _HAUSDORFF_SPACES[name]()
+    for y in (x, sym_regularize(x)):
+        for e in ends(y):
+            if not e.parametric:
+                continue
+            ans = end_converges(y, e)
+            for p in range(-20, 21):
+                if p in ans.axis:
+                    assert ans.at(p) == end_converges(y, e.pin(p)).at(), (y.label, e.describe(), p)
 
 
 def test_coupled_system_answers_box_callers_exactly():

@@ -1,7 +1,6 @@
-"""The pointwise axioms of rules and filter families, and the least
-separating parameter, are decided on comparison systems; brute force on
-a window of points and parameters must confirm every verdict and every
-witness."""
+"""The pointwise axioms of rules and filter families are decided on
+comparison systems; brute force on a window of points and parameters
+must confirm every verdict and every witness."""
 
 import re
 
@@ -11,18 +10,14 @@ from hypothesis import given, settings, strategies as st
 from pretop.defsets import DefSet, GroundSchema, Point
 from pretop.errors import EmptyKernel, NonMonotoneRule, SelfMembershipViolation, UnknownPoint
 from pretop.intervals import INF, INTEGERS, NATURALS0, NEG_INF, IntervalSet
-from pretop.model import eval_set, parse_set_expr
 from pretop.symbolic import (
     DefFilterBase,
     PointPattern,
     VicinityRule,
     build_symbolic,
-    builtin,
     sym_ray,
-    sym_separated,
 )
 from pretop.symbolic.exprs import SymDefSet, SymExpr, var
-from pretop.symbolic.space import box_points
 
 _W = 4  # coordinates -W..W, clipped to the axis
 _KS = 12  # parameters 0..KS
@@ -177,30 +172,3 @@ def test_the_principal_family_of_the_empty_set_is_empty():
 def test_shrinking_families_are_accepted():
     tail = DefFilterBase(sym_ray(_RAY, "R", (_K + 1, INF)))
     assert tail.at(4) == DefSet.build(_RAY, ray_parts={"R": IntervalSet.from_pairs(NATURALS0, [(5, None)])})
-
-
-# -- eventual separation ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "a,b,least",
-    [
-        ("atom(pinf)", "grid(G; rows=1..2; cols=1..3)", 2),
-        ("grid(G; rows=4; cols=0)", "atom(minf)", 4),
-    ],
-)
-def test_the_least_separating_parameter_is_certified(a, b, least):
-    x = builtin("urysohn")
-    sa, sb = (eval_set(parse_set_expr(s), x) for s in (a, b))
-    assert sym_separated(x, sa, sb) == least
-    pts = box_points(x, 6)
-
-    def union(s, k):
-        out = DefSet.empty(x.schema)
-        for p in pts:
-            if p in s:
-                out = out | x.vicinity(p, k)
-        return out
-
-    assert not union(sa, least).meets(union(sb, least))
-    assert union(sa, least - 1).meets(union(sb, least - 1))

@@ -18,7 +18,6 @@ from pretop.symbolic import (
     builtin,
     ends,
     image_end,
-    sym_f_sharp,
     sym_identity,
     sym_image,
     sym_is_continuous,
@@ -75,10 +74,8 @@ def test_shape_mismatch_rejected(ray1):
 # -- images --------------------------------------------------------------------
 
 
-def test_shift_image_and_small_image(ray1, shift):
+def test_shift_image(ray1, shift):
     assert sym_image(shift, _set(ray1, "ray(R1; 0..2)")) == _set(ray1, "ray(R1; 1..3)")
-    # 0 has an empty fiber, so it sits in every small image
-    assert sym_f_sharp(shift, _set(ray1, "ray(R1; 2..)")) == _set(ray1, "ray(R1; 0) | ray(R1; 3..)")
 
 
 def test_collapse_image(ray1):
@@ -92,8 +89,6 @@ def test_stretching_images_refuse_infinite_pieces(ray1):
     assert sym_image(double, _set(ray1, "ray(R1; 0..2)")) == _set(ray1, "ray(R1; 0) | ray(R1; 2) | ray(R1; 4)")
     with pytest.raises(FragmentEscape):
         sym_image(double, _set(ray1, "ray(R1; 2..)"))
-    with pytest.raises(FragmentEscape):
-        sym_f_sharp(double, _set(ray1, "ray(R1; 2..)"))
 
 
 # -- continuity -----------------------------------------------------------------
