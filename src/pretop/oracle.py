@@ -1,9 +1,12 @@
 """Cross-checking batteries replaying every law the package relies on.
 
 Each suite enumerates instances exhaustively at sizes 1 to 3 and, when
-asked for size 4, adds a seeded sample.  Suites run one after another:
-each is planned in the parent process, split into fixed-size chunks,
-and merged associatively with the counterexample taken at the least
+asked for size 4, adds a seeded sample.  A suite's plan is a generator:
+the parent process draws its instances as a stream and cuts the next
+fixed-size chunk only when that chunk is about to run, so no suite ever
+holds its instance list.  A serial run holds one chunk at a time; a pool
+holds at most two chunks per worker in flight.  Chunk outcomes are
+folded in index order with the counterexample taken at the least
 instance index, so the summary is byte-identical for any worker count.
 """
 
@@ -12,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
@@ -72,12 +76,17 @@ from .symbolic.space import box_points, truncate
 _SAMPLE = 1200
 _CHUNK = 512
 _MAX_POINTS = 4
+_IN_FLIGHT = 2  # chunks per pool worker submitted ahead of the fold
 
 COVER_COMPACT_METHODS = ("cover", "filter-refines", "vicinity-separation")
 HSET_METHODS = ("open-filter", "open-ultrafilter", "theta-adh")
 
 
-@lru_cache(maxsize=None)  # keys are vicinity tuples of at most _MAX_POINTS points
+# The exhaustive parts reuse the 69 spaces of at most 3 points chunk after
+# chunk, and 256 holds them all.  The seeded 4-point samples spread over
+# 4,096 vicinity tuples: keeping every one alive costs about 5 MB to save
+# rebuilds of a few microseconds each.
+@lru_cache(maxsize=256)
 def _space(vic: tuple) -> FinitePretop:
     return FinitePretop(tuple(str(i + 1) for i in range(len(vic))), tuple(vic))
 
@@ -107,25 +116,13 @@ def _subsets_of(mask: int):
 # -- map batteries -------------------------------------------------------------
 
 
-def _plan_maps(n: int, rng: random.Random) -> list:
-    out = []
+def _plan_maps(n: int, rng: random.Random):
     for size in _sizes(n):
         vics = _vics(size)
-        graphs = list(itertools.product(range(size), repeat=size))
-        for va in vics:
-            for vb in vics:
-                for g in graphs:
-                    out.append((va, vb, g))
+        yield from itertools.product(vics, vics, itertools.product(range(size), repeat=size))
     if n >= 4:
         for _ in range(_SAMPLE):
-            out.append(
-                (
-                    _rand_vic(4, rng),
-                    _rand_vic(4, rng),
-                    tuple(rng.randrange(4) for _ in range(4)),
-                )
-            )
-    return out
+            yield _rand_vic(4, rng), _rand_vic(4, rng), tuple(rng.randrange(4) for _ in range(4))
 
 
 def _check_continuity(inst) -> str | None:
@@ -154,18 +151,13 @@ def _check_perfect(inst) -> str | None:
 # -- compactness batteries --------------------------------------------------------
 
 
-def _plan_compact_at(n: int, rng: random.Random) -> list:
-    out = []
+def _plan_compact_at(n: int, rng: random.Random):
     for size in _sizes(n):
-        full = (1 << size) - 1
-        for vic in _vics(size):
-            for k in range(1, full + 1):
-                for at in range(1, full + 1):
-                    out.append((vic, k, at))
+        masks = range(1, 1 << size)
+        yield from itertools.product(_vics(size), masks, masks)
     if n >= 4:
         for _ in range(_SAMPLE):
-            out.append((_rand_vic(4, rng), rng.randrange(1, 16), rng.randrange(1, 16)))
-    return out
+            yield _rand_vic(4, rng), rng.randrange(1, 16), rng.randrange(1, 16)
 
 
 def _check_compact_at(inst) -> str | None:
@@ -191,16 +183,12 @@ def _check_cover_compact(inst) -> str | None:
 # -- regularization batteries -------------------------------------------------------
 
 
-def _plan_filters(n: int, rng: random.Random) -> list:
-    out = []
+def _plan_filters(n: int, rng: random.Random):
     for size in _sizes(n):
-        for vic in _vics(size):
-            for k in range(1, (1 << size)):
-                out.append((vic, k))
+        yield from itertools.product(_vics(size), range(1, 1 << size))
     if n >= 4:
         for _ in range(_SAMPLE):
-            out.append((_rand_vic(4, rng), rng.randrange(1, 16)))
-    return out
+            yield _rand_vic(4, rng), rng.randrange(1, 16)
 
 
 def _check_open_filter(inst) -> str | None:
@@ -225,12 +213,12 @@ def _check_tower_level(inst) -> str | None:
     return None
 
 
-def _plan_spaces(n: int, rng: random.Random) -> list:
-    out = [(vic,) for size in _sizes(n) for vic in _vics(size)]
+def _plan_spaces(n: int, rng: random.Random):
+    for size in _sizes(n):
+        yield from ((vic,) for vic in _vics(size))
     if n >= 4:
         for _ in range(_SAMPLE):
-            out.append((_rand_vic(4, rng),))
-    return out
+            yield (_rand_vic(4, rng),)
 
 
 def _check_quasi_phc(inst) -> str | None:
@@ -242,14 +230,12 @@ def _check_quasi_phc(inst) -> str | None:
     return None
 
 
-def _plan_hset(n: int, rng: random.Random) -> list:
+def _plan_hset(n: int, rng: random.Random):
     del rng  # the topology count stays exhaustive through size 4
-    out = []
     for size in range(1, min(n, 4) + 1):
         for sp in enumerate_pretops(size):
             if is_topological(sp).ok:
-                out += [(sp.vicinity, at) for at in range(1, sp.full + 1)]
-    return out
+                yield from ((sp.vicinity, at) for at in range(1, sp.full + 1))
 
 
 def _check_hset(inst) -> str | None:
@@ -277,18 +263,13 @@ def _partitions(size: int):
     yield from rec([], -1)
 
 
-def _plan_quotients(n: int, rng: random.Random) -> list:
-    out = []
+def _plan_quotients(n: int, rng: random.Random):
     for size in _sizes(n):
-        parts = list(_partitions(size))
-        for vic in _vics(size):
-            for labels in parts:
-                out.append((vic, labels))
+        yield from itertools.product(_vics(size), _partitions(size))
     if n >= 4:
         parts4 = list(_partitions(4))
         for _ in range(_SAMPLE):
-            out.append((_rand_vic(4, rng), rng.choice(parts4)))
-    return out
+            yield _rand_vic(4, rng), rng.choice(parts4)
 
 
 def _irreducible_by_scan(f: SpaceMap) -> Verdict:
@@ -320,24 +301,19 @@ def _check_quotient(inst) -> str | None:
     return None
 
 
-def _plan_extensions(n: int, rng: random.Random) -> list:
-    out = []
+def _plan_extensions(n: int, rng: random.Random):
     for size in _sizes(n):
-        full = (1 << size) - 1
         for vic in _vics(size):
             sp = _space(vic)
-            for base in range(1, full + 1):
-                if sp.adh(base) == sp.full:
-                    out.append((vic, base))
+            yield from ((vic, base) for base in range(1, sp.full + 1) if sp.adh(base) == sp.full)
     if n >= 4:
         added = 0
         while added < _SAMPLE:
             vic = _rand_vic(4, rng)
             base = rng.randrange(1, 16)
             if _space(vic).adh(base) == 15:
-                out.append((vic, base))
+                yield vic, base
                 added += 1
-    return out
 
 
 def _check_extension_order(inst) -> str | None:
@@ -390,9 +366,9 @@ def _check_strict_adh(inst) -> str | None:
     return None
 
 
-def _plan_hausdorff(n: int, rng: random.Random) -> list:
+def _plan_hausdorff(n: int, rng: random.Random):
     del rng
-    return [(size,) for size in range(1, min(n, 4) + 1)]
+    yield from ((size,) for size in range(1, min(n, 4) + 1))
 
 
 def _check_hausdorff_count(inst) -> str | None:
@@ -417,13 +393,10 @@ def _rand_interval(rng: random.Random, axis: AxisDomain) -> IntervalSet:
     return IntervalSet.from_pairs(axis, pairs)
 
 
-def _plan_intervals(n: int, rng: random.Random) -> list:
+def _plan_intervals(n: int, rng: random.Random):
     del n
-    out = []
     for i in range(240):
-        axis = ("int", "nat0", "nat1")[i % 3]
-        out.append((axis, rng.randrange(2**32)))
-    return out
+        yield ("int", "nat0", "nat1")[i % 3], rng.randrange(2**32)
 
 
 _AXES = {
@@ -477,13 +450,10 @@ def _rand_defset(rng: random.Random, schema) -> DefSet:
     return DefSet.build(schema, atoms, ray_parts, grid_rects)
 
 
-def _plan_defsets(n: int, rng: random.Random) -> list:
+def _plan_defsets(n: int, rng: random.Random):
     del n
-    out = []
     for i in range(180):
-        key = ("urysohn", "half_grid", "discrete_ray(2)")[i % 3]
-        out.append((key, rng.randrange(2**32)))
-    return out
+        yield ("urysohn", "half_grid", "discrete_ray(2)")[i % 3], rng.randrange(2**32)
 
 
 def _check_defsets(inst) -> str | None:
@@ -557,9 +527,9 @@ _DUAL_ENGINE_SETS = {
 }
 
 
-def _plan_dual_engine(n: int, rng: random.Random) -> list:
+def _plan_dual_engine(n: int, rng: random.Random):
     del n, rng
-    return [(key, lit) for key, lits in _DUAL_ENGINE_SETS.items() for lit in lits]
+    yield from ((key, lit) for key, lits in _DUAL_ENGINE_SETS.items() for lit in lits)
 
 
 def _check_dual_engine(inst) -> str | None:
@@ -581,9 +551,9 @@ def _check_dual_engine(inst) -> str | None:
     return None
 
 
-def _plan_kappa(n: int, rng: random.Random) -> list:
+def _plan_kappa(n: int, rng: random.Random):
     del n, rng
-    return [("ray1",), ("ray2",), ("urysohn",)]
+    yield from (("ray1",), ("ray2",), ("urysohn",))
 
 
 def _check_kappa(inst) -> str | None:
@@ -756,25 +726,22 @@ def run_suites(
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
         pool = ProcessPoolExecutor(max_workers=workers)
     with pool or nullcontext():
-        results = [_run_suite(name, max_points, seed, pool) for name in names]
+        results = [_run_suite(name, max_points, seed, pool, _IN_FLIGHT * workers) for name in names]
     return OracleSummary(max_points, seed, tuple(results))
 
 
-def _run_suite(name: str, max_points: int, seed: int, pool) -> SuiteResult:
-    """Plan, chunk, run and fold one suite, so that only its instances
-    are alive at a time."""
+def _run_suite(name: str, max_points: int, seed: int, pool, window: int) -> SuiteResult:
+    """Draw one suite's instances as a stream, cut the next chunk only when
+    it is about to run, and fold the chunk outcomes in index order.  A
+    serial run holds one chunk at a time, a pool at most ``window``."""
     rng = random.Random(f"{seed}:{name}")
-    instances = SUITES[name].plan(max_points, rng)
-    tasks = [
-        (name, instances[base : base + _CHUNK], base)
-        for base in range(0, len(instances), _CHUNK)
-    ]
-    del instances
+    stream = iter(SUITES[name].plan(max_points, rng))
+    chunks = iter(lambda: list(itertools.islice(stream, _CHUNK)), [])
+    tasks = ((name, chunk, i * _CHUNK) for i, chunk in enumerate(chunks))
     if pool is None:
-        outcomes = [_run_chunk(*t) for t in tasks]
+        outcomes = (_run_chunk(*t) for t in tasks)
     else:
-        futures = [pool.submit(_run_chunk, *t) for t in tasks]
-        outcomes = [f.result() for f in futures]
+        outcomes = _pooled(pool, tasks, window)
 
     checked = failures = 0
     first = None
@@ -782,6 +749,18 @@ def _run_suite(name: str, max_points: int, seed: int, pool) -> SuiteResult:
     for got, bad, idx, w in outcomes:
         checked += got
         failures += bad
-        if idx is not None and (first is None or idx < first):
+        if first is None and idx is not None:
             first, witness = idx, w
     return SuiteResult(name, checked, failures, witness)
+
+
+def _pooled(pool, tasks, window: int):
+    """Outcomes of ``tasks`` in order, submitting each task only when
+    fewer than ``window`` are in flight."""
+    pending = deque()
+    for task in tasks:
+        pending.append(pool.submit(_run_chunk, *task))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()

@@ -154,6 +154,13 @@ def test_oracle_json_is_worker_independent():
     assert serial == pooled
 
 
+def test_pool_folds_across_chunks():
+    # 3,173 instances: seven chunks, so the pool keeps a window in flight
+    serial = run_suites("compact-at-2way", max_points=3)
+    assert serial.suites[0].checked == 3173
+    assert run_suites("compact-at-2way", max_points=3, workers=2).to_json() == serial.to_json()
+
+
 def test_map_suites_match_loop_kernel_digest():
     # Digest of the summary produced by the per-point loop operators.
     text = run_suites(["continuity-5way", "perfect-3way"], max_points=3).to_json()

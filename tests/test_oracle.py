@@ -1,6 +1,13 @@
-"""Every law the oracle replays holds at every size it offers."""
+"""Every law the oracle replays holds at every size it offers, and the
+runner streams each plan in chunks and folds them in index order."""
 
+import dataclasses
 import hashlib
+import inspect
+
+import pytest
+
+from pretop import oracle
 
 from pretop.construct import make_extension, o_set, strict_extension
 from pretop.finite import FinitePretop
@@ -24,3 +31,52 @@ def test_strict_extension_law_takes_adherence_in_the_extension():
     yplus = strict_extension(e)
     u = 0b1000
     assert yplus.adh(0b0100 | u) == o_set(e, u) | yplus.adh(u) == 0b1101
+
+
+# -- streaming runner ------------------------------------------------------------------
+
+
+def test_every_plan_is_a_generator_function():
+    assert all(inspect.isgeneratorfunction(s.plan) for s in oracle.SUITES.values())
+
+
+BAD = (600, 1900, 1901)  # chunks 1 and 3 of compact-at-2way at three points
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fold_keeps_the_least_failing_index(monkeypatch, workers):
+    name = "compact-at-2way"
+    suite = oracle.SUITES[name]
+
+    def plan(n, rng):
+        return enumerate(suite.plan(n, rng))  # not a generator: any iterable runs
+
+    def check(inst):
+        i, _ = inst
+        return f"bad at {i}" if i in BAD else None
+
+    monkeypatch.setitem(oracle.SUITES, name, dataclasses.replace(suite, plan=plan, check=check))
+    (got,) = run_suites(name, max_points=3, workers=workers).suites
+    assert (got.checked, got.failures, got.counterexample) == (3173, 3, "bad at 600")
+
+
+def test_serial_plan_runs_at_most_one_chunk_ahead(monkeypatch):
+    name = "interval-laws"
+    total = 3 * oracle._CHUNK + 100
+    drawn = [0]
+    ahead = []
+
+    def plan(n, rng):
+        for i in range(total):
+            drawn[0] += 1
+            yield i
+
+    def check(i):
+        ahead.append(drawn[0] - i)
+        return None
+
+    suite = dataclasses.replace(oracle.SUITES[name], plan=plan, check=check)
+    monkeypatch.setitem(oracle.SUITES, name, suite)
+    (got,) = run_suites(name).suites
+    assert got.checked == len(ahead) == total
+    assert max(ahead) == oracle._CHUNK
