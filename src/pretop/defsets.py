@@ -36,6 +36,16 @@ class GroundSchema:
         """Strand name -> ``(axis,)`` for a ray, ``(rows, cols)`` for a grid."""
         return {n: (ax,) for n, ax in self.rays} | {n: (r, c) for n, r, c in self.grids}
 
+    @cached_property
+    def _full(self) -> "DefSet":
+        """The whole ground set, built once; :meth:`DefSet.full` returns it."""
+        return DefSet.build(
+            self,
+            atoms=self.atoms,
+            ray_parts={n: IntervalSet.full(ax) for n, ax in self.rays},
+            grid_rects={n: [(IntervalSet.full(r), IntervalSet.full(c))] for n, r, c in self.grids},
+        )
+
     def ray_axis(self, name: str) -> AxisDomain:
         if len(axes := self._axes.get(name, ())) != 1:
             raise UnknownPoint(f"no ray named {name!r}")
@@ -75,17 +85,17 @@ class Point:
             if self.coords:
                 raise UnknownPoint(f"atom {self.strand!r} takes no coordinates")
             return
-        for n, ax in schema.rays:
-            if n == self.strand:
-                if len(self.coords) != 1 or self.coords[0] not in ax:
-                    raise UnknownPoint(f"{self.coords} not on ray {n!r}")
+        axes = schema._axes.get(self.strand)
+        if axes is None:
+            raise UnknownPoint(f"no strand named {self.strand!r}")
+        if len(self.coords) == len(axes):
+            for c, ax in zip(self.coords, axes):
+                if c not in ax:
+                    break
+            else:
                 return
-        for n, rows, cols in schema.grids:
-            if n == self.strand:
-                if len(self.coords) != 2 or self.coords[0] not in rows or self.coords[1] not in cols:
-                    raise UnknownPoint(f"{self.coords} not on grid {n!r}")
-                return
-        raise UnknownPoint(f"no strand named {self.strand!r}")
+        kind = "ray" if len(axes) == 1 else "grid"
+        raise UnknownPoint(f"{self.coords} not on {kind} {self.strand!r}")
 
     def describe(self) -> str:
         if not self.coords:
@@ -130,7 +140,6 @@ def _canonical_grid(row_axis: AxisDomain, rects) -> tuple:
 
     out = []
     for colset, segs in groups.items():
-        rows = IntervalSet(row_axis, ())
         rows = IntervalSet.from_pairs(
             row_axis, [(None if lo == NEG_INF else lo, None if hi == INF else hi) for lo, hi in segs]
         )
@@ -188,32 +197,17 @@ class DefSet:
 
     @classmethod
     def full(cls, schema: GroundSchema) -> "DefSet":
-        return cls.build(
-            schema,
-            atoms=schema.atoms,
-            ray_parts={n: IntervalSet.full(ax) for n, ax in schema.rays},
-            grid_rects={
-                n: [(IntervalSet.full(r), IntervalSet.full(c))] for n, r, c in schema.grids
-            },
-        )
+        return schema._full
 
     @classmethod
     def point(cls, schema: GroundSchema, p: Point) -> "DefSet":
         p.validate(schema)
         if not p.coords:
             return cls.build(schema, atoms=[p.strand])
-        if len(p.coords) == 1:
-            ax = schema.ray_axis(p.strand)
-            return cls.build(schema, ray_parts={p.strand: IntervalSet.single(ax, p.coords[0])})
-        rows_ax, cols_ax = schema.grid_axes(p.strand)
-        return cls.build(
-            schema,
-            grid_rects={
-                p.strand: [
-                    (IntervalSet.single(rows_ax, p.coords[0]), IntervalSet.single(cols_ax, p.coords[1]))
-                ]
-            },
-        )
+        singles = tuple(IntervalSet.single(ax, c) for ax, c in zip(schema._axes[p.strand], p.coords))
+        if len(singles) == 1:
+            return cls.build(schema, ray_parts={p.strand: singles[0]})
+        return cls.build(schema, grid_rects={p.strand: [singles]})
 
     # -- per-strand access ----------------------------------------------
 
@@ -241,7 +235,10 @@ class DefSet:
         if len(p.coords) == 1:
             return p.coords[0] in self.ray_part(p.strand)
         row, col = p.coords
-        return any(row in rows and col in cols for rows, cols in self.grid_part(p.strand))
+        for rows, cols in self.grid_part(p.strand):
+            if row in rows:  # row groups are disjoint: the first holding the row decides
+                return col in cols
+        return False
 
     def is_empty(self) -> bool:
         return (

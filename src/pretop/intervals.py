@@ -38,7 +38,7 @@ class AxisDomain:
         return NEG_INF if self.kind == "int" else self.low
 
     def __contains__(self, n) -> bool:
-        return n >= self.low_value
+        return self.low is None or n >= self.low
 
     def describe(self) -> str:
         if self.kind == "int":
@@ -117,7 +117,11 @@ class IntervalSet:
     # -- queries --------------------------------------------------------
 
     def __contains__(self, n) -> bool:
-        return any(lo <= n <= hi for lo, hi in self.parts)
+        # parts are sorted and disjoint: the first ending at or above n decides
+        for lo, hi in self.parts:
+            if n <= hi:
+                return lo <= n
+        return False
 
     def is_empty(self) -> bool:
         return not self.parts

@@ -4,6 +4,11 @@ A map is a total table from source points to target points.  Every
 filter on a finite set is principal, so the filter quantifiers in the
 characterizations below run over nonempty kernels.  Witness scans use
 ascending-mask order, matching the space-level conventions.
+
+The routes read the map's image, preimage and fiber tables once.  Every
+space in the package keeps its least vicinities (and so its columns)
+inside ``full``, so they skip the ``& full`` of the one-mask API,
+``SpaceMap.image_mask`` and ``preimage_mask``.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ class SpaceMap:
         if len(self.graph) != self.source.n:
             raise PointSetMismatch("graph must assign every source point")
         # Not a field: eq, hash and repr stay on source, target and graph.
-        object.__setattr__(self, "_tables", _map_tables(tuple(self.graph), self.target.n))
+        self.__dict__["_tables"] = _map_tables(tuple(self.graph), self.target.n)
 
     @classmethod
     def from_table(cls, source: FinitePretop, target: FinitePretop, table) -> "SpaceMap":
@@ -99,10 +104,12 @@ def is_continuous(f: SpaceMap, method: str = "vicinity") -> Verdict:
     a singleton or a least vicinity.
     """
     src, tgt = f.source, f.target
+    img, pre, _ = f._tables
     if method == "limit":
         # image filters of converging filters converge to the image point;
         # a kernel inside x's least vicinity fails at x when it meets bad[x]
-        bad = [src.vicinity[i] & ~f.preimage_mask(tgt.vicinity[j]) for i, j in enumerate(f.graph)]
+        svic, tvic = src.vicinity, tgt.vicinity
+        bad = [svic[i] & ~union_of(pre, tvic[j]) for i, j in enumerate(f.graph)]
         low = 0
         for m in bad:
             low |= m
@@ -113,32 +120,30 @@ def is_continuous(f: SpaceMap, method: str = "vicinity") -> Verdict:
         return PASS
     if method in ("adh-filter", "adh-set"):
         # f[adh A] inside adh f[A] for every kernel (every set) A
-        scols, tcols = src.cols, tgt.cols
+        scols, tcols, graph = src.cols, tgt.cols, f.graph
         for b in range(src.n):
-            bad = f.image_mask(scols[b]) & ~tcols[f.graph[b]]
+            bad = union_of(img, scols[b]) & ~tcols[graph[b]]
             if bad:
                 return Verdict(False, (src.names(1 << b), tgt.names(bad)[0]))
         return PASS
     if method == "inh":
         # f^-1[inh B] inside inh f^-1[B]: x escapes at B when B holds the
         # least vicinity of f(x) but not the image of x's least vicinity
-        fails = [
-            tgt.vicinity[j]
-            for i, j in enumerate(f.graph)
-            if f.image_mask(src.vicinity[i]) & ~tgt.vicinity[j]
-        ]
+        svic, tvic = src.vicinity, tgt.vicinity
+        fails = [tvic[j] for i, j in enumerate(f.graph) if union_of(img, svic[i]) & ~tvic[j]]
         if fails:
             b = min(fails)
-            bad = f.preimage_mask(tgt.inh(b)) & ~src.inh(f.preimage_mask(b))
+            bad = union_of(pre, tgt.inh(b)) & ~src.inh(union_of(pre, b))
             return Verdict(False, (tgt.names(b), src.names(bad)[0]))
         return PASS
     if method == "vicinity":
         # every target vicinity of f(x) absorbs the image of some source
         # one; images are monotone, so the least vicinities decide it, and
         # the least one of f(x) is the first a scan of them all would fail
+        svic, tvic, graph = src.vicinity, tgt.vicinity, f.graph
         for i in range(src.n):
-            least = tgt.vicinity[f.graph[i]]
-            if f.image_mask(src.vicinity[i]) & ~least:
+            least = tvic[graph[i]]
+            if union_of(img, svic[i]) & ~least:
                 return Verdict(False, (src.points[i], tgt.names(least)))
         return PASS
     raise ValueError(f"unknown method {method!r}")
@@ -150,9 +155,9 @@ def is_continuous(f: SpaceMap, method: str = "vicinity") -> Verdict:
 def _adh_onto(f: SpaceMap) -> Verdict:
     """adh f[A] inside f[adh A] for every set A, decided by singletons."""
     src, tgt = f.source, f.target
-    scols, tcols = src.cols, tgt.cols
+    img, scols, tcols, graph = f._tables[0], src.cols, tgt.cols, f.graph
     for b in range(src.n):
-        bad = tcols[f.graph[b]] & ~f.image_mask(scols[b])
+        bad = tcols[graph[b]] & ~union_of(img, scols[b])
         if bad:
             return Verdict(False, (src.names(1 << b), tgt.names(bad)[0]))
     return PASS
@@ -161,8 +166,7 @@ def _adh_onto(f: SpaceMap) -> Verdict:
 def _fibers_cover_compact(f: SpaceMap) -> Verdict:
     """Every nonempty fiber is cover-compact in the source; the first
     failing target point, with the cover that fails."""
-    for j in range(f.target.n):
-        fib = f.fiber(j)
+    for j, fib in enumerate(f._tables[2]):
         if fib:  # the empty set is cover-compact for free
             v = is_cover_compact(f.source, fib, "cover")
             if not v.ok:
@@ -189,11 +193,11 @@ def is_perfect(f: SpaceMap, method: str = "definition") -> Verdict:
     """
     src, tgt = f.source, f.target
     if method == "definition":
-        for j in range(tgt.n):
-            s = tgt.vicinity[j]
-            pre = f.preimage_mask(s)
+        _, pre_tabs, fibers = f._tables
+        for j, s in enumerate(tgt.vicinity):
+            pre = union_of(pre_tabs, s)
             if pre:
-                v = compact_at_mask(src, pre, f.fiber(j), "filter")
+                v = compact_at_mask(src, pre, fibers[j], "filter")
                 if not v.ok:
                     return Verdict(False, (tgt.points[j], tgt.names(s), v.witness))
         return PASS

@@ -2,14 +2,13 @@
 
 ``@record`` reads the class's annotated fields and their defaults and
 compiles ``__init__``, ``__eq__`` and ``__hash__`` in one ``exec`` per
-class, with the code ``dataclasses`` generates: ``__init__`` assigns
-each field through ``object.__setattr__`` and then calls
-``__post_init__`` when the class has one; ``__eq__`` compares the
-tuples of compared fields of two instances of the same class;
-``__hash__`` hashes that tuple.  ``__repr__``, ``__setattr__`` and
-``__delattr__`` are shared functions, compiled once.  A field declared
-``field(default=..., compare=False)`` is left out of ``__eq__`` and
-``__hash__``.  Assigning or deleting an attribute raises
+class: ``__init__`` stores each field through the instance dict, one
+write per field, and then calls ``__post_init__`` when the class has
+one; ``__eq__`` compares the tuples of compared fields of two instances
+of the same class; ``__hash__`` hashes that tuple.  ``__repr__``,
+``__setattr__`` and ``__delattr__`` are shared functions, compiled once.
+A field declared ``field(default=..., compare=False)`` is left out of
+``__eq__`` and ``__hash__``.  Assigning or deleting an attribute raises
 ``dataclasses.FrozenInstanceError``, imported only then.
 
 ``dataclasses`` itself builds six functions per class with six
@@ -63,16 +62,14 @@ def record(cls):
             params.append(f"{name}=__dflt_{name}__")
         if compare:
             compared.append(name)
-    body = [f"__object__.__setattr__(self,{name!r},{name})" for name in names]
+    body = ["__d__=self.__dict__", *(f"__d__[{name!r}]={name}" for name in names)]
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     mine = "(" + "".join(f"self.{name}," for name in compared) + ")"
     theirs = "(" + "".join(f"other.{name}," for name in compared) + ")"
-    # __init__ reads object from a closure cell, as the one dataclasses
-    # generates does: a global lookup made construction about 4% slower.
     env = {"__name__": cls.__module__}
     exec(
-        f"def __create__(__object__,{','.join(defaults)}):\n"
+        f"def __create__({','.join(defaults)}):\n"
         f" def __init__(self,{','.join(params)}):\n  "
         + "\n  ".join(body)
         + "\n def __eq__(self,other):\n"
@@ -82,7 +79,7 @@ def record(cls):
         " return __init__,__eq__,__hash__\n",
         env,
     )
-    for fn in env["__create__"](object, **defaults):
+    for fn in env["__create__"](**defaults):
         fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
         setattr(cls, fn.__name__, fn)
     cls.__record_fields__ = tuple(names)

@@ -86,9 +86,11 @@ class PointPattern:
         return DefSet.build(schema, grid_rects={self.strand: [(rows, cols)]})
 
     def matches(self, schema: GroundSchema, p: Point) -> bool:
+        """``p in self.to_defset(schema)``; an absent selector holds every valid point."""
         if p.strand != self.strand:
             return False
-        return p in self.to_defset(schema)
+        p.validate(schema)
+        return all(s is None or c in s for c, s in zip(p.coords, (self.rows, self.cols)))
 
     def env_for(self, p: Point) -> dict:
         return dict(zip(self.vars, p.coords))
@@ -334,12 +336,6 @@ def box_points(x: SymbolicPretop, window: int) -> list:
     return pts
 
 
-def _point_name(p: Point) -> str:
-    if not p.coords:
-        return p.strand
-    return f"{p.strand}({','.join(str(c) for c in p.coords)})"
-
-
 def truncate(x: SymbolicPretop, window: int) -> FinitePretop:
     """Finite snapshot: box of radius ``window`` with kernels ``T_p(window)``.
 
@@ -354,7 +350,7 @@ def truncate(x: SymbolicPretop, window: int) -> FinitePretop:
     pts = box_points(x, window)
     index = {(p.strand, p.coords): i for i, p in enumerate(pts)}
     kernels = tuple(_box_mask(x.vicinity(p, window), index, window) for p in pts)
-    return FinitePretop(tuple(_point_name(p) for p in pts), kernels)
+    return FinitePretop(tuple(p.describe() for p in pts), kernels)
 
 
 def _box_mask(v: DefSet, index: dict, window: int) -> int:

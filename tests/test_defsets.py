@@ -2,12 +2,17 @@
 plus a fringe, and far representatives for infinite directions) and
 compares set algebra pointwise."""
 
+import random
+import re
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from pretop.defsets import DefSet, GroundSchema, Point
 from pretop.errors import SchemaMismatch, UnknownPoint
 from pretop.intervals import INTEGERS, NATURALS0, NATURALS1, IntervalSet
+from pretop.symbolic.analysis import sym_regularize
+from pretop.symbolic.space import PointPattern, box_points, builtin
 
 SCHEMA = GroundSchema(
     atoms=("pinf", "minf"),
@@ -82,6 +87,27 @@ def test_unknown_point_rejected():
         Point.grid("X", 1, 1).validate(SCHEMA)
     with pytest.raises(UnknownPoint):
         Point.grid("G", 0, 1).validate(SCHEMA)  # row 0 below the 1-based axis
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        (Point("pinf", (1,)), "atom 'pinf' takes no coordinates"),
+        (Point.ray("R", -1), "(-1,) not on ray 'R'"),
+        (Point.grid("G", 0, 1), "(0, 1) not on grid 'G'"),
+        (Point("R", (1, 2)), "(1, 2) not on ray 'R'"),
+        (Point("G", (1,)), "(1,) not on grid 'G'"),
+        (Point.grid("X", 1, 1), "no strand named 'X'"),
+    ],
+    ids=["atom-with-coordinates", "off-the-ray", "off-the-grid", "ray-arity", "grid-arity",
+         "unknown-strand"],
+)
+def test_validate_messages(point, message):
+    with pytest.raises(UnknownPoint) as err:
+        point.validate(SCHEMA)
+    assert str(err.value) == message
+    with pytest.raises(UnknownPoint, match=f"^{re.escape(message)}$"):
+        point in DefSet.full(SCHEMA)
 
 
 def test_membership():
@@ -213,3 +239,63 @@ def test_describe_mentions_each_strand():
     )
     d = s.describe()
     assert "atom(minf)" in d and "ray(R; 2..)" in d and "grid(G;" in d
+
+
+# -- membership against the set algebra ------------------------------------------
+
+BUILTINS = ("urysohn", "half_grid", "discrete_ray(2)")
+
+
+def seeded_interval(rng, axis):
+    """Up to three pairs, each end finite or infinite, normalized."""
+    pairs = []
+    for _ in range(rng.randrange(4)):
+        lo = None if rng.random() < 0.3 else rng.randint(-8, 8)
+        hi = None if rng.random() < 0.3 else rng.randint(-8 if lo is None else lo, 9)
+        pairs.append((lo, hi))
+    return IntervalSet.from_pairs(axis, pairs)
+
+
+def seeded_defset(rng, schema):
+    return DefSet.build(
+        schema,
+        atoms=[a for a in schema.atoms if rng.random() < 0.5],
+        ray_parts={n: seeded_interval(rng, ax) for n, ax in schema.rays},
+        grid_rects={
+            n: [(seeded_interval(rng, r), seeded_interval(rng, c)) for _ in range(rng.randrange(4))]
+            for n, r, c in schema.grids
+        },
+    )
+
+
+@pytest.mark.parametrize("key", BUILTINS)
+def test_membership_is_meeting_the_point_set(key):
+    x = builtin(key)
+    rng = random.Random(f"membership:{key}")
+    sets = [seeded_defset(rng, x.schema) for _ in range(24)]
+    sets += [DefSet.empty(x.schema), DefSet.full(x.schema)]
+    if x.schema.grids:  # sets of several row groups, where the group that decides matters
+        assert any(len(groups) > 1 for s in sets for _, groups in s.grids)
+    for p in box_points(x, 6):
+        point = DefSet.point(x.schema, p)
+        for s in sets:
+            assert (p in s) == (not (point & s).is_empty()), (p.describe(), s.describe())
+
+
+@pytest.mark.parametrize("key", BUILTINS)
+def test_a_pattern_matches_the_points_of_its_region(key):
+    x = builtin(key)
+    schema = x.schema
+    rng = random.Random(f"patterns:{key}")
+    pats = [r.pattern for r in x.rules + sym_regularize(x).rules]
+    for n, ax in schema.rays:
+        pats += [PointPattern.ray(n, seeded_interval(rng, ax)) for _ in range(8)]
+    for n, r, c in schema.grids:
+        pats += [
+            PointPattern.grid(n, *(None if rng.random() < 0.3 else seeded_interval(rng, a) for a in (r, c)))
+            for _ in range(8)
+        ]
+    for pat in pats:
+        region = pat.to_defset(schema)
+        for p in box_points(x, 6):
+            assert pat.matches(schema, p) == (p in region), (pat.describe(), p.describe())

@@ -5,7 +5,7 @@ together with the flags pins the set down completely."""
 
 import math
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 import pytest
 
 from pretop.errors import AxisMismatch, MalformedInterval
@@ -215,3 +215,14 @@ def test_subset_and_meets(pair):
 def test_describe_roundtrip_flavor():
     s = IntervalSet.from_pairs(INTEGERS, [(None, -2), (0, 0), (4, None)])
     assert s.describe() == "..-2,0,4.."
+
+
+PINNED = IntervalSet.from_pairs(INTEGERS, [(None, -5), (0, 2), (4, 4), (7, None)])
+
+
+@given(interval_sets())
+@example(PINNED)
+@example(~PINNED)
+def test_membership_matches_a_scan_of_the_parts(s):
+    for v in [NEG_INF, INF, *window(s)]:
+        assert (v in s) == any(lo <= v <= hi for lo, hi in s.parts), v

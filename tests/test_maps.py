@@ -60,6 +60,13 @@ def test_from_table_requires_every_point(d2, s2):
         SpaceMap(d2, s2, (0, 5))
 
 
+@pytest.mark.parametrize("decide", [is_continuous, is_perfect])
+def test_an_unknown_route_is_rejected(d2, decide):
+    with pytest.raises(ValueError) as err:
+        decide(SpaceMap.identity(d2), "x")
+    assert str(err.value) == "unknown method 'x'"
+
+
 def test_constructors_and_apply(q3, d2, s2):
     ident = SpaceMap.identity(q3)
     assert ident("2") == "2"
