@@ -37,6 +37,16 @@ comparison of each piece at ``k``; a filter family's emptiness is read
 off the ``k``-region where it meets the ground set.  When a result
 cannot be expressed exactly the functions raise
 :class:`~pretop.errors.FragmentEscape` rather than approximate.
+
+A strand-wise map (a shift or a collapse per strand) is discontinuous
+at ``p`` when, for some ``J``, every vicinity ``T_p(k)`` holds a point
+``q`` sent outside the target vicinity ``U(J)`` of ``p``'s image.
+Under a shift, ``q``'s image failing one comparison of a piece of ``U``
+is one more half-interval on one coordinate of ``q``; under a collapse
+the image is a constant point.  ``q`` moves as ``k`` grows, so it is
+eliminated by interval overlap rather than kept free, and each system
+left in ``p``'s coordinates and ``J`` is decided with ``k`` as the
+limit.
 """
 
 from __future__ import annotations
@@ -265,8 +275,7 @@ def _meet_conds(left: SymDefSet, right: SymDefSet):
         s2 = rrays.get(name)
         if s2 is None or not s2.parts or not s1.parts:
             continue
-        axis = schema.ray_axis(name)
-        low = axis.low if axis.kind == "nat" else None
+        low = schema.ray_axis(name).low
         for p1 in s1.parts:
             for p2 in s2.parts:
                 for m1 in _ray_factors(left.mask, name):
@@ -278,9 +287,7 @@ def _meet_conds(left: SymDefSet, right: SymDefSet):
         rects2 = rgrids.get(name, ())
         if not rects1 or not rects2:
             continue
-        rows_ax, cols_ax = schema.grid_axes(name)
-        rlow = rows_ax.low if rows_ax.kind == "nat" else None
-        clow = cols_ax.low if cols_ax.kind == "nat" else None
+        rlow, clow = (ax.low for ax in schema.grid_axes(name))
         for rows1, cols1 in rects1:
             for rows2, cols2 in rects2:
                 for mr1, mc1 in _grid_factors(left.mask, name):
@@ -876,21 +883,24 @@ def sym_is_compact(x: SymbolicPretop) -> Verdict:
 _K0 = (SymExpr.const(0), var("k"))
 
 
+def _strand_pieces(t: SymDefSet, strand: str, arity: int) -> list:
+    """The pieces of ``t`` on one strand, ``t``'s mask aside: one
+    (lo, hi) pair per coordinate; an atom of ``t`` is the empty piece."""
+    if not arity:
+        return [()] if strand in t.atoms else []
+    if arity == 1:
+        return [((p.lo, p.hi),) for p in dict(t.rays)[strand].parts]
+    rects = dict(t.grids)[strand]
+    return [((r.lo, r.hi), (c.lo, c.hi)) for rows, cols in rects for r in rows.parts for c in cols.parts]
+
+
 def _outside(t: SymDefSet, strand: str, coords: tuple, bases) -> list:
     """Satisfiable systems on which the point of ``strand`` at ``coords``
     lies outside every piece of ``t`` there, ``t``'s mask aside: a base
     list and, for each piece, one comparison the point fails.  An atom
     of ``t`` is a piece with no comparison to fail."""
-    if not coords:
-        pieces = [()] if strand in t.atoms else []
-    elif len(coords) == 1:
-        pieces = [((p.lo, p.hi),) for p in dict(t.rays)[strand].parts]
-    else:
-        pieces = [
-            ((r.lo, r.hi), (c.lo, c.hi)) for rows, cols in dict(t.grids)[strand] for r in rows.parts for c in cols.parts
-        ]
     systems = [b for b in bases if _conjoin(b, frozenset()) is not None]
-    for piece in pieces:
+    for piece in _strand_pieces(t, strand, len(coords)):
         fails = [cond for (lo, hi), x in zip(piece, coords) for cond in ((x + 1, lo), (hi + 1, x))]
         systems = [[*s, f] for s in systems for f in fails if _conjoin([*s, f], frozenset()) is not None]
     return systems
@@ -1185,3 +1195,128 @@ def sym_hausdorff(x: SymbolicPretop) -> Verdict:
                 p2 = _point_of(r2.pattern, {"n": env["n2"], "m": env["m2"]})
                 return Verdict(False, (p1, p2))
     return Verdict(True, None)
+
+
+# -- continuity of strand-wise maps -----------------------------------------------
+
+_J = var("J")
+
+
+def _template_pieces(t: SymDefSet):
+    """(strand, coordinates) of each piece of ``t``, its mask factors
+    included: per coordinate, the intervals a point of the piece lies in
+    and the axis floor (None on a two-sided axis).  An atom is a piece
+    without coordinates."""
+    schema = t.schema
+    atoms = t.atoms if t.mask is None else t.atoms & t.mask.atoms
+    for a in schema.atoms:
+        if a in atoms:
+            yield a, ()
+    for name, s in t.rays:
+        low = schema.ray_axis(name).low
+        for p in s.parts:
+            for m in _ray_factors(t.mask, name):
+                yield name, (([(p.lo, p.hi), *m], low),)
+    for name, rects in t.grids:
+        rlow, clow = (ax.low for ax in schema.grid_axes(name))
+        for rows, cols in rects:
+            for mr, mc in _grid_factors(t.mask, name):
+                for rp in rows.parts:
+                    for cp in cols.parts:
+                        yield name, (([(rp.lo, rp.hi), *mr], rlow), ([(cp.lo, cp.hi), *mc], clow))
+
+
+def _exists(coords) -> list:
+    """Comparisons stating that some point lies in every interval of its
+    coordinates."""
+    return [cond for items, low in coords for cond in _overlap_conds(items, low)]
+
+
+def _escapes(f, u: SymDefSet, strand: str, coords: tuple, bases) -> list:
+    """Systems, each with a base list, on which a point ``q`` of the piece
+    (``strand``, ``coords``) has its image under ``f`` outside every piece
+    of ``u``.
+
+    Under a collapse the image is a constant point, and each piece of
+    ``u`` gets one comparison it fails.  Under a shift, failing one
+    comparison of a piece confines one coordinate of ``q`` to one more
+    half-interval.  ``q`` itself is eliminated: it exists when the
+    intervals of each coordinate overlap.  Systems that can never hold
+    are pruned after each piece.
+    """
+    sm = f.strand_map(strand)
+    if sm.collapses:
+        at = tuple(SymExpr.const(c) for c in sm.point.coords)
+        return _outside(u, sm.point.strand, at, [[*b, *_exists(coords)] for b in bases])
+    states = [(b, coords) for b in bases]
+    for piece in _strand_pieces(u, sm.target, len(coords)):
+        grown = []
+        for b, cs in states:
+            for i, ((lo, hi), off) in enumerate(zip(piece, sm.offsets)):
+                items, low = cs[i]
+                fails = [] if isinstance(lo, float) else [(NEG_INF, lo - off - 1)]
+                fails += [] if isinstance(hi, float) else [(hi - off + 1, INF)]
+                for fail in fails:
+                    new = (*cs[:i], ([*items, fail], low), *cs[i + 1 :])
+                    if _conjoin([*b, *_exists(new)], _LIMITS_K) is not None:
+                        grown.append((b, new))
+        states = grown
+    return [[*b, *_exists(cs)] for b, cs in states]
+
+
+def _failures(f, rule: VicinityRule):
+    """Comparison lists, one of which holds at a point ``p`` of the rule
+    and a ``J >= 0`` exactly when every ``T_p(k)`` holds a point that
+    ``f`` sends outside ``U_f(p)(J)``.
+
+    For each target rule on the strand of ``f(p)``, its template is
+    written in ``p``'s coordinates ``n``, ``m`` and in ``J``, with
+    ``f(p)`` confined to a carrier box of its pattern, and each piece of
+    ``T_p(k)`` gives the systems of :func:`_escapes`.  ``f`` sends the
+    source carrier into the target carrier, which is every template's
+    mask, so the mask of ``U`` can be left aside.
+    """
+    x, y = f.source, f.target
+    pat = rule.pattern
+    sm = f.strand_map(pat.strand)
+    if sm.collapses:
+        strand, at = sm.point.strand, [SymExpr.const(c) for c in sm.point.coords]
+    else:
+        strand, at = sm.target, [var(v) + off for v, off in zip(pat.vars, sm.offsets)]
+    image = dict(zip(("n", "m"), at))
+    for target_rule in y.rules:
+        if target_rule.pattern.strand != strand:
+            continue
+        u = target_rule.template.substitute({**image, "k": _J})
+        bases = [
+            [*box, *((e1.substitute(image), e2.substitute(image)) for e1, e2 in tbox), (SymExpr.const(0), _J)]
+            for box in _carrier_conds(x.schema, pat, x.carrier)
+            for tbox in _carrier_conds(y.schema, target_rule.pattern, y.carrier)
+        ]
+        for q_strand, coords in _template_pieces(rule.template):
+            yield from _escapes(f, u, q_strand, coords, bases)
+
+
+def sym_discontinuity(f) -> tuple | None:
+    """A point ``p`` and a parameter ``j`` at which the strand-wise map
+    ``f`` (a :class:`~pretop.symbolic.maps.SymbolicMap`) is not
+    continuous, or None when it is continuous.
+
+    ``f`` fails at ``p`` when, for some ``J >= 0``, every vicinity
+    ``T_p(k)`` holds a point ``q`` with ``f(q)`` outside ``U_f(p)(J)``.
+    The family is decreasing in ``k``, so "every ``k``" is its eventual
+    truth, and each system of :func:`_failures` is decided with ``k`` as
+    the limit.  The witness point comes from the first satisfiable
+    system, its coordinates fixed in turn to the feasible value nearest
+    0; ``j`` is the least ``J`` that fails there.
+    """
+    for rule in f.source.rules:
+        systems = list(_failures(f, rule))
+        first = next((s for s in (_conjoin(c, _LIMITS_K) for c in systems) if s is not None), None)
+        if first is None:
+            continue
+        env = _solution(first, ("n", "m"))
+        at_p = _bound_conds({v: (env[v], env[v]) for v in rule.pattern.vars})
+        fails = (_conjoin([*c, *at_p], _LIMITS_K) for c in systems)
+        return _point_of(rule.pattern, env), min(_solution(s, ("J",))["J"] for s in fails if s is not None)
+    return None

@@ -1,109 +1,40 @@
 """Maps between rule-presented spaces.
 
-A map is given strand by strand: an affine action on the coordinates of
-a ray or grid strand, or the collapse of a whole strand to one target
-point.  Images of definable sets stay definable exactly when every
-stretching is avoidable (scale one, or singleton and finite pieces);
-anything else raises ``FragmentEscape`` rather than approximating.
-Continuity is decided by the vicinity route: templates are compared on
-a window wide enough to settle unit-slope facts, with guard offsets
-catching any residual drift.
+A map is given strand by strand: a shift of the coordinates of a ray or
+grid strand onto a strand of the same shape, or the collapse of a whole
+strand to one target point.  The image of a definable set is definable
+again, with every endpoint moved by its offset.  Validation is one
+inclusion, the image of the source carrier inside the target carrier,
+and continuity is decided exactly on the comparison systems of
+:func:`~pretop.symbolic.analysis.sym_discontinuity`; nothing is sampled.
 """
 
 from __future__ import annotations
 
 from ..defsets import DefSet, GroundSchema, Point
-from ..errors import FragmentEscape, SchemaMismatch, UnclassifiableImageTrace, UnknownPoint
+from ..errors import SchemaMismatch, UnclassifiableImageTrace, UnknownPoint
 from ..finite import Verdict
-from ..intervals import INF, NEG_INF, AxisDomain, IntervalSet
+from ..intervals import IntervalSet
 from ..record import record
-from .analysis import EndClass, sym_adh
-from .solve import GUARD_OFFSETS, stabilization
-from .space import SymbolicPretop, VicinityRule
-
-# widest finite interval an image computation will enumerate pointwise
-_ENUMERATION_CAP = 4096
-
-
-def _validation_window(bound: int) -> int:
-    """Sampling radius of map validation and continuity.
-
-    A strand map with scale > 1 falls outside the unit-slope comparisons
-    that the rest of the engine decides exactly, so these two checks
-    still sample the source points within this radius: a few times the
-    largest constant of the map and its two spaces, beyond every
-    endpoint of their templates and selectors.
-    """
-    return 6 * bound + 12
-
-
-def _axis_samples(axis: AxisDomain, selector: IntervalSet, w: int) -> list:
-    lo = -w if axis.kind == "int" else axis.low
-    return [x for x in range(lo, w + 1) if x in selector]
-
-
-def _rule_points(schema: GroundSchema, rule: VicinityRule, carrier: DefSet | None, w: int) -> list:
-    """Sample points covered by the rule within the window."""
-    pat = rule.pattern
-    if pat.kind == "atom":
-        pts = [Point.atom(pat.strand)]
-    elif pat.kind == "ray":
-        (rows,) = pat.selectors(schema)
-        pts = [Point.ray(pat.strand, n) for n in _axis_samples(schema.ray_axis(pat.strand), rows, w)]
-    else:
-        rows, cols = pat.selectors(schema)
-        rows_ax, cols_ax = schema.grid_axes(pat.strand)
-        pts = [
-            Point.grid(pat.strand, n, m)
-            for n in _axis_samples(rows_ax, rows, w)
-            for m in _axis_samples(cols_ax, cols, w)
-        ]
-    return pts if carrier is None else [p for p in pts if p in carrier]
-
-
-@record
-class AffineAxis:
-    """One coordinate action ``i -> scale*i + offset`` with scale >= 1."""
-
-    scale: int = 1
-    offset: int = 0
-
-    def __post_init__(self):
-        if self.scale < 1:
-            raise ValueError(f"axis scale must be at least 1, got {self.scale}")
-
-    def __call__(self, i: int) -> int:
-        return self.scale * i + self.offset
-
-    def endpoint(self, e):
-        return e if e == INF or e == NEG_INF else self.scale * e + self.offset
-
-    def describe(self) -> str:
-        head = "i" if self.scale == 1 else f"{self.scale}i"
-        if self.offset == 0:
-            return head
-        return f"{head}{self.offset:+d}"
+from .analysis import EndClass, sym_adh, sym_discontinuity
+from .space import SymbolicPretop
 
 
 @record
 class StrandMap:
     """Action of a map on one source strand.
 
-    Either ``affine`` onto a target strand of the same shape, with one
-    axis action per coordinate, or ``to_point`` collapsing the strand.
+    Either a shift onto a target strand of the same shape, with one
+    integer offset per coordinate, or ``to_point`` collapsing the strand.
     """
 
     target: str | None = None
-    axes: tuple = ()
+    offsets: tuple = ()
     point: Point | None = None
 
     @classmethod
-    def affine(cls, target: str, *axes: AffineAxis) -> "StrandMap":
-        return cls(target, tuple(axes))
-
-    @classmethod
     def shift(cls, target: str, *offsets: int) -> "StrandMap":
-        return cls(target, tuple(AffineAxis(1, o) for o in offsets))
+        return cls(target, tuple(offsets))
 
     @classmethod
     def to_point(cls, p: Point) -> "StrandMap":
@@ -116,7 +47,7 @@ class StrandMap:
     def describe(self) -> str:
         if self.collapses:
             return f"-> {self.point.describe()}"
-        inner = ", ".join(a.describe() for a in self.axes)
+        inner = ", ".join("i" if o == 0 else f"i{o:+d}" for o in self.offsets)
         return f"-> {self.target}({inner})"
 
 
@@ -125,7 +56,7 @@ class SymbolicMap:
     """Total map between two rule-presented spaces, given per strand.
 
     Build through :func:`build_sym_map`, which checks shape agreement
-    and that sampled images land on the target carrier.
+    and that the image of the source carrier lies in the target carrier.
     """
 
     source: SymbolicPretop
@@ -139,23 +70,6 @@ class SymbolicMap:
                 return sm
         raise UnknownPoint(f"map does not cover strand {name!r}")
 
-    @property
-    def scale_one(self) -> bool:
-        return all(
-            a.scale == 1 for _, sm in self.strands if not sm.collapses for a in sm.axes
-        )
-
-    @property
-    def bound(self) -> int:
-        b = max(self.source.bound, self.target.bound)
-        for _, sm in self.strands:
-            if sm.collapses:
-                b = max(b, max((abs(c) for c in sm.point.coords), default=0))
-            else:
-                for a in sm.axes:
-                    b = max(b, a.scale, abs(a.offset))
-        return b
-
     def apply(self, p: Point) -> Point:
         """Image of one point, validated against the target space."""
         p.validate(self.source.schema)
@@ -163,7 +77,7 @@ class SymbolicMap:
         if sm.collapses:
             q = sm.point
         else:
-            q = Point(sm.target, tuple(a(c) for a, c in zip(sm.axes, p.coords)))
+            q = Point(sm.target, tuple(c + o for c, o in zip(p.coords, sm.offsets)))
         q.validate(self.target.schema)
         if self.target.carrier is not None and q not in self.target.carrier:
             raise UnknownPoint(f"image {q.describe()} lies outside the target carrier")
@@ -177,6 +91,15 @@ class SymbolicMap:
         return "\n".join(lines)
 
 
+def _strand_axes(schema: GroundSchema) -> dict:
+    """The coordinate axes of each strand, in schema order; none for an
+    atom."""
+    out = {a: () for a in schema.atoms}
+    out.update((n, (ax,)) for n, ax in schema.rays)
+    out.update((n, (rows, cols)) for n, rows, cols in schema.grids)
+    return out
+
+
 def build_sym_map(
     source: SymbolicPretop,
     target: SymbolicPretop,
@@ -187,174 +110,104 @@ def build_sym_map(
 
     ``assignments`` maps each source strand name to a StrandMap, a
     target Point (collapse), or a bare target strand name (identity
-    action).  Every strand must be covered; atoms must collapse.
+    action).  Every strand must be covered; atoms must collapse.  Each
+    collapse point must be a point of the target schema, and the image
+    of the source carrier must lie in the target carrier; otherwise
+    :class:`~pretop.errors.UnknownPoint` names an offending image point.
     """
     table = []
-    names = list(source.schema.atoms)
-    names += [n for n, _ in source.schema.rays]
-    names += [n for n, *_ in source.schema.grids]
-    for name in names:
+    axes, target_axes = _strand_axes(source.schema), _strand_axes(target.schema)
+    for name, own in axes.items():
         if name not in assignments:
             raise UnknownPoint(f"no assignment for strand {name!r}")
         sm = assignments[name]
+        arity = len(own)
         if isinstance(sm, Point):
             sm = StrandMap.to_point(sm)
         elif isinstance(sm, str):
-            arity = 1 if any(n == name for n, _ in source.schema.rays) else 2
-            if source.schema.has_atom(name):
-                sm = StrandMap.to_point(Point.atom(sm))
-            else:
-                sm = StrandMap.affine(sm, *(AffineAxis() for _ in range(arity)))
-        if not sm.collapses:
-            if source.schema.has_atom(name):
-                raise SchemaMismatch(f"atom {name!r} needs a target point, not an axis action")
-            src_arity = 1 if any(n == name for n, _ in source.schema.rays) else 2
-            tgt_arity = 1 if any(n == sm.target for n, _ in target.schema.rays) else 2
-            if sm.target in target.schema.atoms or len(sm.axes) != src_arity or src_arity != tgt_arity:
-                raise SchemaMismatch(
-                    f"strand {name!r} maps to {sm.target!r} with mismatched shape"
-                )
+            sm = StrandMap.to_point(Point.atom(sm)) if not arity else StrandMap.shift(sm, *(0,) * arity)
+        if sm.collapses:
+            sm.point.validate(target.schema)
+        elif not arity:
+            raise SchemaMismatch(f"atom {name!r} needs a target point, not an axis action")
+        elif len(sm.offsets) != arity or len(target_axes.get(sm.target, ())) != arity:
+            raise SchemaMismatch(f"strand {name!r} maps to {sm.target!r} with mismatched shape")
         table.append((name, sm))
-    extra = set(assignments) - set(names)
+    extra = set(assignments) - set(axes)
     if extra:
         raise UnknownPoint(f"assignment for unknown strand {sorted(extra)[0]!r}")
 
     f = SymbolicMap(source, target, tuple(table), label)
-    w = _validation_window(f.bound)
-    for rule in source.rules:
-        for p in _rule_points(source.schema, rule, source.carrier, w):
-            f.apply(p)  # raises UnknownPoint when the image leaves the target
+    stray = sym_image(f, source.carrier_set) - target.carrier_set
+    if not stray.is_empty():
+        q = next(stray.iter_sample_points())
+        raise UnknownPoint(f"image {q.describe()} lies outside the target carrier")
     return f
 
 
 def sym_identity(x: SymbolicPretop) -> SymbolicMap:
-    assignments: dict = {a: Point.atom(a) for a in x.schema.atoms}
-    for n, _ in x.schema.rays:
-        assignments[n] = n
-    for n, *_ in x.schema.grids:
-        assignments[n] = n
-    return build_sym_map(x, x, assignments, label="id")
+    return build_sym_map(x, x, {name: name for name in _strand_axes(x.schema)}, label="id")
 
 
 # -- images ------------------------------------------------------------------
 
-def _interval_image(a: AffineAxis, lo, hi):
-    """Image pairs of one interval and whether they are exact."""
-    if a.scale == 1:
-        return [(a.endpoint(lo), a.endpoint(hi))], True
-    if lo == hi:
-        return [(a(lo), a(lo))], True
-    if lo != NEG_INF and hi != INF and hi - lo + 1 <= _ENUMERATION_CAP:
-        return [(a(i), a(i)) for i in range(lo, hi + 1)], True
-    return [(a.endpoint(lo), a.endpoint(hi))], False
-
-
-def _image_with_flag(f: SymbolicMap, s: DefSet) -> tuple:
-    if s.schema != f.source.schema:
-        raise SchemaMismatch("set uses a different ground schema than the map's source")
-    s = s & f.source.carrier_set
-    atoms = set()
-    ray_parts: dict = {}
-    grid_rects: dict = {}
-    exact = True
-
-    def add_point(q: Point):
-        if not q.coords:
-            atoms.add(q.strand)
-        elif len(q.coords) == 1:
-            ray_parts.setdefault(q.strand, []).append((q.coords[0], q.coords[0]))
-        else:
-            rows_ax, cols_ax = f.target.schema.grid_axes(q.strand)
-            grid_rects.setdefault(q.strand, []).append(
-                (
-                    IntervalSet.single(rows_ax, q.coords[0]),
-                    IntervalSet.single(cols_ax, q.coords[1]),
-                )
-            )
-
-    for a in s.atoms:
-        add_point(f.strand_map(a).point)
-    for name, iset in s.rays:
-        if iset.is_empty():
+def _shifted(sm: StrandMap, box: tuple, axes: tuple) -> tuple:
+    """The image of a box of source coordinate sets under a shift, one
+    set per target axis.  Clipping at an ℕ floor would drop an image
+    point below it silently, so such a point is named first."""
+    for i, (s, off, ax) in enumerate(zip(box, sm.offsets, axes)):
+        if ax.low is None:
             continue
-        sm = f.strand_map(name)
-        if sm.collapses:
-            add_point(sm.point)
-            continue
-        for lo, hi in iset.parts:
-            pairs, ok = _interval_image(sm.axes[0], lo, hi)
-            exact = exact and ok
-            ray_parts.setdefault(sm.target, []).extend(pairs)
-    for name, groups in s.grids:
-        if not groups:
-            continue
-        sm = f.strand_map(name)
-        if sm.collapses:
-            add_point(sm.point)
-            continue
-        rows_ax, cols_ax = f.target.schema.grid_axes(sm.target)
-        for rows, cols in groups:
-            rpairs, rok = [], True
-            for lo, hi in rows.parts:
-                ps, ok = _interval_image(sm.axes[0], lo, hi)
-                rpairs.extend(ps)
-                rok = rok and ok
-            cpairs, cok = [], True
-            for lo, hi in cols.parts:
-                ps, ok = _interval_image(sm.axes[1], lo, hi)
-                cpairs.extend(ps)
-                cok = cok and ok
-            exact = exact and rok and cok
-            rset = IntervalSet.from_pairs(
-                rows_ax, [(None if lo == NEG_INF else lo, None if hi == INF else hi) for lo, hi in rpairs]
-            )
-            cset = IntervalSet.from_pairs(
-                cols_ax, [(None if lo == NEG_INF else lo, None if hi == INF else hi) for lo, hi in cpairs]
-            )
-            grid_rects.setdefault(sm.target, []).append((rset, cset))
-
-    parts = {
-        n: IntervalSet.from_pairs(
-            f.target.schema.ray_axis(n),
-            [(None if lo == NEG_INF else lo, None if hi == INF else hi) for lo, hi in ps],
-        )
-        for n, ps in ray_parts.items()
-    }
-    img = DefSet.build(f.target.schema, atoms=atoms, ray_parts=parts, grid_rects=grid_rects)
-    return img, exact
+        below = s & IntervalSet.from_pairs(s.axis, [(None, ax.low - off - 1)])
+        if not below.is_empty():
+            coords = [t.least() + o for t, o in zip(box, sm.offsets)]
+            coords[i] = below.least() + off
+            q = Point(sm.target, tuple(coords))
+            raise UnknownPoint(f"image {q.describe()} lies below the floor of {sm.target!r}")
+    return tuple(
+        IntervalSet.from_pairs(ax, [(lo + off, hi + off) for lo, hi in s.parts])
+        for s, off, ax in zip(box, sm.offsets, axes)
+    )
 
 
 def sym_image(f: SymbolicMap, s: DefSet) -> DefSet:
-    """Exact forward image of a definable set."""
-    img, exact = _image_with_flag(f, s)
-    if not exact:
-        raise FragmentEscape(
-            "image of an infinite piece under a stretching map is not definable"
-        )
-    return img
+    """Exact forward image of a definable set: each endpoint of a shifted
+    strand moves by its offset, and a collapsed strand meeting ``s``
+    adds its point."""
+    if s.schema != f.source.schema:
+        raise SchemaMismatch("set uses a different ground schema than the map's source")
+    s = s & f.source.carrier_set
+    schema = f.target.schema
+    points = [f.strand_map(a).point for a in s.atoms]
+    axes, rays, grids = _strand_axes(schema), {}, {}
+    pieces = [(name, (iset,)) for name, iset in s.rays if not iset.is_empty()]
+    pieces += [(name, group) for name, groups in s.grids for group in groups]
+    for name, box in pieces:
+        sm = f.strand_map(name)
+        if sm.collapses:
+            points.append(sm.point)
+        elif len(box) == 1:
+            rays.setdefault(sm.target, []).extend(_shifted(sm, box, axes[sm.target])[0].parts)
+        else:
+            grids.setdefault(sm.target, []).append(_shifted(sm, box, axes[sm.target]))
+    ray_parts = {n: IntervalSet.from_pairs(schema.ray_axis(n), parts) for n, parts in rays.items()}
+    out = DefSet.build(schema, (), ray_parts, grids)
+    for q in points:
+        out = out | DefSet.point(schema, q)
+    return out
 
 
 # -- continuity ---------------------------------------------------------------
 
-def _image_inside(f: SymbolicMap, v: DefSet, w: DefSet) -> bool:
-    img, exact = _image_with_flag(f, v)
-    if img.subset_of(w):
-        return True
-    if not exact:
-        raise FragmentEscape(
-            "continuity undecided: stretched image only known up to a bounding interval"
-        )
-    return False
-
-
 def sym_is_continuous(f: SymbolicMap, method: str = "vicinity", probes=None) -> Verdict:
     """Continuity verdict with a (point, parameter) witness on failure.
 
-    ``vicinity`` is the decision procedure: at every sampled source
-    point and every target parameter ``j``, some source parameter must
-    push the image of the vicinity inside the target vicinity; by
-    monotonicity it is enough to test one sufficiently large parameter,
-    and a guard re-test protects against an unsettled window.  The
+    ``vicinity`` is the decision procedure: ``f`` is continuous at ``p``
+    when for every ``j`` some ``k`` gives ``f(T_p(k)) ⊆ U_f(p)(j)``.  The
+    failures form one family of comparison systems in ``p``'s
+    coordinates and ``j``, with ``k`` resolved by its eventual truth,
+    decided exactly by :func:`~pretop.symbolic.analysis.sym_discontinuity`;
+    its witness fixes the coordinates, then ``j``, each nearest 0.  The
     ``adh-set`` method replays the adherence-image inclusion on a finite
     family of probe sets; failures are definitive, passes corroborate.
     """
@@ -362,33 +215,8 @@ def sym_is_continuous(f: SymbolicMap, method: str = "vicinity", probes=None) -> 
         return _adh_probe_check(f, probes)
     if method != "vicinity":
         raise ValueError(f"unknown method {method!r}")
-    b = f.bound
-    w = _validation_window(b)
-    jtop = stabilization(b)
-    for rule in f.source.rules:
-        for p in _rule_points(f.source.schema, rule, f.source.carrier, w):
-            y = f.apply(p)
-            t = f.source.template_at(p)
-            u = f.target.template_at(y)
-            js = [0]
-            if "k" in u.vars:
-                js = list(range(jtop + 1)) + [jtop + g for g in GUARD_OFFSETS]
-            weight = sum(abs(c) for c in p.coords) + sum(abs(c) for c in y.coords)
-            for j in js:
-                wset = u.evaluate({"k": j})
-                if "k" not in t.vars:
-                    if not _image_inside(f, t.evaluate({"k": 0}), wset):
-                        return Verdict(False, (p, j))
-                    continue
-                kbig = j + stabilization(b + weight)
-                ok = _image_inside(f, t.evaluate({"k": kbig}), wset)
-                if ok != _image_inside(f, t.evaluate({"k": kbig + 9}), wset):
-                    raise FragmentEscape(
-                        f"continuity at {p.describe()} not settled within the window"
-                    )
-                if not ok:
-                    return Verdict(False, (p, j))
-    return Verdict(True, None)
+    witness = sym_discontinuity(f)
+    return Verdict(witness is None, witness)
 
 
 def _default_probes(f: SymbolicMap) -> list:
@@ -444,8 +272,7 @@ def image_end(f: SymbolicMap, e: EndClass):
             )
     fixed = e.fixed
     if fixed is not None:
-        a = sm.axes[0] if e.row == "fixed" else sm.axes[1]
-        fixed = a(fixed)
+        fixed += sm.offsets[0] if e.row == "fixed" else sm.offsets[1]
     elif "fixed" in (e.row, e.col):
         raise UnclassifiableImageTrace(f"pin {e.describe()} before mapping it")
     return EndClass(sm.target, "grid", e.row, e.col, fixed)

@@ -14,13 +14,6 @@ tails at guard points with pairwise coprime gaps.  When the guards
 disagree, the bound was too small for the predicate and
 :class:`~pretop.errors.FragmentEscape` is raised instead of an
 approximation.
-
-Remaining users: the continuity check of :mod:`~pretop.symbolic.maps`
-samples up to :func:`stabilization` and at ``GUARD_OFFSETS``, since a
-map with scale > 1 falls outside the unit-slope comparisons that
-:mod:`~pretop.symbolic.analysis` decides exactly.  Nothing in the
-package calls :func:`solve_axis` or :func:`fit_defsets` any more; the
-benchmark tracer wraps both by name.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 import pytest
 
-from pretop.construct import end_extension
+from pretop.construct import end_extension, extend_map_kappa
+from pretop.defsets import Point
 from pretop.intervals import INF, INTEGERS, NATURALS0, NATURALS1, NEG_INF, IntervalSet
-from pretop.symbolic import builtin, sym_regularize
+from pretop.symbolic import build_sym_map, builtin, sym_regularize
 from pretop.symbolic.analysis import noncompact_ends, sym_is_compact
 
 KEYS = ["urysohn", "half_grid", "discrete_ray(1)", "discrete_ray(2)", "discrete_ray(3)"]
@@ -25,6 +26,13 @@ def test_compact_witness_is_the_first_noncompact_end(key, regularized):
     verdict = sym_is_compact(x)
     assert verdict.witness == expected
     assert verdict.ok == (first is None)
+
+
+def test_a_discontinuous_map_is_not_extended():
+    x = builtin("urysohn")
+    swap = build_sym_map(x, x, {"G": "G", "pinf": Point.atom("minf"), "minf": Point.atom("pinf")})
+    with pytest.raises(ValueError, match="map is not continuous at pinf"):
+        extend_map_kappa(swap)
 
 
 def test_end_extension_of_two_rays():
