@@ -8,7 +8,6 @@ fragment limit hit.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -100,6 +99,8 @@ class Report:
         w = _serialize(v.witness)
         text = "true" if v.ok else "false"
         if not v.ok and w is not None:
+            import json  # most reports print no JSON; json costs about 2 ms to load
+
             text += f"\nwitness: {json.dumps(w)}"
         return cls(v.ok, w, text, 0 if v.ok else 1)
 
@@ -109,6 +110,8 @@ def _emit(args, started: float, prov: dict, report: Report) -> int:
         if report.json_override is not None:
             print(report.json_override)
             return report.exit_code
+        import json
+
         doc = {
             "result": report.result,
             "witness": report.witness,
@@ -141,6 +144,8 @@ def _cmd_validate(args) -> Report:
 
 
 def _cmd_compute(args) -> Report:
+    if args.what != "cl-theta" and args.iterations != 1:
+        raise ValueError("--iterations applies to cl-theta only")
     doc, target = _target(args)
     if isinstance(target, SymbolicPretop):
         s = eval_set(parse_set_expr(args.set), target, doc)

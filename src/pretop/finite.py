@@ -156,10 +156,7 @@ class FinitePretop:
             raise PointSetMismatch(f"no point named {name!r}") from None
 
     def mask(self, names) -> int:
-        m = 0
-        for name in names:
-            m |= 1 << self.index(name)
-        return m
+        return mask_reader(self.points)(names)
 
     def names(self, mask: int) -> tuple[str, ...]:
         mask &= self.full
@@ -207,13 +204,32 @@ class FinitePretop:
         return FinitePretop(pts, tuple(vic))
 
 
+def mask_reader(points):
+    """The function taking point names to their mask over ``points``, for
+    declarations that read masks before their space exists."""
+    bits = {}
+    for i, p in enumerate(points):
+        bits.setdefault(p, 1 << i)
+
+    def mask(names) -> int:
+        m = 0
+        for name in names:
+            try:
+                m |= bits[name]
+            except KeyError:
+                raise PointSetMismatch(f"no point named {name!r}") from None
+        return m
+
+    return mask
+
+
 def validate_space(points, table) -> FinitePretop:
     """Build a space from name -> vicinity-names, checking the point axiom."""
     points = tuple(points)
-    space = FinitePretop(points, tuple(0 for _ in points))
+    mask = mask_reader(points)
     vic = []
     for i, p in enumerate(points):
-        m = space.mask(table[p])
+        m = mask(table[p])
         if not m >> i & 1:
             raise AxiomViolation(f"point {p!r} missing from its own vicinity")
         vic.append(m)

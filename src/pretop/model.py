@@ -53,7 +53,7 @@ from .errors import (
     UnknownBuiltin,
     UnknownPoint,
 )
-from .finite import FinitePretop, validate_space
+from .finite import FinitePretop, mask_reader, validate_space
 from .intervals import IntervalSet
 from .maps import SpaceMap
 from .record import field, record
@@ -456,13 +456,13 @@ class _Parser:
         if t.value != "opens":
             self._fail("expected an opens line", t)
         self.expect_op(":")
-        shell = FinitePretop(points, tuple(0 for _ in points))
+        mask, full = mask_reader(points), (1 << len(points)) - 1
         opens = set()
         while self.at_op("{"):
-            opens.add(shell.mask(self.brace_names(points, name)))
+            opens.add(mask(self.brace_names(points, name)))
         self.expect_op(";")
         self.expect_op("}")
-        if 0 not in opens or shell.full not in opens:
+        if 0 not in opens or full not in opens:
             raise InvalidTopology(f"line {head.line}: missing empty set or whole set")
         for u in opens:
             for v in opens:
@@ -470,7 +470,7 @@ class _Parser:
                     raise InvalidTopology(
                         f"line {head.line}: family not closed under union/intersection"
                     )
-        least = [shell.full] * len(points)
+        least = [full] * len(points)
         for u in opens:
             for i in range(len(points)):
                 if u >> i & 1:

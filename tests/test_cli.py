@@ -40,6 +40,29 @@ def test_finite_cl_theta_rejects_zero_iterations(capsys):
     assert code == 0 and out == "{1 2}\n"
 
 
+@pytest.mark.parametrize("what", ["adh", "inh"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "{what}", "-f", FINITE, "--space", "Q3", "--set", "{{1}}"),
+        ("compute", "{what}", "--space", "discrete_ray(2)", "--set", "ray(R2; 1..3)"),
+        ("builtin", "discrete_ray(2)", "--compute", "{what}", "--set", "ray(R2; 1..3)"),
+        ("builtin", "urysohn", "--compute", "{what}", "--set", "grid(G; cols=1..)"),
+    ],
+    ids=["finite", "symbolic", "builtin-ray", "builtin-grid"],
+)
+def test_iterations_apply_to_cl_theta_only(capsys, what, argv):
+    argv = [a.format(what=what) for a in argv]
+    for n in ("-1", "0", "2"):
+        assert run(capsys, *argv, "--iterations", n) == (
+            3,
+            "",
+            "error: --iterations applies to cl-theta only\n",
+        )
+    code, out, _ = run(capsys, *argv, "--iterations", "1")
+    assert code == 0 and (code, out, "") == run(capsys, *argv)
+
+
 @pytest.mark.parametrize("opening, closing", [("~", ""), ("(", ")")])
 def test_deep_set_expression_is_a_parse_error(capsys, opening, closing):
     expr = opening * 3000 + "{1}" + closing * 3000

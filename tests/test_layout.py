@@ -3,8 +3,9 @@
 top-level function or class is reached from the package itself, only
 the oracle scans every subset of a finite space, no module but
 ``symbolic/__init__.py`` imports the window sampler, and ``import
-pretop.cli`` stays cheap and loads every name the benchmark's tracer
-wraps."""
+pretop.cli`` stays cheap (no ``dataclasses``, ``inspect``, ``json`` or
+oracle, one ``exec`` per value-class shape) and loads every name the
+benchmark's tracer wraps."""
 
 import ast
 import os
@@ -153,15 +154,41 @@ def test_only_the_allowed_modules_import_dataclasses():
     assert users == set(DATACLASSES_USERS)
 
 
-def test_cli_start_up_loads_no_dataclasses_inspect_or_oracle():
-    # -S keeps site hooks (.pth files) from importing modules of their own
+def _fresh(code: str) -> str:
+    """stdout of ``code`` in a fresh interpreter; -S keeps site hooks (.pth
+    files) from importing modules of their own."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+
+
+def test_cli_start_up_loads_no_dataclasses_inspect_json_or_oracle():
+    # json is loaded only by a report that prints JSON
     code = (
         "import sys, pretop.cli\n"
-        "print(*[m for m in ('dataclasses', 'inspect', 'pretop.oracle') if m in sys.modules])\n"
+        "print(*[m for m in ('dataclasses', 'inspect', 'json', 'pretop.oracle') if m in sys.modules])\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.split() == []
+    assert _fresh(code).split() == []
+
+
+def test_cli_start_up_compiles_each_record_shape_once():
+    # record's exec is counted from before any value class is built; a
+    # shape is (fields, compared fields, has __post_init__)
+    code = (
+        "import builtins, sys, pretop.record\n"
+        "calls = []\n"
+        "def counting_exec(source, env):\n"
+        "    calls.append(source)\n"
+        "    builtins.exec(source, env)\n"
+        "pretop.record.exec = counting_exec\n"
+        "import pretop.cli\n"
+        "classes = [v for m in list(sys.modules.values()) if m.__name__.startswith('pretop')\n"
+        "           for v in vars(m).values() if isinstance(v, type) and '__record_fields__' in vars(v)]\n"
+        "shapes = {(len(c.__record_fields__), len(c.__record_compared__), hasattr(c, '__post_init__'))\n"
+        "          for c in set(classes)}\n"
+        "print(len(calls), len(shapes), len(set(classes)))\n"
+    )
+    calls, shapes, classes = map(int, _fresh(code).split())
+    assert calls == shapes < classes
 
 
 def _tracer_literal(name: str):

@@ -39,3 +39,21 @@ def test_topology_block_prints_its_sorted_opens():
     assert doc.finite("S2").vicinity == (0b01, 0b11)
     shuffled = parse_model("topology T { points: x y; opens: {x y} {} {y} {y}; }")
     assert print_model(shuffled) == "topology T {\n  points: x y;\n  opens: {} {y} {x y};\n}\n"
+
+
+def test_parsing_builds_one_space_per_finite_declaration(monkeypatch):
+    # counted as perfbench/tracer.py counts finite.spaces_built
+    from pretop.finite import FinitePretop
+
+    built, init = [], FinitePretop.__init__
+
+    def counting_init(obj, *args, **kwargs):
+        init(obj, *args, **kwargs)
+        built.append(obj)
+
+    monkeypatch.setattr(FinitePretop, "__init__", counting_init)
+    text = (CORPUS[0].parent / "finite.pt").read_text(encoding="utf-8")
+    doc = parse_model(text)
+    declared = [line.split()[1] for line in text.splitlines() if line.split()[:1] in (["space"], ["topology"])]
+    assert len(declared) == 4
+    assert built == [doc.finite(name) for name in declared]
