@@ -1,13 +1,14 @@
 """Command line workbench over the model format and the space toolkit.
 
 Exit codes: 0 success or property true, 1 property false (witness in the
-report), 2 model parse error, 3 invalid model or reference, 4 size or
-fragment limit hit.
+report), 2 model parse error or usage error, 3 invalid model or reference
+or an I/O error, 4 size or fragment limit hit.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -396,7 +397,24 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    """The ``pretop`` command: run it, flush both streams, and end the
+    process without interpreter teardown, which would only free every
+    module and table just before the OS reclaims them (``mypy.util.hard_exit``
+    does the same).  ``run_command`` is the in-process entry point.  A closed
+    output pipe is an I/O error like any other (exit 3); any other exception
+    leaves through the normal exit path with its traceback."""
+    try:
+        code = run_command(sys.argv[1:])
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the fd was closed at start-up
+                stream.flush()
+    except BrokenPipeError as exc:
+        code = 3
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

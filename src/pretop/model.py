@@ -50,6 +50,7 @@ from .errors import (
     InvalidTopology,
     ParseError,
     ResolutionError,
+    SizeLimit,
     UnknownBuiltin,
     UnknownPoint,
 )
@@ -542,8 +543,8 @@ class _Parser:
             self.expect_op(")")
             try:
                 builtin(f"discrete_ray({arg})")
-            except UnknownBuiltin as e:
-                raise UnknownBuiltin(f"line {kind.line}: {e}") from None
+            except (UnknownBuiltin, SizeLimit) as e:
+                raise type(e)(f"line {kind.line}: {e}") from None
             return BuiltinDecl(name, "discrete_ray", arg)
         self._fail(f"unknown builtin {kind.value!r}", kind)
 

@@ -18,6 +18,7 @@ from ..defsets import DefSet, GroundSchema, Point
 from ..errors import (
     PatternGap,
     PatternOverlap,
+    SizeLimit,
     UnknownBuiltin,
     UnknownPoint,
     WindowTooSmall,
@@ -302,6 +303,11 @@ def _discrete_ray(count: int) -> SymbolicPretop:
     return build_symbolic(schema, rules, topological=True, label=f"discrete_ray({count})")
 
 
+# Strands of the largest builtin ``discrete_ray(N)``.  Its build grows
+# about 6x per doubling of the strands: 400 take about 3 s.
+_MAX_RAY_STRANDS = 512
+
+
 @lru_cache(maxsize=None)
 def builtin(name: str) -> SymbolicPretop:
     """Named example space; see the module docstring for the catalogue."""
@@ -311,7 +317,10 @@ def builtin(name: str) -> SymbolicPretop:
         return _half_grid()
     m = re.fullmatch(r"discrete_ray\((\d+)\)", name)
     if m:
-        return _discrete_ray(int(m.group(1)))
+        count = int(m.group(1))
+        if count > _MAX_RAY_STRANDS:
+            raise SizeLimit(f"discrete_ray supports at most {_MAX_RAY_STRANDS} strands, got {count}")
+        return _discrete_ray(count)
     raise UnknownBuiltin(f"no builtin named {name!r}")
 
 

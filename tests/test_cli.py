@@ -225,6 +225,19 @@ def test_bad_topology_blocks_exit_3(capsys, tmp_path, opens, message):
     assert run(capsys, "validate", "-f", str(path)) == (3, "", f"error: line 2: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "count, code, message",
+    [
+        (0, 3, "error: line 2: discrete_ray needs at least one strand, got 0\n"),
+        (513, 4, "limit: line 2: discrete_ray supports at most 512 strands, got 513\n"),
+    ],
+)
+def test_a_ray_count_out_of_range_names_its_line(capsys, tmp_path, count, code, message):
+    path = tmp_path / "rays.pt"
+    path.write_text(f"# a comment\nbuiltin R = discrete_ray({count})\n")
+    assert run(capsys, "validate", "-f", str(path)) == (code, "", message)
+
+
 def test_topology_block_reads_as_its_least_opens(capsys):
     # S2 has opens {} {a} {a b}: the least open at a is {a}, at b all of S2
     argv = ("compute", "adh", "-f", FINITE, "--space", "S2", "--set", "{a}")
@@ -371,3 +384,59 @@ def test_quotient_of_a_20_point_chain(capsys, chain_model):
 )
 def test_oracle_rejects_empty_runs(capsys, argv, message):
     assert run(capsys, "oracle", *argv) == (3, "", f"error: {message}\n")
+
+
+# -- the pretop process: flush, then exit without teardown ----------------------
+
+
+def _process(*argv, buffered=False, **kwargs):
+    """``python -m pretop.cli argv`` in a fresh process, as ``pretop`` runs."""
+    # an empty PYTHONUNBUFFERED leaves stdout block-buffered on a pipe
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": "" if buffered else "1"}
+    return subprocess.run([sys.executable, "-m", "pretop.cli", *argv], env=env, cwd=ROOT, **kwargs)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "hausdorff", "-f", FINITE, "--space", "Q3"),
+        ("compute", "adh", "-f", FINITE, "--space", "Q3", "--set", "{1}", "--json"),
+        ("check", "compact", "--space", "urysohn"),
+        ("check", "compact", "--space", "urysohn", "--method", "bogus"),
+        ("builtin", "discrete_ray(513)", "--check", "hausdorff"),
+    ],
+    ids=["witness", "json", "symbolic", "exit-3", "exit-4"],
+)
+def test_the_process_reports_what_run_command_reports(capsys, argv, buffered):
+    # output left in a buffer would be lost by an exit without teardown
+    done = _process(*argv, buffered=buffered, capture_output=True, text=True)
+    got, want = (done.returncode, done.stdout, done.stderr), run(capsys, *argv)
+    if "--json" in argv:
+        got, want = [(c, {**json.loads(o), "elapsed_ms": None}, e) for c, o, e in (got, want)]
+    assert got == want
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["in-print", "in-flush"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "hausdorff", "--space", "Q3", "-f", FINITE),
+        ("validate", "-f", FINITE),
+        ("oracle", "--max-points", "1", "--json"),
+    ],
+    ids=["check", "validate", "oracle"],
+)
+def test_a_closed_output_pipe_is_an_io_error(argv, buffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _process(*argv, buffered=buffered, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (3, "error: [Errno 32] Broken pipe\n")
+
+
+def test_a_closed_stdout_loses_the_report_silently():
+    done = _process("validate", "-f", FINITE, preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True)
+    assert (done.returncode, done.stderr) == (0, "")

@@ -214,3 +214,25 @@ def test_every_name_the_tracer_wraps_resolves_after_importing_the_cli():
         assert callable(resolve(modname, path)), (modname, path)
     for modname, path in _tracer_literal("CACHES").values():
         assert hasattr(resolve(modname, path), "cache_info"), (modname, path)
+
+
+def _hard_exits(root):
+    """``file:function`` of every ``._exit`` reference, by the top-level
+    definition it sits in."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = getattr(top, "name", "<module>")
+            found += [
+                f"{path.relative_to(root)}:{where}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr == "_exit"
+            ]
+    return found
+
+
+def test_only_the_cli_entry_point_exits_without_teardown():
+    # os._exit skips every caller's atexit handlers and unflushed streams:
+    # only the `pretop` process itself may end that way, never a library
+    # path such as run_command, which tests and the benchmark call in-process
+    assert _hard_exits(SRC) == ["cli.py:main"]

@@ -14,6 +14,7 @@ from pretop.errors import (
     PatternGap,
     PatternOverlap,
     SelfMembershipViolation,
+    SizeLimit,
     UnknownBuiltin,
     WindowTooSmall,
 )
@@ -55,6 +56,19 @@ def test_builtin_cache_and_keys():
     assert builtin("discrete_ray(2)").schema.rays[1][0] == "R2"
     with pytest.raises(UnknownBuiltin):
         builtin("moebius")
+
+
+def test_discrete_ray_beyond_512_strands_is_refused_before_building(monkeypatch):
+    # the build grows about 6x per doubling of the strands; __wrapped__
+    # keeps the stand-in out of builtin's cache
+    built = []
+    monkeypatch.setattr("pretop.symbolic.space._discrete_ray", built.append)
+    for count in (513, 100000):
+        with pytest.raises(SizeLimit, match=f"at most 512 strands, got {count}"):
+            builtin.__wrapped__(f"discrete_ray({count})")
+    assert built == []
+    builtin.__wrapped__("discrete_ray(512)")
+    assert built == [512]
 
 
 def test_urysohn_shape():
