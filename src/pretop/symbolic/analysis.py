@@ -1,33 +1,11 @@
 """Exact analysis of rule spaces: adherence, ends, compactness, separation.
 
-Pointwise questions (is this point in the adherence, does this filter
-mesh that trace, do these two points keep meeting) reduce to Boolean
-combinations of interval overlap facts whose endpoints are affine with
-slope +1 or -1 in the coordinates and parameters.  A parameter that only
-shrinks the family is resolved by its eventual truth, which is the
-answer to the universal question because the family is decreasing.
-Every remaining comparison has the form ``±x ± y <= c`` (UTVPI): one
-variable gives a bound, and a conjunction of bounds is a box; two
-variables, as when Hausdorff separation names both points of a pair,
-give a system decided exactly by tight integer closure (Lahiri &
-Musuvathi, FroCoS 2005; Bagnara, Hill & Zaffanella, 2008-09).  A
-witness fixes its variables in a stated order, each to the feasible
-value nearest 0.
-
-A region of points is read off the same systems: conjoined with a
-carrier box of a rule's pattern, each satisfiable system contributes its
-box, exactly when every comparison tying two coordinates holds
-throughout that carrier box.  Whole-family questions (the adherence of
-every template, the core of every vicinity, the limits of a parametric
-end) keep the point and its parameter, or the end's fixed coordinate,
-as outer variables ``N``, ``M``, ``K``, ``P``.  Each comparison then
-bounds an inner coordinate by an endpoint in at most one outer
-variable, or compares outer variables alone, so at each outer point a
-system's inner solutions form the box between its greatest lower and
-least upper endpoints.  The outer range is cut into cells on which every
-such comparison holds or fails throughout, decided by the same closure,
-and each side keeps its dominating endpoint there: variable elimination
-on octagons (Miné, HOSC 2006; Bagnara, Hill & Zaffanella 2009).
+Every decision here is read off the comparison systems of
+:mod:`~pretop.symbolic.utvpi`: adherence and inherence are the region
+where a rule's template meets a set, regularization and vicinity cores
+project such regions symbolic in an outer point, end limits project
+them in an end's fixed coordinate, and Hausdorff separation conjoins
+the templates of two points renamed apart.
 
 Validation runs on the same systems, with ``k`` a free variable rather
 than a limit.  A point outside its own vicinity is a system that fails
@@ -37,23 +15,13 @@ comparison of each piece at ``k``; a filter family's emptiness is read
 off the ``k``-region where it meets the ground set.  When a result
 cannot be expressed exactly the functions raise
 :class:`~pretop.errors.FragmentEscape` rather than approximate.
-
-A strand-wise map (a shift or a collapse per strand) is discontinuous
-at ``p`` when, for some ``J``, every vicinity ``T_p(k)`` holds a point
-``q`` sent outside the target vicinity ``U(J)`` of ``p``'s image.
-Under a shift, ``q``'s image failing one comparison of a piece of ``U``
-is one more half-interval on one coordinate of ``q``; under a collapse
-the image is a constant point.  ``q`` moves as ``k`` grows, so it is
-eliminated by interval overlap rather than kept free, and each system
-left in ``p``'s coordinates and ``J`` is decided with ``k`` as the
-limit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from ..defsets import DefSet, GroundSchema, Point
+from ..defsets import DefSet, GroundSchema
 from ..errors import (
     EmptyKernel,
     EmptySubspace,
@@ -67,15 +35,23 @@ from ..errors import (
 from ..finite import Verdict
 from ..intervals import INF, NEG_INF, NATURALS0, AxisDomain, IntervalSet
 from ..record import record
-from .exprs import (
-    SymDefSet,
-    SymExpr,
-    SymInterval,
-    SymIntervalSet,
-    as_endpoint,
-    var,
-)
+from .exprs import SymDefSet, SymExpr, SymInterval, SymIntervalSet, var
 from .space import PointPattern, SymbolicPretop, VicinityRule
+from .utvpi import (
+    LIMITS_K,
+    LIMITS_KB,
+    carrier_conds,
+    cells,
+    conjoin,
+    meet_conds,
+    meets_boxes,
+    outside,
+    pieces,
+    region_boxes,
+    section,
+    solution,
+    template_pieces,
+)
 
 _B = var("b")
 _P = var("p")
@@ -84,281 +60,6 @@ _P = var("p")
 def _check_schema(x: SymbolicPretop, d: DefSet):
     if d.schema != x.schema:
         raise SchemaMismatch("set uses a different ground schema than the space")
-
-
-def _point_of(pat: PointPattern, env: dict) -> Point:
-    if pat.kind == "atom":
-        return Point.atom(pat.strand)
-    if pat.kind == "ray":
-        return Point.ray(pat.strand, env["n"])
-    return Point.grid(pat.strand, env["n"], env["m"])
-
-
-# -- eventual truth of endpoint comparisons ------------------------------------
-
-_LIMITS_K = frozenset(("k",))
-_LIMITS_KB = frozenset(("k", "b"))
-
-
-def _le(e1, e2, limits: frozenset):
-    """Truth of ``e1 <= e2``, eventual in the limit variables.
-
-    Endpoints are infinities, constants, or unit-slope expressions.  A
-    variable named in ``limits`` is resolved by its behaviour at large
-    values; two such variables racing upward together have no eventual
-    order and leave the fragment.  The result is True, False, a
-    (var, lo, hi) constraint on one free variable, or, for a comparison
-    tying two distinct free variables, the UTVPI constraint
-    (a, x, b, y, c) stating ``a*x + b*y <= c`` with unit signs a, b.
-    """
-    if isinstance(e1, float):
-        return True if e1 == NEG_INF else (isinstance(e2, float) and e2 == INF)
-    if isinstance(e2, float):
-        return e2 == INF
-    l1, l2 = e1.var in limits, e2.var in limits
-    if l1 and l2:
-        if e1.var == e2.var and e1.sign == e2.sign:
-            return e1.offset <= e2.offset
-        if e1.sign != e2.sign:
-            return e1.sign < 0
-        raise FragmentEscape(f"limit parameters {e1.var} and {e2.var} race")
-    if l1:
-        return e1.sign < 0
-    if l2:
-        return e2.sign > 0
-    if e1.var is None and e2.var is None:
-        return e1.offset <= e2.offset
-    if e1.var is None:
-        if e2.sign > 0:
-            return (e2.var, e1.offset - e2.offset, INF)
-        return (e2.var, NEG_INF, e2.offset - e1.offset)
-    if e2.var is None:
-        if e1.sign > 0:
-            return (e1.var, NEG_INF, e2.offset - e1.offset)
-        return (e1.var, e1.offset - e2.offset, INF)
-    if e1.var != e2.var:
-        return (e1.sign, e1.var, -e2.sign, e2.var, e2.offset - e1.offset)
-    if e1.sign == e2.sign:
-        return e1.offset <= e2.offset
-    if e1.sign > 0:
-        return (e1.var, NEG_INF, (e2.offset - e1.offset) // 2)
-    return (e1.var, -((e2.offset - e1.offset) // 2), INF)
-
-
-def _conjoin(conds, limits: frozenset):
-    """Free-variable values satisfying every comparison, or None.
-
-    Unary bounds intersect into a box ``{var: (lo, hi)}``, which is its
-    own closure and is returned as is.  When comparisons tie two
-    variables, the system goes through tight integer closure, which
-    decides it exactly, and comes back as (tight box, ties).
-    """
-    box, ties = {}, []
-    for e1, e2 in conds:
-        got = _le(e1, e2, limits)
-        if got is True:
-            continue
-        if got is False:
-            return None
-        if len(got) == 5:
-            ties.append(got)
-            continue
-        name, lo, hi = got
-        plo, phi = box.get(name, (NEG_INF, INF))
-        lo, hi = max(lo, plo), min(hi, phi)
-        if lo > hi:
-            return None
-        box[name] = (lo, hi)
-    if not ties:
-        return box
-    box = _tight_box(box, ties)
-    return None if box is None else (box, tuple(ties))
-
-
-def _tight_box(box: dict, ties) -> dict | None:
-    """Bounds of every variable after tight integer closure of a UTVPI
-    system (Bagnara, Hill & Zaffanella), or None when it has no integer
-    solution.
-
-    Node 2i stands for +x_i and node 2i+1 for -x_i; ``m[u][v]`` bounds
-    value(v) - value(u).  Shortest paths, then rounding each bound
-    ``2x <= c`` down to an even ``c``, decide the system, and every
-    integer inside the resulting bounds of a variable extends to a
-    solution.
-    """
-    names = sorted(set(box).union(*((t[1], t[3]) for t in ties)))
-    at = {v: 2 * i for i, v in enumerate(names)}
-    size = 2 * len(names)
-    m = [[0 if u == v else INF for v in range(size)] for u in range(size)]
-    for name, (lo, hi) in box.items():
-        u = at[name]
-        m[u + 1][u], m[u][u + 1] = 2 * hi, -2 * lo
-    for a, x, b, y, c in ties:
-        p, q = at[x] + (a < 0), at[y] + (b > 0)
-        m[q][p] = min(m[q][p], c)
-        m[p ^ 1][q ^ 1] = min(m[p ^ 1][q ^ 1], c)
-    for w in range(size):
-        for mu in m:
-            if mu[w] != INF:
-                for v in range(size):
-                    mu[v] = min(mu[v], mu[w] + m[w][v])
-    if any(m[u][u] < 0 for u in range(size)):
-        return None
-    half = [INF if m[u][u ^ 1] == INF else m[u][u ^ 1] // 2 for u in range(size)]
-    if any(half[u] + half[u ^ 1] < 0 for u in range(size)):
-        return None
-    return {v: (-half[at[v]], half[at[v] + 1]) for v in names}
-
-
-def _solution(system, names) -> dict:
-    """Integer point of a satisfiable system, fixing each of ``names`` in
-    turn to its feasible value nearest 0."""
-    box, ties = (system, ()) if isinstance(system, dict) else system
-    env = {}
-    for name in names:
-        lo, hi = box.get(name, (NEG_INF, INF))
-        env[name] = min(max(0, lo), hi)
-        box = _tight_box({**box, name: (env[name], env[name])}, ties)
-    return env
-
-
-def _overlap_conds(intervals, low):
-    """Comparisons stating the intervals share a point on their axis.
-
-    A common point exists when every lower endpoint sits at or below
-    every upper endpoint; the axis floor (None on a two-sided axis)
-    joins as one more lower endpoint so that clipping needs no cases.
-    """
-    los = [lo for lo, _ in intervals]
-    his = [hi for _, hi in intervals]
-    if low is not None:
-        los.append(SymExpr.const(low))
-    return [(lo, hi) for lo in los for hi in his]
-
-
-def _ray_factors(mask, name: str) -> tuple:
-    """Per-part concrete factors a mask contributes on a ray strand."""
-    if mask is None:
-        return ([],)
-    return tuple(
-        [(as_endpoint(lo), as_endpoint(hi))] for lo, hi in mask.ray_part(name).parts
-    )
-
-
-def _grid_factors(mask, name: str) -> tuple:
-    """Per-rectangle (row factor, column factor) pairs of a grid mask."""
-    if mask is None:
-        return (([], []),)
-    out = []
-    for rows, cols in mask.grid_part(name):
-        for rlo, rhi in rows.parts:
-            for clo, chi in cols.parts:
-                out.append(
-                    (
-                        [(as_endpoint(rlo), as_endpoint(rhi))],
-                        [(as_endpoint(clo), as_endpoint(chi))],
-                    )
-                )
-    return tuple(out)
-
-
-def _meet_conds(left: SymDefSet, right: SymDefSet):
-    """Comparison lists, one per pair of pieces of the two sets, each
-    stating that the sets share a point in those pieces."""
-    schema = left.schema
-    la = left.atoms if left.mask is None else left.atoms & left.mask.atoms
-    ra = right.atoms if right.mask is None else right.atoms & right.mask.atoms
-    if la & ra:
-        yield []
-    rrays = dict(right.rays)
-    for name, s1 in left.rays:
-        s2 = rrays.get(name)
-        if s2 is None or not s2.parts or not s1.parts:
-            continue
-        low = schema.ray_axis(name).low
-        for p1 in s1.parts:
-            for p2 in s2.parts:
-                for m1 in _ray_factors(left.mask, name):
-                    for m2 in _ray_factors(right.mask, name):
-                        items = [(p1.lo, p1.hi), (p2.lo, p2.hi)] + m1 + m2
-                        yield _overlap_conds(items, low)
-    rgrids = dict(right.grids)
-    for name, rects1 in left.grids:
-        rects2 = rgrids.get(name, ())
-        if not rects1 or not rects2:
-            continue
-        rlow, clow = (ax.low for ax in schema.grid_axes(name))
-        for rows1, cols1 in rects1:
-            for rows2, cols2 in rects2:
-                for mr1, mc1 in _grid_factors(left.mask, name):
-                    for mr2, mc2 in _grid_factors(right.mask, name):
-                        for rp1 in rows1.parts:
-                            for rp2 in rows2.parts:
-                                ritems = [(rp1.lo, rp1.hi), (rp2.lo, rp2.hi)] + mr1 + mr2
-                                rconds = _overlap_conds(ritems, rlow)
-                                for cp1 in cols1.parts:
-                                    for cp2 in cols2.parts:
-                                        citems = [(cp1.lo, cp1.hi), (cp2.lo, cp2.hi)] + mc1 + mc2
-                                        yield rconds + _overlap_conds(citems, clow)
-
-
-def _meets_boxes(left: SymDefSet, right: SymDefSet, limits: frozenset, extra=([],)) -> list:
-    """Satisfiable free-variable systems on which the two sets share a
-    point, in :func:`_meet_conds` order.
-
-    Each piece pair's comparisons are conjoined with each list in
-    ``extra`` in turn.  The answer is eventual in the limit variables,
-    which is the value of the universal question for families
-    decreasing in them.  An empty box holds unconditionally; no systems
-    means never.
-    """
-    out = []
-    for conds in _meet_conds(left, right):
-        for more in extra:
-            system = _conjoin(conds + more, limits)
-            if system is not None:
-                out.append(system)
-    return out
-
-
-def _region_boxes(schema: GroundSchema, pat: PointPattern, s: DefSet):
-    """Coordinate boxes of the pattern's region intersected with ``s``."""
-    if pat.kind == "atom":
-        if pat.strand in s.atoms:
-            yield {}
-        return
-    if pat.kind == "ray":
-        (sel,) = pat.selectors(schema)
-        for lo, hi in (s.ray_part(pat.strand) & sel).parts:
-            yield {"n": (lo, hi)}
-        return
-    rows_sel, cols_sel = pat.selectors(schema)
-    for rows, cols in s.grid_part(pat.strand):
-        rr = rows & rows_sel
-        cc = cols & cols_sel
-        for rpart in rr.parts:
-            for cpart in cc.parts:
-                yield {"n": rpart, "m": cpart}
-
-
-@lru_cache(maxsize=None)
-def _carrier_conds(schema: GroundSchema, pat: PointPattern, carrier, tag: str = "") -> tuple:
-    """Comparison lists, one per box of the pattern's carrier points,
-    confining its coordinates renamed ``n<tag>`` and ``m<tag>``."""
-    boxes = _region_boxes(schema, pat, DefSet.full(schema) if carrier is None else carrier)
-    return tuple(tuple(_bound_conds(box, tag)) for box in boxes)
-
-
-def _bound_conds(box: dict, tag: str = "") -> list:
-    """Comparisons confining each variable of the box, renamed
-    ``<var><tag>``, to its finite bounds."""
-    conds = []
-    for v, (lo, hi) in box.items():
-        if lo != NEG_INF:
-            conds.append((SymExpr.const(lo), var(v + tag)))
-        if hi != INF:
-            conds.append((var(v + tag), SymExpr.const(hi)))
-    return conds
 
 
 @lru_cache(maxsize=None)
@@ -382,13 +83,13 @@ def _discrete_rules(schema: GroundSchema) -> tuple:
 def _sections(x: SymbolicPretop, rules, right: SymDefSet, limits: frozenset) -> list:
     """The systems on which a rule's template meets ``right``, each
     conjoined with one carrier box of the rule's pattern and sorted by
-    :func:`_section`."""
+    :func:`section`."""
     out = []
     for rule in rules:
-        boxes = _carrier_conds(x.schema, rule.pattern, x.carrier)
-        for conds in _meet_conds(rule.template, right):
+        boxes = carrier_conds(x.schema, rule.pattern, x.carrier)
+        for conds in meet_conds(rule.template, right):
             for box in boxes:
-                sec = _section(rule.pattern, [*conds, *box], limits)
+                sec = section(rule.pattern, [*conds, *box], limits)
                 if sec is not None:
                     out.append(sec)
     return out
@@ -396,13 +97,12 @@ def _sections(x: SymbolicPretop, rules, right: SymDefSet, limits: frozenset) -> 
 
 def _region(x: SymbolicPretop, rules, right: SymDefSet, limits: frozenset) -> DefSet:
     """Carrier points whose template, by the rule covering them, meets
-    ``right`` eventually in the limit variables: the pieces of
-    :func:`_pieces` on the one cell of a question without outer
-    variables."""
+    ``right`` eventually in the limit variables: the pieces of the one
+    cell of a question without outer variables."""
     schema = x.schema
-    pieces = _pieces({}, _sections(x, rules, right, limits), limits)
+    found = pieces({}, _sections(x, rules, right, limits), limits)
     atoms, rays, grids = _collect(
-        (pat, tuple(e if isinstance(e, float) else e.offset for e in ends)) for pat, ends in pieces
+        (pat, tuple(e if isinstance(e, float) else e.offset for e in ends)) for pat, ends in found
     )
     ray_parts = {name: IntervalSet.from_pairs(schema.ray_axis(name), parts) for name, parts in rays.items()}
     grid_rects = {}
@@ -428,19 +128,19 @@ def sym_adh(x: SymbolicPretop, s: DefSet) -> DefSet:
     _check_schema(x, s)
     if s.is_empty():
         return s
-    return _region(x, x.rules, SymDefSet.from_defset(s), _LIMITS_K)
+    return _region(x, x.rules, SymDefSet.from_defset(s), LIMITS_K)
 
 
 def sym_inh(x: SymbolicPretop, s: DefSet) -> DefSet:
     """Points with some vicinity inside ``s``."""
     _check_schema(x, s)
     right = SymDefSet.from_defset(DefSet.full(x.schema) - s)
-    return x.carrier_set - _region(x, x.rules, right, _LIMITS_K)
+    return x.carrier_set - _region(x, x.rules, right, LIMITS_K)
 
 
 def _membership_region(x: SymbolicPretop, left: SymDefSet) -> DefSet:
     """Carrier points lying in the set at every large parameter."""
-    return _region(x, _discrete_rules(x.schema), left, _LIMITS_K)
+    return _region(x, _discrete_rules(x.schema), left, LIMITS_K)
 
 
 # -- families of regions, symbolic in a point -------------------------------------
@@ -449,173 +149,11 @@ _OUTER = {"n": var("N"), "m": var("M")}
 _OUTER_K = {**_OUTER, "k": var("K")}
 
 
-class _Open(Exception):
-    """A comparison that a cell leaves open on one outer variable; it
-    holds where the variable lies in ``inside``."""
-
-    def __init__(self, name: str, inside: IntervalSet):
-        super().__init__(name)
-        self.name, self.inside = name, inside
-
-
-def _section(pat: PointPattern, conds: list, limits: frozenset, closed: bool = False):
-    """One system sorted by what each comparison bounds, or None when one
-    never holds.
-
-    Returns (pattern, guards, bounds): the guards compare outer variables
-    (``N``, ``M``, ``K``) alone, and ``bounds`` lists, per coordinate of
-    the pattern, the lower and upper endpoint candidates that the other
-    comparisons give it, each constant or in one outer variable.  A
-    comparison tying two coordinates must follow from the others, as a
-    carrier box with rows below its columns makes ``n <= m`` follow.
-    When it does not, the system is tried once more with the tightly
-    closed bounds of the coordinates added (``closed``), as ``m = 5``
-    bounds ``n`` by 5 under ``n <= m``; the bounds are implied, so the
-    points stay the same.
-    """
-    inner = pat.vars
-    guards, ties, lows, highs = [], [], {v: [] for v in inner}, {v: [] for v in inner}
-    for e1, e2 in conds:
-        got = _le(e1, e2, limits)
-        if got is True:
-            continue
-        if got is False:
-            return None
-        if len(got) == 3:
-            v, lo, hi = got
-            if v not in inner:
-                guards.append((e1, e2))
-                continue
-            if lo != NEG_INF:
-                lows[v].append(SymExpr.const(lo))
-            if hi != INF:
-                highs[v].append(SymExpr.const(hi))
-            continue
-        a, x, b, y, c = got
-        if x in inner and y in inner:
-            ties.append((e1, e2))
-        elif x in inner:  # a*x <= c - b*y
-            (highs if a > 0 else lows)[x].append(SymExpr(y, -a * b, a * c))
-        elif y in inner:
-            (highs if b > 0 else lows)[y].append(SymExpr(x, -a * b, b * c))
-        else:
-            guards.append((e1, e2))
-    rest = [cond for cond in conds if cond not in ties]
-    for e1, e2 in ties:
-        if _conjoin(rest + [(e2 + 1, e1)], limits) is not None:
-            if closed:
-                raise FragmentEscape(f"comparison ties {e1.var} to {e2.var}")
-            system = _conjoin(conds, limits)
-            if system is None:
-                return None
-            box = system[0]
-            return _section(pat, [*_bound_conds({v: box[v] for v in inner if v in box}), *conds], limits, True)
-    bounds = tuple((v, tuple(dict.fromkeys(lows[v])), tuple(dict.fromkeys(highs[v]))) for v in inner)
-    return pat, tuple(guards), bounds
-
-
-def _holds(cell: dict, e1, e2, limits: frozenset):
-    """True or False when ``e1 <= e2`` holds or fails at every point of
-    the cell, None when the cell leaves it open."""
-    got = _le(e1, e2, limits)
-    if got is True or got is False:
-        return got
-    if len(got) == 3:
-        v, lo, hi = got
-        sel = cell[v]
-        inside = sel & IntervalSet.from_pairs(sel.axis, [(lo, hi)])
-        return True if inside == sel else False if inside.is_empty() else None
-    a, x, b, y, c = got
-
-    def feasible(tie):
-        return any(
-            _tight_box({x: px, y: py}, [tie]) is not None for px in cell[x].parts for py in cell[y].parts
-        )
-
-    if not feasible((-a, x, -b, y, -c - 1)):
-        return True
-    return False if not feasible(got) else None
-
-
-def _open(cell: dict, e1, e2, limits: frozenset):
-    """Raise the cut that settles an open ``e1 <= e2``; a comparison of
-    two outer variables cannot be cut into cells and leaves the fragment."""
-    got = _le(e1, e2, limits)
-    if len(got) == 5:
-        raise FragmentEscape(f"comparison ties {got[1]} to {got[3]}")
-    v, lo, hi = got
-    raise _Open(v, cell[v] & IntervalSet.from_pairs(cell[v].axis, [(lo, hi)]))
-
-
-def _extreme(cell: dict, cands: tuple, limits: frozenset, top: bool):
-    """The candidate at or above every other throughout the cell (at or
-    below when not ``top``); infinite when there is none."""
-    if not cands:
-        return NEG_INF if top else INF
-    best = cands[0]
-    for c in cands[1:]:
-        lo, hi = (best, c) if top else (c, best)
-        if _holds(cell, lo, hi, limits) is True:
-            best = c
-        elif _holds(cell, hi, lo, limits) is not True:
-            _open(cell, lo, hi, limits)
-    return best
-
-
-def _pieces(cell: dict, sections: list, limits: frozenset) -> list:
-    """(pattern, lower and upper endpoint of each coordinate) of every
-    section that is nonempty on the cell.
-
-    A section is dropped when one of its guards, or one of its "lower
-    candidate <= upper candidate" pairs, fails throughout the cell; it
-    keeps the dominating candidate on each side.  A comparison the cell
-    leaves open raises :class:`_Open`.
-    """
-    out = []
-    for pat, guards, bounds in sections:
-        pairs = list(guards) + [(lo, hi) for _, lows, highs in bounds for lo in lows for hi in highs]
-        verdicts = [_holds(cell, e1, e2, limits) for e1, e2 in pairs]
-        if False in verdicts:
-            continue
-        if None in verdicts:
-            _open(cell, *pairs[verdicts.index(None)], limits)
-        ends = []
-        for _, lows, highs in bounds:
-            ends += [_extreme(cell, lows, limits, True), _extreme(cell, highs, limits, False)]
-        out.append((pat, tuple(ends)))
-    return out
-
-
-def _cells(x: SymbolicPretop, pat: PointPattern | None, cell: dict, sections: list, limits: frozenset) -> list:
-    """(cell, pieces) pairs in ascending coordinate order, covering the
-    carrier points of the cell.
-
-    An open comparison on ``N``, ``M`` or ``P`` cuts the cell at its
-    threshold.  One on ``K`` raises the cell's floor of ``K`` to the side
-    that every large ``K`` reaches: a decreasing family and its tail
-    generate the same filter.  Without a pattern (``pat`` None) the
-    outer variables are no point's coordinates, and every cell is kept.
-    """
-    if pat is not None:
-        sub = PointPattern(pat.strand, pat.kind, cell.get("N"), cell.get("M"))
-        if not sub.to_defset(x.schema).meets(x.carrier_set):
-            return []
-    try:
-        return [(cell, _pieces(cell, sections, limits))]
-    except _Open as cut:
-        rest = cell[cut.name] - cut.inside
-        if cut.name == "K":
-            tail = cut.inside if cut.inside.has_plus_end() else rest
-            return _cells(x, pat, {**cell, "K": tail}, sections, limits)
-        halves = sorted((cut.inside, rest), key=lambda s: s.parts)
-        return [c for half in halves for c in _cells(x, pat, {**cell, cut.name: half}, sections, limits)]
-
-
-def _collect(pieces) -> tuple:
+def _collect(found) -> tuple:
     """Atoms, ray pieces and grid rectangles of (pattern, endpoints)
     pieces, each listed once."""
     atoms, rays, grids = [], {}, {}
-    for pat, ends in pieces:
+    for pat, ends in found:
         if pat.kind == "atom":
             atoms.append(pat.strand)
         else:
@@ -631,10 +169,10 @@ def _family(x: SymbolicPretop, pat: PointPattern, right: SymDefSet, rules, limit
     point the template holds the carrier points whose template, by their
     rule among ``rules``, meets ``right`` eventually in the limit
     variables.  Each system of those meets, conjoined with a carrier box
-    of the inner pattern, is sorted by :func:`_section`; the outer
+    of the inner pattern, is sorted by :func:`section`; the outer
     selectors are cut into cells on which every section is settled
-    (:func:`_cells`).  One template for all cells gives one rule with
-    the pattern's selectors made explicit.
+    (:func:`cells`).  One template for all cells gives one rule with the
+    pattern's selectors made explicit.
     """
     schema = x.schema
     sections = _sections(x, rules, right, limits)
@@ -642,11 +180,11 @@ def _family(x: SymbolicPretop, pat: PointPattern, right: SymDefSet, rules, limit
     if "K" in right.vars:
         cell["K"] = IntervalSet.full(NATURALS0)
     out, shapes = [], set()
-    for c, pieces in _cells(x, pat, cell, sections, limits):
+    for c, found in cells(x, pat, cell, sections, limits):
         floor = c["K"].least() if "K" in c else 0
-        shapes.add((floor, frozenset((p.strand, ends) for p, ends in pieces)))
+        shapes.add((floor, frozenset((p.strand, ends) for p, ends in found)))
         outer = {"N": var("n"), "M": var("m"), "K": var("k") + floor}
-        template = SymDefSet.assemble(schema, *_collect(pieces)).substitute(outer)
+        template = SymDefSet.assemble(schema, *_collect(found)).substitute(outer)
         out.append((PointPattern(pat.strand, pat.kind, c.get("N"), c.get("M")), template))
     if len(shapes) == 1:
         return ((PointPattern(pat.strand, pat.kind, *pat.selectors(schema)), out[0][1]),)
@@ -666,7 +204,7 @@ def sym_regularize(x: SymbolicPretop) -> SymbolicPretop:
     new_rules = []
     for rule in x.rules:
         right = rule.template.substitute(_OUTER_K)
-        for pat, template in _family(x, rule.pattern, right, x.rules, _LIMITS_K):
+        for pat, template in _family(x, rule.pattern, right, x.rules, LIMITS_K):
             new_rules.append(VicinityRule(pat, template.with_mask(x.carrier)))
     label = f"r({x.label})" if x.label else "regularized"
     return SymbolicPretop(x.schema, tuple(new_rules), False, x.carrier, label)
@@ -753,7 +291,7 @@ def _exists_region(x: SymbolicPretop, e: EndClass):
     """Where the end's trace stays inside the carrier: a bool for a
     pinned or coordinate-free class, else the region of parameters."""
     trace = trace_sym(x.schema, e, x.carrier)
-    boxes = _meets_boxes(trace, SymDefSet.from_defset(DefSet.full(x.schema)), _LIMITS_KB)
+    boxes = meets_boxes(trace, SymDefSet.from_defset(DefSet.full(x.schema)), LIMITS_KB)
     if not e.parametric:
         return bool(boxes)
     return _param_region(boxes, _fixed_axis(x.schema, e))
@@ -825,27 +363,19 @@ def end_converges(x: SymbolicPretop, e: EndClass) -> ParametricAnswer:
 
     The fixed coordinate of a parametric class is the outer variable
     ``P`` of one projection, cut into the cells on which the answer's
-    pieces are settled (:func:`_cells`); neighbouring cells may give the
+    pieces are settled (:func:`cells`); neighbouring cells may give the
     same answer.  A pinned or coordinate-free class is the one cell
     without outer variables.
     """
     trace = trace_sym(x.schema, e, x.carrier).substitute({"p": var("P")})
     cell = {"P": IntervalSet.full(_fixed_axis(x.schema, e))} if e.parametric else {}
     regions = tuple(
-        (c.get("P"), SymDefSet.assemble(x.schema, *_collect(pieces)).substitute({"P": _P}))
-        for c, pieces in _cells(x, None, cell, _sections(x, x.rules, trace, _LIMITS_KB), _LIMITS_KB)
+        (c.get("P"), SymDefSet.assemble(x.schema, *_collect(found)).substitute({"P": _P}))
+        for c, found in cells(x, None, cell, _sections(x, x.rules, trace, LIMITS_KB), LIMITS_KB)
     )
     if e.parametric:
         return ParametricAnswer("p", cell["P"].axis, regions)
     return ParametricAnswer(None, None, regions)
-
-
-def _sym_is_empty(t: SymDefSet) -> bool:
-    return (
-        not t.atoms
-        and all(not s.parts for _, s in t.rays)
-        and all(not rects for _, rects in t.grids)
-    )
 
 
 def noncompact_ends(x: SymbolicPretop):
@@ -856,12 +386,12 @@ def noncompact_ends(x: SymbolicPretop):
     for e in ends(x):
         conv = end_converges(x, e)
         if conv.var is None:
-            if _sym_is_empty(conv.regions[0][1]):
+            if not any(template_pieces(conv.regions[0][1])):
                 yield e, None
             continue
         exists = _exists_region(x, e)
         for sel, sym in conv.regions:
-            if _sym_is_empty(sym):
+            if not any(template_pieces(sym)):
                 bad = sel & exists
                 if not bad.is_empty():
                     yield e, bad
@@ -883,29 +413,6 @@ def sym_is_compact(x: SymbolicPretop) -> Verdict:
 _K0 = (SymExpr.const(0), var("k"))
 
 
-def _strand_pieces(t: SymDefSet, strand: str, arity: int) -> list:
-    """The pieces of ``t`` on one strand, ``t``'s mask aside: one
-    (lo, hi) pair per coordinate; an atom of ``t`` is the empty piece."""
-    if not arity:
-        return [()] if strand in t.atoms else []
-    if arity == 1:
-        return [((p.lo, p.hi),) for p in dict(t.rays)[strand].parts]
-    rects = dict(t.grids)[strand]
-    return [((r.lo, r.hi), (c.lo, c.hi)) for rows, cols in rects for r in rows.parts for c in cols.parts]
-
-
-def _outside(t: SymDefSet, strand: str, coords: tuple, bases) -> list:
-    """Satisfiable systems on which the point of ``strand`` at ``coords``
-    lies outside every piece of ``t`` there, ``t``'s mask aside: a base
-    list and, for each piece, one comparison the point fails.  An atom
-    of ``t`` is a piece with no comparison to fail."""
-    systems = [b for b in bases if _conjoin(b, frozenset()) is not None]
-    for piece in _strand_pieces(t, strand, len(coords)):
-        fails = [cond for (lo, hi), x in zip(piece, coords) for cond in ((x + 1, lo), (hi + 1, x))]
-        systems = [[*s, f] for s in systems for f in fails if _conjoin([*s, f], frozenset()) is not None]
-    return systems
-
-
 @lru_cache(maxsize=None)
 def _symbolic_points(schema: GroundSchema) -> tuple:
     """(strand, coordinates, the set of that one point) for a point
@@ -925,13 +432,13 @@ def _growth(t: SymDefSet, bases) -> list:
     later = t.shift_var("k", 1)
     out = []
     for strand, coords, q in _symbolic_points(t.schema):
-        out += _outside(t, strand, coords, [[*conds, *b] for conds in _meet_conds(later, q) for b in bases])
+        out += outside(t, strand, coords, [[*conds, *b] for conds in meet_conds(later, q) for b in bases])
     return out
 
 
 def _witness(pat: PointPattern, system: list) -> tuple:
-    env = _solution(_conjoin(system, frozenset()), ("n", "m", "k"))
-    return _point_of(pat, env), env["k"]
+    env = solution(conjoin(system, frozenset()), ("n", "m", "k"))
+    return pat.point(env), env["k"]
 
 
 def check_rule(schema: GroundSchema, rule: VicinityRule, carrier: DefSet | None):
@@ -948,12 +455,12 @@ def check_rule(schema: GroundSchema, rule: VicinityRule, carrier: DefSet | None)
     """
     pat = rule.pattern
     t = rule.template if carrier is None else rule.template.with_mask(carrier)
-    bases = [[*box, _K0] for box in _carrier_conds(schema, pat, carrier)]
-    outside = _outside(t, pat.strand, tuple(var(v) for v in pat.vars), bases)
+    bases = [[*box, _K0] for box in carrier_conds(schema, pat, carrier)]
+    missing = outside(t, pat.strand, tuple(var(v) for v in pat.vars), bases)
     if carrier is None and t.mask is not None:
-        outside += [[*box, _K0] for box in _carrier_conds(schema, pat, ~t.mask)]
-    if outside:
-        p, k = _witness(pat, outside[0])
+        missing += [[*box, _K0] for box in carrier_conds(schema, pat, ~t.mask)]
+    if missing:
+        p, k = _witness(pat, missing[0])
         raise SelfMembershipViolation(f"{p.describe()} missing from its own vicinity at k={k}")
     grows = _growth(t, bases) if "k" in t.vars else []
     if grows:
@@ -979,9 +486,9 @@ class DefFilterBase:
         if extra:
             raise ValueError(f"filter family may only use k, found {sorted(extra)}")
         full = SymDefSet.from_defset(DefSet.full(self.schema))
-        empty = ~_param_region(_meets_boxes(self.family, full, frozenset()), NATURALS0, "k")
+        empty = ~_param_region(meets_boxes(self.family, full, frozenset()), NATURALS0, "k")
         grows = _growth(self.family, [[_K0]]) if "k" in self.family.vars else []
-        g = min((_solution(_conjoin(s, frozenset()), ("k",))["k"] for s in grows), default=INF)
+        g = min((solution(conjoin(s, frozenset()), ("k",))["k"] for s in grows), default=INF)
         if not empty.is_empty() and empty.least() <= g + 1:
             raise EmptyKernel(f"filter family is empty at k={empty.least()}")
         if grows:
@@ -1057,7 +564,7 @@ def _sweep_symdefset(t: SymDefSet, ranges: dict) -> SymDefSet:
 @lru_cache(maxsize=None)
 def _core_templates(x: SymbolicPretop, rule: VicinityRule) -> tuple:
     """Vicinity cores of the rule's points: the points lying in every vicinity."""
-    return _family(x, rule.pattern, rule.template.substitute(_OUTER), _discrete_rules(x.schema), _LIMITS_K)
+    return _family(x, rule.pattern, rule.template.substitute(_OUTER), _discrete_rules(x.schema), LIMITS_K)
 
 
 def _core_union(x: SymbolicPretop, a: DefSet) -> DefSet:
@@ -1066,7 +573,7 @@ def _core_union(x: SymbolicPretop, a: DefSet) -> DefSet:
     total = DefSet.empty(x.schema)
     for rule in x.rules:
         for sub_pat, ct in _core_templates(x, rule):
-            for ranges in _region_boxes(x.schema, sub_pat, a):
+            for ranges in region_boxes(x.schema, sub_pat, a):
                 total = total | _sweep_symdefset(ct, ranges).evaluate({})
     return total
 
@@ -1100,7 +607,7 @@ def sym_compact_at(x: SymbolicPretop, f, a: DefSet) -> Verdict:
     a_sym = SymDefSet.from_defset(a)
     for e in ends(x):
         # boxes over the end's parameter where its trace meshes the family
-        boxes = _meets_boxes(f.family, trace_sym(x.schema, e, x.carrier), _LIMITS_KB)
+        boxes = meets_boxes(f.family, trace_sym(x.schema, e, x.carrier), LIMITS_KB)
         if e.parametric:
             axis = _fixed_axis(x.schema, e)
             mesh = _param_region(boxes, axis)
@@ -1111,7 +618,7 @@ def sym_compact_at(x: SymbolicPretop, f, a: DefSet) -> Verdict:
                 hood = sel & mesh
                 if hood.is_empty():
                     continue
-                good = _param_region(_meets_boxes(sym, a_sym, frozenset()), axis)
+                good = _param_region(meets_boxes(sym, a_sym, frozenset()), axis)
                 bad = hood - good
                 if not bad.is_empty():
                     return Verdict(False, e.pin(bad.least()))
@@ -1152,7 +659,7 @@ def _pair_side(x: SymbolicPretop, rule: VicinityRule, tag: str) -> tuple:
     """The rule's template with its coordinates renamed ``n<tag>`` and
     ``m<tag>``, and one comparison list per carrier box of its pattern."""
     names = {v: var(v + tag) for v in rule.pattern.vars}
-    return rule.template.substitute(names), _carrier_conds(x.schema, rule.pattern, x.carrier, tag)
+    return rule.template.substitute(names), carrier_conds(x.schema, rule.pattern, x.carrier, tag)
 
 
 def _apart(pat: PointPattern) -> list:
@@ -1176,7 +683,7 @@ def sym_hausdorff(x: SymbolicPretop) -> Verdict:
     one rule, kept apart.  Every comparison has the form
     ``±x ± y <= c``, so tight integer closure decides each system
     exactly.  The witness comes from the first satisfiable system in
-    :func:`_meets_boxes` order, with n1, m1, n2, m2 fixed in turn to
+    :func:`meets_boxes` order, with n1, m1, n2, m2 fixed in turn to
     the feasible value nearest 0.
     """
     for i, r1 in enumerate(x.rules):
@@ -1188,135 +695,10 @@ def sym_hausdorff(x: SymbolicPretop) -> Verdict:
             t2, boxes2 = _pair_side(x, r2, "2")
             apart = _apart(r1.pattern) if same else [[]]
             extra = [[*b1, *b2, *d] for b1 in boxes1 for b2 in boxes2 for d in apart]
-            systems = _meets_boxes(t1, t2, _LIMITS_K, extra)
+            systems = meets_boxes(t1, t2, LIMITS_K, extra)
             if systems:
-                env = _solution(systems[0], ("n1", "m1", "n2", "m2"))
-                p1 = _point_of(r1.pattern, {"n": env["n1"], "m": env["m1"]})
-                p2 = _point_of(r2.pattern, {"n": env["n2"], "m": env["m2"]})
+                env = solution(systems[0], ("n1", "m1", "n2", "m2"))
+                p1 = r1.pattern.point({"n": env["n1"], "m": env["m1"]})
+                p2 = r2.pattern.point({"n": env["n2"], "m": env["m2"]})
                 return Verdict(False, (p1, p2))
     return Verdict(True, None)
-
-
-# -- continuity of strand-wise maps -----------------------------------------------
-
-_J = var("J")
-
-
-def _template_pieces(t: SymDefSet):
-    """(strand, coordinates) of each piece of ``t``, its mask factors
-    included: per coordinate, the intervals a point of the piece lies in
-    and the axis floor (None on a two-sided axis).  An atom is a piece
-    without coordinates."""
-    schema = t.schema
-    atoms = t.atoms if t.mask is None else t.atoms & t.mask.atoms
-    for a in schema.atoms:
-        if a in atoms:
-            yield a, ()
-    for name, s in t.rays:
-        low = schema.ray_axis(name).low
-        for p in s.parts:
-            for m in _ray_factors(t.mask, name):
-                yield name, (([(p.lo, p.hi), *m], low),)
-    for name, rects in t.grids:
-        rlow, clow = (ax.low for ax in schema.grid_axes(name))
-        for rows, cols in rects:
-            for mr, mc in _grid_factors(t.mask, name):
-                for rp in rows.parts:
-                    for cp in cols.parts:
-                        yield name, (([(rp.lo, rp.hi), *mr], rlow), ([(cp.lo, cp.hi), *mc], clow))
-
-
-def _exists(coords) -> list:
-    """Comparisons stating that some point lies in every interval of its
-    coordinates."""
-    return [cond for items, low in coords for cond in _overlap_conds(items, low)]
-
-
-def _escapes(f, u: SymDefSet, strand: str, coords: tuple, bases) -> list:
-    """Systems, each with a base list, on which a point ``q`` of the piece
-    (``strand``, ``coords``) has its image under ``f`` outside every piece
-    of ``u``.
-
-    Under a collapse the image is a constant point, and each piece of
-    ``u`` gets one comparison it fails.  Under a shift, failing one
-    comparison of a piece confines one coordinate of ``q`` to one more
-    half-interval.  ``q`` itself is eliminated: it exists when the
-    intervals of each coordinate overlap.  Systems that can never hold
-    are pruned after each piece.
-    """
-    sm = f.strand_map(strand)
-    if sm.collapses:
-        at = tuple(SymExpr.const(c) for c in sm.point.coords)
-        return _outside(u, sm.point.strand, at, [[*b, *_exists(coords)] for b in bases])
-    states = [(b, coords) for b in bases]
-    for piece in _strand_pieces(u, sm.target, len(coords)):
-        grown = []
-        for b, cs in states:
-            for i, ((lo, hi), off) in enumerate(zip(piece, sm.offsets)):
-                items, low = cs[i]
-                fails = [] if isinstance(lo, float) else [(NEG_INF, lo - off - 1)]
-                fails += [] if isinstance(hi, float) else [(hi - off + 1, INF)]
-                for fail in fails:
-                    new = (*cs[:i], ([*items, fail], low), *cs[i + 1 :])
-                    if _conjoin([*b, *_exists(new)], _LIMITS_K) is not None:
-                        grown.append((b, new))
-        states = grown
-    return [[*b, *_exists(cs)] for b, cs in states]
-
-
-def _failures(f, rule: VicinityRule):
-    """Comparison lists, one of which holds at a point ``p`` of the rule
-    and a ``J >= 0`` exactly when every ``T_p(k)`` holds a point that
-    ``f`` sends outside ``U_f(p)(J)``.
-
-    For each target rule on the strand of ``f(p)``, its template is
-    written in ``p``'s coordinates ``n``, ``m`` and in ``J``, with
-    ``f(p)`` confined to a carrier box of its pattern, and each piece of
-    ``T_p(k)`` gives the systems of :func:`_escapes`.  ``f`` sends the
-    source carrier into the target carrier, which is every template's
-    mask, so the mask of ``U`` can be left aside.
-    """
-    x, y = f.source, f.target
-    pat = rule.pattern
-    sm = f.strand_map(pat.strand)
-    if sm.collapses:
-        strand, at = sm.point.strand, [SymExpr.const(c) for c in sm.point.coords]
-    else:
-        strand, at = sm.target, [var(v) + off for v, off in zip(pat.vars, sm.offsets)]
-    image = dict(zip(("n", "m"), at))
-    for target_rule in y.rules:
-        if target_rule.pattern.strand != strand:
-            continue
-        u = target_rule.template.substitute({**image, "k": _J})
-        bases = [
-            [*box, *((e1.substitute(image), e2.substitute(image)) for e1, e2 in tbox), (SymExpr.const(0), _J)]
-            for box in _carrier_conds(x.schema, pat, x.carrier)
-            for tbox in _carrier_conds(y.schema, target_rule.pattern, y.carrier)
-        ]
-        for q_strand, coords in _template_pieces(rule.template):
-            yield from _escapes(f, u, q_strand, coords, bases)
-
-
-def sym_discontinuity(f) -> tuple | None:
-    """A point ``p`` and a parameter ``j`` at which the strand-wise map
-    ``f`` (a :class:`~pretop.symbolic.maps.SymbolicMap`) is not
-    continuous, or None when it is continuous.
-
-    ``f`` fails at ``p`` when, for some ``J >= 0``, every vicinity
-    ``T_p(k)`` holds a point ``q`` with ``f(q)`` outside ``U_f(p)(J)``.
-    The family is decreasing in ``k``, so "every ``k``" is its eventual
-    truth, and each system of :func:`_failures` is decided with ``k`` as
-    the limit.  The witness point comes from the first satisfiable
-    system, its coordinates fixed in turn to the feasible value nearest
-    0; ``j`` is the least ``J`` that fails there.
-    """
-    for rule in f.source.rules:
-        systems = list(_failures(f, rule))
-        first = next((s for s in (_conjoin(c, _LIMITS_K) for c in systems) if s is not None), None)
-        if first is None:
-            continue
-        env = _solution(first, ("n", "m"))
-        at_p = _bound_conds({v: (env[v], env[v]) for v in rule.pattern.vars})
-        fails = (_conjoin([*c, *at_p], _LIMITS_K) for c in systems)
-        return _point_of(rule.pattern, env), min(_solution(s, ("J",))["J"] for s in fails if s is not None)
-    return None

@@ -4,9 +4,18 @@ A map is given strand by strand: a shift of the coordinates of a ray or
 grid strand onto a strand of the same shape, or the collapse of a whole
 strand to one target point.  The image of a definable set is definable
 again, with every endpoint moved by its offset.  Validation is one
-inclusion, the image of the source carrier inside the target carrier,
-and continuity is decided exactly on the comparison systems of
-:func:`~pretop.symbolic.analysis.sym_discontinuity`; nothing is sampled.
+inclusion, the image of the source carrier inside the target carrier.
+
+Continuity is decided exactly on the comparison systems of
+:mod:`~pretop.symbolic.utvpi`; nothing is sampled.  A strand-wise map
+is discontinuous at ``p`` when, for some ``J``, every vicinity
+``T_p(k)`` holds a point ``q`` sent outside the target vicinity
+``U(J)`` of ``p``'s image.  Under a shift, ``q``'s image failing one
+comparison of a piece of ``U`` is one more half-interval on one
+coordinate of ``q``; under a collapse the image is a constant point.
+``q`` moves as ``k`` grows, so it is eliminated by interval overlap
+rather than kept free, and each system left in ``p``'s coordinates and
+``J`` is decided with ``k`` as the limit.
 """
 
 from __future__ import annotations
@@ -14,10 +23,14 @@ from __future__ import annotations
 from ..defsets import DefSet, GroundSchema, Point
 from ..errors import SchemaMismatch, UnclassifiableImageTrace, UnknownPoint
 from ..finite import Verdict
-from ..intervals import IntervalSet
+from ..intervals import INF, NEG_INF, IntervalSet
 from ..record import record
-from .analysis import EndClass, sym_adh, sym_discontinuity
-from .space import SymbolicPretop
+from .analysis import EndClass
+from .exprs import SymDefSet, SymExpr, var
+from .space import SymbolicPretop, VicinityRule
+from .utvpi import LIMITS_K, bound_conds, carrier_conds, conjoin, outside, overlap_conds, solution, template_pieces
+
+_J = var("J")
 
 
 @record
@@ -199,53 +212,96 @@ def sym_image(f: SymbolicMap, s: DefSet) -> DefSet:
 
 # -- continuity ---------------------------------------------------------------
 
-def sym_is_continuous(f: SymbolicMap, method: str = "vicinity", probes=None) -> Verdict:
+def _escapes(f: SymbolicMap, u: SymDefSet, strand: str, coords: tuple, bases) -> list:
+    """Systems, each with a base list, on which a point ``q`` of the piece
+    (``strand``, ``coords``) has its image under ``f`` outside every piece
+    of ``u``.
+
+    Under a collapse the image is a constant point, and each piece of
+    ``u`` gets one comparison it fails.  Under a shift, failing one
+    comparison of a piece confines one coordinate of ``q`` to one more
+    half-interval.  ``q`` itself is eliminated: it exists when the
+    intervals of each coordinate overlap.  Systems that can never hold
+    are pruned after each piece.
+    """
+    sm = f.strand_map(strand)
+    if sm.collapses:
+        at = tuple(SymExpr.const(c) for c in sm.point.coords)
+        return outside(u, sm.point.strand, at, [[*b, *overlap_conds(coords)] for b in bases])
+    states = [(b, coords) for b in bases]
+    for name, piece in template_pieces(u, masked=False):
+        if name != sm.target:
+            continue
+        grown = []
+        for b, cs in states:
+            for i, (([(lo, hi)], _), off) in enumerate(zip(piece, sm.offsets)):
+                items, low = cs[i]
+                fails = [] if isinstance(lo, float) else [(NEG_INF, lo - off - 1)]
+                fails += [] if isinstance(hi, float) else [(hi - off + 1, INF)]
+                for fail in fails:
+                    new = (*cs[:i], ([*items, fail], low), *cs[i + 1 :])
+                    if conjoin([*b, *overlap_conds(new)], LIMITS_K) is not None:
+                        grown.append((b, new))
+        states = grown
+    return [[*b, *overlap_conds(cs)] for b, cs in states]
+
+
+def _failures(f: SymbolicMap, rule: VicinityRule):
+    """Comparison lists, one of which holds at a point ``p`` of the rule
+    and a ``J >= 0`` exactly when every ``T_p(k)`` holds a point that
+    ``f`` sends outside ``U_f(p)(J)``.
+
+    For each target rule on the strand of ``f(p)``, its template is
+    written in ``p``'s coordinates ``n``, ``m`` and in ``J``, with
+    ``f(p)`` confined to a carrier box of its pattern, and each piece of
+    ``T_p(k)`` gives the systems of :func:`_escapes`.  ``f`` sends the
+    source carrier into the target carrier, which is every template's
+    mask, so the mask of ``U`` can be left aside.
+    """
+    x, y = f.source, f.target
+    pat = rule.pattern
+    sm = f.strand_map(pat.strand)
+    if sm.collapses:
+        strand, at = sm.point.strand, [SymExpr.const(c) for c in sm.point.coords]
+    else:
+        strand, at = sm.target, [var(v) + off for v, off in zip(pat.vars, sm.offsets)]
+    image = dict(zip(("n", "m"), at))
+    for target_rule in y.rules:
+        if target_rule.pattern.strand != strand:
+            continue
+        u = target_rule.template.substitute({**image, "k": _J})
+        bases = [
+            [*box, *((e1.substitute(image), e2.substitute(image)) for e1, e2 in tbox), (SymExpr.const(0), _J)]
+            for box in carrier_conds(x.schema, pat, x.carrier)
+            for tbox in carrier_conds(y.schema, target_rule.pattern, y.carrier)
+        ]
+        for q_strand, coords in template_pieces(rule.template):
+            yield from _escapes(f, u, q_strand, coords, bases)
+
+
+def sym_is_continuous(f: SymbolicMap) -> Verdict:
     """Continuity verdict with a (point, parameter) witness on failure.
 
-    ``vicinity`` is the decision procedure: ``f`` is continuous at ``p``
-    when for every ``j`` some ``k`` gives ``f(T_p(k)) ⊆ U_f(p)(j)``.  The
-    failures form one family of comparison systems in ``p``'s
-    coordinates and ``j``, with ``k`` resolved by its eventual truth,
-    decided exactly by :func:`~pretop.symbolic.analysis.sym_discontinuity`;
-    its witness fixes the coordinates, then ``j``, each nearest 0.  The
-    ``adh-set`` method replays the adherence-image inclusion on a finite
-    family of probe sets; failures are definitive, passes corroborate.
+    ``f`` is continuous at ``p`` when for every ``j`` some ``k`` gives
+    ``f(T_p(k)) ⊆ U_f(p)(j)``.  It fails at ``p`` when, for some
+    ``J >= 0``, every vicinity ``T_p(k)`` holds a point ``q`` with
+    ``f(q)`` outside ``U_f(p)(J)``.  The family is decreasing in ``k``,
+    so "every ``k``" is its eventual truth, and each system of
+    :func:`_failures` is decided with ``k`` as the limit.  The witness
+    point comes from the first satisfiable system, its coordinates fixed
+    in turn to the feasible value nearest 0; its parameter is the least
+    ``J`` that fails there.
     """
-    if method == "adh-set":
-        return _adh_probe_check(f, probes)
-    if method != "vicinity":
-        raise ValueError(f"unknown method {method!r}")
-    witness = sym_discontinuity(f)
-    return Verdict(witness is None, witness)
-
-
-def _default_probes(f: SymbolicMap) -> list:
-    probes = []
     for rule in f.source.rules:
-        region = rule.pattern.to_defset(f.source.schema) & f.source.carrier_set
-        if not region.is_empty():
-            probes.append(region)
-        env = {v: 1 for v in rule.pattern.vars}
-        inst = rule.template.substitute(env).evaluate({"k": 1}) & f.source.carrier_set
-        if not inst.is_empty():
-            probes.append(inst)
-    for i in range(len(probes) - 1):
-        if len(probes) >= 12:
-            break
-        probes.append(probes[i] | probes[i + 1])
-    return probes
-
-
-def _adh_probe_check(f: SymbolicMap, probes) -> Verdict:
-    if probes is None:
-        probes = _default_probes(f)
-    for a in probes:
-        left = sym_image(f, sym_adh(f.source, a))
-        right = sym_adh(f.target, sym_image(f, a))
-        stray = left - right
-        if not stray.is_empty():
-            q = next(stray.iter_sample_points())
-            return Verdict(False, (a, q))
+        systems = list(_failures(f, rule))
+        first = next((s for s in (conjoin(c, LIMITS_K) for c in systems) if s is not None), None)
+        if first is None:
+            continue
+        env = solution(first, ("n", "m"))
+        at_p = bound_conds({v: (env[v], env[v]) for v in rule.pattern.vars})
+        fails = (conjoin([*c, *at_p], LIMITS_K) for c in systems)
+        j = min(solution(s, ("J",))["J"] for s in fails if s is not None)
+        return Verdict(False, (rule.pattern.point(env), j))
     return Verdict(True, None)
 
 

@@ -96,6 +96,10 @@ class PointPattern:
     def env_for(self, p: Point) -> dict:
         return dict(zip(self.vars, p.coords))
 
+    def point(self, env: dict) -> Point:
+        """The point of the pattern's strand at the coordinates ``env``."""
+        return Point(self.strand, tuple(env[v] for v in self.vars))
+
     @property
     def bound(self) -> int:
         b = 0
@@ -317,10 +321,12 @@ def builtin(name: str) -> SymbolicPretop:
         return _half_grid()
     m = re.fullmatch(r"discrete_ray\((\d+)\)", name)
     if m:
-        count = int(m.group(1))
-        if count > _MAX_RAY_STRANDS:
-            raise SizeLimit(f"discrete_ray supports at most {_MAX_RAY_STRANDS} strands, got {count}")
-        return _discrete_ray(count)
+        # int() refuses more than 4,300 digits, so the digits are compared first
+        digits = m.group(1).lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_RAY_STRANDS)) or int(digits) > _MAX_RAY_STRANDS:
+            got = digits if len(digits) <= 12 else f"a {len(digits)}-digit count"
+            raise SizeLimit(f"discrete_ray supports at most {_MAX_RAY_STRANDS} strands, got {got}")
+        return _discrete_ray(int(digits))
     raise UnknownBuiltin(f"no builtin named {name!r}")
 
 

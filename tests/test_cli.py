@@ -238,6 +238,14 @@ def test_a_ray_count_out_of_range_names_its_line(capsys, tmp_path, count, code, 
     assert run(capsys, "validate", "-f", str(path)) == (code, "", message)
 
 
+def test_a_huge_ray_count_exits_4_without_echoing_it(capsys):
+    huge = ("builtin", "discrete_ray(" + "9" * 5000 + ")", "--check", "hausdorff")
+    message = "limit: discrete_ray supports at most 512 strands, got a 5000-digit count\n"
+    assert run(capsys, *huge) == (4, "", message)
+    padded = ("builtin", "discrete_ray(" + "0" * 5000 + "3)", "--check", "hausdorff")
+    assert run(capsys, *padded) == (0, "true\n", "")
+
+
 def test_topology_block_reads_as_its_least_opens(capsys):
     # S2 has opens {} {a} {a b}: the least open at a is {a}, at b all of S2
     argv = ("compute", "adh", "-f", FINITE, "--space", "S2", "--set", "{a}")

@@ -2,7 +2,8 @@
 (one starting with an underscore) from another module, every public
 top-level function or class is reached from the package itself, only
 the oracle scans every subset of a finite space, no module but
-``symbolic/__init__.py`` imports the window sampler, and ``import
+``symbolic/__init__.py`` imports the window sampler, the UTVPI core
+``symbolic/utvpi.py`` imports no module that decides with it, and ``import
 pretop.cli`` stays cheap (no ``dataclasses``, ``inspect``, ``json`` or
 oracle, one ``exec`` per value-class shape) and loads every name the
 benchmark's tracer wraps."""
@@ -74,6 +75,28 @@ def test_every_public_name_is_reached_or_allowed():
     assert unreached == set(UNREACHED), sorted(unreached ^ set(UNREACHED))
 
 
+def _imports(path):
+    """``line: names`` of every import in a module: the module path of a
+    ``from`` import and each imported name, function bodies included."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, [node.module or ""] + [alias.name for alias in node.names]
+
+
+def test_the_utvpi_core_imports_no_decision_module():
+    # symbolic/utvpi.py is the one decision core: the decisions call its
+    # public API, never the other way round
+    deciders = {"analysis", "maps", "construct"}
+    users = [
+        line
+        for line, names in _imports(SRC / "symbolic" / "utvpi.py")
+        if any(deciders.intersection(name.split(".")) for name in names)
+    ]
+    assert users == []
+
+
 def test_no_module_imports_the_window_sampler():
     # every symbolic answer, map continuity and validation included, comes
     # from the UTVPI core; symbolic/__init__.py alone loads symbolic/solve.py,
@@ -83,15 +106,7 @@ def test_no_module_imports_the_window_sampler():
         rel = path.relative_to(SRC)
         if rel == Path("symbolic", "__init__.py"):
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [alias.name for alias in node.names]
-            else:
-                continue
-            if any("solve" in name.split(".") for name in names):
-                users.append(f"{rel}:{node.lineno}")
+        users += [f"{rel}:{line}" for line, names in _imports(path) if any("solve" in n.split(".") for n in names)]
     assert users == []
 
 

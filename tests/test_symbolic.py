@@ -2,6 +2,7 @@
 finite snapshot wide enough to be faithful, and the worked grid space
 must reproduce its known closures, ends and compactness splits."""
 
+from functools import reduce
 from itertools import combinations, product
 
 import pytest
@@ -39,9 +40,10 @@ from pretop.symbolic import (
     sym_regularize,
     sym_restrict,
 )
-from pretop.symbolic.analysis import _conjoin, _membership_region, _solution
+from pretop.symbolic.analysis import _membership_region
 from pretop.symbolic.exprs import SymExpr, sym_grid, var
 from pretop.symbolic.space import box_points, truncate
+from pretop.symbolic.utvpi import cells, conjoin, section, solution
 
 
 def _set(x: SymbolicPretop, text: str) -> DefSet:
@@ -69,6 +71,13 @@ def test_discrete_ray_beyond_512_strands_is_refused_before_building(monkeypatch)
     assert built == []
     builtin.__wrapped__("discrete_ray(512)")
     assert built == [512]
+
+
+def test_a_huge_or_padded_ray_count_is_read_by_its_digits():
+    # int() refuses more than 4,300 digits; leading zeros do not count
+    with pytest.raises(SizeLimit, match="at most 512 strands, got a 5000-digit count$"):
+        builtin.__wrapped__("discrete_ray(" + "9" * 5000 + ")")
+    assert builtin.__wrapped__("discrete_ray(" + "0" * 5000 + "3)") == builtin("discrete_ray(3)")
 
 
 def test_urysohn_shape():
@@ -565,13 +574,63 @@ def test_tight_closure_decides_utvpi_systems(conds):
 
     points = [dict(zip(_VARS, vals)) for vals in product(range(-_R, _R + 1), repeat=len(_VARS))]
     solutions = [env for env in points if holds(env)]
-    system = _conjoin(conds, frozenset())
+    system = conjoin(conds, frozenset())
     assert (system is None) == (not solutions)
     if system is not None:
-        env = _solution(system, _VARS)
+        env = solution(system, _VARS)
         assert holds(env)
         # each variable in turn nearest 0, the smaller one on a tie
         assert env == min(solutions, key=lambda e: [(abs(e[v]), e[v]) for v in _VARS])
+
+
+@st.composite
+def _projected(draw):
+    """One to three systems in an inner ``n`` and an outer ``P``: bounds
+    on each, and comparisons ``±x ± y <= c`` between them or of ``P``
+    with itself."""
+    systems = []
+    for _ in range(draw(st.integers(1, 3))):
+        conds = []
+        for v in ("n", "P"):
+            if draw(st.booleans()):
+                conds.append((SymExpr.const(draw(st.integers(-_R - 1, _R + 1))), var(v)))
+            if draw(st.booleans()):
+                conds.append((var(v), SymExpr.const(draw(st.integers(-_R - 1, _R + 1)))))
+        for _ in range(draw(st.integers(0, 3))):
+            x, y = draw(st.sampled_from((("n", "P"), ("P", "n"), ("P", "P"))))
+            sx, sy = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+            conds.append((SymExpr(x, sx, 0), SymExpr(y, sy, draw(st.integers(-4, 4)))))
+        systems.append(conds)
+    return systems
+
+
+@settings(max_examples=300, deadline=None)
+@given(_projected())
+def test_cells_project_utvpi_systems_exactly(systems):
+    # the cells partition the outer range, and at every P of a window the
+    # pieces of P's cell hold exactly the n that satisfy some system
+    whole = IntervalSet.full(INTEGERS)
+    try:
+        sections = [s for s in (section(PointPattern.ray("R"), c, frozenset()) for c in systems) if s is not None]
+        found = cells(None, None, {"P": whole}, sections, frozenset())
+    except FragmentEscape:
+        return
+    outer = [c["P"] for c, _ in found]
+    assert all((a & b).is_empty() for i, a in enumerate(outer) for b in outer[i + 1 :])
+    assert reduce(lambda a, b: a | b, outer, IntervalSet.empty(INTEGERS)) == whole
+
+    def holds(conds, env):
+        return all(e1.evaluate(env) <= e2.evaluate(env) for e1, e2 in conds)
+
+    def at(e, p):
+        return e.evaluate({"P": p}) if isinstance(e, SymExpr) else e
+
+    inner = range(-3 * _R - 4, 3 * _R + 5)
+    for p in range(-_R - 2, _R + 3):
+        (got,) = [ps for c, ps in found if p in c["P"]]
+        want = {n for n in inner if any(holds(c, {"n": n, "P": p}) for c in systems)}
+        have = {n for n in inner if any(at(lo, p) <= n <= at(hi, p) for _, (lo, hi) in got)}
+        assert have == want, p
 
 
 @pytest.mark.parametrize("name", sorted(_HAUSDORFF_SPACES))

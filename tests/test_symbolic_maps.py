@@ -117,7 +117,6 @@ def test_an_infinite_shift_image_is_exact(ray1, shift):
 
 def test_shift_is_continuous(shift):
     assert sym_is_continuous(shift).ok
-    assert sym_is_continuous(shift, "adh-set").ok
 
 
 def test_pole_swap_is_discontinuous():
@@ -139,7 +138,6 @@ def test_constant_map_is_continuous():
         {"G": StrandMap.to_point(Point.atom("pinf")), "pinf": Point.atom("pinf"), "minf": Point.atom("pinf")},
     )
     assert sym_is_continuous(const).ok
-    assert sym_is_continuous(const, "adh-set").ok
 
 
 def test_continuity_reads_vicinities_inside_the_source_carrier():
