@@ -152,43 +152,31 @@ def _bad_ends(x: SymbolicPretop) -> list:
     return out
 
 
-def _rebase_defset(d: DefSet, schema: GroundSchema) -> DefSet:
-    return DefSet.build(
-        schema,
-        atoms=d.atoms,
-        ray_parts=dict(d.rays),
-        grid_rects={n: list(groups) for n, groups in d.grids},
-    )
-
-
-def _rebase_template(t: SymDefSet, schema: GroundSchema) -> SymDefSet:
-    mask = None if t.mask is None else _rebase_defset(t.mask, schema)
-    return SymDefSet(schema, t.atoms, t.rays, t.grids, mask)
-
-
 def _extend(x: SymbolicPretop, atoms_for: list, label: str) -> EndExtensionSpace:
     """Shared body: ``atoms_for`` pairs each new atom with its ends."""
     if not atoms_for:
         return EndExtensionSpace(x, x, (), sym_is_compact(x))
     names = tuple(name for name, _ in atoms_for)
     schema2 = GroundSchema(x.schema.atoms + names, x.schema.rays, x.schema.grids)
-    carrier2 = None
-    if x.carrier is not None:
-        carrier2 = _rebase_defset(x.carrier, schema2) | DefSet.build(schema2, atoms=names)
-    rules2 = [VicinityRule(r.pattern, _rebase_template(r.template, schema2)) for r in x.rules]
+
+    # the new atoms follow the old ones, so every old strand keeps its
+    # place in schema order and a set's parts stay canonical as they are
+    def rebase(d: DefSet | None) -> DefSet | None:
+        return None if d is None else DefSet(schema2, d.parts)
+
+    carrier2 = None if x.carrier is None else rebase(x.carrier) | DefSet.build(schema2, atoms=names)
+    rules2 = [
+        VicinityRule(r.pattern, SymDefSet(schema2, r.template.parts, rebase(r.template.mask)))
+        for r in x.rules
+    ]
     added = []
     for name, covered in atoms_for:
-        ray_parts: dict = {}
-        grid_rects: dict = {}
+        strands = {name: [()]}
         for e in covered:
-            t = trace_sym(schema2, e, None, param=var("k"))
-            for n, s in t.rays:
-                ray_parts.setdefault(n, []).extend((p.lo, p.hi) for p in s.parts)
-            for n, rects in t.grids:
-                grid_rects.setdefault(n, []).extend(rects)
+            for n, boxes in trace_sym(schema2, e, None, param=var("k")).parts:
+                strands.setdefault(n, []).extend(boxes)
             added.append((name, e))
-        tmpl = SymDefSet.assemble(schema2, atoms=[name], ray_parts=ray_parts, grid_rects=grid_rects)
-        rules2.append(VicinityRule(PointPattern.atom(name), tmpl))
+        rules2.append(VicinityRule(PointPattern.atom(name), SymDefSet.of(schema2, strands)))
     space2 = build_symbolic(schema2, rules2, topological=False, carrier=carrier2, label=label)
     return EndExtensionSpace(x, space2, tuple(added), sym_is_compact(space2))
 
@@ -215,20 +203,13 @@ def merged_end_extension(x: SymbolicPretop, name: str = "omega") -> EndExtension
 
 # -- extending maps over end extensions -----------------------------------------
 
-def _least_point(x: SymbolicPretop, d: DefSet) -> Point:
+def _least_point(d: DefSet) -> Point:
     """First point of a nonempty definable set, in schema order with
-    coordinates drawn from the first piece."""
-    for a in x.schema.atoms:
-        if a in d.atoms:
-            return Point.atom(a)
-    for n, s in d.rays:
-        if not s.is_empty():
-            return Point.ray(n, s.least())
-    for n, groups in d.grids:
-        if groups:
-            rows, cols = groups[0]
-            return Point.grid(n, rows.least(), cols.least())
-    raise EmptySubspace("no point to pick from an empty set")
+    coordinates drawn from the first box."""
+    if d.is_empty():
+        raise EmptySubspace("no point to pick from an empty set")
+    name, boxes = d.parts[0]
+    return Point(name, tuple(s.least() for s in boxes[0]))
 
 
 @record
@@ -270,7 +251,7 @@ def extend_map_kappa(
             continue
         limits = end_converges(f.target, img).at(img.fixed)
         if not limits.is_empty():
-            assignments[atom] = _least_point(f.target, limits)
+            assignments[atom] = _least_point(limits)
             continue
         match = [n for n, e2 in ky.added if e2 == img]
         if not match:

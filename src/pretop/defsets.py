@@ -2,20 +2,28 @@
 
 A ground schema names finitely many strands: standalone atoms, rays
 (one integer axis) and grids (row axis x column axis).  A definable set
-holds, per strand, an atom flag, an interval set, or a union of
-rectangles.  Grid parts are canonicalized into row groups: pairwise
-disjoint row selectors, each paired with a distinct nonempty column
-set, sorted by first row.  Equal canonical forms are semantically equal
-sets, so record equality is set equality.
+lists, in schema order, the strands it meets, each with its boxes: a
+box holds one interval set per axis of its strand, so an atom's box is
+empty, a ray's holds one set and a grid's a row set and a column set.
+The boxes are canonical: an atom has one empty box, a ray one box
+holding its union, and a grid its row groups, pairwise disjoint row
+sets each paired with a distinct nonempty column set, sorted by first
+row.  Equal canonical forms are semantically equal sets, so record
+equality is set equality.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import product
+from operator import and_, or_
 
 from .errors import SchemaMismatch, UnknownPoint
 from .intervals import INF, NEG_INF, AxisDomain, IntervalSet
 from .record import record
+
+# the kind of a strand with 0, 1 or 2 axes
+KINDS = ("atom", "ray", "grid")
 
 
 @record
@@ -32,32 +40,44 @@ class GroundSchema:
             raise SchemaMismatch("duplicate strand name in schema")
 
     @cached_property
+    def strands(self) -> tuple:
+        """``(name, axes)`` of every strand in schema order: the atoms
+        (no axes), the rays (``(axis,)``), then the grids (``(rows, cols)``)."""
+        return (
+            tuple((a, ()) for a in self.atoms)
+            + tuple((n, (ax,)) for n, ax in self.rays)
+            + tuple((n, (r, c)) for n, r, c in self.grids)
+        )
+
+    @cached_property
     def _axes(self) -> dict:
-        """Strand name -> ``(axis,)`` for a ray, ``(rows, cols)`` for a grid."""
-        return {n: (ax,) for n, ax in self.rays} | {n: (r, c) for n, r, c in self.grids}
+        return dict(self.strands)
+
+    @cached_property
+    def _position(self) -> dict:
+        return {name: i for i, (name, _) in enumerate(self.strands)}
 
     @cached_property
     def _full(self) -> "DefSet":
         """The whole ground set, built once; :meth:`DefSet.full` returns it."""
-        return DefSet.build(
-            self,
-            atoms=self.atoms,
-            ray_parts={n: IntervalSet.full(ax) for n, ax in self.rays},
-            grid_rects={n: [(IntervalSet.full(r), IntervalSet.full(c))] for n, r, c in self.grids},
-        )
+        return DefSet.of(self, {n: [tuple(IntervalSet.full(ax) for ax in axes)] for n, axes in self.strands})
 
-    def ray_axis(self, name: str) -> AxisDomain:
-        if len(axes := self._axes.get(name, ())) != 1:
-            raise UnknownPoint(f"no ray named {name!r}")
-        return axes[0]
-
-    def grid_axes(self, name: str) -> tuple[AxisDomain, AxisDomain]:
-        if len(axes := self._axes.get(name, ())) != 2:
-            raise UnknownPoint(f"no grid named {name!r}")
+    def axes(self, name: str, kind: str | None = None) -> tuple:
+        """The axes of a strand, checked to be of ``kind`` when given."""
+        axes = self._axes.get(name)
+        if axes is None or (kind is not None and KINDS[len(axes)] != kind):
+            raise UnknownPoint(f"no {kind or 'strand'} named {name!r}")
         return axes
 
-    def has_atom(self, name: str) -> bool:
-        return name in self.atoms
+    def in_order(self, named: dict) -> list:
+        """The ``(strand name, value)`` items of ``named`` in schema order."""
+        return [(name, named[name]) for name in sorted(named, key=self._position.__getitem__)]
+
+    def ray_axis(self, name: str) -> AxisDomain:
+        return self.axes(name, "ray")[0]
+
+    def grid_axes(self, name: str) -> tuple[AxisDomain, AxisDomain]:
+        return self.axes(name, "grid")
 
 
 @record
@@ -81,10 +101,6 @@ class Point:
         return cls(name, (row, col))
 
     def validate(self, schema: GroundSchema):
-        if self.strand in schema.atoms:
-            if self.coords:
-                raise UnknownPoint(f"atom {self.strand!r} takes no coordinates")
-            return
         axes = schema._axes.get(self.strand)
         if axes is None:
             raise UnknownPoint(f"no strand named {self.strand!r}")
@@ -94,8 +110,9 @@ class Point:
                     break
             else:
                 return
-        kind = "ray" if len(axes) == 1 else "grid"
-        raise UnknownPoint(f"{self.coords} not on {kind} {self.strand!r}")
+        if not axes:
+            raise UnknownPoint(f"atom {self.strand!r} takes no coordinates")
+        raise UnknownPoint(f"{self.coords} not on {KINDS[len(axes)]} {self.strand!r}")
 
     def describe(self) -> str:
         if not self.coords:
@@ -103,21 +120,32 @@ class Point:
         return f"{self.strand}({','.join(str(c) for c in self.coords)})"
 
 
-def _canonical_grid(row_axis: AxisDomain, rects) -> tuple:
-    """Row-group canonical form of a union of rectangles.
+def _canonical(axes: tuple, boxes) -> tuple:
+    """Canonical boxes of the union of ``boxes`` over ``axes``, empty
+    boxes dropped."""
+    boxes = [b for b in boxes if all([s.parts for s in b])]
+    return _union(axes, boxes) if boxes else ()
 
-    Splits the row axis at every finite endpoint of the row selectors,
-    computes the column set of each elementary segment, and merges
-    segments with equal column sets into one group.
+
+def _union(axes: tuple, boxes: list) -> tuple:
+    """Canonical boxes of the union of nonempty ``boxes``.
+
+    One box is canonical as it is.  Without axes the union is one empty
+    box, and on one axis one box holding the union of the sets.  On
+    more, the first axis is split at every finite endpoint of the boxes,
+    each elementary segment gets the canonical union of the other
+    coordinates of the boxes covering it, and segments with equal unions
+    merge into one group.
     """
-    rects = [(r, c) for r, c in rects if not r.is_empty() and not c.is_empty()]
-    if not rects:
-        return ()
+    if len(boxes) == 1:
+        return (tuple(boxes[0]),)
+    if len(axes) < 2:
+        return (tuple(reduce(or_, sets) for sets in zip(*boxes)),)
     bps = sorted(
-        {e for r, _ in rects for lo, hi in r.parts for e in (lo, hi) if e != INF and e != NEG_INF}
+        {e for b in boxes for lo, hi in b[0].parts for e in (lo, hi) if e != INF and e != NEG_INF}
     )
     segments = []
-    cursor = row_axis.low_value
+    cursor = axes[0].low_value
     for b in bps:
         if b < cursor:
             continue
@@ -130,22 +158,36 @@ def _canonical_grid(row_axis: AxisDomain, rects) -> tuple:
     groups: dict = {}
     for lo, hi in segments:
         rep = lo if lo != NEG_INF else hi - 1  # any row in the segment
-        colset = None
-        for r, c in rects:
-            if rep in r:
-                colset = c if colset is None else colset | c
-        if colset is None or colset.is_empty():
-            continue
-        groups.setdefault(colset, []).append((lo, hi))
+        covering = [b[1:] for b in boxes if rep in b[0]]
+        if covering:
+            groups.setdefault(_union(axes[1:], covering), []).append((lo, hi))
 
     out = []
-    for colset, segs in groups.items():
+    for rest, segs in groups.items():
         rows = IntervalSet.from_pairs(
-            row_axis, [(None if lo == NEG_INF else lo, None if hi == INF else hi) for lo, hi in segs]
+            axes[0], [(None if lo == NEG_INF else lo, None if hi == INF else hi) for lo, hi in segs]
         )
-        out.append((rows, colset))
-    out.sort(key=lambda rc: rc[0].parts)
+        out += [(rows, *b) for b in rest]
+    out.sort(key=lambda box: box[0].parts)
     return tuple(out)
+
+
+def _complement(axes: tuple, boxes) -> list:
+    """Boxes covering the rest of a strand outside its canonical
+    ``boxes``: within the first-axis set of each box the complement of
+    its other coordinates, and the whole strand past those sets."""
+    if not axes:
+        return [] if boxes else [()]
+    out = [(b[0], *r) for b in boxes for r in _complement(axes[1:], [b[1:]])]
+    past = ~reduce(or_, [b[0] for b in boxes]) if boxes else IntervalSet.full(axes[0])
+    return out + [(past, *r) for r in _complement(axes[1:], [])]
+
+
+def display_order(parts) -> list:
+    """The ``(strand, boxes)`` parts of a set as printed: the atoms
+    sorted by name, then the other strands in schema order."""
+    atoms = sorted(part for part in parts if part[1] == ((),))
+    return atoms + [part for part in parts if part[1] != ((),)]
 
 
 def _check_schema(a: "DefSet", b: "DefSet"):
@@ -153,47 +195,51 @@ def _check_schema(a: "DefSet", b: "DefSet"):
         raise SchemaMismatch("definable sets over different schemas")
 
 
+_SHOW = ("atom({})", "ray({}; {})", "grid({}; rows {}; cols {})")
+
+
 @record
 class DefSet:
     """Definable subset of a schema's ground set, in canonical form.
 
-    ``rays`` and ``grids`` list every strand in schema order so that
-    structural equality is set equality.
+    ``parts`` lists ``(strand, boxes)`` for each strand the set meets,
+    in schema order, so that structural equality is set equality.
     """
 
     schema: GroundSchema
-    atoms: frozenset
-    rays: tuple  # ((name, IntervalSet), ...) in schema order
-    grids: tuple  # ((name, ((rows, cols), ...)), ...) canonical row groups
+    parts: tuple
+
+    @classmethod
+    def of(cls, schema: GroundSchema, strands: dict) -> "DefSet":
+        """The union of the boxes given per strand name, canonicalized."""
+        parts = []
+        for name, boxes in schema.in_order(strands):
+            boxes = _canonical(schema._axes[name], boxes)
+            if boxes:
+                parts.append((name, boxes))
+        return cls(schema, tuple(parts))
 
     @classmethod
     def build(cls, schema: GroundSchema, atoms=(), ray_parts=None, grid_rects=None) -> "DefSet":
-        """Assemble from per-strand pieces and canonicalize.
+        """Assemble from atoms, ray sets and grid rectangles given by
+        strand name, and canonicalize.
 
         ``ray_parts`` maps ray name -> IntervalSet; ``grid_rects`` maps
         grid name -> iterable of (row IntervalSet, col IntervalSet).
         """
-        ray_parts = dict(ray_parts or {})
-        grid_rects = dict(grid_rects or {})
-        for a in atoms:
-            if not schema.has_atom(a):
-                raise UnknownPoint(f"no atom named {a!r}")
-        for n in ray_parts:
-            schema.ray_axis(n)
-        for n in grid_rects:
-            schema.grid_axes(n)
-        rays = tuple(
-            (name, ray_parts.get(name, IntervalSet.empty(ax))) for name, ax in schema.rays
+        given = (
+            ("atom", {a: [()] for a in atoms}),
+            ("ray", {n: [(s,)] for n, s in dict(ray_parts or {}).items()}),
+            ("grid", dict(grid_rects or {})),
         )
-        grids = tuple(
-            (name, _canonical_grid(rows_ax, grid_rects.get(name, ())))
-            for name, rows_ax, cols_ax in schema.grids
-        )
-        return cls(schema, frozenset(atoms), rays, grids)
+        for kind, named in given:
+            for name in named:
+                schema.axes(name, kind)
+        return cls.of(schema, {n: boxes for _, named in given for n, boxes in named.items()})
 
     @classmethod
     def empty(cls, schema: GroundSchema) -> "DefSet":
-        return cls.build(schema)
+        return cls(schema, ())
 
     @classmethod
     def full(cls, schema: GroundSchema) -> "DefSet":
@@ -202,50 +248,30 @@ class DefSet:
     @classmethod
     def point(cls, schema: GroundSchema, p: Point) -> "DefSet":
         p.validate(schema)
-        if not p.coords:
-            return cls.build(schema, atoms=[p.strand])
         singles = tuple(IntervalSet.single(ax, c) for ax, c in zip(schema._axes[p.strand], p.coords))
-        if len(singles) == 1:
-            return cls.build(schema, ray_parts={p.strand: singles[0]})
-        return cls.build(schema, grid_rects={p.strand: [singles]})
+        return cls.of(schema, {p.strand: [singles]})
 
-    # -- per-strand access ----------------------------------------------
-
-    def ray_part(self, name: str) -> IntervalSet:
-        for n, s in self.rays:
+    def boxes(self, name: str) -> tuple:
+        """The canonical boxes of one strand; none when the set misses it."""
+        for n, boxes in self.parts:
             if n == name:
-                return s
-        raise UnknownPoint(f"no ray named {name!r}")
-
-    def grid_part(self, name: str) -> tuple:
-        for n, groups in self.grids:
-            if n == name:
-                return groups
-        raise UnknownPoint(f"no grid named {name!r}")
-
-    def grid_rects(self, name: str):
-        return list(self.grid_part(name))
+                return boxes
+        return ()
 
     # -- queries -----------------------------------------------------------
 
     def __contains__(self, p: Point) -> bool:
         p.validate(self.schema)
-        if not p.coords:
-            return p.strand in self.atoms
-        if len(p.coords) == 1:
-            return p.coords[0] in self.ray_part(p.strand)
-        row, col = p.coords
-        for rows, cols in self.grid_part(p.strand):
-            if row in rows:  # row groups are disjoint: the first holding the row decides
-                return col in cols
+        for box in self.boxes(p.strand):
+            for c, s in zip(p.coords, box):
+                if c not in s:
+                    break
+            else:
+                return True
         return False
 
     def is_empty(self) -> bool:
-        return (
-            not self.atoms
-            and all(s.is_empty() for _, s in self.rays)
-            and all(not groups for _, groups in self.grids)
-        )
+        return not self.parts
 
     def meets(self, other: "DefSet") -> bool:
         return not (self & other).is_empty()
@@ -255,65 +281,43 @@ class DefSet:
 
     def cardinality(self):
         """Number of points, or None when infinite."""
-        total = len(self.atoms)
-        for _, s in self.rays:
-            c = s.cardinality()
-            if c is None:
-                return None
-            total += c
-        for _, groups in self.grids:
-            for rows, cols in groups:
-                r, c = rows.cardinality(), cols.cardinality()
-                if r is None or c is None:
-                    return None
-                total += r * c
+        total = 0
+        for _, boxes in self.parts:
+            for box in boxes:
+                size = 1
+                for s in box:
+                    c = s.cardinality()
+                    if c is None:
+                        return None
+                    size *= c
+                total += size
         return total
 
     # -- algebra -------------------------------------------------------------
 
-    # Both operands list every strand in schema order, so their entries pair up.
-
     def __or__(self, other: "DefSet") -> "DefSet":
         _check_schema(self, other)
-        return DefSet.build(
-            self.schema,
-            atoms=self.atoms | other.atoms,
-            ray_parts={n: s | t for (n, s), (_, t) in zip(self.rays, other.rays)},
-            grid_rects={n: [*g, *h] for (n, g), (_, h) in zip(self.grids, other.grids)},
-        )
+        strands: dict = {}
+        for name, boxes in self.parts + other.parts:
+            strands.setdefault(name, []).extend(boxes)
+        return DefSet.of(self.schema, strands)
 
     def __and__(self, other: "DefSet") -> "DefSet":
         _check_schema(self, other)
-        return DefSet.build(
+        theirs = dict(other.parts)
+        return DefSet.of(
             self.schema,
-            atoms=self.atoms & other.atoms,
-            ray_parts={n: s & t for (n, s), (_, t) in zip(self.rays, other.rays)},
-            grid_rects={
-                n: [(r1 & r2, c1 & c2) for r1, c1 in g for r2, c2 in h]
-                for (n, g), (_, h) in zip(self.grids, other.grids)
+            {
+                name: [tuple(map(and_, a, b)) for a in boxes for b in theirs[name]]
+                for name, boxes in self.parts
+                if name in theirs
             },
         )
 
     def __invert__(self) -> "DefSet":
-        grid_rects = {}
-        for n, groups in self.grids:
-            rows_ax, cols_ax = self.schema.grid_axes(n)
-            pieces = []
-            covered = IntervalSet.empty(rows_ax)
-            for rows, cols in groups:
-                covered = covered | rows
-                comp = ~cols
-                if not comp.is_empty():
-                    pieces.append((rows, comp))
-            rest = ~covered
-            if not rest.is_empty():
-                pieces.append((rest, IntervalSet.full(cols_ax)))
-            grid_rects[n] = pieces
-        return DefSet.build(
-            self.schema,
-            atoms=set(self.schema.atoms) - self.atoms,
-            ray_parts={n: ~s for n, s in self.rays},
-            grid_rects=grid_rects,
+        mine = dict(self.parts)
+        return DefSet.of(
+            self.schema, {name: _complement(axes, mine.get(name, ())) for name, axes in self.schema.strands}
         )
 
     def __sub__(self, other: "DefSet") -> "DefSet":
@@ -325,30 +329,23 @@ class DefSet:
     # -- display ---------------------------------------------------------------
 
     def describe(self) -> str:
-        if self.is_empty():
-            return "empty"
-        chunks = [f"atom({a})" for a in sorted(self.atoms)]
-        for n, s in self.rays:
-            if not s.is_empty():
-                chunks.append(f"ray({n}; {s.describe()})")
-        for n, groups in self.grids:
-            for rows, cols in groups:
-                chunks.append(f"grid({n}; rows {rows.describe()}; cols {cols.describe()})")
-        return " | ".join(chunks)
+        chunks = [
+            _SHOW[len(box)].format(name, *(s.describe() for s in box))
+            for name, boxes in display_order(self.parts)
+            for box in boxes
+        ]
+        return " | ".join(chunks) or "empty"
 
     def iter_sample_points(self, fringe: int = 2):
-        """Deterministic finite probe of the set: atoms, interval corners
-        and a fringe around them.  Used by tests, not by the engine."""
-        for a in sorted(self.atoms):
-            yield Point.atom(a)
-        for n, s in self.rays:
-            for v in _interval_probe(s, fringe):
-                yield Point.ray(n, v)
-        for n, groups in self.grids:
-            for rows, cols in groups:
-                for r in _interval_probe(rows, fringe):
-                    for c in _interval_probe(cols, fringe):
-                        yield Point.grid(n, r, c)
+        """Deterministic finite probe of the set: the atoms, sorted by
+        name, then per box the corners of its intervals and a fringe
+        around them.  Witness points of the symbolic engine (an image
+        outside a target carrier, a stray point of a family) are the
+        first it yields."""
+        for name, boxes in display_order(self.parts):
+            for box in boxes:
+                for coords in product(*(_interval_probe(s, fringe) for s in box)):
+                    yield Point(name, coords)
 
 
 def _interval_probe(s: IntervalSet, fringe: int):

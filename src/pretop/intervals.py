@@ -141,22 +141,6 @@ class IntervalSet:
     def has_plus_end(self) -> bool:
         return bool(self.parts) and self.parts[-1][1] == INF
 
-    def has_minus_end(self) -> bool:
-        return bool(self.parts) and self.parts[0][0] == NEG_INF
-
-    def is_cofinite(self) -> bool:
-        return (~self).is_finite()
-
-    def classify(self) -> "IntervalClassification":
-        return IntervalClassification(
-            is_empty=self.is_empty(),
-            is_finite=self.is_finite(),
-            cardinality=self.cardinality(),
-            is_cofinite=self.is_cofinite(),
-            has_plus_end=self.has_plus_end(),
-            has_minus_end=self.has_minus_end(),
-        )
-
     def least(self) -> int:
         """Representative element of a nonempty set: the least one, else
         the upper end of the first part, else 0 on the full integer axis."""
@@ -240,16 +224,6 @@ class IntervalSet:
         if self.is_full():
             return "all"
         return ",".join(_describe_part(lo, hi) for lo, hi in self.parts)
-
-
-@record
-class IntervalClassification:
-    is_empty: bool
-    is_finite: bool
-    cardinality: int | None
-    is_cofinite: bool
-    has_plus_end: bool
-    has_minus_end: bool
 
 
 def _as_int(v):

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import re
 
-from .defsets import DefSet, GroundSchema
+from .defsets import KINDS, DefSet, GroundSchema
 from .errors import (
     AxiomViolation,
     InvalidTopology,
@@ -791,40 +791,28 @@ def _symbolic_term(space: SymbolicPretop, expr) -> DefSet:
         return carrier if expr.which == "all" else DefSet.empty(schema)
     if isinstance(expr, FiniteLit):
         for name in expr.names:
-            if not schema.has_atom(name):
+            if name not in schema.atoms:
                 raise ResolutionError(f"no atom named {name!r}")
         return DefSet.build(schema, atoms=expr.names) & carrier
     return _strand_defset(schema, expr) & carrier
 
 
 def _strand_defset(schema: GroundSchema, expr) -> DefSet:
+    if isinstance(expr, AtomTerm):
+        kind, sels = "atom", ()
+    elif isinstance(expr, RayTerm):
+        kind, sels = "ray", (expr.parts,)
+    else:
+        kind, sels = "grid", (expr.rows, expr.cols)
     try:
-        if isinstance(expr, AtomTerm):
-            if not schema.has_atom(expr.name):
-                raise UnknownPoint(f"no atom named {expr.name!r}")
-            return DefSet.build(schema, atoms=[expr.name])
-        if isinstance(expr, RayTerm):
-            axis = schema.ray_axis(expr.name)
-            sel = (
-                IntervalSet.full(axis)
-                if expr.parts is None
-                else IntervalSet.from_pairs(axis, expr.parts)
-            )
-            return DefSet.build(schema, ray_parts={expr.name: sel})
-        rows_ax, cols_ax = schema.grid_axes(expr.name)
-        rows = (
-            IntervalSet.full(rows_ax)
-            if expr.rows is None
-            else IntervalSet.from_pairs(rows_ax, expr.rows)
-        )
-        cols = (
-            IntervalSet.full(cols_ax)
-            if expr.cols is None
-            else IntervalSet.from_pairs(cols_ax, expr.cols)
-        )
-        return DefSet.build(schema, grid_rects={expr.name: [(rows, cols)]})
+        axes = schema.axes(expr.name, kind)
     except UnknownPoint as e:
         raise ResolutionError(str(e)) from None
+    box = tuple(
+        IntervalSet.full(ax) if sel is None else IntervalSet.from_pairs(ax, sel)
+        for ax, sel in zip(axes, sels)
+    )
+    return DefSet.of(schema, {expr.name: [box]})
 
 
 # -- printing -------------------------------------------------------------------
@@ -932,6 +920,10 @@ def print_model(doc: ModelDocument) -> str:
 # -- canonical literals for answers ---------------------------------------------
 
 
+# how set_literal labels the coordinates of a ray and of a grid
+_AXIS_LABELS = ((), ("",), ("rows=", "cols="))
+
+
 def set_literal(d: DefSet) -> str:
     """Canonical expression text denoting a definable set.
 
@@ -942,22 +934,14 @@ def set_literal(d: DefSet) -> str:
         return "empty"
     if d == DefSet.full(d.schema):
         return "all"
-    terms = [f"atom({a})" for a in d.schema.atoms if a in d.atoms]
-    for name, sel in d.rays:
-        if sel.is_empty():
-            continue
-        if sel.is_full():
-            terms.append(f"ray({name})")
-        else:
-            terms.append(f"ray({name}; {sel.describe()})")
-    for name, groups in d.grids:
-        for rows, cols in groups:
+    terms = []
+    for name, boxes in d.parts:
+        for box in boxes:
             clauses = [name]
-            if not rows.is_full():
-                clauses.append(f"rows={rows.describe()}")
-            if not cols.is_full():
-                clauses.append(f"cols={cols.describe()}")
-            terms.append(f"grid({'; '.join(clauses)})")
+            for label, s in zip(_AXIS_LABELS[len(box)], box):
+                if not s.is_full():
+                    clauses.append(f"{label}{s.describe()}")
+            terms.append(f"{KINDS[len(box)]}({'; '.join(clauses)})")
     return " | ".join(terms)
 
 

@@ -71,7 +71,7 @@ from .symbolic import (
     sym_regularize,
 )
 from .symbolic.exprs import defset_bound
-from .symbolic.space import box_points, truncate
+from .symbolic.space import box_points, box_set, truncate
 
 _SAMPLE = 1200
 _CHUNK = 512
@@ -495,25 +495,6 @@ def _check_defsets(inst) -> str | None:
 # -- symbolic engine batteries ------------------------------------------------------
 
 
-def _box_defset(x, w: int) -> DefSet:
-    schema = x.schema
-    d = DefSet.build(
-        schema,
-        atoms=schema.atoms,
-        ray_parts={n: IntervalSet.from_pairs(ax, [(None, w)]) for n, ax in schema.rays},
-        grid_rects={
-            n: [
-                (
-                    IntervalSet.from_pairs(rows_ax, [(-w, w)]),
-                    IntervalSet.from_pairs(cols_ax, [(-w, w)]),
-                )
-            ]
-            for n, rows_ax, cols_ax in schema.grids
-        },
-    )
-    return d & x.carrier_set
-
-
 _DUAL_ENGINE_SETS = {
     "urysohn": (
         "grid(G; cols>0)",
@@ -542,7 +523,7 @@ def _check_dual_engine(inst) -> str | None:
     mask = sum(1 << i for i, p in enumerate(pts) if p in s)
     adh_fin = fin.adh(mask)
     adh_sym = sym_adh(x, s)
-    box = _box_defset(x, w)
+    box = box_set(x, w)
     for i, p in enumerate(pts):
         if not x.vicinity(p, w).subset_of(box):
             continue  # clipped kernel: the snapshot is not faithful here

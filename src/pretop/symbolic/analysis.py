@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..defsets import DefSet, GroundSchema
+from ..defsets import KINDS, DefSet, GroundSchema
 from ..errors import (
     EmptyKernel,
     EmptySubspace,
@@ -35,7 +35,7 @@ from ..errors import (
 from ..finite import Verdict
 from ..intervals import INF, NEG_INF, NATURALS0, AxisDomain, IntervalSet
 from ..record import record
-from .exprs import SymDefSet, SymExpr, SymInterval, SymIntervalSet, var
+from .exprs import SymDefSet, SymExpr, SymInterval, SymIntervalSet, sym_box, var
 from .space import PointPattern, SymbolicPretop, VicinityRule
 from .utvpi import (
     LIMITS_K,
@@ -55,6 +55,8 @@ from .utvpi import (
 
 _B = var("b")
 _P = var("p")
+# the coordinates of a point q of a vicinity
+_IJ = ("i", "j")
 
 
 def _check_schema(x: SymbolicPretop, d: DefSet):
@@ -63,20 +65,16 @@ def _check_schema(x: SymbolicPretop, d: DefSet):
 
 
 @lru_cache(maxsize=None)
-def _discrete_rules(schema: GroundSchema) -> tuple:
-    """One rule per strand whose template is the point itself: the
-    adherence of a family in the discrete space is the set of points
-    lying in the family at every large parameter."""
-    n, m = var("n"), var("m")
-    rules = [VicinityRule(PointPattern.atom(a), SymDefSet.assemble(schema, atoms=[a])) for a in schema.atoms]
-    rules += [
-        VicinityRule(PointPattern.ray(name), SymDefSet.assemble(schema, ray_parts={name: [(n, n)]}))
-        for name, _ in schema.rays
-    ]
-    rules += [
-        VicinityRule(PointPattern.grid(name), SymDefSet.assemble(schema, grid_rects={name: [(n, n, m, m)]}))
-        for name, *_ in schema.grids
-    ]
+def _discrete_rules(schema: GroundSchema, names: tuple = ("n", "m")) -> tuple:
+    """One rule per strand whose template is the point itself, its
+    coordinates named ``names``: the adherence of a family in the
+    discrete space is the set of points lying in the family at every
+    large parameter."""
+    rules = []
+    for name, axes in schema.strands:
+        point = tuple(SymIntervalSet(ax, ((var(v), var(v)),)) for ax, v in zip(axes, names))
+        template = SymDefSet.of(schema, {name: [point]})
+        rules.append(VicinityRule(PointPattern(name, KINDS[len(axes)]), template))
     return tuple(rules)
 
 
@@ -99,20 +97,7 @@ def _region(x: SymbolicPretop, rules, right: SymDefSet, limits: frozenset) -> De
     """Carrier points whose template, by the rule covering them, meets
     ``right`` eventually in the limit variables: the pieces of the one
     cell of a question without outer variables."""
-    schema = x.schema
-    found = pieces({}, _sections(x, rules, right, limits), limits)
-    atoms, rays, grids = _collect(
-        (pat, tuple(e if isinstance(e, float) else e.offset for e in ends)) for pat, ends in found
-    )
-    ray_parts = {name: IntervalSet.from_pairs(schema.ray_axis(name), parts) for name, parts in rays.items()}
-    grid_rects = {}
-    for name, rects in grids.items():
-        rows_ax, cols_ax = schema.grid_axes(name)
-        grid_rects[name] = [
-            (IntervalSet.from_pairs(rows_ax, [(rl, rh)]), IntervalSet.from_pairs(cols_ax, [(cl, ch)]))
-            for rl, rh, cl, ch in rects
-        ]
-    return DefSet.build(schema, atoms, ray_parts, grid_rects)
+    return _collect(x.schema, pieces({}, _sections(x, rules, right, limits), limits)).evaluate({})
 
 
 def _param_region(systems, axis: AxisDomain, name: str = "p") -> IntervalSet:
@@ -149,16 +134,13 @@ _OUTER = {"n": var("N"), "m": var("M")}
 _OUTER_K = {**_OUTER, "k": var("K")}
 
 
-def _collect(found) -> tuple:
-    """Atoms, ray pieces and grid rectangles of (pattern, endpoints)
-    pieces, each listed once."""
-    atoms, rays, grids = [], {}, {}
+def _collect(schema: GroundSchema, found) -> SymDefSet:
+    """The set of (pattern, endpoints) pieces, each listed once."""
+    strands: dict = {}
     for pat, ends in found:
-        if pat.kind == "atom":
-            atoms.append(pat.strand)
-        else:
-            (rays if pat.kind == "ray" else grids).setdefault(pat.strand, {})[ends] = None
-    return atoms, rays, grids
+        strands.setdefault(pat.strand, {})[ends] = None
+    boxes = {n: [sym_box(schema.axes(n), e) for e in ends] for n, ends in strands.items()}
+    return SymDefSet.of(schema, boxes)
 
 
 def _family(x: SymbolicPretop, pat: PointPattern, right: SymDefSet, rules, limits: frozenset) -> tuple:
@@ -184,7 +166,7 @@ def _family(x: SymbolicPretop, pat: PointPattern, right: SymDefSet, rules, limit
         floor = c["K"].least() if "K" in c else 0
         shapes.add((floor, frozenset((p.strand, ends) for p, ends in found)))
         outer = {"N": var("n"), "M": var("m"), "K": var("k") + floor}
-        template = SymDefSet.assemble(schema, *_collect(found)).substitute(outer)
+        template = _collect(schema, found).substitute(outer)
         out.append((PointPattern(pat.strand, pat.kind, c.get("N"), c.get("M")), template))
     if len(shapes) == 1:
         return ((PointPattern(pat.strand, pat.kind, *pat.selectors(schema)), out[0][1]),)
@@ -280,11 +262,9 @@ def trace_sym(schema: GroundSchema, e: EndClass, mask, param=_B) -> SymDefSet:
             return (NEG_INF, -param - 1)
         return (e.fixed, e.fixed) if e.fixed is not None else (_P, _P)
 
-    if e.kind == "ray":
-        return SymDefSet.assemble(schema, ray_parts={e.strand: [side(e.row)]}, mask=mask)
-    rl, rh = side(e.row)
-    cl, ch = side(e.col)
-    return SymDefSet.assemble(schema, grid_rects={e.strand: [(rl, rh, cl, ch)]}, mask=mask)
+    axes = schema.axes(e.strand, e.kind)
+    ends = tuple(end for status in (e.row, e.col)[: len(axes)] for end in side(status))
+    return SymDefSet.of(schema, {e.strand: [sym_box(axes, ends)]}, mask)
 
 
 def _exists_region(x: SymbolicPretop, e: EndClass):
@@ -370,7 +350,7 @@ def end_converges(x: SymbolicPretop, e: EndClass) -> ParametricAnswer:
     trace = trace_sym(x.schema, e, x.carrier).substitute({"p": var("P")})
     cell = {"P": IntervalSet.full(_fixed_axis(x.schema, e))} if e.parametric else {}
     regions = tuple(
-        (c.get("P"), SymDefSet.assemble(x.schema, *_collect(found)).substitute({"P": _P}))
+        (c.get("P"), _collect(x.schema, found).substitute({"P": _P}))
         for c, found in cells(x, None, cell, _sections(x, x.rules, trace, LIMITS_KB), LIMITS_KB)
     )
     if e.parametric:
@@ -413,26 +393,17 @@ def sym_is_compact(x: SymbolicPretop) -> Verdict:
 _K0 = (SymExpr.const(0), var("k"))
 
 
-@lru_cache(maxsize=None)
-def _symbolic_points(schema: GroundSchema) -> tuple:
-    """(strand, coordinates, the set of that one point) for a point
-    ``q = (i, j)`` of each strand."""
-    i, j = var("i"), var("j")
-    out = [(a, (), SymDefSet.assemble(schema, atoms=[a])) for a in schema.atoms]
-    out += [(n, (i,), SymDefSet.assemble(schema, ray_parts={n: [(i, i)]})) for n, _ in schema.rays]
-    out += [(n, (i, j), SymDefSet.assemble(schema, grid_rects={n: [(i, i, j, j)]})) for n, *_ in schema.grids]
-    return tuple(out)
-
-
 def _growth(t: SymDefSet, bases) -> list:
     """Satisfiable systems, each with a base list, on which a point ``q``
-    lies in ``t`` at ``k + 1`` but outside it at ``k``.  Its place in
-    ``t``'s mask is stated on the ``k + 1`` side, so at ``k`` it only
-    escapes the pieces."""
-    later = t.shift_var("k", 1)
+    of coordinates ``i``, ``j`` lies in ``t`` at ``k + 1`` but outside it
+    at ``k``.  Its place in ``t``'s mask is stated on the ``k + 1`` side,
+    so at ``k`` it only escapes the pieces."""
+    later = t.substitute({"k": var("k") + 1})
     out = []
-    for strand, coords, q in _symbolic_points(t.schema):
-        out += outside(t, strand, coords, [[*conds, *b] for conds in meet_conds(later, q) for b in bases])
+    for q in _discrete_rules(t.schema, _IJ):
+        coords = tuple(var(v) for v in _IJ[: len(q.pattern.vars)])
+        systems = [[*c, *b] for c in meet_conds(later, q.template) for b in bases]
+        out += outside(t, q.pattern.strand, coords, systems)
     return out
 
 
@@ -538,27 +509,16 @@ def _sweep_symdefset(t: SymDefSet, ranges: dict) -> SymDefSet:
     extremes; a rectangle whose row and column endpoints share a swept
     variable would trace a diagonal, which the fragment cannot hold.
     """
-    rays = tuple(
-        (n, SymIntervalSet(s.axis, tuple(_sweep_interval(p, ranges) for p in s.parts)))
-        for n, s in t.rays
-    )
-    grids = []
-    for n, rects in t.grids:
-        swept = []
-        for rows, cols in rects:
-            shared = rows.vars & cols.vars & set(ranges)
-            if shared:
-                raise FragmentEscape(
-                    f"row and column endpoints share {sorted(shared)}; the swept union is not a box"
-                )
-            swept.append(
-                (
-                    SymIntervalSet(rows.axis, tuple(_sweep_interval(p, ranges) for p in rows.parts)),
-                    SymIntervalSet(cols.axis, tuple(_sweep_interval(p, ranges) for p in cols.parts)),
-                )
+
+    def sweep(box: tuple) -> tuple:
+        shared = frozenset(ranges).intersection(*(s.vars for s in box)) if len(box) > 1 else ()
+        if shared:
+            raise FragmentEscape(
+                f"row and column endpoints share {sorted(shared)}; the swept union is not a box"
             )
-        grids.append((n, tuple(swept)))
-    return SymDefSet(t.schema, t.atoms, rays, tuple(grids), t.mask)
+        return tuple(SymIntervalSet(s.axis, tuple(_sweep_interval(p, ranges) for p in s.parts)) for s in box)
+
+    return t.map_boxes(sweep)
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,7 @@ which is how subspaces stay inside the fragment.
 
 from __future__ import annotations
 
-from ..defsets import DefSet, GroundSchema
-from ..errors import UnknownPoint
+from ..defsets import DefSet, GroundSchema, display_order
 from ..intervals import INF, NEG_INF, AxisDomain, IntervalSet
 from ..record import record
 
@@ -53,12 +52,6 @@ class SymExpr:
 
     def shift(self, delta: int) -> "SymExpr":
         return SymExpr(self.var, self.sign, self.offset + delta)
-
-    def shift_var(self, name: str, delta: int) -> "SymExpr":
-        """Substitute ``name + delta`` for the variable ``name``."""
-        if self.var != name:
-            return self
-        return SymExpr(self.var, self.sign, self.offset + self.sign * delta)
 
     def __neg__(self) -> "SymExpr":
         return SymExpr(self.var, -self.sign, -self.offset)
@@ -140,12 +133,6 @@ class SymInterval:
 
         return SymInterval(sub(self.lo), sub(self.hi))
 
-    def shift_var(self, name: str, delta: int) -> "SymInterval":
-        def sub(e):
-            return e if isinstance(e, float) else e.shift_var(name, delta)
-
-        return SymInterval(sub(self.lo), sub(self.hi))
-
     @property
     def vars(self) -> frozenset:
         return _endpoint_vars(self.lo) | _endpoint_vars(self.hi)
@@ -175,14 +162,6 @@ class SymIntervalSet:
         object.__setattr__(self, "parts", coerced)
 
     @classmethod
-    def empty(cls, axis: AxisDomain) -> "SymIntervalSet":
-        return cls(axis, ())
-
-    @classmethod
-    def full(cls, axis: AxisDomain) -> "SymIntervalSet":
-        return cls(axis, ((SymInterval(axis.low_value if axis.kind == "nat" else NEG_INF, INF)),))
-
-    @classmethod
     def from_concrete(cls, s: IntervalSet) -> "SymIntervalSet":
         return cls(s.axis, tuple(SymInterval(lo, hi) for lo, hi in s.parts))
 
@@ -194,9 +173,6 @@ class SymIntervalSet:
 
     def substitute(self, env: dict) -> "SymIntervalSet":
         return SymIntervalSet(self.axis, tuple(p.substitute(env) for p in self.parts))
-
-    def shift_var(self, name: str, delta: int) -> "SymIntervalSet":
-        return SymIntervalSet(self.axis, tuple(p.shift_var(name, delta) for p in self.parts))
 
     @property
     def vars(self) -> frozenset:
@@ -213,151 +189,107 @@ class SymIntervalSet:
         return " | ".join(p.describe() for p in self.parts) or "{}"
 
 
+def sym_box(axes: tuple, ends: tuple) -> tuple:
+    """One box of a strand with the given axes, from its flat endpoints
+    (lower, upper, per axis)."""
+    return tuple(
+        SymIntervalSet(ax, (SymInterval(lo, hi),)) for ax, lo, hi in zip(axes, ends[::2], ends[1::2])
+    )
+
+
 def defset_bound(d: DefSet) -> int:
     """Largest absolute finite endpoint appearing in a concrete set."""
-    b = 0
-    for _, s in d.rays:
-        b = max(b, s.max_finite_endpoint())
-    for _, groups in d.grids:
-        for rows, cols in groups:
-            b = max(b, rows.max_finite_endpoint(), cols.max_finite_endpoint())
-    return b
+    return max((s.max_finite_endpoint() for _, boxes in d.parts for box in boxes for s in box), default=0)
 
 
 @record
 class SymDefSet:
     """Definable set with symbolic interval endpoints.
 
-    ``rays`` maps each ray strand to a :class:`SymIntervalSet` and
-    ``grids`` maps each grid strand to a tuple of (row set, column set)
-    rectangles.  A non-None ``mask`` intersects every evaluation with a
-    fixed concrete set; templates of a subspace carry the subspace as
-    their mask and need no rewriting.
+    ``parts`` lists ``(strand, boxes)`` in schema order, each box one
+    :class:`SymIntervalSet` per axis of its strand, as in
+    :class:`~pretop.defsets.DefSet` but not canonical.  A non-None
+    ``mask`` intersects every evaluation with a fixed concrete set;
+    templates of a subspace carry the subspace as their mask and need no
+    rewriting.
     """
 
     schema: GroundSchema
-    atoms: frozenset = frozenset()
-    rays: tuple = ()
-    grids: tuple = ()
+    parts: tuple = ()
     mask: DefSet | None = None
 
     @classmethod
-    def assemble(cls, schema: GroundSchema, atoms=(), ray_parts=None, grid_rects=None, mask=None) -> "SymDefSet":
-        """Build from per-strand pieces, coercing plain endpoint pairs.
-
-        ``ray_parts`` maps ray name to an iterable of (lo, hi) pieces;
-        ``grid_rects`` maps grid name to an iterable of rectangles given
-        as (row lo, row hi, col lo, col hi).
-        """
-        ray_parts = dict(ray_parts or {})
-        grid_rects = dict(grid_rects or {})
-        for a in atoms:
-            if not schema.has_atom(a):
-                raise UnknownPoint(f"no atom named {a!r}")
-        for n in ray_parts:
-            schema.ray_axis(n)
-        for n in grid_rects:
-            schema.grid_axes(n)
-        rays = []
-        for name, ax in schema.rays:
-            pieces = ray_parts.get(name, ())
-            if isinstance(pieces, SymIntervalSet):
-                rays.append((name, pieces))
-            else:
-                rays.append((name, SymIntervalSet(ax, tuple(SymInterval(lo, hi) for lo, hi in pieces))))
-        grids = []
-        for name, rows_ax, cols_ax in schema.grids:
-            rects = []
-            for rect in grid_rects.get(name, ()):
-                if len(rect) == 4:
-                    rl, rh, cl, ch = rect
-                    rect = (
-                        SymIntervalSet(rows_ax, (SymInterval(rl, rh),)),
-                        SymIntervalSet(cols_ax, (SymInterval(cl, ch),)),
-                    )
-                rects.append(tuple(rect))
-            grids.append((name, tuple(rects)))
-        return cls(schema, frozenset(atoms), tuple(rays), tuple(grids), mask)
+    def of(cls, schema: GroundSchema, strands: dict, mask: DefSet | None = None) -> "SymDefSet":
+        """The boxes given per strand name, in schema order."""
+        return cls(schema, tuple((n, tuple(boxes)) for n, boxes in schema.in_order(strands) if boxes), mask)
 
     @classmethod
-    def from_defset(cls, d: DefSet, mask: DefSet | None = None) -> "SymDefSet":
-        rays = tuple((n, SymIntervalSet.from_concrete(s)) for n, s in d.rays)
-        grids = tuple(
-            (
-                n,
-                tuple(
-                    (SymIntervalSet.from_concrete(rows), SymIntervalSet.from_concrete(cols))
-                    for rows, cols in groups
-                ),
-            )
-            for n, groups in d.grids
+    def assemble(cls, schema: GroundSchema, atoms=(), ray_parts=None, grid_rects=None, mask=None) -> "SymDefSet":
+        """Build from atoms, ray pieces and grid rectangles given by
+        strand name, coercing plain endpoint tuples.
+
+        ``ray_parts`` maps ray name to an iterable of (lo, hi) pieces,
+        each its own box; ``grid_rects`` maps grid name to an iterable of
+        rectangles given as (row lo, row hi, col lo, col hi) or as
+        (row set, column set).
+        """
+        strands = {}
+        given = (("atom", {a: [()] for a in atoms}), ("ray", ray_parts or {}), ("grid", grid_rects or {}))
+        for kind, named in given:
+            for name, pieces in dict(named).items():
+                axes = schema.axes(name, kind)
+                strands[name] = [tuple(p) if len(p) == len(axes) else sym_box(axes, p) for p in pieces]
+        return cls.of(schema, strands, mask)
+
+    @classmethod
+    def from_defset(cls, d: DefSet) -> "SymDefSet":
+        parts = tuple(
+            (n, tuple(tuple(map(SymIntervalSet.from_concrete, box)) for box in boxes)) for n, boxes in d.parts
         )
-        return cls(d.schema, d.atoms, rays, grids, mask)
+        return cls(d.schema, parts)
+
+    def _sets(self):
+        for _, boxes in self.parts:
+            for box in boxes:
+                yield from box
+
+    def map_boxes(self, fn) -> "SymDefSet":
+        """The set with every box replaced by ``fn(box)``."""
+        parts = tuple((n, tuple(fn(box) for box in boxes)) for n, boxes in self.parts)
+        return SymDefSet(self.schema, parts, self.mask)
 
     def evaluate(self, env: dict) -> DefSet:
-        ray_parts = {n: s.evaluate(env) for n, s in self.rays}
-        grid_rects = {
-            n: [(rows.evaluate(env), cols.evaluate(env)) for rows, cols in rects]
-            for n, rects in self.grids
-        }
-        out = DefSet.build(self.schema, self.atoms, ray_parts, grid_rects)
-        if self.mask is not None:
-            out = out & self.mask
-        return out
+        out = DefSet.of(
+            self.schema,
+            {n: [tuple(s.evaluate(env) for s in box) for box in boxes] for n, boxes in self.parts},
+        )
+        return out if self.mask is None else out & self.mask
 
     def substitute(self, env: dict) -> "SymDefSet":
-        rays = tuple((n, s.substitute(env)) for n, s in self.rays)
-        grids = tuple(
-            (n, tuple((rows.substitute(env), cols.substitute(env)) for rows, cols in rects))
-            for n, rects in self.grids
-        )
-        return SymDefSet(self.schema, self.atoms, rays, grids, self.mask)
-
-    def shift_var(self, name: str, delta: int) -> "SymDefSet":
-        """Substitute ``name + delta`` for ``name`` in every endpoint."""
-        if delta == 0:
-            return self
-        rays = tuple((n, s.shift_var(name, delta)) for n, s in self.rays)
-        grids = tuple(
-            (n, tuple((rows.shift_var(name, delta), cols.shift_var(name, delta)) for rows, cols in rects))
-            for n, rects in self.grids
-        )
-        return SymDefSet(self.schema, self.atoms, rays, grids, self.mask)
+        return self.map_boxes(lambda box: tuple(s.substitute(env) for s in box))
 
     def with_mask(self, mask: DefSet | None) -> "SymDefSet":
-        return SymDefSet(self.schema, self.atoms, self.rays, self.grids, mask)
+        return SymDefSet(self.schema, self.parts, mask)
 
     @property
     def vars(self) -> frozenset:
-        out = frozenset()
-        for _, s in self.rays:
-            out |= s.vars
-        for _, rects in self.grids:
-            for rows, cols in rects:
-                out |= rows.vars | cols.vars
-        return out
+        return frozenset().union(*(s.vars for s in self._sets()))
 
     @property
     def bound(self) -> int:
-        b = 0
-        for _, s in self.rays:
-            b = max(b, s.bound)
-        for _, rects in self.grids:
-            for rows, cols in rects:
-                b = max(b, rows.bound, cols.bound)
-        if self.mask is not None:
-            b = max(b, defset_bound(self.mask))
-        return b
+        b = max((s.bound for s in self._sets()), default=0)
+        return b if self.mask is None else max(b, defset_bound(self.mask))
 
     def describe(self) -> str:
-        bits = [f"atom {a}" for a in sorted(self.atoms)]
-        for n, s in self.rays:
-            if s.parts:
-                bits.append(f"{n}: {s.describe()}")
-        for n, rects in self.grids:
-            for rows, cols in rects:
-                if rows.parts and cols.parts:
-                    bits.append(f"{n}: {rows.describe()} x {cols.describe()}")
+        bits = []
+        for name, boxes in display_order(self.parts):
+            if not boxes[0]:
+                bits.append(f"atom {name}")
+                continue
+            shown = [" x ".join(s.describe() for s in box) for box in boxes if all(s.parts for s in box)]
+            if len(boxes[0]) == 1 and shown:  # the pieces of a ray read as one union
+                shown = [" | ".join(shown)]
+            bits += [f"{name}: {b}" for b in shown]
         body = "; ".join(bits) or "empty"
         if self.mask is not None:
             body += " (masked)"

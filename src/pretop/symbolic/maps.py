@@ -20,7 +20,7 @@ rather than kept free, and each system left in ``p``'s coordinates and
 
 from __future__ import annotations
 
-from ..defsets import DefSet, GroundSchema, Point
+from ..defsets import DefSet, Point
 from ..errors import SchemaMismatch, UnclassifiableImageTrace, UnknownPoint
 from ..finite import Verdict
 from ..intervals import INF, NEG_INF, IntervalSet
@@ -104,15 +104,6 @@ class SymbolicMap:
         return "\n".join(lines)
 
 
-def _strand_axes(schema: GroundSchema) -> dict:
-    """The coordinate axes of each strand, in schema order; none for an
-    atom."""
-    out = {a: () for a in schema.atoms}
-    out.update((n, (ax,)) for n, ax in schema.rays)
-    out.update((n, (rows, cols)) for n, rows, cols in schema.grids)
-    return out
-
-
 def build_sym_map(
     source: SymbolicPretop,
     target: SymbolicPretop,
@@ -129,8 +120,8 @@ def build_sym_map(
     :class:`~pretop.errors.UnknownPoint` names an offending image point.
     """
     table = []
-    axes, target_axes = _strand_axes(source.schema), _strand_axes(target.schema)
-    for name, own in axes.items():
+    target_axes = dict(target.schema.strands)
+    for name, own in source.schema.strands:
         if name not in assignments:
             raise UnknownPoint(f"no assignment for strand {name!r}")
         sm = assignments[name]
@@ -146,7 +137,7 @@ def build_sym_map(
         elif len(sm.offsets) != arity or len(target_axes.get(sm.target, ())) != arity:
             raise SchemaMismatch(f"strand {name!r} maps to {sm.target!r} with mismatched shape")
         table.append((name, sm))
-    extra = set(assignments) - set(axes)
+    extra = set(assignments) - {name for name, _ in source.schema.strands}
     if extra:
         raise UnknownPoint(f"assignment for unknown strand {sorted(extra)[0]!r}")
 
@@ -159,7 +150,7 @@ def build_sym_map(
 
 
 def sym_identity(x: SymbolicPretop) -> SymbolicMap:
-    return build_sym_map(x, x, {name: name for name in _strand_axes(x.schema)}, label="id")
+    return build_sym_map(x, x, {name: name for name, _ in x.schema.strands}, label="id")
 
 
 # -- images ------------------------------------------------------------------
@@ -191,20 +182,15 @@ def sym_image(f: SymbolicMap, s: DefSet) -> DefSet:
         raise SchemaMismatch("set uses a different ground schema than the map's source")
     s = s & f.source.carrier_set
     schema = f.target.schema
-    points = [f.strand_map(a).point for a in s.atoms]
-    axes, rays, grids = _strand_axes(schema), {}, {}
-    pieces = [(name, (iset,)) for name, iset in s.rays if not iset.is_empty()]
-    pieces += [(name, group) for name, groups in s.grids for group in groups]
-    for name, box in pieces:
+    points, strands = [], {}
+    for name, boxes in s.parts:
         sm = f.strand_map(name)
         if sm.collapses:
             points.append(sm.point)
-        elif len(box) == 1:
-            rays.setdefault(sm.target, []).extend(_shifted(sm, box, axes[sm.target])[0].parts)
         else:
-            grids.setdefault(sm.target, []).append(_shifted(sm, box, axes[sm.target]))
-    ray_parts = {n: IntervalSet.from_pairs(schema.ray_axis(n), parts) for n, parts in rays.items()}
-    out = DefSet.build(schema, (), ray_parts, grids)
+            axes = schema.axes(sm.target)
+            strands.setdefault(sm.target, []).extend(_shifted(sm, box, axes) for box in boxes)
+    out = DefSet.of(schema, strands)
     for q in points:
         out = out | DefSet.point(schema, q)
     return out

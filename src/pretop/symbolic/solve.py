@@ -144,37 +144,24 @@ def fit_intervalsets(varname: str, axis: AxisDomain, samples) -> SymIntervalSet 
 def fit_defsets(varname: str, samples) -> SymDefSet | None:
     """Fit a family of concrete sets as one symbolic set, or None.
 
-    Requires the canonical shape (atom set, piece counts, grid row
-    grouping) to be uniform across the samples.
+    Requires the canonical shape (strands met, box counts, piece counts)
+    to be uniform across the samples.
     """
     sets = [d for _, d in samples]
     schema = sets[0].schema
-    atoms = sets[0].atoms
-    if any(d.atoms != atoms for d in sets):
+    shape = [(name, len(boxes)) for name, boxes in sets[0].parts]
+    if any([(name, len(boxes)) for name, boxes in d.parts] != shape for d in sets):
         return None
-    rays = []
-    for idx, (name, _) in enumerate(sets[0].rays):
-        axis = schema.ray_axis(name)
-        fitted = fit_intervalsets(varname, axis, [(x, d.rays[idx][1]) for x, d in samples])
-        if fitted is None:
-            return None
-        rays.append((name, fitted))
-    grids = []
-    for idx, (name, groups0) in enumerate(sets[0].grids):
-        rows_ax, cols_ax = schema.grid_axes(name)
-        n = len(groups0)
-        if any(len(d.grids[idx][1]) != n for d in sets):
-            return None
-        rects = []
-        for g in range(n):
-            rows = fit_intervalsets(
-                varname, rows_ax, [(x, d.grids[idx][1][g][0]) for x, d in samples]
-            )
-            cols = fit_intervalsets(
-                varname, cols_ax, [(x, d.grids[idx][1][g][1]) for x, d in samples]
-            )
-            if rows is None or cols is None:
-                return None
-            rects.append((rows, cols))
-        grids.append((name, tuple(rects)))
-    return SymDefSet(schema, atoms, tuple(rays), tuple(grids), None)
+    parts = []
+    for i, (name, count) in enumerate(shape):
+        boxes = []
+        for j in range(count):
+            box = []
+            for a, axis in enumerate(schema.axes(name)):
+                fitted = fit_intervalsets(varname, axis, [(x, d.parts[i][1][j][a]) for x, d in samples])
+                if fitted is None:
+                    return None
+                box.append(fitted)
+            boxes.append(tuple(box))
+        parts.append((name, tuple(boxes)))
+    return SymDefSet(schema, tuple(parts))

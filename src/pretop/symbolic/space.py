@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import product
 
-from ..defsets import DefSet, GroundSchema, Point
+from ..defsets import KINDS, DefSet, GroundSchema, Point
 from ..errors import (
     PatternGap,
     PatternOverlap,
@@ -58,33 +59,15 @@ class PointPattern:
 
     @property
     def vars(self) -> tuple:
-        if self.kind == "atom":
-            return ()
-        if self.kind == "ray":
-            return ("n",)
-        return ("n", "m")
+        return ("n", "m")[: KINDS.index(self.kind)]
 
     def selectors(self, schema: GroundSchema) -> tuple:
         """Concrete (rows, cols) selectors with defaults filled in."""
-        if self.kind == "atom":
-            return ()
-        if self.kind == "ray":
-            ax = schema.ray_axis(self.strand)
-            return (self.rows if self.rows is not None else IntervalSet.full(ax),)
-        rows_ax, cols_ax = schema.grid_axes(self.strand)
-        return (
-            self.rows if self.rows is not None else IntervalSet.full(rows_ax),
-            self.cols if self.cols is not None else IntervalSet.full(cols_ax),
-        )
+        axes = schema.axes(self.strand, self.kind)
+        return tuple(IntervalSet.full(ax) if s is None else s for ax, s in zip(axes, (self.rows, self.cols)))
 
     def to_defset(self, schema: GroundSchema) -> DefSet:
-        if self.kind == "atom":
-            return DefSet.build(schema, atoms=[self.strand])
-        if self.kind == "ray":
-            (rows,) = self.selectors(schema)
-            return DefSet.build(schema, ray_parts={self.strand: rows})
-        rows, cols = self.selectors(schema)
-        return DefSet.build(schema, grid_rects={self.strand: [(rows, cols)]})
+        return DefSet.of(schema, {self.strand: [self.selectors(schema)]})
 
     def matches(self, schema: GroundSchema, p: Point) -> bool:
         """``p in self.to_defset(schema)``; an absent selector holds every valid point."""
@@ -179,9 +162,9 @@ class SymbolicPretop:
         return self.template_at(p).evaluate({"k": k})
 
     def describe(self) -> str:
-        strands = list(self.schema.atoms)
-        strands += [f"{n}:{ax.describe()}" for n, ax in self.schema.rays]
-        strands += [f"{n}:{r.describe()}x{c.describe()}" for n, r, c in self.schema.grids]
+        strands = [
+            f"{n}:{'x'.join(ax.describe() for ax in axes)}" if axes else n for n, axes in self.schema.strands
+        ]
         head = self.label or "symbolic space"
         lines = [f"{head} [{', '.join(strands)}]"]
         for r in self.rules:
@@ -308,7 +291,7 @@ def _discrete_ray(count: int) -> SymbolicPretop:
 
 
 # Strands of the largest builtin ``discrete_ray(N)``.  Its build grows
-# about 6x per doubling of the strands: 400 take about 3 s.
+# about 3x per doubling of the strands: 400 take about 0.2 s.
 _MAX_RAY_STRANDS = 512
 
 
@@ -334,21 +317,22 @@ def builtin(name: str) -> SymbolicPretop:
 
 def box_points(x: SymbolicPretop, window: int) -> list:
     """Points of the finite box of radius ``window``, in a stable order."""
-    pts = []
-    for a in x.schema.atoms:
-        pts.append(Point.atom(a))
-    for name, ax in x.schema.rays:
-        for i in range(-window if ax.kind == "int" else ax.low, window + 1):
-            pts.append(Point.ray(name, i))
-    for name, rows_ax, cols_ax in x.schema.grids:
-        r_lo = -window if rows_ax.kind == "int" else rows_ax.low
-        c_lo = -window if cols_ax.kind == "int" else cols_ax.low
-        for r in range(r_lo, window + 1):
-            for c in range(c_lo, window + 1):
-                pts.append(Point.grid(name, r, c))
+    pts = [
+        Point(name, coords)
+        for name, axes in x.schema.strands
+        for coords in product(*(range(-window if ax.kind == "int" else ax.low, window + 1) for ax in axes))
+    ]
     if x.carrier is not None:
         pts = [p for p in pts if p in x.carrier]
     return pts
+
+
+def box_set(x: SymbolicPretop, window: int) -> DefSet:
+    """The points of :func:`box_points` as a definable set: ``[-window,
+    window]`` on every axis, clipped to the axis and met with the carrier."""
+    side = [(-window, window)]
+    box = {n: [tuple(IntervalSet.from_pairs(ax, side) for ax in axes)] for n, axes in x.schema.strands}
+    return DefSet.of(x.schema, box) & x.carrier_set
 
 
 def truncate(x: SymbolicPretop, window: int) -> FinitePretop:
@@ -369,21 +353,18 @@ def truncate(x: SymbolicPretop, window: int) -> FinitePretop:
 
 
 def _box_mask(v: DefSet, index: dict, window: int) -> int:
-    """Bits of the box points in ``v``: each part of ``v``, clipped to the
+    """Bits of the box points in ``v``: each box of ``v``, clipped to the
     radius ``window``, is looked up point by point in ``index``, which holds
-    the box points inside the carrier.  Canonical parts are disjoint, so
+    the box points inside the carrier.  Canonical boxes are disjoint, so
     no bit is added twice."""
 
     def clipped(s: IntervalSet) -> list:
         return [i for lo, hi in s.parts for i in range(max(lo, -window), min(hi, window) + 1)]
 
-    keys = [(a, ()) for a in v.atoms]
-    keys += [(name, (i,)) for name, s in v.rays for i in clipped(s)]
-    keys += [
-        (name, (r, c))
-        for name, groups in v.grids
-        for rows, cols in groups
-        for r in clipped(rows)
-        for c in clipped(cols)
+    keys = [
+        (name, coords)
+        for name, boxes in v.parts
+        for box in boxes
+        for coords in product(*(clipped(s) for s in box))
     ]
     return sum(1 << index[key] for key in keys if key in index)

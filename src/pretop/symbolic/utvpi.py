@@ -49,6 +49,7 @@ A comparison that cannot be decided inside the fragment raises
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from ..defsets import DefSet, GroundSchema
 from ..errors import FragmentEscape
@@ -223,33 +224,23 @@ def template_pieces(t: SymDefSet, masked: bool = True):
     """(strand, coordinates) of each piece of ``t``: per coordinate, the
     intervals a point of the piece lies in, its own first, then, when
     ``masked``, one part of ``t``'s mask, and the axis floor (None on a
-    two-sided axis).  An atom is a piece without coordinates."""
+    two-sided axis).  An atom is a piece without coordinates.  Pieces
+    come box by box, then mask part by mask part."""
     schema, mask = t.schema, t.mask if masked else None
-    atoms = t.atoms if mask is None else t.atoms & mask.atoms
-    for a in schema.atoms:
-        if a in atoms:
-            yield a, ()
-    for name, s in t.rays:
-        low = schema.ray_axis(name).low
-        cuts = [[]] if mask is None else [[_endpoints(p)] for p in mask.ray_part(name).parts]
-        for p in s.parts:
-            for m in cuts:
-                yield name, (([(p.lo, p.hi), *m], low),)
-    for name, rects in t.grids:
-        rlow, clow = (ax.low for ax in schema.grid_axes(name))
-        cuts = [([], [])]
+    for name, boxes in t.parts:
+        lows = [ax.low for ax in schema.axes(name)]
+        cuts = [[[]] * len(lows)]
         if mask is not None:
             cuts = [
-                ([_endpoints(r)], [_endpoints(c)])
-                for rows, cols in mask.grid_part(name)
-                for r in rows.parts
-                for c in cols.parts
+                [[_endpoints(p)] for p in ps]
+                for b in mask.boxes(name)
+                for ps in product(*(s.parts for s in b))
             ]
-        for rows, cols in rects:
-            for mr, mc in cuts:
-                for rp in rows.parts:
-                    for cp in cols.parts:
-                        yield name, (([(rp.lo, rp.hi), *mr], rlow), ([(cp.lo, cp.hi), *mc], clow))
+        for box in boxes:
+            for cut in cuts:
+                coords = [[([(p.lo, p.hi), *m], low) for p in s.parts] for s, m, low in zip(box, cut, lows)]
+                for piece in product(*coords):
+                    yield name, piece
 
 
 def meet_conds(left: SymDefSet, right: SymDefSet):
@@ -287,22 +278,10 @@ def meets_boxes(left: SymDefSet, right: SymDefSet, limits: frozenset, extra=([],
 
 def region_boxes(schema: GroundSchema, pat: PointPattern, s: DefSet):
     """Coordinate boxes of the pattern's region intersected with ``s``."""
-    if pat.kind == "atom":
-        if pat.strand in s.atoms:
-            yield {}
-        return
-    if pat.kind == "ray":
-        (sel,) = pat.selectors(schema)
-        for lo, hi in (s.ray_part(pat.strand) & sel).parts:
-            yield {"n": (lo, hi)}
-        return
-    rows_sel, cols_sel = pat.selectors(schema)
-    for rows, cols in s.grid_part(pat.strand):
-        rr = rows & rows_sel
-        cc = cols & cols_sel
-        for rpart in rr.parts:
-            for cpart in cc.parts:
-                yield {"n": rpart, "m": cpart}
+    sels = pat.selectors(schema)
+    for box in s.boxes(pat.strand):
+        for ps in product(*((b & sel).parts for b, sel in zip(box, sels))):
+            yield dict(zip(pat.vars, ps))
 
 
 @lru_cache(maxsize=None)

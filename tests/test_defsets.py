@@ -130,7 +130,7 @@ def test_overlapping_rectangles_merge():
     a = DefSet.build(SCHEMA, grid_rects={"G": [(rows(1, 5), cols(0, 3)), (rows(3, 8), cols(0, 3))]})
     b = DefSet.build(SCHEMA, grid_rects={"G": [(rows(1, 8), cols(0, 3))]})
     assert a == b
-    assert len(a.grid_part("G")) == 1
+    assert len(a.boxes("G")) == 1
 
 
 def test_row_groups_disjoint_and_distinct():
@@ -138,7 +138,7 @@ def test_row_groups_disjoint_and_distinct():
         SCHEMA,
         grid_rects={"G": [(rows(1, 6), cols(0, 0)), (rows(4, None), cols(2, 2))]},
     )
-    groups = s.grid_part("G")
+    groups = s.boxes("G")
     seen_cols = set()
     for i, (r1, c1) in enumerate(groups):
         assert c1 not in seen_cols
@@ -275,7 +275,7 @@ def test_membership_is_meeting_the_point_set(key):
     sets = [seeded_defset(rng, x.schema) for _ in range(24)]
     sets += [DefSet.empty(x.schema), DefSet.full(x.schema)]
     if x.schema.grids:  # sets of several row groups, where the group that decides matters
-        assert any(len(groups) > 1 for s in sets for _, groups in s.grids)
+        assert any(len(s.boxes("G")) > 1 for s in sets)
     for p in box_points(x, 6):
         point = DefSet.point(x.schema, p)
         for s in sets:

@@ -161,37 +161,11 @@ def test_union_with_infinite_tail():
     assert (a | b) == IntervalSet.full(NATURALS0)
 
 
-# -- classification ----------------------------------------------------------
-
-
-def test_classify_finite():
-    c = IntervalSet.from_pairs(INTEGERS, [(1, 4), (8, 9)]).classify()
-    assert c.is_finite and c.cardinality == 6 and not c.has_plus_end
-
-
-def test_classify_cofinite():
-    s = ~IntervalSet.from_pairs(INTEGERS, [(0, 10)])
-    c = s.classify()
-    assert c.is_cofinite and not c.is_finite
-    assert c.has_plus_end and c.has_minus_end
-
-
-def test_classify_nat_tail():
-    c = IntervalSet.at_least(NATURALS1, 3).classify()
-    assert c.has_plus_end and not c.has_minus_end and c.is_cofinite
+# -- cardinality --------------------------------------------------------------
 
 
 def test_cardinality_infinite_is_none():
     assert IntervalSet.at_least(NATURALS0, 2).cardinality() is None
-
-
-@given(interval_sets())
-def test_classify_consistency(a):
-    c = a.classify()
-    assert c.is_empty == (c.cardinality == 0)
-    if c.is_finite:
-        assert not c.has_plus_end and not c.has_minus_end
-    assert c.is_cofinite == (~a).is_finite()
 
 
 # -- misc helpers used elsewhere in the package ------------------------------

@@ -19,7 +19,7 @@ from pretop.errors import (
     UnknownBuiltin,
     WindowTooSmall,
 )
-from pretop.intervals import INF, INTEGERS, NATURALS0, AxisDomain, IntervalSet
+from pretop.intervals import INF, INTEGERS, NATURALS0, NEG_INF, AxisDomain, IntervalSet
 from pretop.model import eval_set, parse_set_expr, set_literal
 from pretop.symbolic import (
     DefFilterBase,
@@ -42,7 +42,7 @@ from pretop.symbolic import (
 )
 from pretop.symbolic.analysis import _membership_region
 from pretop.symbolic.exprs import SymExpr, sym_grid, var
-from pretop.symbolic.space import box_points, truncate
+from pretop.symbolic.space import box_points, box_set, truncate
 from pretop.symbolic.utvpi import cells, conjoin, section, solution
 
 
@@ -250,30 +250,26 @@ def test_sym_adh_matches_snapshot(key, literal):
     pts = box_points(x, w)
     mask = sum(1 << i for i, p in enumerate(pts) if p in s)
     adh = sym_adh(x, s)
-    box = _box(x, w)
+    box = box_set(x, w)
     for i, p in enumerate(pts):
         if not x.vicinity(p, w).subset_of(box):
             continue  # kernel clipped by the window; snapshot lies here
         assert bool(fin.adh(mask) >> i & 1) == (p in adh), p.describe()
 
 
-def _box(x: SymbolicPretop, w: int) -> DefSet:
-    schema = x.schema
-    d = DefSet.build(
-        schema,
-        atoms=schema.atoms,
-        ray_parts={n: IntervalSet.from_pairs(ax, [(None, w)]) for n, ax in schema.rays},
-        grid_rects={
-            n: [
-                (
-                    IntervalSet.from_pairs(rax, [(-w, w)]),
-                    IntervalSet.from_pairs(cax, [(-w, w)]),
-                )
-            ]
-            for n, rax, cax in schema.grids
-        },
-    )
-    return d & x.carrier_set
+@pytest.mark.parametrize("key", ["Z ray", "urysohn", "coupled"])
+def test_the_window_set_holds_exactly_the_window_points(key):
+    # on a Z ray the window reaches down to -w as it does on a Z grid axis
+    spaces = {
+        "Z ray": lambda: _one_rule(_ZZ, (_N, _N), (NEG_INF, -_K - 1)),
+        "urysohn": lambda: builtin("urysohn"),
+        "coupled": _coupled,
+    }
+    x = spaces[key]()
+    for w in (0, 3, 12):
+        box, pts = box_set(x, w), box_points(x, w)
+        assert all(p in box for p in pts)
+        assert box.cardinality() == len(pts)
 
 
 # -- custom spaces and validation ---------------------------------------------------
@@ -529,7 +525,7 @@ def _agrees_with_snapshot(x: SymbolicPretop, s: DefSet, w: int, **answers):
     fin = truncate(x, w)
     pts = box_points(x, w)
     mask = sum(1 << i for i, p in enumerate(pts) if p in s)
-    box = _box(x, w)
+    box = box_set(x, w)
     for op, answer in answers.items():
         got = getattr(fin, op)(mask)
         for i, p in enumerate(pts):

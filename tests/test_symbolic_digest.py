@@ -11,9 +11,16 @@ adherence and inherence of fixed queries; an escape or a refused rule is
 recorded by its message.  The digest pins every one of these answers, so
 a refactor of the comparison-system core that changes any of them,
 including the order of printed pieces, fails here.
+
+A second family pins the order across strands: two atoms declared out
+of name order, one ray and one grid, one rule per strand, and atom
+vicinities made of tails of the ray and of the grid.  Besides the
+answers above it records the description, cardinality and first sample
+points of four query sets that mix every kind of strand.
 """
 
 import hashlib
+import itertools
 import random
 
 from pretop.defsets import GroundSchema
@@ -46,6 +53,17 @@ _QUERIES = {
         "grid(G; rows=0,2..3; cols=0,3..5) | atom(a)",
     ),
 }
+
+
+SEEDS_MIXED = 60
+DIGEST_MIXED = "26b2847dc72774e7c530b61811fb59ea4eaec759ce1430e4fc38b215780071b6"
+
+_MIXED_QUERIES = (
+    "ray(R; 0..2) | atom(b) | atom(a)",
+    "grid(G; rows=0..1; cols=0,2) | ray(R; 3)",
+    "atom(b) | grid(G; rows=2) | ray(R; 1..)",
+    "ray(R; -1..1) | grid(G; rows=0; cols=0..3) | atom(a)",
+)
 
 
 def _endpoint(rng: random.Random, names: tuple, side: str):
@@ -86,6 +104,40 @@ def _space(rng: random.Random):
     return build_symbolic(schema, rules, topological=True, carrier=carrier, label="g"), pat.kind
 
 
+def _pieces(rng: random.Random, axes: tuple, coords: tuple) -> list:
+    """The point's own piece and one or two drawn pieces on one strand."""
+    names = coords + (("k",) if rng.random() < 0.5 else ())
+    sides = ("lo", "hi") * len(axes)
+    own = tuple(var(c) for c in coords for _ in range(2))
+    return [own] + [tuple(_endpoint(rng, names, s) for s in sides) for _ in range(rng.randint(1, 2))]
+
+
+def _mixed_space(rng: random.Random):
+    ray_axis = rng.choice((NATURALS0, INTEGERS))
+    grid_axes = tuple(rng.choice((NATURALS0, INTEGERS)) for _ in range(2))
+    schema = GroundSchema(atoms=("b", "a"), rays=(("R", ray_axis),), grids=(("G", *grid_axes),))
+    tail = (var("k") + 1, INF)
+    rules = (
+        VicinityRule(
+            PointPattern.ray("R"),
+            SymDefSet.assemble(schema, ray_parts={"R": _pieces(rng, (ray_axis,), ("n",))}),
+        ),
+        VicinityRule(
+            PointPattern.grid("G"),
+            SymDefSet.assemble(schema, grid_rects={"G": _pieces(rng, grid_axes, ("n", "m"))}),
+        ),
+        VicinityRule(
+            PointPattern.atom("b"),
+            SymDefSet.assemble(schema, atoms=["b"], ray_parts={"R": [tail]}, grid_rects={"G": [tail * 2]}),
+        ),
+        VicinityRule(
+            PointPattern.atom("a"),
+            SymDefSet.assemble(schema, atoms=["a"], grid_rects={"G": [tail * 2]}),
+        ),
+    )
+    return build_symbolic(schema, rules, topological=True, label="m")
+
+
 def _text(w) -> str:
     if isinstance(w, tuple):
         return "(" + ", ".join(_text(v) for v in w) + ")"
@@ -108,20 +160,23 @@ def _ends(x) -> str:
     return "; ".join(f"{e.describe()} -> {end_converges(x, e).describe()}" for e in ends(x))
 
 
-def _record(seed: int) -> list:
+def _record(seed: int, space=_space) -> list:
     rng = random.Random(seed)
-    built = _answer(_space, rng)
+    built = _answer(space, rng)
     if isinstance(built, str):
         return [f"seed {seed}: {built}"]
-    x, kind = built
+    x, kind = built if isinstance(built, tuple) else (built, "mixed")
     lines = [f"seed {seed}", x.describe()]
     r = _answer(sym_regularize, x)
     lines.append(r if isinstance(r, str) else r.describe())
     for sp in (x, r) if not isinstance(r, str) else (x,):
         lines += [_answer(_verdict, fn, sp) for fn in (sym_hausdorff, sym_is_compact)]
         lines.append(_answer(_ends, sp))
-    for q in _QUERIES[kind]:
+    for q in _QUERIES.get(kind, _MIXED_QUERIES):
         s = eval_set(parse_set_expr(q), x)
+        if kind == "mixed":
+            sample = ", ".join(p.describe() for p in itertools.islice(s.iter_sample_points(), 12))
+            lines.append(f"{q}: {s.describe()}; {s.cardinality()}; {sample}")
         for name, fn in (("adh", sym_adh), ("inh", sym_inh)):
             lines.append(f"{name} {q}: " + _answer(lambda: set_literal(fn(x, s))))
     return lines
@@ -130,3 +185,8 @@ def _record(seed: int) -> list:
 def test_symbolic_answers_match_the_golden_digest():
     text = "\n".join(line for seed in range(SEEDS) for line in _record(seed))
     assert hashlib.sha256(text.encode()).hexdigest() == DIGEST
+
+
+def test_two_strand_answers_match_the_golden_digest():
+    text = "\n".join(line for seed in range(SEEDS_MIXED) for line in _record(seed, _mixed_space))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGEST_MIXED
