@@ -282,21 +282,34 @@ def compact_at(space: FinitePretop, f: PrincipalFilter, at: int, method: str = "
     return compact_at_mask(space, f.kernel, at, method)
 
 
+def compact_at_core(space: FinitePretop, kernel: int, at: int) -> int | None:
+    """Decision core of the filter route of :func:`compact_at`: every
+    filter meshing with f must adhere inside ``at``, and adh k meets
+    ``at`` exactly when k meets the vicinity sweep of ``at``.  The locus
+    is the least point of ``kernel`` outside that sweep, as a one-bit
+    mask, or None when f is compact at ``at``."""
+    bad = kernel & ~vicinity_sweep(space, at)
+    return bad & -bad if bad else None
+
+
 def compact_at_mask(space: FinitePretop, kernel: int, at: int, method: str) -> Verdict:
     """:func:`compact_at` for the principal filter with kernel ``kernel``."""
     if method == "filter":
-        # every filter meshing with f must adhere inside `at`; adh k meets
-        # `at` exactly when k meets the vicinity sweep of `at`
-        bad = kernel & ~vicinity_sweep(space, at)
-        if bad:
-            return Verdict(False, space.names(bad & -bad))
-        return PASS
+        low = compact_at_core(space, kernel, at)
+        return PASS if low is None else Verdict(False, space.names(low))
     if method == "cover":
         # every cover of `at` must swallow a member of f in finitely many steps
         if kernel & ~vicinity_sweep(space, at):
             return Verdict(False, least_choice(space, at))
         return PASS
     raise ValueError(f"unknown method {method!r}")
+
+
+def cover_compact_core(space: FinitePretop, at: int) -> int | None:
+    """Decision core of the cover route of :func:`is_cover_compact`: the
+    points of ``at`` outside the inherence of the union of its least
+    choice cover, or None when ``at`` is cover-compact."""
+    return at & ~space.inh(vicinity_sweep(space, at)) or None
 
 
 def is_cover_compact(space: FinitePretop, at: int, method: str = "cover") -> Verdict:
@@ -312,9 +325,7 @@ def is_cover_compact(space: FinitePretop, at: int, method: str = "cover") -> Ver
     if at == 0:
         raise EmptySubspace("cover-compactness of the empty set is not defined")
     if method == "cover":
-        if at & ~space.inh(vicinity_sweep(space, at)):
-            return Verdict(False, least_choice(space, at))
-        return PASS
+        return PASS if cover_compact_core(space, at) is None else Verdict(False, least_choice(space, at))
     rest = 0
     for b, col in enumerate(space.cols):
         if not col & at:

@@ -5,10 +5,22 @@ filter on a finite set is principal, so the filter quantifiers in the
 characterizations below run over nonempty kernels.  Witness scans use
 ascending-mask order, matching the space-level conventions.
 
-The routes read the map's image, preimage and fiber tables once.  Every
+Each route of :func:`is_continuous` and :func:`is_perfect` is two
+steps.  Its decision core returns the first failing locus, as masks and
+indices, or None when the route passes; its naming step turns that locus
+into the route's witness, and runs only on failure.  The boolean
+entries :func:`continuous` and :func:`perfect` run the core alone, so a
+caller that reads only the verdict, as the oracle does, builds no names
+and no :class:`~pretop.finite.Verdict`.  The finite routes the perfect
+cores call are split the same way in ``finite`` (``compact_at_core``,
+``cover_compact_core``), so no decision is written twice.
+
+The cores read the map's image, preimage and fiber tables once.  Every
 space in the package keeps its least vicinities (and so its columns)
 inside ``full``, so they skip the ``& full`` of the one-mask API,
-``SpaceMap.image_mask`` and ``preimage_mask``.
+``SpaceMap.image_mask`` and ``preimage_mask``.  Only this module reads
+a map's tables (``tests/test_layout.py``), which keeps that invariant
+where it is stated.
 """
 
 from __future__ import annotations
@@ -20,16 +32,13 @@ from .finite import (
     PASS,
     FinitePretop,
     Verdict,
-    compact_at_mask,
-    is_cover_compact,
+    compact_at_core,
+    cover_compact_core,
+    least_choice,
     union_of,
     union_tables,
 )
 from .record import record
-
-CONTINUITY_METHODS = ("limit", "adh-filter", "adh-set", "inh", "vicinity")
-PERFECT_METHODS = ("definition", "adh-inequality", "a-and-b")
-
 
 @lru_cache(maxsize=1024)
 def _map_tables(graph: tuple, target_n: int) -> tuple:
@@ -93,6 +102,99 @@ class SpaceMap:
 # -- continuity ------------------------------------------------------------------
 
 
+def _limit_core(f: SpaceMap):
+    """Image filters of converging filters converge to the image point.  A
+    kernel inside the least vicinity of source point i fails at i when it
+    meets ``bad[i]``, the points of that vicinity outside the preimage of
+    f(i)'s least vicinity; the locus is the list ``bad``."""
+    pre = f._tables[1]
+    svic, tvic = f.source.vicinity, f.target.vicinity
+    bad = [svic[i] & ~union_of(pre, tvic[j]) for i, j in enumerate(f.graph)]
+    return bad if any(bad) else None
+
+
+def _limit_name(f: SpaceMap, bad: list) -> tuple:
+    # the least failing kernel is the least point of any bad[i]
+    low = 0
+    for m in bad:
+        low |= m
+    low &= -low
+    i = next(i for i, m in enumerate(bad) if m & low)
+    return f.source.names(low), f.source.points[i]
+
+
+def _adh_core(f: SpaceMap):
+    """f[adh A] inside adh f[A] for every kernel (every set) A: the first
+    source point b, with the target points escaping at {b}."""
+    img = f._tables[0]
+    scols, tcols, graph = f.source.cols, f.target.cols, f.graph
+    for b in range(f.source.n):
+        bad = union_of(img, scols[b]) & ~tcols[graph[b]]
+        if bad:
+            return b, bad
+    return None
+
+
+def _adh_name(f: SpaceMap, locus: tuple) -> tuple:
+    b, bad = locus
+    return f.source.names(1 << b), f.target.names(bad)[0]
+
+
+def _inh_core(f: SpaceMap):
+    """f^-1[inh B] inside inh f^-1[B]: x escapes at B when B holds the
+    least vicinity of f(x) but not the image of x's least vicinity.  The
+    locus is the least such B, a target least vicinity."""
+    img = f._tables[0]
+    svic, tvic = f.source.vicinity, f.target.vicinity
+    fails = [tvic[j] for i, j in enumerate(f.graph) if union_of(img, svic[i]) & ~tvic[j]]
+    return min(fails) if fails else None
+
+
+def _inh_name(f: SpaceMap, b: int) -> tuple:
+    src, tgt, pre = f.source, f.target, f._tables[1]
+    bad = union_of(pre, tgt.inh(b)) & ~src.inh(union_of(pre, b))
+    return tgt.names(b), src.names(bad)[0]
+
+
+def _vicinity_core(f: SpaceMap):
+    """Every target vicinity of f(x) absorbs the image of some source one.
+    Images are monotone, so the least vicinities decide it, and the least
+    one of f(x) is the first a scan of them all would fail: the locus is
+    the first failing source point x."""
+    img = f._tables[0]
+    svic, tvic, graph = f.source.vicinity, f.target.vicinity, f.graph
+    for i in range(f.source.n):
+        if union_of(img, svic[i]) & ~tvic[graph[i]]:
+            return i
+    return None
+
+
+def _vicinity_name(f: SpaceMap, i: int) -> tuple:
+    return f.source.points[i], f.target.names(f.target.vicinity[f.graph[i]])
+
+
+_CONTINUITY_ROUTES = {
+    "limit": (_limit_core, _limit_name),
+    "adh-filter": (_adh_core, _adh_name),
+    "adh-set": (_adh_core, _adh_name),
+    "inh": (_inh_core, _inh_name),
+    "vicinity": (_vicinity_core, _vicinity_name),
+}
+CONTINUITY_METHODS = tuple(_CONTINUITY_ROUTES)
+
+
+def _route(routes: dict, method: str) -> tuple:
+    try:
+        return routes[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}") from None
+
+
+def continuous(f: SpaceMap, method: str = "vicinity") -> bool:
+    """Whether ``f`` is continuous by one route, naming no witness."""
+    return _route(_CONTINUITY_ROUTES, method)[0](f) is None
+
+
 def is_continuous(f: SpaceMap, method: str = "vicinity") -> Verdict:
     """One of five equivalent routes (adh-filter and adh-set share one).
 
@@ -103,113 +205,108 @@ def is_continuous(f: SpaceMap, method: str = "vicinity") -> Verdict:
     preimages and adherences preserve unions, so that first failure is
     a singleton or a least vicinity.
     """
-    src, tgt = f.source, f.target
-    img, pre, _ = f._tables
-    if method == "limit":
-        # image filters of converging filters converge to the image point;
-        # a kernel inside x's least vicinity fails at x when it meets bad[x]
-        svic, tvic = src.vicinity, tgt.vicinity
-        bad = [svic[i] & ~union_of(pre, tvic[j]) for i, j in enumerate(f.graph)]
-        low = 0
-        for m in bad:
-            low |= m
-        low &= -low
-        if low:
-            i = next(i for i, m in enumerate(bad) if m & low)
-            return Verdict(False, (src.names(low), src.points[i]))
-        return PASS
-    if method in ("adh-filter", "adh-set"):
-        # f[adh A] inside adh f[A] for every kernel (every set) A
-        scols, tcols, graph = src.cols, tgt.cols, f.graph
-        for b in range(src.n):
-            bad = union_of(img, scols[b]) & ~tcols[graph[b]]
-            if bad:
-                return Verdict(False, (src.names(1 << b), tgt.names(bad)[0]))
-        return PASS
-    if method == "inh":
-        # f^-1[inh B] inside inh f^-1[B]: x escapes at B when B holds the
-        # least vicinity of f(x) but not the image of x's least vicinity
-        svic, tvic = src.vicinity, tgt.vicinity
-        fails = [tvic[j] for i, j in enumerate(f.graph) if union_of(img, svic[i]) & ~tvic[j]]
-        if fails:
-            b = min(fails)
-            bad = union_of(pre, tgt.inh(b)) & ~src.inh(union_of(pre, b))
-            return Verdict(False, (tgt.names(b), src.names(bad)[0]))
-        return PASS
-    if method == "vicinity":
-        # every target vicinity of f(x) absorbs the image of some source
-        # one; images are monotone, so the least vicinities decide it, and
-        # the least one of f(x) is the first a scan of them all would fail
-        svic, tvic, graph = src.vicinity, tgt.vicinity, f.graph
-        for i in range(src.n):
-            least = tvic[graph[i]]
-            if union_of(img, svic[i]) & ~least:
-                return Verdict(False, (src.points[i], tgt.names(least)))
-        return PASS
-    raise ValueError(f"unknown method {method!r}")
+    core, name = _route(_CONTINUITY_ROUTES, method)
+    locus = core(f)
+    return PASS if locus is None else Verdict(False, name(f, locus))
 
 
 # -- perfect maps -----------------------------------------------------------------
 
 
-def _adh_onto(f: SpaceMap) -> Verdict:
-    """adh f[A] inside f[adh A] for every set A, decided by singletons."""
-    src, tgt = f.source, f.target
-    img, scols, tcols, graph = f._tables[0], src.cols, tgt.cols, f.graph
-    for b in range(src.n):
+def _definition_core(f: SpaceMap):
+    """Each filter converging to a target point pulls back to one compact
+    at its fiber.  Compactness at a set only gets easier as the kernel
+    shrinks, so the least vicinity s of target point j, the first kernel a
+    scan of them all would visit, decides it.  A kernel whose preimage is
+    empty generates the degenerate filter, which no filter meshes, so it
+    is skipped as vacuously compact.  The locus is j with the least
+    source point escaping there."""
+    src = f.source
+    _, pre_tabs, fibers = f._tables
+    for j, s in enumerate(f.target.vicinity):
+        pre = union_of(pre_tabs, s)
+        if pre:
+            low = compact_at_core(src, pre, fibers[j])
+            if low is not None:
+                return j, low
+    return None
+
+
+def _definition_name(f: SpaceMap, locus: tuple) -> tuple:
+    j, low = locus
+    tgt = f.target
+    return tgt.points[j], tgt.names(tgt.vicinity[j]), f.source.names(low)
+
+
+def _adh_onto_core(f: SpaceMap):
+    """adh f[A] inside f[adh A] for every set A, decided by singletons:
+    the first source point b, with the target points escaping at {b}."""
+    img = f._tables[0]
+    scols, tcols, graph = f.source.cols, f.target.cols, f.graph
+    for b in range(f.source.n):
         bad = tcols[graph[b]] & ~union_of(img, scols[b])
         if bad:
-            return Verdict(False, (src.names(1 << b), tgt.names(bad)[0]))
-    return PASS
+            return b, bad
+    return None
 
 
-def _fibers_cover_compact(f: SpaceMap) -> Verdict:
-    """Every nonempty fiber is cover-compact in the source; the first
-    failing target point, with the cover that fails."""
+def _fibers_core(f: SpaceMap):
+    """Every nonempty fiber is cover-compact in the source: the first
+    failing target point.  The empty set is cover-compact for free."""
     for j, fib in enumerate(f._tables[2]):
-        if fib:  # the empty set is cover-compact for free
-            v = is_cover_compact(f.source, fib, "cover")
-            if not v.ok:
-                return Verdict(False, (f.target.points[j], v.witness))
-    return PASS
+        if fib and cover_compact_core(f.source, fib) is not None:
+            return j
+    return None
+
+
+def _fibers_name(f: SpaceMap, j: int) -> tuple:
+    return f.target.points[j], least_choice(f.source, f.fiber(j))
+
+
+_HALVES = {"a": (_adh_onto_core, _adh_name), "b": (_fibers_core, _fibers_name)}
+
+
+def _a_and_b_core(f: SpaceMap):
+    for half, (core, _) in _HALVES.items():
+        locus = core(f)
+        if locus is not None:
+            return half, locus
+    return None
+
+
+def _a_and_b_name(f: SpaceMap, locus: tuple) -> tuple:
+    half, where = locus
+    return half, _HALVES[half][1](f, where)
+
+
+_PERFECT_ROUTES = {
+    "definition": (_definition_core, _definition_name),
+    "adh-inequality": (_adh_onto_core, _adh_name),
+    "a-and-b": (_a_and_b_core, _a_and_b_name),
+}
+PERFECT_METHODS = tuple(_PERFECT_ROUTES)
+
+
+def perfect(f: SpaceMap, method: str = "definition") -> bool:
+    """Whether ``f`` is perfect by one route, naming no witness."""
+    return _route(_PERFECT_ROUTES, method)[0](f) is None
 
 
 def is_perfect(f: SpaceMap, method: str = "definition") -> Verdict:
     """Perfect maps, by any of three routes.
 
     The definition route asks that each filter converging to a target
-    point pull back to one compact at its fiber.  Compactness at a set
-    only gets easier as the kernel shrinks, so the least vicinity, the
-    first kernel a scan of them all would visit, decides it.  A kernel
-    whose preimage is empty generates the degenerate filter, which no
-    filter meshes, so it is skipped as vacuously compact.
-
-    The a-and-b route decides half (a), adh f[A] inside f[adh A], and then
-    half (b), cover-compact fibers, and stops at the first half that
-    fails.  Half (b) cannot fail: each point of a fiber has its least
-    vicinity inside the fiber's vicinity sweep, so it lies in the
-    inherence of that sweep.  It is still evaluated, so that its
-    agreement stays a checked fact.
+    point pull back to one compact at its fiber.  The adh-inequality route
+    asks adh f[A] inside f[adh A] for every set A.  The a-and-b route
+    decides half (a), the adh-inequality, and then half (b), cover-compact
+    fibers, and stops at the first half that fails.  Half (b) cannot fail:
+    each point of a fiber has its least vicinity inside the fiber's
+    vicinity sweep, so it lies in the inherence of that sweep.  It is
+    still evaluated, so that its agreement stays a checked fact.
     """
-    src, tgt = f.source, f.target
-    if method == "definition":
-        _, pre_tabs, fibers = f._tables
-        for j, s in enumerate(tgt.vicinity):
-            pre = union_of(pre_tabs, s)
-            if pre:
-                v = compact_at_mask(src, pre, fibers[j], "filter")
-                if not v.ok:
-                    return Verdict(False, (tgt.points[j], tgt.names(s), v.witness))
-        return PASS
-    if method == "adh-inequality":
-        return _adh_onto(f)
-    if method == "a-and-b":
-        for half, decide in (("a", _adh_onto), ("b", _fibers_cover_compact)):
-            v = decide(f)
-            if not v.ok:
-                return Verdict(False, (half, v.witness))
-        return PASS
-    raise ValueError(f"unknown method {method!r}")
+    core, name = _route(_PERFECT_ROUTES, method)
+    locus = core(f)
+    return PASS if locus is None else Verdict(False, name(f, locus))
 
 
 # -- small-image operator and irreducibility ----------------------------------------

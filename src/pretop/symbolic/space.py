@@ -327,44 +327,44 @@ def box_points(x: SymbolicPretop, window: int) -> list:
     return pts
 
 
-def box_set(x: SymbolicPretop, window: int) -> DefSet:
-    """The points of :func:`box_points` as a definable set: ``[-window,
-    window]`` on every axis, clipped to the axis and met with the carrier."""
-    side = [(-window, window)]
-    box = {n: [tuple(IntervalSet.from_pairs(ax, side) for ax in axes)] for n, axes in x.schema.strands}
-    return DefSet.of(x.schema, box) & x.carrier_set
-
-
-def truncate(x: SymbolicPretop, window: int) -> FinitePretop:
-    """Finite snapshot: box of radius ``window`` with kernels ``T_p(window)``.
+def truncate(x: SymbolicPretop, window: int) -> tuple:
+    """Finite snapshot: box of radius ``window`` with kernels ``T_p(window)``,
+    and the mask of the points whose kernel the box clipped.
 
     Faithful in the sense that a point whose template at parameter
     ``window`` lies inside the box keeps its exact least vicinity; for
-    the others the kernel is the template clipped to the box.  The
-    window must clear every rule constant with one step to spare.
+    the others, the clipped points, the kernel is the template clipped to
+    the box.  The window must clear every rule constant with one step to
+    spare.
     """
     b = x.bound
     if window < b + 2:
         raise WindowTooSmall(f"window {window} below rule constants, need at least {b + 2}")
     pts = box_points(x, window)
     index = {(p.strand, p.coords): i for i, p in enumerate(pts)}
-    kernels = tuple(_box_mask(x.vicinity(p, window), index, window) for p in pts)
-    return FinitePretop(tuple(p.describe() for p in pts), kernels)
+    kernels = [_box_mask(x.vicinity(p, window), index, window) for p in pts]
+    space = FinitePretop(tuple(p.describe() for p in pts), tuple(m for m, _ in kernels))
+    return space, sum(1 << i for i, (_, out) in enumerate(kernels) if out)
 
 
-def _box_mask(v: DefSet, index: dict, window: int) -> int:
-    """Bits of the box points in ``v``: each box of ``v``, clipped to the
-    radius ``window``, is looked up point by point in ``index``, which holds
-    the box points inside the carrier.  Canonical boxes are disjoint, so
-    no bit is added twice."""
-
-    def clipped(s: IntervalSet) -> list:
-        return [i for lo, hi in s.parts for i in range(max(lo, -window), min(hi, window) + 1)]
-
-    keys = [
-        (name, coords)
-        for name, boxes in v.parts
-        for box in boxes
-        for coords in product(*(clipped(s) for s in box))
-    ]
-    return sum(1 << index[key] for key in keys if key in index)
+def _box_mask(v: DefSet, index: dict, window: int) -> tuple:
+    """The bits of the box points in ``v``, and whether ``v`` holds a point
+    outside them.  Each box of ``v``, clipped to the radius ``window``, is
+    looked up point by point in ``index``, which holds the box points
+    inside the carrier: ``v`` reaches outside where an interval passes
+    the radius or a point is missing from ``index``.  Canonical boxes are
+    disjoint, so no bit is added twice."""
+    mask, outside = 0, False
+    for name, boxes in v.parts:
+        for box in boxes:
+            sides = []
+            for s in box:
+                outside = outside or any(lo < -window or hi > window for lo, hi in s.parts)
+                sides.append([i for lo, hi in s.parts for i in range(max(lo, -window), min(hi, window) + 1)])
+            for coords in product(*sides):
+                bit = index.get((name, coords))
+                if bit is None:
+                    outside = True
+                else:
+                    mask |= 1 << bit
+    return mask, outside

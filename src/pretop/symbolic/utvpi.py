@@ -278,18 +278,32 @@ def meets_boxes(left: SymDefSet, right: SymDefSet, limits: frozenset, extra=([],
 
 def region_boxes(schema: GroundSchema, pat: PointPattern, s: DefSet):
     """Coordinate boxes of the pattern's region intersected with ``s``."""
-    sels = pat.selectors(schema)
-    for box in s.boxes(pat.strand):
+    return _region(pat.vars, pat.selectors(schema), s.boxes(pat.strand))
+
+
+def _region(names: tuple, sels: tuple, boxes):
+    for box in boxes:
         for ps in product(*((b & sel).parts for b, sel in zip(box, sels))):
-            yield dict(zip(pat.vars, ps))
+            yield dict(zip(names, ps))
+
+
+def carrier_conds(schema: GroundSchema, pat: PointPattern, carrier, tag: str = "") -> tuple:
+    """Comparison lists, one per box of the pattern's carrier points,
+    confining its coordinates renamed ``n<tag>`` and ``m<tag>``.  They are
+    cached on the pattern's selectors and the carrier's boxes on its
+    strand, not on the schema and the carrier, whose hashes walk every
+    strand."""
+    sels = pat.selectors(schema)
+    if carrier is None:
+        boxes = (tuple(IntervalSet.full(s.axis) for s in sels),)
+    else:
+        boxes = carrier.boxes(pat.strand)
+    return _carrier_conds(pat.vars, sels, boxes, tag)
 
 
 @lru_cache(maxsize=None)
-def carrier_conds(schema: GroundSchema, pat: PointPattern, carrier, tag: str = "") -> tuple:
-    """Comparison lists, one per box of the pattern's carrier points,
-    confining its coordinates renamed ``n<tag>`` and ``m<tag>``."""
-    boxes = region_boxes(schema, pat, DefSet.full(schema) if carrier is None else carrier)
-    return tuple(tuple(bound_conds(box, tag)) for box in boxes)
+def _carrier_conds(names: tuple, sels: tuple, boxes: tuple, tag: str) -> tuple:
+    return tuple(tuple(bound_conds(box, tag)) for box in _region(names, sels, boxes))
 
 
 def outside(t: SymDefSet, strand: str, coords: tuple, bases) -> list:

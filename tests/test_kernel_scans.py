@@ -5,12 +5,14 @@ order and reported the first failure.  In a finite pretopology
 adherence, images and preimages preserve unions and each point has a
 least vicinity, so the first failure is always a singleton or a least
 vicinity.  The scans are kept here as references, and the routes must
-return the same verdicts and witnesses.  The H-set routes once scanned
-the opens of a topology, its atoms and every kernel of its θ-form; they
-now read the vicinity form, and ``OpenFamily`` rebuilds the old
-structure from the opens for the references.  Strong irreducibility
-once scanned every pair of sets with nonempty inherence; its reference
-is the oracle's, and its route may report another violating pair.
+return the same verdicts and witnesses; the boolean entries of the map
+routes, ``continuous`` and ``perfect``, must return the same verdicts.
+The H-set routes once scanned the opens of a topology, its atoms and
+every kernel of its θ-form; they now read the vicinity form, and
+``OpenFamily`` rebuilds the old structure from the opens for the
+references.  Strong irreducibility once scanned every pair of sets with
+nonempty inherence; its reference is the oracle's, and its route may
+report another violating pair.
 """
 
 import itertools
@@ -25,7 +27,14 @@ from pretop.finite import (
     is_cover_compact,
     is_topological,
 )
-from pretop.maps import SpaceMap, is_continuous, is_perfect, is_strongly_irreducible
+from pretop.maps import (
+    SpaceMap,
+    continuous,
+    is_continuous,
+    is_perfect,
+    is_strongly_irreducible,
+    perfect,
+)
 from pretop.oracle import _irreducible_by_scan
 from pretop.regularize import filter_tower, hset_check, is_quasi_phc, partial_regularization
 
@@ -247,25 +256,32 @@ def discrete(n):
     return FinitePretop(tuple(str(j + 1) for j in range(n)), tuple(1 << j for j in range(n)))
 
 
+CONTINUITY = (is_continuous, continuous)
+PERFECT = (is_perfect, perfect)
+
+
 def map_routes(f):
-    """(route, new verdict, reference verdict) for every rewritten map route."""
+    """(route, (verdict entry, boolean entry), method, reference verdict)
+    for every rewritten map route."""
     src = f.source
-    yield "limit", is_continuous(f, "limit"), ref_limit(f)
-    yield "adh-filter", is_continuous(f, "adh-filter"), ref_adh(f, src.kernels())
-    yield "adh-set", is_continuous(f, "adh-set"), ref_adh(f, src.subsets())
-    yield "inh", is_continuous(f, "inh"), ref_inh(f)
-    yield "definition", is_perfect(f, "definition"), ref_definition(f)
-    yield "adh-inequality", is_perfect(f, "adh-inequality"), ref_adh_onto(f, src.kernels())
-    yield "adh-onto", is_perfect(f, "adh-inequality"), ref_adh_onto(f, src.subsets())
-    yield "a-and-b", is_perfect(f, "a-and-b"), ref_a_and_b(f)
+    yield "limit", CONTINUITY, "limit", ref_limit(f)
+    yield "adh-filter", CONTINUITY, "adh-filter", ref_adh(f, src.kernels())
+    yield "adh-set", CONTINUITY, "adh-set", ref_adh(f, src.subsets())
+    yield "inh", CONTINUITY, "inh", ref_inh(f)
+    yield "definition", PERFECT, "definition", ref_definition(f)
+    yield "adh-inequality", PERFECT, "adh-inequality", ref_adh_onto(f, src.kernels())
+    yield "adh-onto", PERFECT, "adh-inequality", ref_adh_onto(f, src.subsets())
+    yield "a-and-b", PERFECT, "a-and-b", ref_a_and_b(f)
 
 
 def check_maps(maps):
-    """Compare every route on ``maps``; count the failing verdicts per route."""
-    failing = {name: 0 for name, _, _ in map_routes(maps[0])}
+    """Compare every route on ``maps``, its witness and its boolean entry;
+    count the failing verdicts per route."""
+    failing = {name: 0 for name, *_ in map_routes(maps[0])}
     for f in maps:
-        for name, got, ref in map_routes(f):
-            assert verdict(got) == ref, (name, f)
+        for name, (decide, holds), method, ref in map_routes(f):
+            assert verdict(decide(f, method)) == ref, (name, f)
+            assert holds(f, method) is ref[0], (name, f)
             failing[name] += not ref[0]
     return failing
 

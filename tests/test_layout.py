@@ -3,7 +3,8 @@
 top-level function or class is reached from the package itself, only
 the oracle scans every subset of a finite space, no module but
 ``symbolic/__init__.py`` imports the window sampler, the UTVPI core
-``symbolic/utvpi.py`` imports no module that decides with it, and ``import
+``symbolic/utvpi.py`` imports no module that decides with it, only
+``maps.py`` reads a map's tables and only ``finite.py`` a space's, and ``import
 pretop.cli`` stays cheap (no ``dataclasses``, ``inspect``, ``json`` or
 oracle, one ``exec`` per value-class shape) and loads every name the
 benchmark's tracer wraps."""
@@ -146,6 +147,28 @@ def test_only_the_oracle_scans_every_subset():
     # such a scan is exponential in the points; the product routes decide
     # by singletons and least vicinities instead
     assert _subset_scans(SRC) == []
+
+
+# Private tables and the one module that may read them.  The map cores
+# skip the ``& full`` of the one-mask API because every space keeps its
+# least vicinities inside ``full`` (the ``maps`` docstring); keeping the
+# reads in one module keeps that invariant where it is stated.
+TABLE_READERS = {"_tables": "maps.py", "_adh_tables": "finite.py", "_sweep_tables": "finite.py"}
+
+
+def _table_reads(root):
+    """``file:line attr`` of every read of a table outside its module."""
+    reads = []
+    for path in sorted(root.rglob("*.py")):
+        rel = str(path.relative_to(root))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and TABLE_READERS.get(node.attr, rel) != rel:
+                reads.append(f"{rel}:{node.lineno} {node.attr}")
+    return reads
+
+
+def test_only_their_own_modules_read_the_kernel_tables():
+    assert _table_reads(SRC) == []
 
 
 def _import_time_nodes(tree):

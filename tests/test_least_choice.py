@@ -1,7 +1,7 @@
 """The cover and vicinity routes decide by the least choice.  Each route
 once enumerated every choice cover (or every pair of vicinities); those
 enumerations are kept here as references, and the routes must return
-the same verdicts and witnesses."""
+the same verdicts and witnesses, and the boolean entry the same verdict."""
 
 import itertools
 import random
@@ -13,7 +13,7 @@ from pretop.finite import (
     enumerate_pretops,
     is_cover_compact,
 )
-from pretop.maps import SpaceMap, is_continuous
+from pretop.maps import SpaceMap, continuous, is_continuous
 from pretop.regularize import is_quasi_phc
 
 
@@ -113,7 +113,9 @@ def test_vicinity_route_matches_the_vicinity_scan():
             for tgt in spaces:
                 for g in graphs:
                     f = SpaceMap(src, tgt, g)
-                    assert verdict(is_continuous(f, "vicinity")) == ref_vicinity_continuous(f)
+                    ref = ref_vicinity_continuous(f)
+                    assert verdict(is_continuous(f, "vicinity")) == ref
+                    assert continuous(f, "vicinity") is ref[0]
 
 
 def random_space(rng, n):
@@ -130,5 +132,6 @@ def test_vicinity_route_matches_the_vicinity_scan_sampled():
         f = SpaceMap(src, tgt, tuple(rng.randrange(tgt.n) for _ in range(src.n)))
         got = verdict(is_continuous(f, "vicinity"))
         assert got == ref_vicinity_continuous(f)
+        assert continuous(f, "vicinity") is got[0]
         failing += not got[0]
     assert 0 < failing < 3000

@@ -7,7 +7,7 @@ import inspect
 
 import pytest
 
-from pretop import oracle
+from pretop import maps, oracle
 
 from pretop.construct import make_extension, o_set, strict_extension
 from pretop.finite import FinitePretop
@@ -31,6 +31,19 @@ def test_strict_extension_law_takes_adherence_in_the_extension():
     yplus = strict_extension(e)
     u = 0b1000
     assert yplus.adh(0b0100 | u) == o_set(e, u) | yplus.adh(u) == 0b1101
+
+
+@pytest.mark.parametrize(
+    ("suite", "routes", "method"),
+    [("continuity-5way", "_CONTINUITY_ROUTES", "limit"), ("perfect-3way", "_PERFECT_ROUTES", "definition")],
+)
+def test_a_map_suite_catches_one_route_that_always_passes(monkeypatch, suite, routes, method):
+    # the map suites read only the decision cores; both verdicts occur in
+    # them, so a core that never fails must show up as disagreements
+    table = getattr(maps, routes)
+    monkeypatch.setitem(table, method, (lambda f: None, table[method][1]))
+    (got,) = run_suites(suite, max_points=3).suites
+    assert got.failures > 0 and method in got.counterexample
 
 
 # -- streaming runner ------------------------------------------------------------------

@@ -42,12 +42,21 @@ from pretop.symbolic import (
 )
 from pretop.symbolic.analysis import _membership_region
 from pretop.symbolic.exprs import SymExpr, sym_grid, var
-from pretop.symbolic.space import box_points, box_set, truncate
+from pretop.symbolic.space import box_points, truncate
 from pretop.symbolic.utvpi import cells, conjoin, section, solution
 
 
 def _set(x: SymbolicPretop, text: str) -> DefSet:
     return eval_set(parse_set_expr(text), x)
+
+
+def box_set(x: SymbolicPretop, window: int) -> DefSet:
+    """The points of ``box_points`` as a definable set: ``[-window,
+    window]`` on every axis, clipped to the axis and met with the carrier.
+    A kernel inside it is faithful in the truncation at ``window``."""
+    side = [(-window, window)]
+    box = {n: [tuple(IntervalSet.from_pairs(ax, side) for ax in axes)] for n, axes in x.schema.strands}
+    return DefSet.of(x.schema, box) & x.carrier_set
 
 
 # -- builtins -----------------------------------------------------------------
@@ -105,7 +114,7 @@ def test_truncate_kernels_are_clipped_templates():
     # a zero-column point keeps only itself since its tails start past w
     x = builtin("urysohn")
     w = 4
-    fin = truncate(x, w)
+    fin, _ = truncate(x, w)
     pts = box_points(x, w)
     i = pts.index(Point.grid("G", 2, 0))
     assert fin.vicinity[i] == 1 << i
@@ -246,7 +255,7 @@ def test_sym_adh_matches_snapshot(key, literal):
     x = builtin(key)
     s = _set(x, literal)
     w = 2 * x.bound + 8
-    fin = truncate(x, w)
+    fin, _ = truncate(x, w)
     pts = box_points(x, w)
     mask = sum(1 << i for i, p in enumerate(pts) if p in s)
     adh = sym_adh(x, s)
@@ -522,7 +531,7 @@ def test_a_tie_the_other_comparisons_imply_is_answered_exactly():
 def _agrees_with_snapshot(x: SymbolicPretop, s: DefSet, w: int, **answers):
     """Each answer (keyed by the finite operator) matches the truncation at
     ``w`` on every point whose kernel the window does not clip."""
-    fin = truncate(x, w)
+    fin, _ = truncate(x, w)
     pts = box_points(x, w)
     mask = sum(1 << i for i, p in enumerate(pts) if p in s)
     box = box_set(x, w)
@@ -636,4 +645,8 @@ def test_truncate_kernels_match_pointwise_membership(name):
         pts = box_points(x, w)
         vics = [x.vicinity(p, w) for p in pts]
         want = tuple(sum(1 << i for i, q in enumerate(pts) if q in v) for v in vics)
-        assert truncate(x, w).vicinity == want, w
+        fin, clipped = truncate(x, w)
+        assert fin.vicinity == want, w
+        # the clipped points are exactly those whose vicinity leaves the box
+        box = box_set(x, w)
+        assert clipped == sum(1 << i for i, v in enumerate(vics) if not v.subset_of(box)), w
