@@ -14,13 +14,13 @@ equality is set equality.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import product
 from operator import and_, or_
 
 from .errors import SchemaMismatch, UnknownPoint
 from .intervals import INF, NEG_INF, AxisDomain, IntervalSet
-from .record import record
+from .record import lazy, record
 
 # the kind of a strand with 0, 1 or 2 axes
 KINDS = ("atom", "ray", "grid")
@@ -39,7 +39,22 @@ class GroundSchema:
         if len(names) != len(set(names)):
             raise SchemaMismatch("duplicate strand name in schema")
 
-    @cached_property
+    # Every template set of a symbolic space carries its schema, so a
+    # space's hash would walk every strand once per template.  The hash is
+    # kept instead; a pickle carries only the fields, since a string's
+    # hash differs from one process to the next.
+
+    @lazy
+    def _hash(self) -> int:
+        return hash((self.atoms, self.rays, self.grids))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return GroundSchema, (self.atoms, self.rays, self.grids)
+
+    @lazy
     def strands(self) -> tuple:
         """``(name, axes)`` of every strand in schema order: the atoms
         (no axes), the rays (``(axis,)``), then the grids (``(rows, cols)``)."""
@@ -49,15 +64,15 @@ class GroundSchema:
             + tuple((n, (r, c)) for n, r, c in self.grids)
         )
 
-    @cached_property
+    @lazy
     def _axes(self) -> dict:
         return dict(self.strands)
 
-    @cached_property
+    @lazy
     def _position(self) -> dict:
         return {name: i for i, (name, _) in enumerate(self.strands)}
 
-    @cached_property
+    @lazy
     def _full(self) -> "DefSet":
         """The whole ground set, built once; :meth:`DefSet.full` returns it."""
         return DefSet.of(self, {n: [tuple(IntervalSet.full(ax) for ax in axes)] for n, axes in self.strands})

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import (
     AxiomViolation,
@@ -41,7 +41,7 @@ from .errors import (
     PointSetMismatch,
     SizeLimit,
 )
-from .record import record
+from .record import lazy, record
 
 
 @record
@@ -112,18 +112,18 @@ class FinitePretop:
     points: tuple[str, ...]
     vicinity: tuple[int, ...]  # least vicinity kernel per point index
 
-    # Derived values are cached in the instance dict; the record
-    # compares, hashes and prints the two fields only.
+    # Derived values are lazy attributes; the record compares, hashes and
+    # prints the two fields only.
 
-    @cached_property
+    @lazy
     def n(self) -> int:
         return len(self.points)
 
-    @cached_property
+    @lazy
     def full(self) -> int:
         return (1 << self.n) - 1
 
-    @cached_property
+    @lazy
     def cols(self) -> tuple:
         """``cols[j]`` is adh{j}: the points whose least vicinity holds j."""
         cols = [0] * self.n
@@ -135,15 +135,15 @@ class FinitePretop:
                 m ^= low
         return tuple(cols)
 
-    @cached_property
+    @lazy
     def _adh_tables(self) -> tuple:
         return union_tables(self.cols)
 
-    @cached_property
+    @lazy
     def _sweep_tables(self) -> tuple:
         return union_tables(self.vicinity)
 
-    @cached_property
+    @lazy
     def _name_tables(self) -> tuple:
         return _point_name_tables(tuple(self.points))
 

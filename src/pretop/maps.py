@@ -13,7 +13,13 @@ entries :func:`continuous` and :func:`perfect` run the core alone, so a
 caller that reads only the verdict, as the oracle does, builds no names
 and no :class:`~pretop.finite.Verdict`.  The finite routes the perfect
 cores call are split the same way in ``finite`` (``compact_at_core``,
-``cover_compact_core``), so no decision is written twice.
+``cover_compact_core``), so no decision is written twice.  Each
+continuity core stops at the first failing source point; the naming
+steps of ``limit`` and ``inh`` then find the least failing kernel or
+set, the one an ascending scan would report.  :func:`continuity_verdicts`
+runs each distinct continuity core once, for the oracle.  The ``inh``
+core reads the source's inherence operator, not the formula of the
+``vicinity`` core, so a wrong operator shows as a disagreement.
 
 The cores read the map's image, preimage and fiber tables once.  Every
 space in the package keeps its least vicinities (and so its columns)
@@ -65,7 +71,7 @@ class SpaceMap:
         if len(self.graph) != self.source.n:
             raise PointSetMismatch("graph must assign every source point")
         # Not a field: eq, hash and repr stay on source, target and graph.
-        self.__dict__["_tables"] = _map_tables(tuple(self.graph), self.target.n)
+        object.__setattr__(self, "_tables", _map_tables(tuple(self.graph), self.target.n))
 
     @classmethod
     def from_table(cls, source: FinitePretop, target: FinitePretop, table) -> "SpaceMap":
@@ -105,22 +111,26 @@ class SpaceMap:
 def _limit_core(f: SpaceMap):
     """Image filters of converging filters converge to the image point.  A
     kernel inside the least vicinity of source point i fails at i when it
-    meets ``bad[i]``, the points of that vicinity outside the preimage of
-    f(i)'s least vicinity; the locus is the list ``bad``."""
+    meets the points of that vicinity outside the preimage of f(i)'s
+    least vicinity; the locus is the first source point with such points."""
     pre = f._tables[1]
-    svic, tvic = f.source.vicinity, f.target.vicinity
-    bad = [svic[i] & ~union_of(pre, tvic[j]) for i, j in enumerate(f.graph)]
-    return bad if any(bad) else None
+    svic, tvic, graph = f.source.vicinity, f.target.vicinity, f.graph
+    for i in range(f.source.n):
+        if svic[i] & ~union_of(pre, tvic[graph[i]]):
+            return i
+    return None
 
 
-def _limit_name(f: SpaceMap, bad: list) -> tuple:
-    # the least failing kernel is the least point of any bad[i]
-    low = 0
-    for m in bad:
-        low |= m
-    low &= -low
-    i = next(i for i, m in enumerate(bad) if m & low)
-    return f.source.names(low), f.source.points[i]
+def _limit_name(f: SpaceMap, i: int) -> tuple:
+    # the least failing kernel is the least point of a source vicinity
+    # outside the preimage, none failing before i, named with the first
+    # source point whose vicinity holds it
+    pre = f._tables[1]
+    svic, tvic, graph = f.source.vicinity, f.target.vicinity, f.graph
+    bad = {x: svic[x] & ~union_of(pre, tvic[graph[x]]) for x in range(i, f.source.n)}
+    low = min(m & -m for m in bad.values() if m)
+    x = next(x for x, m in bad.items() if m & low)
+    return f.source.names(low), f.source.points[x]
 
 
 def _adh_core(f: SpaceMap):
@@ -141,17 +151,24 @@ def _adh_name(f: SpaceMap, locus: tuple) -> tuple:
 
 
 def _inh_core(f: SpaceMap):
-    """f^-1[inh B] inside inh f^-1[B]: x escapes at B when B holds the
-    least vicinity of f(x) but not the image of x's least vicinity.  The
-    locus is the least such B, a target least vicinity."""
-    img = f._tables[0]
-    svic, tvic = f.source.vicinity, f.target.vicinity
-    fails = [tvic[j] for i, j in enumerate(f.graph) if union_of(img, svic[i]) & ~tvic[j]]
-    return min(fails) if fails else None
+    """f^-1[inh B] inside inh f^-1[B], read through the source's inherence
+    operator.  Source point x lies in f^-1[inh B] for B the least vicinity
+    of f(x), and it fails when inh f^-1[B] lacks it; by monotonicity no
+    other B fails at x first.  The locus is the first failing source
+    point."""
+    src, pre, tvic, graph = f.source, f._tables[1], f.target.vicinity, f.graph
+    for x in range(src.n):
+        if not src.inh(union_of(pre, tvic[graph[x]])) >> x & 1:
+            return x
+    return None
 
 
-def _inh_name(f: SpaceMap, b: int) -> tuple:
+def _inh_name(f: SpaceMap, x: int) -> tuple:
+    # the first failing B of a scan is the least vicinity of the image of
+    # any failing point; none fails before x
     src, tgt, pre = f.source, f.target, f._tables[1]
+    tvic, graph = tgt.vicinity, f.graph
+    b = min(tvic[graph[y]] for y in range(x, src.n) if not src.inh(union_of(pre, tvic[graph[y]])) >> y & 1)
     bad = union_of(pre, tgt.inh(b)) & ~src.inh(union_of(pre, b))
     return tgt.names(b), src.names(bad)[0]
 
@@ -193,6 +210,18 @@ def _route(routes: dict, method: str) -> tuple:
 def continuous(f: SpaceMap, method: str = "vicinity") -> bool:
     """Whether ``f`` is continuous by one route, naming no witness."""
     return _route(_CONTINUITY_ROUTES, method)[0](f) is None
+
+
+def continuity_verdicts(f: SpaceMap) -> list:
+    """The verdict of every continuity route, in the order of the route
+    table as it stands at the call, naming no witness.  A core that serves
+    several routes (adh-filter and adh-set) runs once."""
+    done, out = {}, []
+    for core, _ in _CONTINUITY_ROUTES.values():
+        if core not in done:
+            done[core] = core(f) is None
+        out.append(done[core])
+    return out
 
 
 def is_continuous(f: SpaceMap, method: str = "vicinity") -> Verdict:

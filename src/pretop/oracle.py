@@ -48,6 +48,7 @@ from .intervals import AxisDomain, IntervalSet
 from .maps import (
     CONTINUITY_METHODS,
     SpaceMap,
+    continuity_verdicts,
     continuous,
     fiber_inside,
     is_strongly_irreducible,
@@ -131,7 +132,7 @@ def _check_continuity(inst) -> str | None:
     not."""
     va, vb, g = inst
     f = SpaceMap(_space(va), _space(vb), g)
-    got = [continuous(f, m) for m in CONTINUITY_METHODS]
+    got = continuity_verdicts(f)
     if len(set(got)) != 1:
         return f"routes disagree {dict(zip(CONTINUITY_METHODS, got))} on vic={va}->{vb} graph={g}"
     return None

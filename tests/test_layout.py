@@ -4,7 +4,9 @@ top-level function or class is reached from the package itself, only
 the oracle scans every subset of a finite space, no module but
 ``symbolic/__init__.py`` imports the window sampler, the UTVPI core
 ``symbolic/utvpi.py`` imports no module that decides with it, only
-``maps.py`` reads a map's tables and only ``finite.py`` a space's, and ``import
+``maps.py`` reads a map's tables and only ``finite.py`` a space's, no
+module but ``record.py`` uses ``cached_property`` or writes an instance
+``__dict__``, and ``import
 pretop.cli`` stays cheap (no ``dataclasses``, ``inspect``, ``json`` or
 oracle, one ``exec`` per value-class shape) and loads every name the
 benchmark's tracer wraps."""
@@ -169,6 +171,48 @@ def _table_reads(root):
 
 def test_only_their_own_modules_read_the_kernel_tables():
     assert _table_reads(SRC) == []
+
+
+# Writing an instance's ``__dict__``, as ``functools.cached_property`` does,
+# makes CPython build a real dict for it, and every field read then misses
+# the inline-values fast path; ``record`` stores fields and ``lazy`` values
+# with ``object.__setattr__`` instead.
+_DICT_WRITES = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _is_instance_dict(node) -> bool:
+    """``x.__dict__`` or ``vars(x)``."""
+    return (isinstance(node, ast.Attribute) and node.attr == "__dict__") or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars" and node.args
+    )
+
+
+def _dict_stores(root):
+    """``file:line`` of every use of ``cached_property`` and every write to
+    an instance dict, outside ``record.py``."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = str(path.relative_to(root))
+        if rel == "record.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            stores = (
+                isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load) and _is_instance_dict(node.value)
+            )
+            calls = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _DICT_WRITES
+                and _is_instance_dict(node.func.value)
+            )
+            if named == "cached_property" or stores or calls:
+                found.append(f"{rel}:{node.lineno}")
+    return found
+
+
+def test_no_module_but_record_writes_an_instance_dict():
+    assert _dict_stores(SRC) == []
 
 
 def _import_time_nodes(tree):

@@ -46,6 +46,17 @@ def test_a_map_suite_catches_one_route_that_always_passes(monkeypatch, suite, ro
     assert got.failures > 0 and method in got.counterexample
 
 
+def test_continuity_catches_an_inherence_operator_that_calls_every_set_open(monkeypatch):
+    # the inh route decides through the source's own inherence operator, so
+    # a wrong operator, here inh A = A, must show up as disagreements in
+    # which that route alone passes
+    monkeypatch.setattr(FinitePretop, "inh", lambda self, a: a & self.full)
+    (got,) = run_suites("continuity-5way", max_points=3).suites
+    assert (got.checked, got.failures) == (110657, 65144)
+    alone = "{'limit': False, 'adh-filter': False, 'adh-set': False, 'inh': True, 'vicinity': False}"
+    assert got.counterexample.startswith(f"routes disagree {alone} on ")
+
+
 # -- streaming runner ------------------------------------------------------------------
 
 

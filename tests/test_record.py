@@ -1,16 +1,18 @@
 """``record`` against its stdlib twin and against one ``exec`` per class.
 
 Each case rebuilds a real value class with ``dataclasses.dataclass(frozen=True)``
-over the same class body (methods, properties, ``__post_init__``, and the
-fields with their defaults and compare flags) and checks that the two agree on
-construction, ``repr``, equality, hashing and frozenness.  Every value class of
-the package is also checked to run the bytecode that a one-off ``exec`` of its
-own generated source gives, though ``record`` compiles once per shape.
+over the same class body (methods, properties, lazy values, a class-defined
+``__hash__``, ``__post_init__``, and the fields with their defaults and compare
+flags) and checks that the two agree on construction, ``repr``, equality,
+hashing and frozenness.  Every value class of the package is also checked to
+run the bytecode that a one-off ``exec`` of its own generated source gives,
+though ``record`` compiles once per shape.
 """
 
 import dataclasses
 import importlib
 import inspect
+import pickle
 import pkgutil
 
 import pytest
@@ -22,16 +24,23 @@ from pretop.errors import SchemaMismatch
 from pretop.finite import FinitePretop, Verdict
 from pretop.intervals import AxisDomain
 from pretop.model import SetDecl, SetRef
-from pretop.record import record
+from pretop.record import lazy, record
 from pretop.symbolic.space import SymbolicPretop
 
 GENERATED = {"__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__",
              "__record_fields__", "__record_compared__", "__dict__", "__weakref__"}
 
 
+def _generated(fn) -> bool:
+    return fn.__code__.co_filename == "<string>"
+
+
 def twin(cls):
-    """``cls`` rebuilt as a stdlib frozen dataclass."""
+    """``cls`` rebuilt as a stdlib frozen dataclass; a ``__hash__`` the
+    class body defines goes with it."""
     ns = {k: v for k, v in cls.__dict__.items() if k not in GENERATED}
+    if not _generated(cls.__hash__):
+        ns["__hash__"] = cls.__hash__
     for name in cls.__record_fields__:
         if name not in cls.__record_compared__:
             ns[name] = dataclasses.field(default=ns[name], compare=False)
@@ -100,11 +109,76 @@ def test_an_uncompared_field_is_left_out_of_eq_and_hash():
 
 
 def test_cached_properties_stay_out_of_eq_hash_and_repr():
+    # the derived values of a space are lazy attributes
     a, b = FinitePretop(("1", "2"), (1, 3)), FinitePretop(("1", "2"), (1, 3))
     before = repr(a)
     assert a.cols == twin(FinitePretop)(("1", "2"), (1, 3)).cols == (3, 2)
     assert "cols" in vars(a) and "cols" not in vars(b)
     assert a == b and hash(a) == hash(b) and repr(a) == before
+
+
+@record
+class Counted:
+    """One field and a lazy value that counts its computations."""
+
+    a: int
+
+    @lazy
+    def double(self) -> int:
+        CALLS.append(self.a)
+        return 2 * self.a
+
+
+CALLS = []
+
+
+def test_a_lazy_value_is_computed_once_and_stays_out_of_eq_hash_and_repr():
+    CALLS.clear()
+    a, b = Counted(3), Counted(3)
+    assert a.double == a.double == 6 and CALLS == [3]
+    assert isinstance(Counted.double, lazy) and "double" not in Counted.__record_fields__
+    assert a == b and hash(a) == hash(b) == hash((3,)) and repr(a) == repr(b) == "Counted(a=3)"
+    assert b.double == 6 and CALLS == [3, 3]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.double = 7
+
+
+def test_a_lazy_value_survives_a_pickle_round_trip():
+    CALLS.clear()
+    for computed in (False, True):
+        a = Counted(4)
+        if computed:
+            assert a.double == 8
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and back.double == 8 and repr(back) == "Counted(a=4)"
+    assert CALLS == [4, 4]  # the pickled value is carried, the unread one computed
+
+
+def test_a_class_defined_hash_stays_like_the_twin():
+    class Own:
+        a: int
+
+        def __hash__(self):
+            return 7
+
+    class EqOnly:  # Python sets __hash__ = None in a body that defines __eq__
+        a: int
+
+        def __eq__(self, other):
+            return NotImplemented
+
+    for body, expected in ((Own, 7), (EqOnly, hash((1,)))):
+        ns = {k: v for k, v in vars(body).items() if k not in ("__dict__", "__weakref__")}
+        std = dataclasses.dataclass(frozen=True)(type(body.__name__, (), ns))
+        assert hash(record(body)(1)) == hash(std(1)) == expected
+
+
+def test_the_schema_keeps_its_hash_but_no_pickle_carries_it():
+    schema = GroundSchema(SCHEMA.atoms, SCHEMA.rays, SCHEMA.grids)
+    assert hash(schema) == hash((schema.atoms, schema.rays, schema.grids))
+    assert vars(schema)["_hash"] == hash(schema)
+    back = pickle.loads(pickle.dumps(schema))
+    assert back == schema and "_hash" not in vars(back) and hash(back) == hash(schema)
 
 
 def test_post_init_runs_after_every_field_is_set(monkeypatch):
@@ -158,8 +232,10 @@ RECORDS = _record_classes()
 
 
 def exec_reference(cls):
-    """``__init__``, ``__eq__`` and ``__hash__`` of ``cls`` from one ``exec`` of
-    the source ``record`` generated for each class before it compiled per shape."""
+    """The methods ``record`` generates for ``cls`` (``__init__``, ``__eq__``,
+    and ``__hash__`` unless the class defines its own) from one ``exec`` of
+    the source ``record`` generated for each class before it compiled per
+    shape."""
     names, compared = cls.__record_fields__, cls.__record_compared__
     params, defaults = [], {}
     for name in names:
@@ -168,14 +244,14 @@ def exec_reference(cls):
             params.append(f"{name}=__dflt_{name}__")
         else:
             params.append(name)
-    body = ["__d__=self.__dict__", *(f"__d__[{name!r}]={name}" for name in names)]
+    body = [f"__setfield__(self,{name!r},{name})" for name in names]
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     mine = "(" + "".join(f"self.{name}," for name in compared) + ")"
     theirs = "(" + "".join(f"other.{name}," for name in compared) + ")"
     env = {"__name__": cls.__module__}
     exec(
-        f"def __create__({','.join(defaults)}):\n"
+        f"def __create__({','.join(['__setfield__', *defaults])}):\n"
         f" def __init__(self,{','.join(params)}):\n  "
         + "\n  ".join(body)
         + "\n def __eq__(self,other):\n"
@@ -185,7 +261,8 @@ def exec_reference(cls):
         " return __init__,__eq__,__hash__\n",
         env,
     )
-    return env["__create__"](**defaults)
+    methods = env["__create__"](object.__setattr__, **defaults)
+    return methods if _generated(cls.__hash__) else methods[:2]
 
 
 def test_every_value_class_is_found():
@@ -210,9 +287,11 @@ def test_signature_matches_the_twin(cls):
 def test_methods_run_the_bytecode_of_one_exec_per_class(cls):
     for ref in exec_reference(cls):
         fn = vars(cls)[ref.__name__]
-        for attr in ("co_code", "co_varnames", "co_names", "co_consts"):
+        for attr in ("co_code", "co_varnames", "co_names", "co_consts", "co_freevars"):
             assert getattr(fn.__code__, attr) == getattr(ref.__code__, attr), (ref.__name__, attr)
         assert fn.__defaults__ == ref.__defaults__, ref.__name__
+        cells = [c.cell_contents for c in fn.__closure__ or ()]
+        assert cells == [c.cell_contents for c in ref.__closure__ or ()], ref.__name__
         assert fn.__globals__["__builtins__"] is ref.__globals__["__builtins__"]
         assert fn.__module__ == ref.__module__ == cls.__module__
 
@@ -230,7 +309,7 @@ def test_a_required_field_after_a_default_raises_at_decoration():
         dataclasses.dataclass(frozen=True)(Late)
 
 
-@pytest.mark.parametrize("name", ["self", "__d__"])
+@pytest.mark.parametrize("name", ["self", "__setfield__"])
 def test_a_field_may_not_take_a_name_the_methods_use(name):
     cls = type("Clash", (), {"__annotations__": {"a": int, name: int}})
     with pytest.raises(TypeError, match=f"may not be named {name!r}"):

@@ -82,6 +82,19 @@ def test_discrete_ray_beyond_512_strands_is_refused_before_building(monkeypatch)
     assert built == [512]
 
 
+def test_hashing_a_space_walks_its_schema_once(monkeypatch):
+    # every template set carries the schema, which keeps its hash; before,
+    # each template rehashed every strand: 40,400 axis hashes at 200 strands
+    space, strands = builtin.__wrapped__("discrete_ray(200)"), 200
+    calls = []
+    axis_hash = AxisDomain.__hash__
+    monkeypatch.setattr(AxisDomain, "__hash__", lambda ax: calls.append(ax) or axis_hash(ax))
+    hash(space)
+    first = len(calls)
+    hash(space)
+    assert first <= 2 * strands and len(calls) - first <= strands
+
+
 def test_a_huge_or_padded_ray_count_is_read_by_its_digits():
     # int() refuses more than 4,300 digits; leading zeros do not count
     with pytest.raises(SizeLimit, match="at most 512 strands, got a 5000-digit count$"):
