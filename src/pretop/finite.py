@@ -6,19 +6,19 @@ Subsets and kernels are bitmasks in declaration order, which also fixes
 every deterministic witness: scans run over ascending masks and report
 the first hit.
 
-The operators are read from per-byte union tables.  Adherence preserves
-finite unions, adh(A | B) = adh A | adh B, so adh A is the union of
-adh{j} over the points j of A, and adh{j} is the column of points whose
-least vicinity contains j.  One table per byte of points holds the union
-of that byte's columns for each of its 256 bit patterns, so a lookup per
-nonzero byte of A gives adh A exactly, at any size, with tables that
-grow linearly in the number of points.  Inherence is the dual,
-inh A = X minus adh(X minus A), and images and preimages under a map
-are unions too (``maps``), read from tables built the same way.  The
-columns themselves are kept as ``cols`` (``cols[j]`` is adh{j}), so a
-scan over singletons reads them without a lookup, and the vicinity sweep
-(the union of the least vicinities over a set) is read from tables of
-the least vicinities built the same way.  ``names`` joins per-byte
+The operators are read from union tables that a mask indexes directly.
+Adherence preserves finite unions, adh(A | B) = adh A | adh B, so adh A
+is the union of adh{j} over the points j of A, and adh{j} is the column
+of points whose least vicinity contains j.  ``tabs[a]`` is that union:
+up to 8 columns the table is the flat tuple of all 2^n unions, above 8
+a :class:`ByteUnions` of one 256-entry table per byte of points, which
+joins one lookup per nonzero byte and grows linearly in the points.
+Inherence is the dual, inh A = X minus adh(X minus A), and images and
+preimages under a map are unions too (``maps``), read from tables built
+the same way.  The columns themselves are kept as ``cols`` (``cols[j]``
+is adh{j}), so a scan over singletons reads them without a lookup, and
+the vicinity sweep (the union of the least vicinities over a set) is
+read from a table of the least vicinities.  ``names`` joins per-byte
 tables of name tuples.  Every passing route returns the one shared
 :data:`PASS`; a ``Verdict`` is frozen, so sharing it is safe.
 
@@ -83,22 +83,31 @@ def byte_tables(items, join, empty) -> tuple:
     return tuple(tabs)
 
 
+class ByteUnions(tuple):
+    """Union tables of more than 8 columns, one per byte, iterated as such;
+    ``tabs[a]`` joins one lookup per nonzero byte of ``a``."""
+
+    __slots__ = ()
+
+    def __getitem__(self, a: int) -> int:
+        out = 0
+        for tab in self:
+            if a & 0xFF:
+                out |= tab[a & 0xFF]
+            a >>= 8
+        return out
+
+
 def union_tables(cols) -> tuple:
-    """Per-byte tables of unions of the columns ``cols``."""
-    return byte_tables(cols, operator.or_, 0)
-
-
-def union_of(tabs: tuple, a: int) -> int:
-    """Union of the columns at the bits of ``a``, one lookup per nonzero
-    byte.  ``a`` must not have bits beyond the columns."""
-    if a < 256:
-        return tabs[0][a]
-    out = 0
-    for tab in tabs:
-        if a & 0xFF:
-            out |= tab[a & 0xFF]
-        a >>= 8
-    return out
+    """The unions of the columns ``cols``, indexed by mask (``a`` must not
+    have bits beyond the columns), built by doubling as in :func:`byte_tables`."""
+    tabs = []
+    for lo in range(0, len(cols) or 1, 8):
+        tab = [0]
+        for col in cols[lo : lo + 8]:
+            tab += [t | col for t in tab]
+        tabs.append(tuple(tab))
+    return tabs[0] if len(tabs) == 1 else ByteUnions(tabs)
 
 
 @lru_cache(maxsize=256)
@@ -178,12 +187,12 @@ class FinitePretop:
 
     def adh(self, a: int) -> int:
         """Points whose least vicinity meets a."""
-        return union_of(self._adh_tables, a & self.full)
+        return self._adh_tables[a & self.full]
 
     def inh(self, a: int) -> int:
         """Points whose least vicinity lies inside a."""
         full = self.full
-        return full & ~union_of(self._adh_tables, full & ~a)
+        return full & ~self._adh_tables[full & ~a]
 
     def adh_filter(self, f: PrincipalFilter) -> int:
         return self.adh(f.kernel)
@@ -262,7 +271,7 @@ def is_topological(space: FinitePretop) -> Verdict:
 
 def vicinity_sweep(space: FinitePretop, a: int) -> int:
     """Union of the least vicinities over a."""
-    return union_of(space._sweep_tables, a & space.full)
+    return space._sweep_tables[a & space.full]
 
 
 def least_choice(space: FinitePretop, at: int) -> tuple:
@@ -298,8 +307,13 @@ def compact_at_mask(space: FinitePretop, kernel: int, at: int, method: str) -> V
         low = compact_at_core(space, kernel, at)
         return PASS if low is None else Verdict(False, space.names(low))
     if method == "cover":
-        # every cover of `at` must swallow a member of f in finitely many steps
-        if kernel & ~vicinity_sweep(space, at):
+        # every cover of `at` must swallow a member of f in finitely many
+        # steps; the least choice cover, joined member by member, decides it
+        union = 0
+        for i, m in enumerate(space.vicinity):
+            if at >> i & 1:
+                union |= m
+        if kernel & ~union:
             return Verdict(False, least_choice(space, at))
         return PASS
     raise ValueError(f"unknown method {method!r}")

@@ -17,11 +17,15 @@ cores call are split the same way in ``finite`` (``compact_at_core``,
 continuity core stops at the first failing source point; the naming
 steps of ``limit`` and ``inh`` then find the least failing kernel or
 set, the one an ascending scan would report.  :func:`continuity_verdicts`
-runs each distinct continuity core once, for the oracle.  The ``inh``
-core reads the source's inherence operator, not the formula of the
-``vicinity`` core, so a wrong operator shows as a disagreement.
+and :func:`perfect_verdicts` give the oracle every route's verdict and
+run each distinct core once per map: adh-filter and adh-set share one
+core, and the a-and-b route reuses the adh-inequality run for its half
+(a).  The ``inh`` core reads the source's inherence operator, not the
+formula of the ``vicinity`` core, so a wrong operator shows as a
+disagreement.
 
-The cores read the map's image, preimage and fiber tables once.  Every
+The cores read the map's image and preimage tables (union tables, which
+a mask indexes directly: ``img[a]``, ``pre[b]``) and fibers once.  Every
 space in the package keeps its least vicinities (and so its columns)
 inside ``full``, so they skip the ``& full`` of the one-mask API,
 ``SpaceMap.image_mask`` and ``preimage_mask``.  Only this module reads
@@ -41,7 +45,6 @@ from .finite import (
     compact_at_core,
     cover_compact_core,
     least_choice,
-    union_of,
     union_tables,
 )
 from .record import record
@@ -93,10 +96,10 @@ class SpaceMap:
         return self.target.points[self.graph[self.source.index(name)]]
 
     def image_mask(self, a: int) -> int:
-        return union_of(self._tables[0], a & self.source.full)
+        return self._tables[0][a & self.source.full]
 
     def preimage_mask(self, b: int) -> int:
-        return union_of(self._tables[1], b & self.target.full)
+        return self._tables[1][b & self.target.full]
 
     def fiber(self, j: int) -> int:
         return self._tables[2][j]
@@ -116,7 +119,7 @@ def _limit_core(f: SpaceMap):
     pre = f._tables[1]
     svic, tvic, graph = f.source.vicinity, f.target.vicinity, f.graph
     for i in range(f.source.n):
-        if svic[i] & ~union_of(pre, tvic[graph[i]]):
+        if svic[i] & ~pre[tvic[graph[i]]]:
             return i
     return None
 
@@ -127,7 +130,7 @@ def _limit_name(f: SpaceMap, i: int) -> tuple:
     # source point whose vicinity holds it
     pre = f._tables[1]
     svic, tvic, graph = f.source.vicinity, f.target.vicinity, f.graph
-    bad = {x: svic[x] & ~union_of(pre, tvic[graph[x]]) for x in range(i, f.source.n)}
+    bad = {x: svic[x] & ~pre[tvic[graph[x]]] for x in range(i, f.source.n)}
     low = min(m & -m for m in bad.values() if m)
     x = next(x for x, m in bad.items() if m & low)
     return f.source.names(low), f.source.points[x]
@@ -139,7 +142,7 @@ def _adh_core(f: SpaceMap):
     img = f._tables[0]
     scols, tcols, graph = f.source.cols, f.target.cols, f.graph
     for b in range(f.source.n):
-        bad = union_of(img, scols[b]) & ~tcols[graph[b]]
+        bad = img[scols[b]] & ~tcols[graph[b]]
         if bad:
             return b, bad
     return None
@@ -158,7 +161,7 @@ def _inh_core(f: SpaceMap):
     point."""
     src, pre, tvic, graph = f.source, f._tables[1], f.target.vicinity, f.graph
     for x in range(src.n):
-        if not src.inh(union_of(pre, tvic[graph[x]])) >> x & 1:
+        if not src.inh(pre[tvic[graph[x]]]) >> x & 1:
             return x
     return None
 
@@ -168,8 +171,8 @@ def _inh_name(f: SpaceMap, x: int) -> tuple:
     # any failing point; none fails before x
     src, tgt, pre = f.source, f.target, f._tables[1]
     tvic, graph = tgt.vicinity, f.graph
-    b = min(tvic[graph[y]] for y in range(x, src.n) if not src.inh(union_of(pre, tvic[graph[y]])) >> y & 1)
-    bad = union_of(pre, tgt.inh(b)) & ~src.inh(union_of(pre, b))
+    b = min(tvic[graph[y]] for y in range(x, src.n) if not src.inh(pre[tvic[graph[y]]]) >> y & 1)
+    bad = pre[tgt.inh(b)] & ~src.inh(pre[b])
     return tgt.names(b), src.names(bad)[0]
 
 
@@ -181,7 +184,7 @@ def _vicinity_core(f: SpaceMap):
     img = f._tables[0]
     svic, tvic, graph = f.source.vicinity, f.target.vicinity, f.graph
     for i in range(f.source.n):
-        if union_of(img, svic[i]) & ~tvic[graph[i]]:
+        if img[svic[i]] & ~tvic[graph[i]]:
             return i
     return None
 
@@ -214,13 +217,14 @@ def continuous(f: SpaceMap, method: str = "vicinity") -> bool:
 
 def continuity_verdicts(f: SpaceMap) -> list:
     """The verdict of every continuity route, in the order of the route
-    table as it stands at the call, naming no witness.  A core that serves
-    several routes (adh-filter and adh-set) runs once."""
-    done, out = {}, []
+    table as it stands at the call, naming no witness.  Routes that share
+    a core and sit next to each other (adh-filter and adh-set) run it
+    once."""
+    out, last = [], None
     for core, _ in _CONTINUITY_ROUTES.values():
-        if core not in done:
-            done[core] = core(f) is None
-        out.append(done[core])
+        if core is not last:
+            last, ok = core, core(f) is None
+        out.append(ok)
     return out
 
 
@@ -253,7 +257,7 @@ def _definition_core(f: SpaceMap):
     src = f.source
     _, pre_tabs, fibers = f._tables
     for j, s in enumerate(f.target.vicinity):
-        pre = union_of(pre_tabs, s)
+        pre = pre_tabs[s]
         if pre:
             low = compact_at_core(src, pre, fibers[j])
             if low is not None:
@@ -273,7 +277,7 @@ def _adh_onto_core(f: SpaceMap):
     img = f._tables[0]
     scols, tcols, graph = f.source.cols, f.target.cols, f.graph
     for b in range(f.source.n):
-        bad = tcols[graph[b]] & ~union_of(img, scols[b])
+        bad = tcols[graph[b]] & ~img[scols[b]]
         if bad:
             return b, bad
     return None
@@ -319,6 +323,17 @@ PERFECT_METHODS = tuple(_PERFECT_ROUTES)
 def perfect(f: SpaceMap, method: str = "definition") -> bool:
     """Whether ``f`` is perfect by one route, naming no witness."""
     return _route(_PERFECT_ROUTES, method)[0](f) is None
+
+
+def perfect_verdicts(f: SpaceMap) -> list:
+    """The definition and adh-inequality verdicts, as the route table
+    stands at the call, and on a continuous map the a-and-b verdict, whose
+    half (a) is the adh-inequality run; naming no witness."""
+    by_def = _PERFECT_ROUTES["definition"][0](f) is None
+    by_adh = _PERFECT_ROUTES["adh-inequality"][0](f) is None
+    if not continuous(f):
+        return [by_def, by_adh]
+    return [by_def, by_adh, by_adh and _HALVES["b"][0](f) is None]
 
 
 def is_perfect(f: SpaceMap, method: str = "definition") -> Verdict:

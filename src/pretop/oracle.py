@@ -8,6 +8,10 @@ holds its instance list.  A serial run holds one chunk at a time; a pool
 holds at most two chunks per worker in flight.  Chunk outcomes are
 folded in index order with the counterexample taken at the least
 instance index, so the summary is byte-identical for any worker count.
+
+The finite plans yield spaces, each looked up once per distinct vicinity
+tuple, so no check looks one up again; a check names a space by its
+``vicinity`` only when it fails.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .maps import (
     continuous,
     fiber_inside,
     is_strongly_irreducible,
-    perfect,
+    perfect_verdicts,
 )
 from .model import eval_set, parse_set_expr
 from .regularize import (
@@ -96,12 +100,12 @@ def _sizes(n: int):
     return range(1, min(n, 3) + 1)
 
 
-def _vics(size: int) -> list:
-    return [sp.vicinity for sp in enumerate_pretops(size)]
+def _spaces(size: int) -> list:
+    return [_space(sp.vicinity) for sp in enumerate_pretops(size)]
 
 
-def _rand_vic(size: int, rng: random.Random) -> tuple:
-    return tuple(rng.randrange(1 << size) | (1 << i) for i in range(size))
+def _rand_space(size: int, rng: random.Random) -> FinitePretop:
+    return _space(tuple(rng.randrange(1 << size) | (1 << i) for i in range(size)))
 
 
 def _subsets_of(mask: int):
@@ -119,22 +123,25 @@ def _subsets_of(mask: int):
 
 def _plan_maps(n: int, rng: random.Random):
     for size in _sizes(n):
-        vics = _vics(size)
-        yield from itertools.product(vics, vics, itertools.product(range(size), repeat=size))
+        spaces = _spaces(size)
+        yield from itertools.product(spaces, spaces, itertools.product(range(size), repeat=size))
     if n >= 4:
         for _ in range(_SAMPLE):
-            yield _rand_vic(4, rng), _rand_vic(4, rng), tuple(rng.randrange(4) for _ in range(4))
+            yield _rand_space(4, rng), _rand_space(4, rng), tuple(rng.randrange(4) for _ in range(4))
+
+
+def _map_where(f: SpaceMap) -> str:
+    return f"vic={f.source.vicinity}->{f.target.vicinity} graph={f.graph}"
 
 
 def _check_continuity(inst) -> str | None:
     """The five continuity routes agree.  Both verdicts occur: at
     ``--max-points 4``, seed 0, 45,729 maps are continuous and 66,128 are
     not."""
-    va, vb, g = inst
-    f = SpaceMap(_space(va), _space(vb), g)
+    f = SpaceMap(*inst)
     got = continuity_verdicts(f)
     if len(set(got)) != 1:
-        return f"routes disagree {dict(zip(CONTINUITY_METHODS, got))} on vic={va}->{vb} graph={g}"
+        return f"routes disagree {dict(zip(CONTINUITY_METHODS, got))} on {_map_where(f)}"
     return None
 
 
@@ -144,17 +151,14 @@ def _check_perfect(inst) -> str | None:
     seed 0, the definition route finds 17,596 maps perfect and 94,261 not;
     a-and-b runs on the 45,703 continuous ones, 5,789 perfect and 39,914
     not."""
-    va, vb, g = inst
-    f = SpaceMap(_space(va), _space(vb), g)
-    by_def = perfect(f, "definition")
-    by_adh = perfect(f, "adh-inequality")
+    f = SpaceMap(*inst)
+    got = perfect_verdicts(f)
+    if len(set(got)) == 1:
+        return None
+    by_def, by_adh, *by_ab = got
     if by_def != by_adh:
-        return f"definition={by_def} adh-inequality={by_adh} on vic={va}->{vb} graph={g}"
-    if continuous(f):
-        by_ab = perfect(f, "a-and-b")
-        if by_def != by_ab:
-            return f"definition={by_def} a-and-b={by_ab} on continuous vic={va}->{vb} graph={g}"
-    return None
+        return f"definition={by_def} adh-inequality={by_adh} on {_map_where(f)}"
+    return f"definition={by_def} a-and-b={by_ab[0]} on continuous {_map_where(f)}"
 
 
 # -- compactness batteries --------------------------------------------------------
@@ -163,23 +167,22 @@ def _check_perfect(inst) -> str | None:
 def _plan_compact_at(n: int, rng: random.Random):
     for size in _sizes(n):
         masks = range(1, 1 << size)
-        yield from itertools.product(_vics(size), masks, masks)
+        yield from itertools.product(_spaces(size), masks, masks)
     if n >= 4:
         for _ in range(_SAMPLE):
-            yield _rand_vic(4, rng), rng.randrange(1, 16), rng.randrange(1, 16)
+            yield _rand_space(4, rng), rng.randrange(1, 16), rng.randrange(1, 16)
 
 
 def _check_compact_at(inst) -> str | None:
     """The filter and cover routes of compactness at a set agree.  Both
     verdicts occur: at ``--max-points 4``, seed 0, 3,149 instances are
     compact and 1,224 are not."""
-    vic, k, at = inst
-    sp = _space(vic)
+    sp, k, at = inst
     f = PrincipalFilter(k)
     by_filter = compact_at(sp, f, at, "filter").ok
     by_cover = compact_at(sp, f, at, "cover").ok
     if by_filter != by_cover:
-        return f"filter={by_filter} cover={by_cover} on vic={vic} kernel={k} at={at}"
+        return f"filter={by_filter} cover={by_cover} on vic={sp.vicinity} kernel={k} at={at}"
     return None
 
 
@@ -187,11 +190,10 @@ def _check_cover_compact(inst) -> str | None:
     """The three cover-compactness routes agree.  Only ``True`` occurs:
     at ``--max-points 4``, seed 0, all 1,661 instances are cover-compact,
     as every subset of a finite space is."""
-    vic, at = inst
-    sp = _space(vic)
+    sp, at = inst
     got = {m: is_cover_compact(sp, at, m).ok for m in COVER_COMPACT_METHODS}
     if len(set(got.values())) != 1:
-        return f"routes disagree {got} on vic={vic} at={at}"
+        return f"routes disagree {got} on vic={sp.vicinity} at={at}"
     return None
 
 
@@ -200,29 +202,29 @@ def _check_cover_compact(inst) -> str | None:
 
 def _plan_filters(n: int, rng: random.Random):
     for size in _sizes(n):
-        yield from itertools.product(_vics(size), range(1, 1 << size))
+        yield from itertools.product(_spaces(size), range(1, 1 << size))
     if n >= 4:
         for _ in range(_SAMPLE):
-            yield _rand_vic(4, rng), rng.randrange(1, 16)
+            yield _rand_space(4, rng), rng.randrange(1, 16)
 
 
 def _check_open_filter(inst) -> str | None:
-    vic, k = inst
-    report = tower_lemmas_check(_space(vic), PrincipalFilter(k))
+    sp, k = inst
+    report = tower_lemmas_check(sp, PrincipalFilter(k))
     if not report.open_identity:
         return (
-            f"open filter kernel={k} on vic={vic}: adh {report.adh_base}"
+            f"open filter kernel={k} on vic={sp.vicinity}: adh {report.adh_base}"
             f" vs regularized {report.adh_regularized}"
         )
     return None
 
 
 def _check_tower_level(inst) -> str | None:
-    vic, k = inst
-    report = tower_lemmas_check(_space(vic), PrincipalFilter(k))
+    sp, k = inst
+    report = tower_lemmas_check(sp, PrincipalFilter(k))
     if not report.level_identity:
         return (
-            f"kernel={k} on vic={vic}: regularized adh {report.adh_regularized}"
+            f"kernel={k} on vic={sp.vicinity}: regularized adh {report.adh_regularized}"
             f" vs level-1 adh {report.adh_level1}"
         )
     return None
@@ -230,21 +232,20 @@ def _check_tower_level(inst) -> str | None:
 
 def _plan_spaces(n: int, rng: random.Random):
     for size in _sizes(n):
-        yield from ((vic,) for vic in _vics(size))
+        yield from ((sp,) for sp in _spaces(size))
     if n >= 4:
         for _ in range(_SAMPLE):
-            yield (_rand_vic(4, rng),)
+            yield (_rand_space(4, rng),)
 
 
 def _check_quasi_phc(inst) -> str | None:
     """The four quasi-PHC routes agree.  Only ``True`` occurs: at
     ``--max-points 4``, seed 0, all 1,269 spaces are quasi-PHC, as every
     finite space is."""
-    (vic,) = inst
-    sp = _space(vic)
+    (sp,) = inst
     got = {m: is_quasi_phc(sp, m).ok for m in PHC_METHODS}
     if len(set(got.values())) != 1:
-        return f"routes disagree {got} on vic={vic}"
+        return f"routes disagree {got} on vic={sp.vicinity}"
     return None
 
 
@@ -253,18 +254,17 @@ def _plan_hset(n: int, rng: random.Random):
     for size in range(1, min(n, 4) + 1):
         for sp in enumerate_pretops(size):
             if is_topological(sp).ok:
-                yield from ((sp.vicinity, at) for at in range(1, sp.full + 1))
+                yield from ((sp, at) for at in range(1, sp.full + 1))
 
 
 def _check_hset(inst) -> str | None:
     """The three H-set routes agree.  Only ``True`` occurs: at
     ``--max-points 4``, seed 0, all 5,541 subsets are H-sets, as every
     subset of a finite topology is."""
-    vic, at = inst
-    sp = _space(vic)
+    sp, at = inst
     got = {m: hset_check(sp, at, m).ok for m in HSET_METHODS}
     if len(set(got.values())) != 1:
-        return f"routes disagree {got} on vic={vic} at={at}"
+        return f"routes disagree {got} on vic={sp.vicinity} at={at}"
     return None
 
 
@@ -286,11 +286,11 @@ def _partitions(size: int):
 
 def _plan_quotients(n: int, rng: random.Random):
     for size in _sizes(n):
-        yield from itertools.product(_vics(size), _partitions(size))
+        yield from itertools.product(_spaces(size), _partitions(size))
     if n >= 4:
         parts4 = list(_partitions(4))
         for _ in range(_SAMPLE):
-            yield _rand_vic(4, rng), rng.choice(parts4)
+            yield _rand_space(4, rng), rng.choice(parts4)
 
 
 def _irreducible_by_scan(f: SpaceMap) -> Verdict:
@@ -308,38 +308,35 @@ def _irreducible_by_scan(f: SpaceMap) -> Verdict:
 def _check_quotient(inst) -> str | None:
     """The convergence lemma on every target set, and strong irreducibility
     of the projection by its route and by the definition scan."""
-    vic, labels = inst
-    sp = _space(vic)
+    sp, labels = inst
     f = theta_quotient(sp, {p: f"c{labels[i]}" for i, p in enumerate(sp.points)})
     sigma = f.target
     for j in range(sigma.n):
         k = vicinity_sweep(sp, f.fiber(j))
         for s in sigma.kernels():
             if (s & ~sigma.vicinity[j] == 0) != (f.preimage_mask(s) & ~k == 0):
-                return f"convergence mismatch on vic={vic} labels={labels}"
+                return f"convergence mismatch on vic={sp.vicinity} labels={labels}"
     if is_strongly_irreducible(f).ok != _irreducible_by_scan(f).ok:
-        return f"strong irreducibility mismatch on vic={vic} labels={labels}"
+        return f"strong irreducibility mismatch on vic={sp.vicinity} labels={labels}"
     return None
 
 
 def _plan_extensions(n: int, rng: random.Random):
     for size in _sizes(n):
-        for vic in _vics(size):
-            sp = _space(vic)
-            yield from ((vic, base) for base in range(1, sp.full + 1) if sp.adh(base) == sp.full)
+        for sp in _spaces(size):
+            yield from ((sp, base) for base in range(1, sp.full + 1) if sp.adh(base) == sp.full)
     if n >= 4:
         added = 0
         while added < _SAMPLE:
-            vic = _rand_vic(4, rng)
+            sp = _rand_space(4, rng)
             base = rng.randrange(1, 16)
-            if _space(vic).adh(base) == 15:
-                yield vic, base
+            if sp.adh(base) == 15:
+                yield sp, base
                 added += 1
 
 
 def _check_extension_order(inst) -> str | None:
-    vic, base = inst
-    sp = _space(vic)
+    sp, base = inst
     e = make_extension(sp, base)
     yplus = strict_extension(e)
     ysharp = simple_extension(e)
@@ -348,14 +345,14 @@ def _check_extension_order(inst) -> str | None:
         if ysharp.vicinity[i] & ~ryplus.vicinity[i]:
             return (
                 f"simple kernel escapes the regularized strict one at point"
-                f" {sp.points[i]} on vic={vic} base={base}"
+                f" {sp.points[i]} on vic={sp.vicinity} base={base}"
             )
     ident = tuple(range(sp.n))
     if not continuous(SpaceMap(yplus, sp, ident)):
-        return f"identity from the strict extension not continuous on vic={vic} base={base}"
+        return f"identity from the strict extension not continuous on vic={sp.vicinity} base={base}"
     if is_topological(sp).ok:
         if not continuous(SpaceMap(sp, ysharp, ident)):
-            return f"identity into the simple extension not continuous on vic={vic} base={base}"
+            return f"identity into the simple extension not continuous on vic={sp.vicinity} base={base}"
     return None
 
 
@@ -366,8 +363,7 @@ def _check_strict_adh(inst) -> str | None:
     nonempty (the base is dense), so p and every point of oU adhere to U
     already; the base's own adherence of U would miss the points outside
     the base whose traces meet U without lying in it."""
-    vic, base = inst
-    sp = _space(vic)
+    sp, base = inst
     e = make_extension(sp, base)
     yplus = strict_extension(e)
     for i in range(sp.n):
@@ -382,7 +378,7 @@ def _check_strict_adh(inst) -> str | None:
             if left != right:
                 return (
                     f"adh {left} vs oU|adh {right} at p={sp.points[i]}"
-                    f" U={u} on vic={vic} base={base}"
+                    f" U={u} on vic={sp.vicinity} base={base}"
                 )
     return None
 

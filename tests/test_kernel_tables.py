@@ -1,10 +1,11 @@
 """The table-driven finite kernel against its definitions.
 
 The operators, the singleton columns, the vicinity sweep, the fibers and
-the name lookup read per-byte tables or cached tuples; here they are
-compared with the per-point loops that define them, at sizes on both
-sides of each byte boundary, and the oracle output is pinned to digests
-taken from the loop implementation.
+the name lookup read mask-indexed union tables, per-byte name tables or
+cached tuples; here they are compared with the per-point loops that
+define them, at sizes on both sides of each byte boundary (and of the
+switch from flat to per-byte union tables above 8 points), and the
+oracle output is pinned to digests taken from the loop implementation.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from pretop.errors import PointSetMismatch
 from pretop.finite import (
     PASS,
+    ByteUnions,
     FinitePretop,
     Verdict,
     enumerate_pretops,
@@ -116,12 +118,15 @@ def test_a_bad_graph_raises_on_every_call():
 
 
 def test_tables_grow_linearly():
-    space = FinitePretop(_points(40), tuple(1 << i for i in range(40)))
-    space.adh(1)
-    assert [len(t) for t in space._adh_tables] == [256] * 5
+    # up to 8 points one flat table of all 2^n unions; above, one 256-entry
+    # table per byte, so the tables grow linearly in the points
     small = FinitePretop(_points(3), (1, 2, 4))
     small.adh(1)
-    assert [len(t) for t in small._adh_tables] == [8]
+    assert type(small._adh_tables) is tuple and len(small._adh_tables) == 8
+    space = FinitePretop(_points(40), tuple(1 << i for i in range(40)))
+    space.adh(1)
+    assert isinstance(space._adh_tables, ByteUnions)
+    assert [len(t) for t in space._adh_tables] == [256] * 5
 
 
 def test_cached_values_stay_out_of_equality():

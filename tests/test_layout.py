@@ -27,6 +27,7 @@ UNREACHED = {
     "sym_ray": "builds a parametric set on one ray, for the symbolic tests",
     "sym_grid": "builds a parametric set on one grid, for the symbolic tests",
     "sym_restrict": "symbolic subspaces, the counterpart of FinitePretop.restrict",
+    "perfect": "the boolean entry for one perfect route, beside `continuous`; the oracle reads `perfect_verdicts`",
     "solve_axis": "perfbench/tracer.py wraps it by name; goes with ROADMAP item 1",
     "fit_defsets": "perfbench/tracer.py wraps it by name; goes with ROADMAP item 1",
 }

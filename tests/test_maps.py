@@ -10,6 +10,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from pretop import maps
 from pretop.errors import PointSetMismatch
 from pretop.finite import (
     FinitePretop,
@@ -300,3 +301,47 @@ def test_composition_preserves_continuity(sp1, sp2, sp3, g1, g2):
     if is_continuous(f, "vicinity").ok and is_continuous(g, "vicinity").ok:
         g_after_f = SpaceMap(sp1, sp3, tuple(g2[j] for j in g1))
         assert is_continuous(g_after_f, "vicinity").ok
+
+
+# -- the oracle's verdict lists ----------------------------------------------------
+
+
+def _count_cores(monkeypatch, table, calls):
+    """Put one counting wrapper per distinct core into a route table."""
+    wrapped = {}
+    for key, (core, name) in list(table.items()):
+        if core not in wrapped:
+
+            def counted(f, core=core):
+                calls[core] = calls.get(core, 0) + 1
+                return core(f)
+
+            wrapped[core] = counted
+        monkeypatch.setitem(table, key, (wrapped[core], name))
+
+
+def test_verdict_lists_run_each_distinct_core_once_per_map(monkeypatch):
+    calls = {}
+    fibers = maps._HALVES["b"][0]
+    for table in (maps._CONTINUITY_ROUTES, maps._PERFECT_ROUTES, maps._HALVES):
+        _count_cores(monkeypatch, table, calls)
+    seen = set()
+    for n in (1, 2):
+        for src, tgt in itertools.product(enumerate_pretops(n), repeat=2):
+            for f in enumerate_maps(src, tgt):
+                calls.clear()
+                by_cont = maps.continuity_verdicts(f)
+                # limit, adh (adh-filter and adh-set), inh and vicinity
+                assert sorted(calls.values()) == [1, 1, 1, 1]
+                calls.clear()
+                by_perf = maps.perfect_verdicts(f)
+                # definition, adh-inequality (half a), the continuity
+                # decision, and half (b) only where a-and-b gets that far
+                assert set(calls.values()) == {1}
+                assert len(calls) == 3 + (fibers in calls)
+                assert (fibers in calls) == (len(by_perf) == 3 and by_perf[1])
+                assert by_cont == [is_continuous(f, m).ok for m in CONTINUITY_METHODS]
+                routes = PERFECT_METHODS if by_cont[0] else PERFECT_METHODS[:2]
+                assert by_perf == [is_perfect(f, m).ok for m in routes]
+                seen.add((by_cont[0], by_perf[0]))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

@@ -7,7 +7,7 @@ import inspect
 
 import pytest
 
-from pretop import maps, oracle
+from pretop import finite, maps, oracle
 
 from pretop.construct import make_extension, o_set, strict_extension
 from pretop.finite import FinitePretop
@@ -55,6 +55,16 @@ def test_continuity_catches_an_inherence_operator_that_calls_every_set_open(monk
     assert (got.checked, got.failures) == (110657, 65144)
     alone = "{'limit': False, 'adh-filter': False, 'adh-set': False, 'inh': True, 'vicinity': False}"
     assert got.counterexample.startswith(f"routes disagree {alone} on ")
+
+
+def test_compact_at_catches_a_vicinity_sweep_that_returns_its_set(monkeypatch):
+    # the filter route reads the vicinity sweep and the cover route joins
+    # its least choice cover member by member, so a wrong sweep, here the
+    # set itself, must show up as disagreements
+    monkeypatch.setattr(finite, "vicinity_sweep", lambda space, a: a & space.full)
+    (got,) = run_suites("compact-at-2way", max_points=3).suites
+    assert (got.checked, got.failures) == (3173, 1064)
+    assert got.counterexample.startswith("filter=False cover=True on ")
 
 
 # -- streaming runner ------------------------------------------------------------------
