@@ -276,13 +276,18 @@ class DefSet:
     # -- queries -----------------------------------------------------------
 
     def __contains__(self, p: Point) -> bool:
-        p.validate(self.schema)
+        # a point inside a box lies on its strand's axes, so only a point
+        # that no box holds is validated
+        coords = p.coords
         for box in self.boxes(p.strand):
-            for c, s in zip(p.coords, box):
+            if len(box) != len(coords):
+                break
+            for c, s in zip(coords, box):
                 if c not in s:
                     break
             else:
                 return True
+        p.validate(self.schema)
         return False
 
     def is_empty(self) -> bool:

@@ -121,8 +121,8 @@ class FinitePretop:
     points: tuple[str, ...]
     vicinity: tuple[int, ...]  # least vicinity kernel per point index
 
-    # Derived values are lazy attributes; the record compares, hashes and
-    # prints the two fields only.
+    # Derived values are lazy attributes, computed at most once per space;
+    # the record compares, hashes and prints the two fields only.
 
     @lazy
     def n(self) -> int:
@@ -155,6 +155,12 @@ class FinitePretop:
     @lazy
     def _name_tables(self) -> tuple:
         return _point_name_tables(tuple(self.points))
+
+    @lazy
+    def _regularization(self) -> "FinitePretop":
+        """Each least vicinity replaced by its adherence; read through
+        :func:`~pretop.regularize.partial_regularization` alone."""
+        return FinitePretop(self.points, tuple(self.adh(m) for m in self.vicinity))
 
     # -- masks and names ---------------------------------------------------
 

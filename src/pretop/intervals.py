@@ -5,6 +5,14 @@ least element, or the full integers) are kept in a unique normal form:
 intervals sorted, pairwise disjoint and non-adjacent.  Equality of normal
 forms is semantic equality, which the Boolean laws in the test suite lean
 on heavily.
+
+:meth:`~IntervalSet.from_pairs` and ``|`` sort and merge their parts.
+``&``, ``~`` and :meth:`~IntervalSet.shift` build normal parts directly
+from normal inputs and return them as built: the overlaps of two sorted
+lists, taken in order, keep their gaps; the gaps of a normal set, with
+the rest of the axis from its floor, are again sorted and apart; and a
+translation keeps the order and the gaps, clipping at the floor at most
+one part, the first that survives.
 """
 
 from __future__ import annotations
@@ -174,7 +182,7 @@ class IntervalSet:
                 lo, hi = max(alo, blo), min(ahi, bhi)
                 if lo <= hi:
                     out.append((lo, hi))
-        return IntervalSet(self.axis, _normalize(out))
+        return IntervalSet(self.axis, tuple(out))
 
     def __invert__(self) -> "IntervalSet":
         lo_edge = self.axis.low_value
@@ -189,7 +197,7 @@ class IntervalSet:
             cursor = hi + 1
         if cursor != INF:
             out.append((cursor, INF))
-        return IntervalSet(self.axis, _normalize(out))
+        return IntervalSet(self.axis, tuple(out))
 
     def __sub__(self, other: "IntervalSet") -> "IntervalSet":
         return self & ~other
@@ -214,7 +222,7 @@ class IntervalSet:
             lo2 = max(lo2, self.axis.low_value)
             if lo2 <= hi2:
                 out.append((_as_int(lo2), _as_int(hi2)))
-        return IntervalSet(self.axis, _normalize(out))
+        return IntervalSet(self.axis, tuple(out))
 
     # -- display ----------------------------------------------------------
 

@@ -24,8 +24,14 @@ core, and the a-and-b route reuses the adh-inequality run for its half
 formula of the ``vicinity`` core, so a wrong operator shows as a
 disagreement.
 
-The cores read the map's image and preimage tables (union tables, which
-a mask indexes directly: ``img[a]``, ``pre[b]``) and fibers once.  Every
+A :class:`SpaceMap` is an immutable tuple ``(source, target, graph,
+tables)``, built by one ``tuple.__new__`` after a cached lookup of the
+graph's tables, which also checks the graph.  Its fields are read-only
+properties; each core unpacks the tuple once instead.  The cores read
+the map's image and preimage tables (union tables, which a mask indexes
+directly: ``img[a]``, ``pre[b]``) and fibers once, and the small-image
+operator :func:`f_sharp` is read from the image table too: j lies in
+f#[a] exactly when it lies outside f[X minus a].  Every
 space in the package keeps its least vicinities (and so its columns)
 inside ``full``, so they skip the ``& full`` of the one-mask API,
 ``SpaceMap.image_mask`` and ``preimage_mask``.  Only this module reads
@@ -36,6 +42,7 @@ where it is stated.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import PointSetMismatch
 from .finite import (
@@ -47,13 +54,16 @@ from .finite import (
     least_choice,
     union_tables,
 )
-from .record import record
+
 
 @lru_cache(maxsize=1024)
-def _map_tables(graph: tuple, target_n: int) -> tuple:
+def _map_tables(graph: tuple, source_n: int, target_n: int) -> tuple:
     """(image tables, preimage tables, fibers) of a graph.  They depend on
-    the graph alone, so maps sharing one share them.  A graph index out of
-    range raises; the cache keeps no exception, so it raises every time."""
+    the graph alone, so maps sharing one share them.  A graph of the wrong
+    length or with an index out of range raises; the cache keeps no
+    exception, so it raises every time."""
+    if len(graph) != source_n:
+        raise PointSetMismatch("graph must assign every source point")
     fibers = [0] * target_n
     for i, j in enumerate(graph):
         if not 0 <= j < target_n:
@@ -62,19 +72,39 @@ def _map_tables(graph: tuple, target_n: int) -> tuple:
     return union_tables([1 << j for j in graph]), union_tables(fibers), tuple(fibers)
 
 
-@record
-class SpaceMap:
-    """Total function between finite spaces, as a target-index table."""
+class SpaceMap(tuple):
+    """Total function between finite spaces, as a target-index table.
 
-    source: FinitePretop
-    target: FinitePretop
-    graph: tuple[int, ...]
+    The tuple ``(source, target, graph, tables)``; ``tables`` is
+    :func:`_map_tables` of the graph and not a field: eq, hash and repr
+    stay on source, target and graph, and a map equals no plain tuple.
+    """
 
-    def __post_init__(self):
-        if len(self.graph) != self.source.n:
-            raise PointSetMismatch("graph must assign every source point")
-        # Not a field: eq, hash and repr stay on source, target and graph.
-        object.__setattr__(self, "_tables", _map_tables(tuple(self.graph), self.target.n))
+    __slots__ = ()
+
+    def __new__(cls, source, target, graph):
+        graph = tuple(graph)
+        return tuple.__new__(cls, (source, target, graph, _map_tables(graph, source.n, target.n)))
+
+    source = property(itemgetter(0))
+    target = property(itemgetter(1))
+    graph = property(itemgetter(2))
+    _tables = property(itemgetter(3))
+
+    def __getnewargs__(self):
+        return self[:3]
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self[:3] == other[:3]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:3])
+
+    def __repr__(self):
+        return f"SpaceMap(source={self[0]!r}, target={self[1]!r}, graph={self[2]!r})"
 
     @classmethod
     def from_table(cls, source: FinitePretop, target: FinitePretop, table) -> "SpaceMap":
@@ -116,9 +146,9 @@ def _limit_core(f: SpaceMap):
     kernel inside the least vicinity of source point i fails at i when it
     meets the points of that vicinity outside the preimage of f(i)'s
     least vicinity; the locus is the first source point with such points."""
-    pre = f._tables[1]
-    svic, tvic, graph = f.source.vicinity, f.target.vicinity, f.graph
-    for i in range(f.source.n):
+    src, tgt, graph, (_, pre, _) = f
+    svic, tvic = src.vicinity, tgt.vicinity
+    for i in range(src.n):
         if svic[i] & ~pre[tvic[graph[i]]]:
             return i
     return None
@@ -128,20 +158,20 @@ def _limit_name(f: SpaceMap, i: int) -> tuple:
     # the least failing kernel is the least point of a source vicinity
     # outside the preimage, none failing before i, named with the first
     # source point whose vicinity holds it
-    pre = f._tables[1]
-    svic, tvic, graph = f.source.vicinity, f.target.vicinity, f.graph
-    bad = {x: svic[x] & ~pre[tvic[graph[x]]] for x in range(i, f.source.n)}
+    src, tgt, graph, (_, pre, _) = f
+    svic, tvic = src.vicinity, tgt.vicinity
+    bad = {x: svic[x] & ~pre[tvic[graph[x]]] for x in range(i, src.n)}
     low = min(m & -m for m in bad.values() if m)
     x = next(x for x, m in bad.items() if m & low)
-    return f.source.names(low), f.source.points[x]
+    return src.names(low), src.points[x]
 
 
 def _adh_core(f: SpaceMap):
     """f[adh A] inside adh f[A] for every kernel (every set) A: the first
     source point b, with the target points escaping at {b}."""
-    img = f._tables[0]
-    scols, tcols, graph = f.source.cols, f.target.cols, f.graph
-    for b in range(f.source.n):
+    src, tgt, graph, (img, _, _) = f
+    scols, tcols = src.cols, tgt.cols
+    for b in range(src.n):
         bad = img[scols[b]] & ~tcols[graph[b]]
         if bad:
             return b, bad
@@ -159,7 +189,8 @@ def _inh_core(f: SpaceMap):
     of f(x), and it fails when inh f^-1[B] lacks it; by monotonicity no
     other B fails at x first.  The locus is the first failing source
     point."""
-    src, pre, tvic, graph = f.source, f._tables[1], f.target.vicinity, f.graph
+    src, tgt, graph, (_, pre, _) = f
+    tvic = tgt.vicinity
     for x in range(src.n):
         if not src.inh(pre[tvic[graph[x]]]) >> x & 1:
             return x
@@ -169,8 +200,8 @@ def _inh_core(f: SpaceMap):
 def _inh_name(f: SpaceMap, x: int) -> tuple:
     # the first failing B of a scan is the least vicinity of the image of
     # any failing point; none fails before x
-    src, tgt, pre = f.source, f.target, f._tables[1]
-    tvic, graph = tgt.vicinity, f.graph
+    src, tgt, graph, (_, pre, _) = f
+    tvic = tgt.vicinity
     b = min(tvic[graph[y]] for y in range(x, src.n) if not src.inh(pre[tvic[graph[y]]]) >> y & 1)
     bad = pre[tgt.inh(b)] & ~src.inh(pre[b])
     return tgt.names(b), src.names(bad)[0]
@@ -181,9 +212,9 @@ def _vicinity_core(f: SpaceMap):
     Images are monotone, so the least vicinities decide it, and the least
     one of f(x) is the first a scan of them all would fail: the locus is
     the first failing source point x."""
-    img = f._tables[0]
-    svic, tvic, graph = f.source.vicinity, f.target.vicinity, f.graph
-    for i in range(f.source.n):
+    src, tgt, graph, (img, _, _) = f
+    svic, tvic = src.vicinity, tgt.vicinity
+    for i in range(src.n):
         if img[svic[i]] & ~tvic[graph[i]]:
             return i
     return None
@@ -254,9 +285,8 @@ def _definition_core(f: SpaceMap):
     empty generates the degenerate filter, which no filter meshes, so it
     is skipped as vacuously compact.  The locus is j with the least
     source point escaping there."""
-    src = f.source
-    _, pre_tabs, fibers = f._tables
-    for j, s in enumerate(f.target.vicinity):
+    src, tgt, _, (_, pre_tabs, fibers) = f
+    for j, s in enumerate(tgt.vicinity):
         pre = pre_tabs[s]
         if pre:
             low = compact_at_core(src, pre, fibers[j])
@@ -274,9 +304,9 @@ def _definition_name(f: SpaceMap, locus: tuple) -> tuple:
 def _adh_onto_core(f: SpaceMap):
     """adh f[A] inside f[adh A] for every set A, decided by singletons:
     the first source point b, with the target points escaping at {b}."""
-    img = f._tables[0]
-    scols, tcols, graph = f.source.cols, f.target.cols, f.graph
-    for b in range(f.source.n):
+    src, tgt, graph, (img, _, _) = f
+    scols, tcols = src.cols, tgt.cols
+    for b in range(src.n):
         bad = tcols[graph[b]] & ~img[scols[b]]
         if bad:
             return b, bad
@@ -286,8 +316,9 @@ def _adh_onto_core(f: SpaceMap):
 def _fibers_core(f: SpaceMap):
     """Every nonempty fiber is cover-compact in the source: the first
     failing target point.  The empty set is cover-compact for free."""
-    for j, fib in enumerate(f._tables[2]):
-        if fib and cover_compact_core(f.source, fib) is not None:
+    src, _, _, (_, _, fibers) = f
+    for j, fib in enumerate(fibers):
+        if fib and cover_compact_core(src, fib) is not None:
             return j
     return None
 
@@ -357,12 +388,10 @@ def is_perfect(f: SpaceMap, method: str = "definition") -> Verdict:
 
 
 def f_sharp(f: SpaceMap, a: int) -> int:
-    """Small-image operator: target points whose whole fiber sits in a."""
-    out = 0
-    for j in range(f.target.n):
-        if f.fiber(j) & ~a == 0:
-            out |= 1 << j
-    return out
+    """Small-image operator: target points whose whole fiber sits in a,
+    that is the points outside the image of the rest of the source."""
+    src, tgt, _, (img, _, _) = f
+    return tgt.full & ~img[src.full & ~a]
 
 
 def fiber_inside(f: SpaceMap, a: int) -> bool:

@@ -54,7 +54,6 @@ from .maps import (
     SpaceMap,
     continuity_verdicts,
     continuous,
-    fiber_inside,
     is_strongly_irreducible,
     perfect_verdicts,
 )
@@ -295,12 +294,16 @@ def _plan_quotients(n: int, rng: random.Random):
 
 def _irreducible_by_scan(f: SpaceMap) -> Verdict:
     """Strong irreducibility by its definition: the first violating pair of
-    an ascending scan of every two sets with nonempty inherence."""
+    an ascending scan of every two sets with nonempty inherence, a pair
+    whose overlap holds no fiber, read from the fibers themselves rather
+    than through the small-image operator the route calls."""
     src = f.source
+    fibers = [f.fiber(j) for j in range(f.target.n)]
     pool = [u for u in src.subsets() if src.inh(u)]
     for u in pool:
         for v in pool:
-            if u & v and not fiber_inside(f, u & v):
+            meet = u & v
+            if meet and all(fib & ~meet for fib in fibers):
                 return Verdict(False, (src.names(u), src.names(v)))
     return PASS
 
@@ -321,16 +324,22 @@ def _check_quotient(inst) -> str | None:
     return None
 
 
+def _dense(sp: FinitePretop, base: int) -> bool:
+    """``adh(base) == full``, read from the vicinities: every least
+    vicinity meets the base."""
+    return all(v & base for v in sp.vicinity)
+
+
 def _plan_extensions(n: int, rng: random.Random):
     for size in _sizes(n):
         for sp in _spaces(size):
-            yield from ((sp, base) for base in range(1, sp.full + 1) if sp.adh(base) == sp.full)
+            yield from ((sp, base) for base in range(1, sp.full + 1) if _dense(sp, base))
     if n >= 4:
         added = 0
         while added < _SAMPLE:
             sp = _rand_space(4, rng)
             base = rng.randrange(1, 16)
-            if sp.adh(base) == 15:
+            if _dense(sp, base):
                 yield sp, base
                 added += 1
 

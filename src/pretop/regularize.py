@@ -27,8 +27,9 @@ def partial_regularization(space: FinitePretop) -> FinitePretop:
     """Each least vicinity replaced by its adherence.  On a topology this
     is the θ-form (Porter & Woods, *Extensions and Absolutes of Hausdorff
     Spaces*, 1988): the closure of a least open is the adherence of a
-    least vicinity."""
-    return FinitePretop(space.points, tuple(space.adh(m) for m in space.vicinity))
+    least vicinity.  It is built once per space and kept with it, so
+    every call on one space returns the same object."""
+    return space._regularization
 
 
 @record

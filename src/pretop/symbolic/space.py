@@ -159,7 +159,12 @@ class SymbolicPretop:
         return r.template.substitute(r.pattern.env_for(p))
 
     def vicinity(self, p: Point, k: int) -> DefSet:
-        return self.template_at(p).evaluate({"k": k})
+        """``template_at(p).evaluate({"k": k})``, evaluating the rule's
+        template once with the coordinates and ``k`` bound together."""
+        r = self.rule_for(p)
+        env = r.pattern.env_for(p)
+        env["k"] = k
+        return r.template.evaluate(env)
 
     def describe(self) -> str:
         strands = [

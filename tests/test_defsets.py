@@ -89,6 +89,16 @@ def test_unknown_point_rejected():
         Point.grid("G", 0, 1).validate(SCHEMA)  # row 0 below the 1-based axis
 
 
+MEMBERSHIP_SETS = (
+    DefSet.full(SCHEMA),
+    DefSet.empty(SCHEMA),
+    DefSet.build(SCHEMA, atoms=["pinf", "minf"]),
+    DefSet.build(SCHEMA, ray_parts={"R": IntervalSet.full(NATURALS0)}),
+    DefSet.build(SCHEMA, grid_rects={"G": [(IntervalSet.full(NATURALS1), IntervalSet.full(INTEGERS))]}),
+    DefSet.build(SCHEMA, atoms=["minf"], ray_parts={"R": ray(0, 3)}, grid_rects={"G": [(rows(1, 2), cols(0, 5))]}),
+)
+
+
 @pytest.mark.parametrize(
     "point, message",
     [
@@ -106,8 +116,36 @@ def test_validate_messages(point, message):
     with pytest.raises(UnknownPoint) as err:
         point.validate(SCHEMA)
     assert str(err.value) == message
-    with pytest.raises(UnknownPoint, match=f"^{re.escape(message)}$"):
-        point in DefSet.full(SCHEMA)
+    # membership validates only the points no box holds, with the same
+    # message whether the set meets the point's strand or not
+    for s in MEMBERSHIP_SETS:
+        with pytest.raises(UnknownPoint, match=f"^{re.escape(message)}$"):
+            point in s
+
+
+def _membership_by_validation(s: DefSet, p: Point):
+    """Membership as it read before: validate, then look for a box."""
+    p.validate(s.schema)
+    return any(all(c in side for c, side in zip(p.coords, box)) for box in s.boxes(p.strand))
+
+
+def _outcome(test, s, p):
+    try:
+        return test(s, p)
+    except UnknownPoint as err:
+        return str(err)
+
+
+drawn_points = st.builds(
+    Point,
+    st.sampled_from(["pinf", "minf", "R", "G", "X"]),
+    st.lists(st.integers(-2, 10), max_size=3).map(tuple),
+)
+
+
+@given(def_sets(), drawn_points)
+def test_membership_validates_like_the_point(s, p):
+    assert _outcome(type(s).__contains__, s, p) == _outcome(_membership_by_validation, s, p)
 
 
 def test_membership():

@@ -17,6 +17,7 @@ from pretop.intervals import (
     NATURALS1,
     AxisDomain,
     IntervalSet,
+    _normalize,
 )
 
 
@@ -113,6 +114,16 @@ def test_normal_form_sorted_disjoint_nonadjacent(axis, pairs):
     s = IntervalSet.from_pairs(axis, pairs)
     for (lo1, hi1), (lo2, hi2) in zip(s.parts, s.parts[1:]):
         assert hi1 + 1 < lo2
+
+
+@given(axes.flatmap(lambda ax: st.tuples(interval_sets(ax), interval_sets(ax))), st.integers(-10, 10))
+def test_the_algebra_returns_normal_parts_on_the_axis(pair, d):
+    # ``&``, ``~`` and ``shift`` return the parts they build without
+    # normalizing them; those parts must already be the normal form
+    a, b = pair
+    for s in (a & b, ~a, a.shift(d), a | b):
+        assert type(s.parts) is tuple and _normalize(s.parts) == s.parts
+        assert all(lo >= a.axis.low_value for lo, _ in s.parts)
 
 
 # -- Boolean algebra against the scan oracle --------------------------------

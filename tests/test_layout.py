@@ -4,7 +4,8 @@ top-level function or class is reached from the package itself, only
 the oracle scans every subset of a finite space, no module but
 ``symbolic/__init__.py`` imports the window sampler, the UTVPI core
 ``symbolic/utvpi.py`` imports no module that decides with it, only
-``maps.py`` reads a map's tables and only ``finite.py`` a space's, no
+``maps.py`` reads a map's tables, only ``finite.py`` a space's and
+only ``regularize.py`` a space's cached regularization, no
 module but ``record.py`` uses ``cached_property`` or writes an instance
 ``__dict__``, and ``import
 pretop.cli`` stays cheap (no ``dataclasses``, ``inspect``, ``json`` or
@@ -155,8 +156,14 @@ def test_only_the_oracle_scans_every_subset():
 # Private tables and the one module that may read them.  The map cores
 # skip the ``& full`` of the one-mask API because every space keeps its
 # least vicinities inside ``full`` (the ``maps`` docstring); keeping the
-# reads in one module keeps that invariant where it is stated.
-TABLE_READERS = {"_tables": "maps.py", "_adh_tables": "finite.py", "_sweep_tables": "finite.py"}
+# reads in one module keeps that invariant where it is stated.  A
+# space's cached regularization is read only by ``partial_regularization``.
+TABLE_READERS = {
+    "_tables": "maps.py",
+    "_adh_tables": "finite.py",
+    "_sweep_tables": "finite.py",
+    "_regularization": "regularize.py",
+}
 
 
 def _table_reads(root):
@@ -172,6 +179,12 @@ def _table_reads(root):
 
 def test_only_their_own_modules_read_the_kernel_tables():
     assert _table_reads(SRC) == []
+
+
+def test_a_table_read_outside_its_module_is_found(tmp_path):
+    (tmp_path / "maps.py").write_text("f._tables[0]\n", encoding="utf-8")
+    (tmp_path / "oracle.py").write_text("f._tables[1]\nsp._regularization\nsp._adh_tables\n", encoding="utf-8")
+    assert sorted(_table_reads(tmp_path)) == ["oracle.py:1 _tables", "oracle.py:2 _regularization", "oracle.py:3 _adh_tables"]
 
 
 # Writing an instance's ``__dict__``, as ``functools.cached_property`` does,

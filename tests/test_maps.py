@@ -5,7 +5,9 @@ conftest; the agreement batteries let the independent routes check one
 another.
 """
 
+import inspect
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -77,6 +79,54 @@ def test_constructors_and_apply(q3, d2, s2):
     assert f("1") == "a" and f("2") == "b"
     assert f.is_surjective()
     assert not SpaceMap.constant(d2, s2, "a").is_surjective()
+
+
+# -- the map value ----------------------------------------------------------------
+
+
+def test_a_map_compares_and_hashes_on_its_three_fields(d2, s2):
+    f, g = SpaceMap(d2, s2, (0, 1)), SpaceMap(d2, s2, [0, 1])
+    assert f == g and not f != g and hash(f) == hash(g) == hash((d2, s2, (0, 1)))
+    assert f != SpaceMap(d2, s2, (1, 0)) and f != SpaceMap(d2, d2, (0, 1))
+    assert len({f, g, SpaceMap(d2, s2, (1, 1))}) == 2
+    for items in (tuple(f), (d2, s2, (0, 1))):
+        assert f != items and items != f
+        assert not f == items and not items == f
+
+
+def test_a_map_prints_its_three_fields(d2, s2):
+    f = SpaceMap(d2, s2, (0, 1))
+    assert repr(f) == f"SpaceMap(source={d2!r}, target={s2!r}, graph=(0, 1))"
+
+
+def test_a_map_survives_a_pickle_round_trip_and_is_frozen(d2, s2):
+    f = SpaceMap(d2, s2, (0, 1))
+    back = pickle.loads(pickle.dumps(f))
+    assert back == f and tuple(back) == tuple(f) and type(back) is SpaceMap
+    for name in ("source", "graph", "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+
+
+def test_a_malformed_graph_is_refused_and_a_list_graph_kept_as_a_tuple(d2, s2):
+    with pytest.raises(PointSetMismatch, match="^graph must assign every source point$"):
+        SpaceMap(d2, s2, (0,))
+    with pytest.raises(PointSetMismatch, match="^graph hits unknown target index 5$"):
+        SpaceMap(d2, s2, (0, 5))
+    with pytest.raises(PointSetMismatch, match="^graph hits unknown target index -1$"):
+        SpaceMap(d2, s2, [-1, 0])
+    f = SpaceMap(d2, s2, [1, 0])
+    assert f.graph == (1, 0) and type(f.graph) is tuple
+
+
+def test_a_map_takes_its_three_fields_by_name(d2, s2):
+    assert str(inspect.signature(SpaceMap)) == "(source, target, graph)"
+    f = SpaceMap(source=d2, target=s2, graph=(0, 1))
+    assert (f.source, f.target, f.graph) == (d2, s2, (0, 1))
+    with pytest.raises(TypeError):
+        SpaceMap(d2, s2, (0, 1), None)
 
 
 # -- continuity ------------------------------------------------------------------
@@ -254,6 +304,19 @@ def test_f_sharp_adjunction_exhaustive():
         assert f.preimage_mask(f_sharp(f, a)) & ~a == 0
     for b in f.target.subsets():
         assert b & ~f_sharp(f, f.preimage_mask(b)) == 0
+
+
+def _f_sharp_by_fibers(f, a):
+    """f# as it read before: the target points whose fiber sits in a."""
+    return sum(1 << j for j in range(f.target.n) if f.fiber(j) & ~a == 0)
+
+
+def test_f_sharp_reads_the_fibers_off_the_image_table():
+    for s, t in itertools.product(range(1, 4), repeat=2):
+        src, tgt = D3.restrict((1 << s) - 1), D3.restrict((1 << t) - 1)
+        for f in enumerate_maps(src, tgt):
+            for a in src.subsets():
+                assert f_sharp(f, a) == _f_sharp_by_fibers(f, a), (f.graph, a)
 
 
 @given(spaces3(), spaces3(), graphs3, st.integers(0, 7), st.integers(0, 7))

@@ -15,7 +15,8 @@ from pretop.oracle import run_suites
 
 
 def test_every_suite_passes_at_four_points():
-    summary = run_suites("all", max_points=4)
+    # the digest pins every plan draw and every verdict of the battery
+    summary = run_suites("all", max_points=4, seed=0)
     assert summary.all_pass, [s for s in summary.suites if s.failures]
     assert (
         hashlib.sha256(summary.to_json().encode()).hexdigest()
@@ -65,6 +66,26 @@ def test_compact_at_catches_a_vicinity_sweep_that_returns_its_set(monkeypatch):
     (got,) = run_suites("compact-at-2way", max_points=3).suites
     assert (got.checked, got.failures) == (3173, 1064)
     assert got.counterexample.startswith("filter=False cover=True on ")
+
+
+def test_theta_quotient_catches_a_small_image_operator_that_is_always_empty(monkeypatch):
+    # the strong-irreducibility route asks the small-image operator for a
+    # fiber inside each overlap, and the definition scan reads the fibers
+    # themselves, so a wrong operator must show up as disagreements
+    monkeypatch.setattr(maps, "f_sharp", lambda f, a: 0)
+    (got,) = run_suites("theta-quotient", max_points=3).suites
+    assert (got.checked, got.failures) == (329, 128)
+    assert got.counterexample == "strong irreducibility mismatch on vic=(1,) labels=(0,)"
+
+
+def test_density_read_from_the_vicinities_is_full_adherence():
+    # the extension plans test density as every least vicinity meeting the
+    # base; on every space they sample it must pick the bases it picked
+    # by adherence, so they draw the same instances
+    for n in range(1, 5):
+        for sp in finite.enumerate_pretops(n):
+            for base in range(1, sp.full + 1):
+                assert oracle._dense(sp, base) == (sp.adh(base) == sp.full), (sp.vicinity, base)
 
 
 # -- streaming runner ------------------------------------------------------------------

@@ -38,6 +38,15 @@ def topologies(n):
     return [sp for sp in enumerate_pretops(n) if is_topological(sp).ok]
 
 
+def test_partial_regularization_is_the_adherence_of_each_vicinity_built_once():
+    spaces = [sp for n in range(1, 5) for sp in enumerate_pretops(n)]
+    assert len(spaces) == 4165
+    for sp in spaces:
+        reg = partial_regularization(sp)
+        assert reg == FinitePretop(sp.points, tuple(sp.adh(m) for m in sp.vicinity))
+        assert partial_regularization(sp) is reg
+
+
 def test_partial_regularization_q3(q3):
     reg = partial_regularization(q3)
     assert reg.names(reg.vicinity[0]) == ("1", "2")

@@ -18,6 +18,7 @@ from pretop.symbolic import (
     sym_ray,
 )
 from pretop.symbolic.exprs import SymDefSet, SymExpr, var
+from pretop.symbolic.space import SymbolicPretop, box_points, builtin
 
 _W = 4  # coordinates -W..W, clipped to the axis
 _KS = 12  # parameters 0..KS
@@ -114,6 +115,34 @@ def test_rule_axioms_are_decided_exactly(case):
             assert p in cur, (p.describe(), k)
             assert prev is None or cur.subset_of(prev), (p.describe(), k)
             prev = cur
+
+
+def _vicinity_by_substitution(x: SymbolicPretop, p: Point, k: int) -> DefSet:
+    """``vicinity`` as it read before: the point's template, then ``k``."""
+    return x.template_at(p).evaluate({"k": k})
+
+
+def _assert_vicinity_binds_like_substitution(x: SymbolicPretop, window: int):
+    for p in box_points(x, window):
+        for k in range(4):
+            assert x.vicinity(p, k) == _vicinity_by_substitution(x, p, k), (p.describe(), k)
+
+
+@pytest.mark.parametrize("key", ["urysohn", "half_grid", "discrete_ray(2)"])
+def test_vicinity_binds_like_substitution_on_the_builtins(key):
+    x = builtin(key)
+    _assert_vicinity_binds_like_substitution(x, x.bound + 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_one_rule())
+def test_vicinity_binds_like_substitution_on_drawn_rules(case):
+    # the space is assembled unvalidated: both forms evaluate the same
+    # template, whatever the axioms say of it
+    schema, rule, carrier = case
+    t = rule.template if carrier is None else rule.template.with_mask(carrier)
+    x = SymbolicPretop(schema, (VicinityRule(rule.pattern, t),), carrier=carrier)
+    _assert_vicinity_binds_like_substitution(x, _W)
 
 
 _RAY = GroundSchema(rays=(("R", NATURALS0),))
