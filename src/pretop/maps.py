@@ -9,9 +9,9 @@ Each route of :func:`is_continuous` and :func:`is_perfect` is two
 steps.  Its decision core returns the first failing locus, as masks and
 indices, or None when the route passes; its naming step turns that locus
 into the route's witness, and runs only on failure.  The boolean
-entries :func:`continuous` and :func:`perfect` run the core alone, so a
-caller that reads only the verdict, as the oracle does, builds no names
-and no :class:`~pretop.finite.Verdict`.  The finite routes the perfect
+entry :func:`continuous` runs one core alone, so a caller that reads
+only the verdict, as the oracle does, builds no names and no
+:class:`~pretop.finite.Verdict`.  The finite routes the perfect
 cores call are split the same way in ``finite`` (``compact_at_core``,
 ``cover_compact_core``), so no decision is written twice.  Each
 continuity core stops at the first failing source point; the naming
@@ -349,11 +349,6 @@ _PERFECT_ROUTES = {
     "a-and-b": (_a_and_b_core, _a_and_b_name),
 }
 PERFECT_METHODS = tuple(_PERFECT_ROUTES)
-
-
-def perfect(f: SpaceMap, method: str = "definition") -> bool:
-    """Whether ``f`` is perfect by one route, naming no witness."""
-    return _route(_PERFECT_ROUTES, method)[0](f) is None
 
 
 def perfect_verdicts(f: SpaceMap) -> list:

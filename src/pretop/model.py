@@ -34,10 +34,13 @@ binary operators left-associative.  ``{a b}`` is a finite literal
 naming points (atoms, on a symbolic space); ``all`` and ``empty`` are
 constants; a bare name refers to another ``set`` declaration.
 
-Interval clauses accept comparison forms (``rows>3``, ``cols!=0``)
-and range lists (``rows=1..4,7``, ``ray(R; 3..)``); both normalize to
-the same range-list form, which is what the canonical printer emits.
-Line comments start with ``#``.
+A strand term takes one interval clause per axis at most: an atom
+none, a ray one unlabelled clause (``ray(R; 3..)``), a grid ``rows``
+and ``cols`` at most once each, in either order; ``=`` after a label is
+optional (``rows 1`` is ``rows=1``).  Interval clauses accept comparison
+forms (``rows>3``, ``cols!=0``) and range lists (``rows=1..4,7``); both
+normalize to the same range-list form, which is what the canonical
+printer emits, rows before cols.  Line comments start with ``#``.
 """
 
 from __future__ import annotations
@@ -55,35 +58,26 @@ from .errors import (
     UnknownPoint,
 )
 from .finite import FinitePretop, mask_reader, validate_space
-from .intervals import IntervalSet
+from .intervals import INTEGERS, IntervalSet
 from .maps import SpaceMap
 from .record import field, record
 from .symbolic import SymbolicPretop, builtin
 
 # -- set-expression syntax tree ----------------------------------------------
 #
-# Interval specs are stored pre-normalized: a tuple of (lo, hi) pairs
-# with None for an open end, sorted, disjoint, non-adjacent; None in
-# place of the tuple means the whole axis.  Equal documents therefore
-# compare equal structurally, which the round-trip law relies on.
+# A strand term holds one spec per axis of its strand, in the strand's
+# axis order (rows, then cols).  A spec is the normal parts of an
+# ``IntervalSet`` over ``INTEGERS``, as the parser read them: sorted,
+# disjoint, non-adjacent (lo, hi) pairs, ±inf for an open end.  None
+# stands for the whole axis.  Equal documents therefore compare equal
+# structurally, which the round-trip law relies on.
 
 
 @record
-class AtomTerm:
+class StrandTerm:
+    kind: str  # "atom" | "ray" | "grid"
     name: str
-
-
-@record
-class RayTerm:
-    name: str
-    parts: tuple | None = None
-
-
-@record
-class GridTerm:
-    name: str
-    rows: tuple | None = None
-    cols: tuple | None = None
+    specs: tuple
 
 
 @record
@@ -195,9 +189,6 @@ class ModelDocument:
         """A finite space by name; topologies give their vicinity form."""
         return self._decl(name, (SpaceDecl, TopologyDecl), "finite space").space
 
-    def symbolic(self, name: str) -> SymbolicPretop:
-        return builtin(self._decl(name, (BuiltinDecl,), "builtin").key)
-
     def space(self, name: str):
         """Finite or symbolic space by name."""
         d = self._decl(name, (SpaceDecl, TopologyDecl, BuiltinDecl), "space")
@@ -211,9 +202,6 @@ class ModelDocument:
 
     def set_expr(self, name: str):
         return self._decl(name, (SetDecl,), "set").expr
-
-    def names(self, cls) -> tuple:
-        return tuple(d.name for d in self.declarations if isinstance(d, cls))
 
     def set_closure(self, names) -> list:
         """The named sets and every set they refer to, in dependency order."""
@@ -336,6 +324,9 @@ _CMP_HIGH = {"<": lambda n: (None, n - 1), "<=": lambda n: (None, n)}
 # refused before it can exhaust the stack.
 _MAX_NESTING = 100
 _BINARY = ("|", "\\", "&")  # loosest first
+# the clause labels of each kind of strand term, one per axis; a ray's one
+# clause is unlabelled
+_CLAUSES = {"atom": (), "ray": ("",), "grid": ("rows", "cols")}
 
 
 class _Parser:
@@ -609,44 +600,41 @@ class _Parser:
         self.advance()
         if t.value in ("all", "empty"):
             return Const(t.value)
-        if t.value == "atom":
-            self.expect_op("(")
-            name = self.ident().value
-            self.expect_op(")")
-            return AtomTerm(name)
-        if t.value == "ray":
-            self.expect_op("(")
-            name = self.ident().value
-            parts = None
-            if self.at_op(";"):
-                self.advance()
-                parts = self.interval_spec()
-            self.expect_op(")")
-            return RayTerm(name, parts)
-        if t.value == "grid":
-            self.expect_op("(")
-            name = self.ident().value
-            rows = cols = None
-            while self.at_op(";"):
-                self.advance()
-                axis = self.ident()
-                if axis.value not in ("rows", "cols"):
-                    self._fail("expected rows or cols", axis)
-                if (axis.value == "rows" and rows is not None) or (
-                    axis.value == "cols" and cols is not None
-                ):
-                    self._fail(f"duplicate {axis.value} clause", axis)
-                spec = self.interval_spec()
-                if axis.value == "rows":
-                    rows = spec
-                else:
-                    cols = spec
-            self.expect_op(")")
-            return GridTerm(name, rows, cols)
+        if t.value in _CLAUSES:
+            return self.strand_term(t.value)
         return SetRef(t.value)
 
+    def strand_term(self, kind: str) -> StrandTerm:
+        """``kind(name; clause; ...)`` after its keyword.  Labelled clauses
+        are read while a ``;`` follows, so a repeated or unknown label is
+        reported as such; an unlabelled clause is read once."""
+        labels = _CLAUSES[kind]
+        self.expect_op("(")
+        name = self.ident().value
+        specs, given = [None] * len(labels), set()
+        while self.at_op(";") and labels and (labels[0] or not given):
+            self.advance()
+            axis = self.clause_axis(labels, given)
+            specs[axis] = self.interval_spec()
+        self.expect_op(")")
+        return StrandTerm(kind, name, tuple(specs))
+
+    def clause_axis(self, labels: tuple, given: set) -> int:
+        """The axis the next clause sets, added to ``given``: the one axis
+        when unlabelled, else the one its label names, at most once."""
+        axis = 0
+        if labels[0]:
+            label = self.ident()
+            if label.value not in labels:
+                self._fail(f"expected {' or '.join(labels)}", label)
+            axis = labels.index(label.value)
+            if axis in given:
+                self._fail(f"duplicate {label.value} clause", label)
+        given.add(axis)
+        return axis
+
     def interval_spec(self) -> tuple | None:
-        """Comparison or range-list form, normalized to sorted parts."""
+        """Comparison or range-list form, normalized (None for the whole axis)."""
         t = self.tok
         if self.at_op(">", ">=", "<", "<=", "!="):
             self.advance()
@@ -660,7 +648,6 @@ class _Parser:
             return self.normalize_parts(parts, t)
         if self.at_op("="):
             self.advance()
-            return self.parts_list()
         return self.parts_list()
 
     def parts_list(self) -> tuple | None:
@@ -686,21 +673,13 @@ class _Parser:
         return (lo, lo)
 
     def normalize_parts(self, parts, tok) -> tuple | None:
-        lo_key = lambda p: float("-inf") if p[0] is None else p[0]
-        hi_key = lambda p: float("inf") if p[1] is None else p[1]
+        """The normal parts of ``parts`` (None for an open end) over the
+        integers, or None for the whole axis."""
         for lo, hi in parts:
             if lo is not None and hi is not None and lo > hi:
                 self._fail(f"empty interval {lo}..{hi}", tok)
-        merged = []
-        for part in sorted(parts, key=lambda p: (lo_key(p), hi_key(p))):
-            if merged and lo_key(part) <= hi_key(merged[-1]) + 1:
-                if hi_key(part) > hi_key(merged[-1]):
-                    merged[-1] = (merged[-1][0], part[1])
-            else:
-                merged.append(part)
-        if merged == [(None, None)]:
-            return None
-        return tuple(merged)
+        s = IntervalSet.from_pairs(INTEGERS, parts)
+        return None if s.is_full() else s.parts
 
 
 def parse_model(text: str) -> ModelDocument:
@@ -797,20 +776,14 @@ def _symbolic_term(space: SymbolicPretop, expr) -> DefSet:
     return _strand_defset(schema, expr) & carrier
 
 
-def _strand_defset(schema: GroundSchema, expr) -> DefSet:
-    if isinstance(expr, AtomTerm):
-        kind, sels = "atom", ()
-    elif isinstance(expr, RayTerm):
-        kind, sels = "ray", (expr.parts,)
-    else:
-        kind, sels = "grid", (expr.rows, expr.cols)
+def _strand_defset(schema: GroundSchema, expr: StrandTerm) -> DefSet:
     try:
-        axes = schema.axes(expr.name, kind)
+        axes = schema.axes(expr.name, expr.kind)
     except UnknownPoint as e:
         raise ResolutionError(str(e)) from None
     box = tuple(
-        IntervalSet.full(ax) if sel is None else IntervalSet.from_pairs(ax, sel)
-        for ax, sel in zip(axes, sels)
+        IntervalSet.full(ax) if spec is None else IntervalSet.from_pairs(ax, spec)
+        for ax, spec in zip(axes, expr.specs)
     )
     return DefSet.of(schema, {expr.name: [box]})
 
@@ -820,20 +793,14 @@ def _strand_defset(schema: GroundSchema, expr) -> DefSet:
 _PREC = {"|": 1, "\\": 2, "&": 3}
 
 
-def _parts_text(parts: tuple) -> str:
-    out = []
-    for lo, hi in parts:
-        if lo is None and hi is None:
-            out.append("..")
-        elif lo is None:
-            out.append(f"..{hi}")
-        elif hi is None:
-            out.append(f"{lo}..")
-        elif lo == hi:
-            out.append(str(lo))
-        else:
-            out.append(f"{lo}..{hi}")
-    return ",".join(out)
+def _term_text(term: StrandTerm) -> str:
+    """``kind(name; clause; ...)``, one clause per axis that is not whole."""
+    clauses = [term.name]
+    for label, spec in zip(_CLAUSES[term.kind], term.specs):
+        if spec is not None:
+            prefix = f"{label}=" if label else ""
+            clauses.append(prefix + IntervalSet(INTEGERS, spec).describe())
+    return f"{term.kind}({'; '.join(clauses)})"
 
 
 def print_set_expr(expr) -> str:
@@ -843,19 +810,8 @@ def print_set_expr(expr) -> str:
 
 def _print_expr(expr) -> tuple:
     """Text plus binding strength, for minimal parenthesization."""
-    if isinstance(expr, AtomTerm):
-        return f"atom({expr.name})", 5
-    if isinstance(expr, RayTerm):
-        if expr.parts is None:
-            return f"ray({expr.name})", 5
-        return f"ray({expr.name}; {_parts_text(expr.parts)})", 5
-    if isinstance(expr, GridTerm):
-        clauses = [expr.name]
-        if expr.rows is not None:
-            clauses.append(f"rows={_parts_text(expr.rows)}")
-        if expr.cols is not None:
-            clauses.append(f"cols={_parts_text(expr.cols)}")
-        return f"grid({'; '.join(clauses)})", 5
+    if isinstance(expr, StrandTerm):
+        return _term_text(expr), 5
     if isinstance(expr, FiniteLit):
         return "{" + " ".join(expr.names) + "}", 5
     if isinstance(expr, Const):
@@ -920,12 +876,9 @@ def print_model(doc: ModelDocument) -> str:
 # -- canonical literals for answers ---------------------------------------------
 
 
-# how set_literal labels the coordinates of a ray and of a grid
-_AXIS_LABELS = ((), ("",), ("rows=", "cols="))
-
-
 def set_literal(d: DefSet) -> str:
-    """Canonical expression text denoting a definable set.
+    """Canonical expression text denoting a definable set: the union of
+    its boxes, each printed as the strand term holding its parts.
 
     Evaluating the result on the schema's full carrier reproduces the
     set, which keeps golden answers byte-stable and reparseable.
@@ -934,15 +887,11 @@ def set_literal(d: DefSet) -> str:
         return "empty"
     if d == DefSet.full(d.schema):
         return "all"
-    terms = []
-    for name, boxes in d.parts:
-        for box in boxes:
-            clauses = [name]
-            for label, s in zip(_AXIS_LABELS[len(box)], box):
-                if not s.is_full():
-                    clauses.append(f"{label}{s.describe()}")
-            terms.append(f"{KINDS[len(box)]}({'; '.join(clauses)})")
-    return " | ".join(terms)
+    return " | ".join(
+        _term_text(StrandTerm(KINDS[len(box)], name, tuple(None if s.is_full() else s.parts for s in box)))
+        for name, boxes in d.parts
+        for box in boxes
+    )
 
 
 def finite_literal(space: FinitePretop, mask: int) -> str:

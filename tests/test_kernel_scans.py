@@ -5,8 +5,9 @@ order and reported the first failure.  In a finite pretopology
 adherence, images and preimages preserve unions and each point has a
 least vicinity, so the first failure is always a singleton or a least
 vicinity.  The scans are kept here as references, and the routes must
-return the same verdicts and witnesses; the boolean entries of the map
-routes, ``continuous`` and ``perfect``, must return the same verdicts.
+return the same verdicts and witnesses; the verdict lists the oracle
+reads, ``continuity_verdicts`` and ``perfect_verdicts``, must hold the
+references' verdicts.
 The H-set routes once scanned the opens of a topology, its atoms and
 every kernel of its θ-form; they now read the vicinity form, and
 ``OpenFamily`` rebuilds the old structure from the opens for the
@@ -28,12 +29,13 @@ from pretop.finite import (
     is_topological,
 )
 from pretop.maps import (
+    CONTINUITY_METHODS,
     SpaceMap,
-    continuous,
+    continuity_verdicts,
     is_continuous,
     is_perfect,
     is_strongly_irreducible,
-    perfect,
+    perfect_verdicts,
 )
 from pretop.oracle import _irreducible_by_scan
 from pretop.regularize import filter_tower, hset_check, is_quasi_phc, partial_regularization
@@ -56,6 +58,15 @@ def ref_limit(f):
         for i in range(src.n):
             if k & ~src.vicinity[i] == 0 and fk & ~tgt.vicinity[f.graph[i]]:
                 return fail((src.names(k), src.points[i]))
+    return PASS
+
+
+def ref_vicinity(f):
+    src, tgt = f.source, f.target
+    for i in range(src.n):
+        v = tgt.vicinity[f.graph[i]]
+        if f.image_mask(src.vicinity[i]) & ~v:
+            return fail((src.points[i], tgt.names(v)))
     return PASS
 
 
@@ -256,33 +267,37 @@ def discrete(n):
     return FinitePretop(tuple(str(j + 1) for j in range(n)), tuple(1 << j for j in range(n)))
 
 
-CONTINUITY = (is_continuous, continuous)
-PERFECT = (is_perfect, perfect)
-
-
 def map_routes(f):
-    """(route, (verdict entry, boolean entry), method, reference verdict)
-    for every rewritten map route."""
+    """(route, verdict entry, method, reference verdict) for every
+    rewritten map route."""
     src = f.source
-    yield "limit", CONTINUITY, "limit", ref_limit(f)
-    yield "adh-filter", CONTINUITY, "adh-filter", ref_adh(f, src.kernels())
-    yield "adh-set", CONTINUITY, "adh-set", ref_adh(f, src.subsets())
-    yield "inh", CONTINUITY, "inh", ref_inh(f)
-    yield "definition", PERFECT, "definition", ref_definition(f)
-    yield "adh-inequality", PERFECT, "adh-inequality", ref_adh_onto(f, src.kernels())
-    yield "adh-onto", PERFECT, "adh-inequality", ref_adh_onto(f, src.subsets())
-    yield "a-and-b", PERFECT, "a-and-b", ref_a_and_b(f)
+    yield "limit", is_continuous, "limit", ref_limit(f)
+    yield "adh-filter", is_continuous, "adh-filter", ref_adh(f, src.kernels())
+    yield "adh-set", is_continuous, "adh-set", ref_adh(f, src.subsets())
+    yield "inh", is_continuous, "inh", ref_inh(f)
+    yield "vicinity", is_continuous, "vicinity", ref_vicinity(f)
+    yield "definition", is_perfect, "definition", ref_definition(f)
+    yield "adh-inequality", is_perfect, "adh-inequality", ref_adh_onto(f, src.kernels())
+    yield "adh-onto", is_perfect, "adh-inequality", ref_adh_onto(f, src.subsets())
+    yield "a-and-b", is_perfect, "a-and-b", ref_a_and_b(f)
 
 
 def check_maps(maps):
-    """Compare every route on ``maps``, its witness and its boolean entry;
-    count the failing verdicts per route."""
+    """Compare every route on ``maps`` and its witness with its reference,
+    and the verdict lists the oracle reads with the references' verdicts:
+    ``continuity_verdicts`` route by route, ``perfect_verdicts`` for the
+    definition and adh-inequality routes and, on continuous maps, a-and-b.
+    Count the failing verdicts per route."""
     failing = {name: 0 for name, *_ in map_routes(maps[0])}
     for f in maps:
-        for name, (decide, holds), method, ref in map_routes(f):
+        holds = {}
+        for name, decide, method, ref in map_routes(f):
             assert verdict(decide(f, method)) == ref, (name, f)
-            assert holds(f, method) is ref[0], (name, f)
+            holds[name] = ref[0]
             failing[name] += not ref[0]
+        assert continuity_verdicts(f) == [holds[m] for m in CONTINUITY_METHODS], f
+        perfect = [holds["definition"], holds["adh-inequality"]]
+        assert perfect_verdicts(f) == perfect + [holds["a-and-b"]] * holds["limit"], f
     return failing
 
 
