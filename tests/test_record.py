@@ -231,6 +231,31 @@ def _record_classes():
 RECORDS = _record_classes()
 
 
+# The field layouts of the three strand-term classes the model language had
+# before ``StrandTerm``: one required field, then none, one or two fields
+# defaulting to None.  No value class of the package keeps the last two, so
+# these stand in for them as cases of the two per-class checks below.
+@record
+class AtomTerm:
+    name: str
+
+
+@record
+class RayTerm:
+    name: str
+    parts: tuple | None = None
+
+
+@record
+class GridTerm:
+    name: str
+    rows: tuple | None = None
+    cols: tuple | None = None
+
+
+LAYOUTS = RECORDS + [AtomTerm, RayTerm, GridTerm]
+
+
 def exec_reference(cls):
     """The methods ``record`` generates for ``cls`` (``__init__``, ``__eq__``,
     and ``__hash__`` unless the class defines its own) from one ``exec`` of
@@ -278,12 +303,12 @@ def _bare(sig):
     )
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__qualname__)
+@pytest.mark.parametrize("cls", LAYOUTS, ids=lambda c: c.__qualname__)
 def test_signature_matches_the_twin(cls):
     assert _bare(inspect.signature(cls)) == _bare(inspect.signature(twin(cls)))
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__qualname__)
+@pytest.mark.parametrize("cls", LAYOUTS, ids=lambda c: c.__qualname__)
 def test_methods_run_the_bytecode_of_one_exec_per_class(cls):
     for ref in exec_reference(cls):
         fn = vars(cls)[ref.__name__]
