@@ -130,10 +130,7 @@ def _side_code(status: str, fixed) -> str:
 
 
 def _end_atom_name(e: EndClass) -> str:
-    bits = [e.strand, _side_code(e.row, e.fixed)]
-    if e.kind == "grid":
-        bits.append(_side_code(e.col, e.fixed))
-    return "end_" + "_".join(bits)
+    return "_".join(["end", e.strand, *(_side_code(side, e.fixed) for side in e.sides)])
 
 
 def _bad_ends(x: SymbolicPretop) -> list:

@@ -88,12 +88,6 @@ class GroundSchema:
         """The ``(strand name, value)`` items of ``named`` in schema order."""
         return [(name, named[name]) for name in sorted(named, key=self._position.__getitem__)]
 
-    def ray_axis(self, name: str) -> AxisDomain:
-        return self.axes(name, "ray")[0]
-
-    def grid_axes(self, name: str) -> tuple[AxisDomain, AxisDomain]:
-        return self.axes(name, "grid")
-
 
 @record
 class Point:

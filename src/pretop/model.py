@@ -645,7 +645,7 @@ class _Parser:
                 parts = [_CMP_HIGH[t.value](n)]
             else:
                 parts = [(None, n - 1), (n + 1, None)]
-            return self.normalize_parts(parts, t)
+            return self.normalize_parts(parts)
         if self.at_op("="):
             self.advance()
         return self.parts_list()
@@ -655,7 +655,7 @@ class _Parser:
         while self.at_op(","):
             self.advance()
             parts.append(self.one_part())
-        return self.normalize_parts(parts, self.tok)
+        return self.normalize_parts(parts)
 
     def one_part(self) -> tuple:
         t = self.tok
@@ -669,15 +669,14 @@ class _Parser:
         if self.at_op(".."):
             self.advance()
             hi = self.integer() if self.tok.kind == "int" else None
+            if hi is not None and lo > hi:
+                self._fail(f"empty interval {lo}..{hi}", t)
             return (lo, hi)
         return (lo, lo)
 
-    def normalize_parts(self, parts, tok) -> tuple | None:
+    def normalize_parts(self, parts) -> tuple | None:
         """The normal parts of ``parts`` (None for an open end) over the
         integers, or None for the whole axis."""
-        for lo, hi in parts:
-            if lo is not None and hi is not None and lo > hi:
-                self._fail(f"empty interval {lo}..{hi}", tok)
         s = IntervalSet.from_pairs(INTEGERS, parts)
         return None if s.is_full() else s.parts
 

@@ -20,6 +20,7 @@ cannot be expressed exactly the functions raise
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from ..defsets import KINDS, DefSet, GroundSchema
 from ..errors import (
@@ -74,7 +75,7 @@ def _discrete_rules(schema: GroundSchema, names: tuple = ("n", "m")) -> tuple:
     for name, axes in schema.strands:
         point = tuple(SymIntervalSet(ax, ((var(v), var(v)),)) for ax, v in zip(axes, names))
         template = SymDefSet.of(schema, {name: [point]})
-        rules.append(VicinityRule(PointPattern(name, KINDS[len(axes)]), template))
+        rules.append(VicinityRule(PointPattern(name, (None,) * len(axes)), template))
     return tuple(rules)
 
 
@@ -167,9 +168,9 @@ def _family(x: SymbolicPretop, pat: PointPattern, right: SymDefSet, rules, limit
         shapes.add((floor, frozenset((p.strand, ends) for p, ends in found)))
         outer = {"N": var("n"), "M": var("m"), "K": var("k") + floor}
         template = _collect(schema, found).substitute(outer)
-        out.append((PointPattern(pat.strand, pat.kind, c.get("N"), c.get("M")), template))
+        out.append((PointPattern(pat.strand, tuple(c[v.upper()] for v in pat.vars)), template))
     if len(shapes) == 1:
-        return ((PointPattern(pat.strand, pat.kind, *pat.selectors(schema)), out[0][1]),)
+        return ((PointPattern(pat.strand, pat.selectors(schema)), out[0][1]),)
     return tuple(out)
 
 
@@ -213,34 +214,30 @@ def cl_theta(x: SymbolicPretop, s: DefSet, iterations: int = 1) -> DefSet:
 class EndClass:
     """One direction to infinity on a strand.
 
-    ``row`` and ``col`` are "plus", "minus" or "fixed"; a fixed side is
-    parametric until :meth:`pin` gives it a concrete position.
+    ``sides`` holds one side per axis of the strand, rows then columns:
+    "plus", "minus" or "fixed".  A fixed side is parametric until
+    :meth:`pin` gives it the concrete position ``fixed``.
     """
 
     strand: str
-    kind: str  # "ray" | "grid"
-    row: str
-    col: str | None = None
+    sides: tuple
     fixed: int | None = None
 
     @property
+    def kind(self) -> str:
+        return KINDS[len(self.sides)]
+
+    @property
     def parametric(self) -> bool:
-        return "fixed" in (self.row, self.col) and self.fixed is None
+        return "fixed" in self.sides and self.fixed is None
 
     def pin(self, value: int) -> "EndClass":
-        return EndClass(self.strand, self.kind, self.row, self.col, value)
+        return EndClass(self.strand, self.sides, value)
 
     def describe(self) -> str:
-        arrow = {"plus": "+", "minus": "-"}
-        if self.kind == "ray":
-            return f"{self.strand}({arrow[self.row]})"
-
-        def side(status):
-            if status == "fixed":
-                return "p" if self.fixed is None else str(self.fixed)
-            return arrow[status]
-
-        return f"{self.strand}({side(self.row)},{side(self.col)})"
+        fixed = "p" if self.fixed is None else str(self.fixed)
+        shown = {"plus": "+", "minus": "-", "fixed": fixed}
+        return f"{self.strand}({','.join(shown[side] for side in self.sides)})"
 
 
 def _sides(ax: AxisDomain) -> tuple:
@@ -248,23 +245,15 @@ def _sides(ax: AxisDomain) -> tuple:
 
 
 def _fixed_axis(schema: GroundSchema, e: EndClass) -> AxisDomain:
-    rows_ax, cols_ax = schema.grid_axes(e.strand)
-    return rows_ax if e.row == "fixed" else cols_ax
+    return schema.axes(e.strand)[e.sides.index("fixed")]
 
 
 def trace_sym(schema: GroundSchema, e: EndClass, mask, param=_B) -> SymDefSet:
     """Base rectangle of the end's trace filter, symbolic in ``b``."""
-
-    def side(status):
-        if status == "plus":
-            return (param + 1, INF)
-        if status == "minus":
-            return (NEG_INF, -param - 1)
-        return (e.fixed, e.fixed) if e.fixed is not None else (_P, _P)
-
-    axes = schema.axes(e.strand, e.kind)
-    ends = tuple(end for status in (e.row, e.col)[: len(axes)] for end in side(status))
-    return SymDefSet.of(schema, {e.strand: [sym_box(axes, ends)]}, mask)
+    fixed = _P if e.fixed is None else e.fixed
+    bounds = {"plus": (param + 1, INF), "minus": (NEG_INF, -param - 1), "fixed": (fixed, fixed)}
+    ends = tuple(end for side in e.sides for end in bounds[side])
+    return SymDefSet.of(schema, {e.strand: [sym_box(schema.axes(e.strand, e.kind), ends)]}, mask)
 
 
 def _exists_region(x: SymbolicPretop, e: EndClass):
@@ -279,25 +268,19 @@ def _exists_region(x: SymbolicPretop, e: EndClass):
 
 @lru_cache(maxsize=None)
 def ends(x: SymbolicPretop) -> tuple:
-    """End classes of the carrier, in schema order.
+    """End classes of the carrier, strand by strand in schema order.
 
-    Each grid contributes its column ends at a parametric row, its row
-    ends at a parametric column, then the corner ends; minus ends only
-    exist on two-sided axes.  Classes whose trace leaves the carrier
-    are dropped.
+    A strand's classes take one side per axis, each fixed, plus or, on a
+    two-sided axis, minus, in that order with the rows varying slowest;
+    the classes with a fixed side come first, and none has every side
+    fixed, so an atom has no end.  On a grid that gives the column
+    ends at a parametric row, the row ends at a parametric column, then
+    the corner ends.  Classes whose trace leaves the carrier are dropped.
     """
     out = []
-    for name, ax in x.schema.rays:
-        for side in _sides(ax):
-            out.append(EndClass(name, "ray", side))
-    for name, rows_ax, cols_ax in x.schema.grids:
-        for side in _sides(cols_ax):
-            out.append(EndClass(name, "grid", "fixed", side))
-        for side in _sides(rows_ax):
-            out.append(EndClass(name, "grid", side, "fixed"))
-        for rside in _sides(rows_ax):
-            for cside in _sides(cols_ax):
-                out.append(EndClass(name, "grid", rside, cside))
+    for name, axes in x.schema.strands:
+        found = [sides for sides in product(*(("fixed", *_sides(ax)) for ax in axes)) if set(sides) - {"fixed"}]
+        out += [EndClass(name, sides) for sides in sorted(found, key=lambda s: "fixed" not in s)]
     alive = []
     for e in out:
         ok = _exists_region(x, e)
@@ -650,7 +633,7 @@ def sym_hausdorff(x: SymbolicPretop) -> Verdict:
         t1, boxes1 = _pair_side(x, r1, "1")
         for r2 in x.rules[i:]:
             same = r1 is r2
-            if same and r1.pattern.kind == "atom":
+            if same and not r1.pattern.vars:
                 continue
             t2, boxes2 = _pair_side(x, r2, "2")
             apart = _apart(r1.pattern) if same else [[]]

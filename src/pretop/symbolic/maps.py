@@ -299,22 +299,12 @@ def image_end(f: SymbolicMap, e: EndClass):
     sm = f.strand_map(e.strand)
     if sm.collapses:
         return sm.point
-    if e.kind == "ray":
-        ax = f.target.schema.ray_axis(sm.target)
-        if e.row == "minus" and ax.kind == "nat":
-            raise UnclassifiableImageTrace(
-                f"{e.describe()} maps toward the floor of {sm.target!r}"
-            )
-        return EndClass(sm.target, "ray", e.row)
-    rows_ax, cols_ax = f.target.schema.grid_axes(sm.target)
-    for side, ax in ((e.row, rows_ax), (e.col, cols_ax)):
+    for side, ax in zip(e.sides, f.target.schema.axes(sm.target, e.kind)):
         if side == "minus" and ax.kind == "nat":
-            raise UnclassifiableImageTrace(
-                f"{e.describe()} maps toward the floor of {sm.target!r}"
-            )
+            raise UnclassifiableImageTrace(f"{e.describe()} maps toward the floor of {sm.target!r}")
     fixed = e.fixed
     if fixed is not None:
-        fixed += sm.offsets[0] if e.row == "fixed" else sm.offsets[1]
-    elif "fixed" in (e.row, e.col):
+        fixed += sm.offsets[e.sides.index("fixed")]
+    elif "fixed" in e.sides:
         raise UnclassifiableImageTrace(f"pin {e.describe()} before mapping it")
-    return EndClass(sm.target, "grid", e.row, e.col, fixed)
+    return EndClass(sm.target, e.sides, fixed)

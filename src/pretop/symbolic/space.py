@@ -34,37 +34,40 @@ from .exprs import SymDefSet, defset_bound, var
 class PointPattern:
     """Region of points one rule is responsible for.
 
-    For a ray strand the region is cut out by ``rows``; for a grid
-    strand by ``rows`` x ``cols``.  The template may mention the point's
-    coordinates as ``n`` (ray position or grid row) and ``m`` (grid
-    column).
+    ``sels`` holds one selector per axis of the strand, rows then
+    columns: an ``IntervalSet``, or None for the whole axis.  An atom's
+    pattern has none, a ray's one and a grid's two.  The template may
+    mention the point's coordinates as ``n`` (ray position or grid row)
+    and ``m`` (grid column).
     """
 
     strand: str
-    kind: str  # "atom" | "ray" | "grid"
-    rows: IntervalSet | None = None
-    cols: IntervalSet | None = None
+    sels: tuple
 
     @classmethod
     def atom(cls, name: str) -> "PointPattern":
-        return cls(name, "atom")
+        return cls(name, ())
 
     @classmethod
     def ray(cls, name: str, rows: IntervalSet | None = None) -> "PointPattern":
-        return cls(name, "ray", rows)
+        return cls(name, (rows,))
 
     @classmethod
     def grid(cls, name: str, rows: IntervalSet | None = None, cols: IntervalSet | None = None) -> "PointPattern":
-        return cls(name, "grid", rows, cols)
+        return cls(name, (rows, cols))
+
+    @property
+    def kind(self) -> str:
+        return KINDS[len(self.sels)]
 
     @property
     def vars(self) -> tuple:
-        return ("n", "m")[: KINDS.index(self.kind)]
+        return ("n", "m")[: len(self.sels)]
 
     def selectors(self, schema: GroundSchema) -> tuple:
-        """Concrete (rows, cols) selectors with defaults filled in."""
+        """Concrete selectors, one per axis, with defaults filled in."""
         axes = schema.axes(self.strand, self.kind)
-        return tuple(IntervalSet.full(ax) if s is None else s for ax, s in zip(axes, (self.rows, self.cols)))
+        return tuple(IntervalSet.full(ax) if s is None else s for ax, s in zip(axes, self.sels))
 
     def to_defset(self, schema: GroundSchema) -> DefSet:
         return DefSet.of(schema, {self.strand: [self.selectors(schema)]})
@@ -74,7 +77,7 @@ class PointPattern:
         if p.strand != self.strand:
             return False
         p.validate(schema)
-        return all(s is None or c in s for c, s in zip(p.coords, (self.rows, self.cols)))
+        return all(s is None or c in s for c, s in zip(p.coords, self.sels))
 
     def env_for(self, p: Point) -> dict:
         return dict(zip(self.vars, p.coords))
@@ -85,22 +88,13 @@ class PointPattern:
 
     @property
     def bound(self) -> int:
-        b = 0
-        for s in (self.rows, self.cols):
-            if s is not None:
-                b = max(b, s.max_finite_endpoint())
-        return b
+        return max((s.max_finite_endpoint() for s in self.sels if s is not None), default=0)
 
     def describe(self) -> str:
-        if self.kind == "atom":
-            return f"atom {self.strand}"
-        sel = []
-        if self.rows is not None:
-            sel.append(f"rows {self.rows.describe()}")
-        if self.cols is not None:
-            sel.append(f"cols {self.cols.describe()}")
-        where = "; ".join(sel) or "all"
-        return f"{self.kind} {self.strand} ({where})"
+        if not self.sels:
+            return f"{self.kind} {self.strand}"
+        sel = [f"{label} {s.describe()}" for label, s in zip(("rows", "cols"), self.sels) if s is not None]
+        return f"{self.kind} {self.strand} ({'; '.join(sel) or 'all'})"
 
 
 @record

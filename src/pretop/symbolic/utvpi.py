@@ -471,7 +471,7 @@ def cells(x: SymbolicPretop, pat: PointPattern | None, cell: dict, sections: lis
     outer variables are no point's coordinates, and every cell is kept.
     """
     if pat is not None:
-        sub = PointPattern(pat.strand, pat.kind, cell.get("N"), cell.get("M"))
+        sub = PointPattern(pat.strand, tuple(cell[v.upper()] for v in pat.vars))
         if not sub.to_defset(x.schema).meets(x.carrier_set):
             return []
     try:

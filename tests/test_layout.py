@@ -8,7 +8,9 @@ the oracle scans every subset of a finite space, no module but
 ``maps.py`` reads a map's tables, only ``finite.py`` a space's and
 only ``regularize.py`` a space's cached regularization, no
 module but ``record.py`` uses ``cached_property`` or writes an instance
-``__dict__``, and ``import
+``__dict__``, no module compares a value with a strand kind (``"atom"``,
+``"ray"`` or ``"grid"``), since patterns, end classes and sets hold one
+entry per axis and walk the axes in one loop, and ``import
 pretop.cli`` stays cheap (no ``dataclasses``, ``inspect``, ``json`` or
 oracle, one ``exec`` per value-class shape) and loads every name the
 benchmark's tracer wraps."""
@@ -214,6 +216,36 @@ def test_a_table_read_outside_its_module_is_found(tmp_path):
     (tmp_path / "maps.py").write_text("f._tables[0]\n", encoding="utf-8")
     (tmp_path / "oracle.py").write_text("f._tables[1]\nsp._regularization\nsp._adh_tables\n", encoding="utf-8")
     assert sorted(_table_reads(tmp_path)) == ["oracle.py:1 _tables", "oracle.py:2 _regularization", "oracle.py:3 _adh_tables"]
+
+
+STRAND_KINDS = {"atom", "ray", "grid"}
+
+
+def _kind_comparisons(root):
+    """``file:line`` of every comparison with a strand-kind literal, also
+    as a member of a tuple, list or set compared against."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            operands += [e for o in operands if isinstance(o, (ast.Tuple, ast.List, ast.Set)) for e in o.elts]
+            if any(isinstance(o, ast.Constant) and o.value in STRAND_KINDS for o in operands):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    return found
+
+
+def test_no_module_compares_a_value_with_a_strand_kind():
+    assert _kind_comparisons(SRC) == []
+
+
+def test_a_comparison_with_a_strand_kind_is_found(tmp_path):
+    (tmp_path / "space.py").write_text(
+        'if pat.kind == "atom":\n    pass\nok = "grid" != e.kind\nok = kind in ("ray", "grid")\nok = kind == "nat"\n',
+        encoding="utf-8",
+    )
+    assert _kind_comparisons(tmp_path) == ["space.py:1", "space.py:3", "space.py:4"]
 
 
 # Writing an instance's ``__dict__``, as ``functools.cached_property`` does,

@@ -253,7 +253,28 @@ class GridTerm:
     cols: tuple | None = None
 
 
-LAYOUTS = RECORDS + [AtomTerm, RayTerm, GridTerm]
+# The field layouts of ``PointPattern`` and ``EndClass`` before they held one
+# selector or side per axis: two required fields, then two defaulting to
+# None, and three required, then two defaulting to None.  No value class of
+# the package keeps either, so these too stand in as cases of the checks below.
+@record
+class KindPattern:
+    strand: str
+    kind: str
+    rows: tuple | None = None
+    cols: tuple | None = None
+
+
+@record
+class KindEnd:
+    strand: str
+    kind: str
+    row: str
+    col: str | None = None
+    fixed: int | None = None
+
+
+LAYOUTS = RECORDS + [AtomTerm, RayTerm, GridTerm, KindPattern, KindEnd]
 
 
 def exec_reference(cls):

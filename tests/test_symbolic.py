@@ -19,7 +19,7 @@ from pretop.errors import (
     UnknownBuiltin,
     WindowTooSmall,
 )
-from pretop.intervals import INF, INTEGERS, NATURALS0, NEG_INF, AxisDomain, IntervalSet
+from pretop.intervals import INF, INTEGERS, NATURALS0, NATURALS1, NEG_INF, AxisDomain, IntervalSet
 from pretop.model import eval_set, parse_set_expr, set_literal
 from pretop.symbolic import (
     DefFilterBase,
@@ -41,7 +41,7 @@ from pretop.symbolic import (
     sym_restrict,
 )
 from pretop.symbolic.analysis import _membership_region
-from pretop.symbolic.exprs import SymExpr, sym_grid, var
+from pretop.symbolic.exprs import SymDefSet, SymExpr, sym_grid, var
 from pretop.symbolic.space import box_points, truncate
 from pretop.symbolic.utvpi import cells, conjoin, section, solution
 
@@ -114,6 +114,46 @@ def test_urysohn_shape():
     ]
     # rows start at 1, columns are two-sided: a 2-window sees 2 + 2*5 points
     assert len(box_points(x, 2)) == 12
+    assert [r.pattern.describe() for r in x.rules] == ["grid G (cols ..-1,1..)", "grid G (cols 0)", "atom pinf", "atom minf"]
+    assert [r.pattern.describe() for r in sym_regularize(x).rules] == [
+        "grid G (rows all; cols ..-1,1..)",
+        "grid G (rows all; cols 0)",
+        "atom pinf",
+        "atom minf",
+    ]
+
+
+def _discrete(schema: GroundSchema, carrier: DefSet | None = None) -> SymbolicPretop:
+    """The discrete space on a schema: each point's vicinity is the point."""
+    n, m = var("n"), var("m")
+    rules = [VicinityRule(PointPattern.atom(a), SymDefSet.assemble(schema, atoms=[a])) for a in schema.atoms]
+    rules += [VicinityRule(PointPattern.ray(r), sym_ray(schema, r, (n, n))) for r, _ in schema.rays]
+    rules += [VicinityRule(PointPattern.grid(g), sym_grid(schema, g, (n, n, m, m))) for g, *_ in schema.grids]
+    return build_symbolic(schema, rules, topological=True, carrier=carrier)
+
+
+def test_ends_come_strand_by_strand_with_a_fixed_side_first():
+    # an atom has no end; a minus end needs a two-sided axis
+    schema = GroundSchema(
+        atoms=("a",),
+        rays=(("R", NATURALS0), ("Z", INTEGERS)),
+        grids=(("G", INTEGERS, INTEGERS), ("H", NATURALS1, INTEGERS), ("K", INTEGERS, NATURALS0)),
+    )
+    assert " ".join(e.describe() for e in ends(_discrete(schema))) == (
+        "R(+) Z(+) Z(-) G(p,+) G(p,-) G(+,p) G(-,p) G(+,+) G(+,-) G(-,+) G(-,-) "
+        "H(p,+) H(p,-) H(+,p) H(+,+) H(+,-) K(p,+) K(+,p) K(-,p) K(+,+) K(-,+)"
+    )
+
+
+def test_the_end_extension_names_a_negative_pin():
+    # columns -1..0 leave only the row end at a fixed column, which diverges at both
+    schema = GroundSchema(grids=(("G", NATURALS1, INTEGERS),))
+    cols = IntervalSet.bounded(INTEGERS, -1, 0)
+    x = _discrete(schema, DefSet.build(schema, grid_rects={"G": [(IntervalSet.full(NATURALS1), cols)]}))
+    assert [e.describe() for e in ends(x)] == ["G(+,p)"]
+    ext = end_extension(x)
+    assert [(name, e.describe()) for name, e in ext.added] == [("end_G_plus_m1", "G(+,-1)"), ("end_G_plus_0", "G(+,0)")]
+    assert ext.compact.ok
 
 
 def test_truncate_window_floor():

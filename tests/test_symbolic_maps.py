@@ -15,6 +15,7 @@ from pretop.errors import (
 )
 from pretop.model import eval_set, parse_set_expr, set_literal
 from pretop.symbolic import (
+    EndClass,
     StrandMap,
     build_sym_map,
     builtin,
@@ -25,6 +26,7 @@ from pretop.symbolic import (
     sym_is_continuous,
     sym_restrict,
 )
+from pretop.symbolic.analysis import trace_sym
 from pretop.symbolic.space import box_points
 
 
@@ -250,3 +252,19 @@ def test_image_end_needs_a_pin():
     assert image_end(sym_identity(x), col.pin(0)).describe() == "G(+,0)"
     with pytest.raises(UnclassifiableImageTrace):
         image_end(sym_identity(x), col)
+
+
+def test_image_end_refuses_a_minus_end_onto_a_floor(shift):
+    # ends() drops a minus end on an ℕ ray and build_sym_map refuses an image
+    # below a floor, so only a class built by hand reaches this guard
+    with pytest.raises(UnclassifiableImageTrace) as exc:
+        image_end(shift, EndClass("R1", ("minus",)))
+    assert str(exc.value) == "R1(-) maps toward the floor of 'R1'"
+
+
+def test_an_end_class_of_another_shape_is_refused(ray1):
+    corner = EndClass("R1", ("plus", "plus"))
+    with pytest.raises(UnknownPoint, match="no grid named 'R1'"):
+        trace_sym(ray1.schema, corner, None)
+    with pytest.raises(UnknownPoint, match="no grid named 'R1'"):
+        image_end(sym_identity(ray1), corner)
