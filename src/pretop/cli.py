@@ -21,7 +21,7 @@ from .errors import (
     UnclassifiableImageTrace,
     WorkbenchError,
 )
-from .finite import is_cover_compact, is_hausdorff, is_topological
+from .finite import FinitePretop, is_cover_compact, is_hausdorff, is_topological
 from .maps import is_continuous, is_perfect
 from .model import (
     ModelDocument,

@@ -154,14 +154,14 @@ def _extend(x: SymbolicPretop, atoms_for: list, label: str) -> EndExtensionSpace
     if not atoms_for:
         return EndExtensionSpace(x, x, (), sym_is_compact(x))
     names = tuple(name for name, _ in atoms_for)
-    schema2 = GroundSchema(x.schema.atoms + names, x.schema.rays, x.schema.grids)
+    schema2 = GroundSchema(x.schema.strands + tuple((n, ()) for n in names))
 
-    # the new atoms follow the old ones, so every old strand keeps its
-    # place in schema order and a set's parts stay canonical as they are
+    # the new atoms sort after the old ones and before the rays, so every
+    # old strand keeps its place and a set's parts stay canonical as they are
     def rebase(d: DefSet | None) -> DefSet | None:
         return None if d is None else DefSet(schema2, d.parts)
 
-    carrier2 = None if x.carrier is None else rebase(x.carrier) | DefSet.build(schema2, atoms=names)
+    carrier2 = None if x.carrier is None else rebase(x.carrier) | DefSet.of(schema2, {n: [()] for n in names})
     rules2 = [
         VicinityRule(r.pattern, SymDefSet(schema2, r.template.parts, rebase(r.template.mask)))
         for r in x.rules

@@ -1,15 +1,17 @@
 """Definable subsets of a ground set built from atoms, rays and grids.
 
-A ground schema names finitely many strands: standalone atoms, rays
-(one integer axis) and grids (row axis x column axis).  A definable set
-lists, in schema order, the strands it meets, each with its boxes: a
-box holds one interval set per axis of its strand, so an atom's box is
-empty, a ray's holds one set and a grid's a row set and a column set.
-The boxes are canonical: an atom has one empty box, a ray one box
-holding its union, and a grid its row groups, pairwise disjoint row
-sets each paired with a distinct nonempty column set, sorted by first
-row.  Equal canonical forms are semantically equal sets, so record
-equality is set equality.
+A ground schema is one list of strands, each a name and its axes:
+standalone atoms (no axis), rays (one integer axis) and grids (row axis
+x column axis), kept in schema order, the atoms first, then the rays,
+then the grids.  A definable set is built from boxes given per strand
+name (:meth:`DefSet.of`) and lists, in schema order, the strands it
+meets, each with its boxes: a box holds one interval set per axis of its
+strand, so an atom's box is empty, a ray's holds one set and a grid's a
+row set and a column set.  The boxes are canonical: an atom has one empty
+box, a ray one box holding its union, and a grid its row groups,
+pairwise disjoint row sets each paired with a distinct nonempty column
+set, sorted by first row.  Equal canonical forms are semantically equal
+sets, so record equality is set equality.
 """
 
 from __future__ import annotations
@@ -28,41 +30,34 @@ KINDS = ("atom", "ray", "grid")
 
 @record
 class GroundSchema:
-    """Strand names are unique across atoms, rays and grids."""
+    """The strands of a ground set: ``(name, axes)`` pairs with 0, 1 or
+    2 axes, names unique.  Schema order lists the atoms, then the rays,
+    then the grids, each in the order given."""
 
-    atoms: tuple[str, ...] = ()
-    rays: tuple[tuple[str, AxisDomain], ...] = ()
-    grids: tuple[tuple[str, AxisDomain, AxisDomain], ...] = ()
+    strands: tuple[tuple[str, tuple[AxisDomain, ...]], ...] = ()
 
     def __post_init__(self):
-        names = list(self.atoms) + [n for n, _ in self.rays] + [n for n, *_ in self.grids]
-        if len(names) != len(set(names)):
+        strands = tuple(sorted(self.strands, key=lambda strand: len(strand[1])))
+        object.__setattr__(self, "strands", strands)
+        if len({name for name, _ in strands}) != len(strands):
             raise SchemaMismatch("duplicate strand name in schema")
+        if strands and len(strands[-1][1]) >= len(KINDS):
+            raise SchemaMismatch(f"strand {strands[-1][0]!r} has more than two axes")
 
     # Every template set of a symbolic space carries its schema, so a
     # space's hash would walk every strand once per template.  The hash is
-    # kept instead; a pickle carries only the fields, since a string's
+    # kept instead; a pickle carries only the strands, since a string's
     # hash differs from one process to the next.
 
     @lazy
     def _hash(self) -> int:
-        return hash((self.atoms, self.rays, self.grids))
+        return hash((self.strands,))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        return GroundSchema, (self.atoms, self.rays, self.grids)
-
-    @lazy
-    def strands(self) -> tuple:
-        """``(name, axes)`` of every strand in schema order: the atoms
-        (no axes), the rays (``(axis,)``), then the grids (``(rows, cols)``)."""
-        return (
-            tuple((a, ()) for a in self.atoms)
-            + tuple((n, (ax,)) for n, ax in self.rays)
-            + tuple((n, (r, c)) for n, r, c in self.grids)
-        )
+        return GroundSchema, (self.strands,)
 
     @lazy
     def _axes(self) -> dict:
@@ -86,7 +81,11 @@ class GroundSchema:
 
     def in_order(self, named: dict) -> list:
         """The ``(strand name, value)`` items of ``named`` in schema order."""
-        return [(name, named[name]) for name in sorted(named, key=self._position.__getitem__)]
+        try:
+            order = sorted(named, key=self._position.__getitem__)
+        except KeyError as e:
+            raise UnknownPoint(f"no strand named {e.args[0]!r}") from None
+        return [(name, named[name]) for name in order]
 
 
 @record
@@ -227,24 +226,6 @@ class DefSet:
             if boxes:
                 parts.append((name, boxes))
         return cls(schema, tuple(parts))
-
-    @classmethod
-    def build(cls, schema: GroundSchema, atoms=(), ray_parts=None, grid_rects=None) -> "DefSet":
-        """Assemble from atoms, ray sets and grid rectangles given by
-        strand name, and canonicalize.
-
-        ``ray_parts`` maps ray name -> IntervalSet; ``grid_rects`` maps
-        grid name -> iterable of (row IntervalSet, col IntervalSet).
-        """
-        given = (
-            ("atom", {a: [()] for a in atoms}),
-            ("ray", {n: [(s,)] for n, s in dict(ray_parts or {}).items()}),
-            ("grid", dict(grid_rects or {})),
-        )
-        for kind, named in given:
-            for name in named:
-                schema.axes(name, kind)
-        return cls.of(schema, {n: boxes for _, named in given for n, boxes in named.items()})
 
     @classmethod
     def empty(cls, schema: GroundSchema) -> "DefSet":

@@ -768,10 +768,12 @@ def _symbolic_term(space: SymbolicPretop, expr) -> DefSet:
     if isinstance(expr, Const):
         return carrier if expr.which == "all" else DefSet.empty(schema)
     if isinstance(expr, FiniteLit):
-        for name in expr.names:
-            if name not in schema.atoms:
-                raise ResolutionError(f"no atom named {name!r}")
-        return DefSet.build(schema, atoms=expr.names) & carrier
+        try:
+            for name in expr.names:
+                schema.axes(name, "atom")
+        except UnknownPoint as e:
+            raise ResolutionError(str(e)) from None
+        return DefSet.of(schema, {name: [()] for name in expr.names}) & carrier
     return _strand_defset(schema, expr) & carrier
 
 
@@ -812,7 +814,7 @@ def _print_expr(expr) -> tuple:
     if isinstance(expr, StrandTerm):
         return _term_text(expr), 5
     if isinstance(expr, FiniteLit):
-        return "{" + " ".join(expr.names) + "}", 5
+        return _braces(expr.names), 5
     if isinstance(expr, Const):
         return expr.which, 5
     if isinstance(expr, SetRef):
@@ -865,8 +867,7 @@ def print_model(doc: ModelDocument) -> str:
             lines.append("}")
             blocks.append("\n".join(lines))
         elif isinstance(d, BuiltinDecl):
-            rhs = d.kind if d.arg is None else f"{d.kind}({d.arg})"
-            blocks.append(f"builtin {d.name} = {rhs}")
+            blocks.append(f"builtin {d.name} = {d.key}")
         else:
             blocks.append(f"set {d.name} = {print_set_expr(d.expr)}")
     return "\n\n".join(blocks) + "\n"

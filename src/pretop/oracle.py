@@ -464,16 +464,17 @@ def _check_intervals(inst) -> str | None:
 
 
 def _rand_defset(rng: random.Random, schema) -> DefSet:
-    atoms = [a for a in schema.atoms if rng.random() < 0.5]
-    ray_parts = {n: _rand_interval(rng, ax) for n, ax in schema.rays}
-    grid_rects = {
-        n: [
-            (_rand_interval(rng, rows_ax), _rand_interval(rng, cols_ax))
-            for _ in range(rng.randrange(3))
-        ]
-        for n, rows_ax, cols_ax in schema.grids
-    }
-    return DefSet.build(schema, atoms, ray_parts, grid_rects)
+    # the strands come atoms first, then rays, then grids: an atom is
+    # drawn in or out, a ray gets one box and a grid up to two
+    strands = {}
+    for name, axes in schema.strands:
+        if not axes:
+            if rng.random() < 0.5:
+                strands[name] = [()]
+        else:
+            count = 1 if len(axes) == 1 else rng.randrange(3)
+            strands[name] = [tuple(_rand_interval(rng, ax) for ax in axes) for _ in range(count)]
+    return DefSet.of(schema, strands)
 
 
 def _plan_defsets(n: int, rng: random.Random):

@@ -16,7 +16,7 @@ from .analysis import (
     sym_regularize,
     sym_restrict,
 )
-from .exprs import SymDefSet, SymExpr, SymInterval, SymIntervalSet, sym_grid, sym_ray
+from .exprs import SymDefSet, SymExpr, SymInterval, SymIntervalSet
 from .maps import (
     StrandMap,
     SymbolicMap,
@@ -61,14 +61,12 @@ __all__ = [
     "noncompact_ends",
     "sym_adh",
     "sym_compact_at",
-    "sym_grid",
     "sym_hausdorff",
     "sym_identity",
     "sym_image",
     "sym_inh",
     "sym_is_compact",
     "sym_is_continuous",
-    "sym_ray",
     "sym_regularize",
     "sym_restrict",
     "truncate",

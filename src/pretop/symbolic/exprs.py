@@ -224,24 +224,6 @@ class SymDefSet:
         return cls(schema, tuple((n, tuple(boxes)) for n, boxes in schema.in_order(strands) if boxes), mask)
 
     @classmethod
-    def assemble(cls, schema: GroundSchema, atoms=(), ray_parts=None, grid_rects=None, mask=None) -> "SymDefSet":
-        """Build from atoms, ray pieces and grid rectangles given by
-        strand name, coercing plain endpoint tuples.
-
-        ``ray_parts`` maps ray name to an iterable of (lo, hi) pieces,
-        each its own box; ``grid_rects`` maps grid name to an iterable of
-        rectangles given as (row lo, row hi, col lo, col hi) or as
-        (row set, column set).
-        """
-        strands = {}
-        given = (("atom", {a: [()] for a in atoms}), ("ray", ray_parts or {}), ("grid", grid_rects or {}))
-        for kind, named in given:
-            for name, pieces in dict(named).items():
-                axes = schema.axes(name, kind)
-                strands[name] = [tuple(p) if len(p) == len(axes) else sym_box(axes, p) for p in pieces]
-        return cls.of(schema, strands, mask)
-
-    @classmethod
     def from_defset(cls, d: DefSet) -> "SymDefSet":
         parts = tuple(
             (n, tuple(tuple(map(SymIntervalSet.from_concrete, box)) for box in boxes)) for n, boxes in d.parts
@@ -295,12 +277,3 @@ class SymDefSet:
             body += " (masked)"
         return body
 
-
-def sym_ray(schema: GroundSchema, name: str, *pieces, atoms=()) -> SymDefSet:
-    """One-ray symbolic set from (lo, hi) endpoint pairs."""
-    return SymDefSet.assemble(schema, atoms=atoms, ray_parts={name: pieces})
-
-
-def sym_grid(schema: GroundSchema, name: str, *rects, atoms=()) -> SymDefSet:
-    """One-grid symbolic set from (row lo, row hi, col lo, col hi) rectangles."""
-    return SymDefSet.assemble(schema, atoms=atoms, grid_rects={name: rects})

@@ -27,7 +27,7 @@ from ..errors import (
 from ..finite import FinitePretop
 from ..intervals import INF, NEG_INF, INTEGERS, NATURALS0, NATURALS1, IntervalSet
 from ..record import record
-from .exprs import SymDefSet, defset_bound, var
+from .exprs import SymDefSet, defset_bound, sym_box, var
 
 
 @record
@@ -221,55 +221,57 @@ _M = var("m")
 
 
 def _urysohn() -> SymbolicPretop:
-    schema = GroundSchema(atoms=("pinf", "minf"), grids=(("G", NATURALS1, INTEGERS),))
+    grid = (NATURALS1, INTEGERS)
+    schema = GroundSchema((("pinf", ()), ("minf", ()), ("G", grid)))
     nonzero = IntervalSet.from_pairs(INTEGERS, [(NEG_INF, -1), (1, INF)])
     zero = IntervalSet.single(INTEGERS, 0)
     rules = (
         VicinityRule(
             PointPattern.grid("G", cols=nonzero),
-            SymDefSet.assemble(schema, grid_rects={"G": [(_N, _N, _M, _M)]}),
+            SymDefSet.of(schema, {"G": [sym_box(grid, (_N, _N, _M, _M))]}),
         ),
         VicinityRule(
             PointPattern.grid("G", cols=zero),
-            SymDefSet.assemble(
+            SymDefSet.of(
                 schema,
-                grid_rects={
+                {
                     "G": [
-                        (_N, _N, 0, 0),
-                        (_N, _N, _K + 1, INF),
-                        (_N, _N, NEG_INF, -_K - 1),
+                        sym_box(grid, (_N, _N, 0, 0)),
+                        sym_box(grid, (_N, _N, _K + 1, INF)),
+                        sym_box(grid, (_N, _N, NEG_INF, -_K - 1)),
                     ]
                 },
             ),
         ),
         VicinityRule(
             PointPattern.atom("pinf"),
-            SymDefSet.assemble(schema, atoms=["pinf"], grid_rects={"G": [(_K + 1, INF, 1, INF)]}),
+            SymDefSet.of(schema, {"pinf": [()], "G": [sym_box(grid, (_K + 1, INF, 1, INF))]}),
         ),
         VicinityRule(
             PointPattern.atom("minf"),
-            SymDefSet.assemble(schema, atoms=["minf"], grid_rects={"G": [(_K + 1, INF, NEG_INF, -1)]}),
+            SymDefSet.of(schema, {"minf": [()], "G": [sym_box(grid, (_K + 1, INF, NEG_INF, -1))]}),
         ),
     )
     return build_symbolic(schema, rules, topological=True, label="urysohn")
 
 
 def _half_grid() -> SymbolicPretop:
-    schema = GroundSchema(atoms=("pinf",), grids=(("G", NATURALS1, NATURALS0),))
+    grid = (NATURALS1, NATURALS0)
+    schema = GroundSchema((("pinf", ()), ("G", grid)))
     positive = IntervalSet.at_least(NATURALS0, 1)
     zero = IntervalSet.single(NATURALS0, 0)
     rules = (
         VicinityRule(
             PointPattern.grid("G", cols=positive),
-            SymDefSet.assemble(schema, grid_rects={"G": [(_N, _N, _M, _M)]}),
+            SymDefSet.of(schema, {"G": [sym_box(grid, (_N, _N, _M, _M))]}),
         ),
         VicinityRule(
             PointPattern.grid("G", cols=zero),
-            SymDefSet.assemble(schema, grid_rects={"G": [(_N, _N, 0, 0), (_N, _N, _K + 1, INF)]}),
+            SymDefSet.of(schema, {"G": [sym_box(grid, (_N, _N, 0, 0)), sym_box(grid, (_N, _N, _K + 1, INF))]}),
         ),
         VicinityRule(
             PointPattern.atom("pinf"),
-            SymDefSet.assemble(schema, atoms=["pinf"], grid_rects={"G": [(_K + 1, INF, 1, INF)]}),
+            SymDefSet.of(schema, {"pinf": [()], "G": [sym_box(grid, (_K + 1, INF, 1, INF))]}),
         ),
     )
     return build_symbolic(schema, rules, topological=True, label="half_grid")
@@ -278,13 +280,10 @@ def _half_grid() -> SymbolicPretop:
 def _discrete_ray(count: int) -> SymbolicPretop:
     if count < 1:
         raise UnknownBuiltin(f"discrete_ray needs at least one strand, got {count}")
-    schema = GroundSchema(rays=tuple((f"R{i}", NATURALS0) for i in range(1, count + 1)))
+    schema = GroundSchema(tuple((f"R{i}", (NATURALS0,)) for i in range(1, count + 1)))
     rules = tuple(
-        VicinityRule(
-            PointPattern.ray(name),
-            SymDefSet.assemble(schema, ray_parts={name: [(_N, _N)]}),
-        )
-        for name, _ in schema.rays
+        VicinityRule(PointPattern.ray(name), SymDefSet.of(schema, {name: [sym_box(axes, (_N, _N))]}))
+        for name, axes in schema.strands
     )
     return build_symbolic(schema, rules, topological=True, label=f"discrete_ray({count})")
 

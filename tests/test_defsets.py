@@ -8,17 +8,15 @@ import re
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from pretop.construct import end_extension
 from pretop.defsets import DefSet, GroundSchema, Point
 from pretop.errors import SchemaMismatch, UnknownPoint
 from pretop.intervals import INTEGERS, NATURALS0, NATURALS1, IntervalSet
 from pretop.symbolic.analysis import sym_regularize
-from pretop.symbolic.space import PointPattern, box_points, builtin
+from pretop.symbolic.exprs import SymDefSet, sym_box, var
+from pretop.symbolic.space import PointPattern, VicinityRule, box_points, build_symbolic, builtin
 
-SCHEMA = GroundSchema(
-    atoms=("pinf", "minf"),
-    rays=(("R", NATURALS0),),
-    grids=(("G", NATURALS1, INTEGERS),),
-)
+SCHEMA = GroundSchema((("pinf", ()), ("minf", ()), ("R", (NATURALS0,)), ("G", (NATURALS1, INTEGERS))))
 
 
 def ray(lo, hi=None):
@@ -53,12 +51,8 @@ def def_sets(draw):
                 IntervalSet.from_pairs(INTEGERS, [(clo, chi)]),
             )
         )
-    return DefSet.build(
-        SCHEMA,
-        atoms=atoms,
-        ray_parts={"R": IntervalSet.from_pairs(NATURALS0, ray_pairs)},
-        grid_rects={"G": rects},
-    )
+    strands = {a: [()] for a in atoms}
+    return DefSet.of(SCHEMA, {**strands, "R": [(IntervalSet.from_pairs(NATURALS0, ray_pairs),)], "G": rects})
 
 
 def probe_points(*sets):
@@ -73,13 +67,40 @@ def probe_points(*sets):
 
 
 def test_duplicate_strand_names_rejected():
-    with pytest.raises(SchemaMismatch):
-        GroundSchema(atoms=("a",), rays=(("a", NATURALS0),))
+    with pytest.raises(SchemaMismatch, match="duplicate strand name"):
+        GroundSchema((("a", ()), ("a", (NATURALS0,))))
+
+
+def test_the_schema_lists_atoms_then_rays_then_grids_each_in_the_order_given():
+    grid, ray = ("G", (NATURALS1, INTEGERS)), ("R", (NATURALS0,))
+    schema = GroundSchema((grid, ("b", ()), ray, ("a", ())))
+    assert schema.strands == (("b", ()), ("a", ()), ray, grid)
+    assert schema == GroundSchema((("b", ()), ("a", ()), ray, grid))
+
+
+def test_a_strand_with_three_axes_is_rejected():
+    with pytest.raises(SchemaMismatch, match="'C' has more than two axes"):
+        GroundSchema((("a", ()), ("C", (NATURALS0, NATURALS0, NATURALS0))))
+
+
+def test_an_end_extension_puts_its_atoms_after_the_old_atoms_and_before_the_rays():
+    at = (var("n"), var("n"), var("m"), var("m"))
+    schema = GroundSchema((("G", (NATURALS1, INTEGERS)), ("R", (NATURALS0,)), ("p", ())))
+    rules = [
+        VicinityRule(PointPattern(name, (None,) * len(axes)), SymDefSet.of(schema, {name: [sym_box(axes, at)]}))
+        for name, axes in schema.strands
+    ]
+    # two columns keep the grid's row end pinned, as the end extension needs
+    carrier = DefSet.of(schema, {"p": [()], "R": [(ray(0),)], "G": [(rows(1), cols(0, 1))]})
+    ext = end_extension(build_symbolic(schema, rules, topological=True, carrier=carrier))
+    added = [name for name, _ in ext.added]
+    assert added == ["end_R_plus", "end_G_plus_0", "end_G_plus_1"]
+    assert [name for name, _ in ext.space.schema.strands] == ["p", *added, "R", "G"]
 
 
 def test_unknown_atom_rejected():
-    with pytest.raises(UnknownPoint):
-        DefSet.build(SCHEMA, atoms=["nope"])
+    with pytest.raises(UnknownPoint, match="no strand named 'nope'"):
+        DefSet.of(SCHEMA, {"nope": [()]})
 
 
 def test_unknown_point_rejected():
@@ -92,10 +113,10 @@ def test_unknown_point_rejected():
 MEMBERSHIP_SETS = (
     DefSet.full(SCHEMA),
     DefSet.empty(SCHEMA),
-    DefSet.build(SCHEMA, atoms=["pinf", "minf"]),
-    DefSet.build(SCHEMA, ray_parts={"R": IntervalSet.full(NATURALS0)}),
-    DefSet.build(SCHEMA, grid_rects={"G": [(IntervalSet.full(NATURALS1), IntervalSet.full(INTEGERS))]}),
-    DefSet.build(SCHEMA, atoms=["minf"], ray_parts={"R": ray(0, 3)}, grid_rects={"G": [(rows(1, 2), cols(0, 5))]}),
+    DefSet.of(SCHEMA, {"pinf": [()], "minf": [()]}),
+    DefSet.of(SCHEMA, {"R": [(IntervalSet.full(NATURALS0),)]}),
+    DefSet.of(SCHEMA, {"G": [(IntervalSet.full(NATURALS1), IntervalSet.full(INTEGERS))]}),
+    DefSet.of(SCHEMA, {"minf": [()], "R": [(ray(0, 3),)], "G": [(rows(1, 2), cols(0, 5))]}),
 )
 
 
@@ -149,11 +170,7 @@ def test_membership_validates_like_the_point(s, p):
 
 
 def test_membership():
-    s = DefSet.build(
-        SCHEMA,
-        atoms=["pinf"],
-        grid_rects={"G": [(rows(2, 4), cols(0, 0))]},
-    )
+    s = DefSet.of(SCHEMA, {"pinf": [()], "G": [(rows(2, 4), cols(0, 0))]})
     assert Point.atom("pinf") in s
     assert Point.atom("minf") not in s
     assert Point.grid("G", 3, 0) in s
@@ -165,17 +182,14 @@ def test_membership():
 
 
 def test_overlapping_rectangles_merge():
-    a = DefSet.build(SCHEMA, grid_rects={"G": [(rows(1, 5), cols(0, 3)), (rows(3, 8), cols(0, 3))]})
-    b = DefSet.build(SCHEMA, grid_rects={"G": [(rows(1, 8), cols(0, 3))]})
+    a = DefSet.of(SCHEMA, {"G": [(rows(1, 5), cols(0, 3)), (rows(3, 8), cols(0, 3))]})
+    b = DefSet.of(SCHEMA, {"G": [(rows(1, 8), cols(0, 3))]})
     assert a == b
     assert len(a.boxes("G")) == 1
 
 
 def test_row_groups_disjoint_and_distinct():
-    s = DefSet.build(
-        SCHEMA,
-        grid_rects={"G": [(rows(1, 6), cols(0, 0)), (rows(4, None), cols(2, 2))]},
-    )
+    s = DefSet.of(SCHEMA, {"G": [(rows(1, 6), cols(0, 0)), (rows(4, None), cols(2, 2))]})
     groups = s.boxes("G")
     seen_cols = set()
     for i, (r1, c1) in enumerate(groups):
@@ -189,7 +203,7 @@ def test_row_groups_disjoint_and_distinct():
 
 
 def test_empty_rectangles_dropped():
-    s = DefSet.build(SCHEMA, grid_rects={"G": [(IntervalSet.empty(NATURALS1), cols(0, 1))]})
+    s = DefSet.of(SCHEMA, {"G": [(IntervalSet.empty(NATURALS1), cols(0, 1))]})
     assert s.is_empty()
 
 
@@ -225,7 +239,7 @@ def test_complement_laws(a):
 
 def test_complement_rectangle_identity():
     # (S x T)^c = S^c x full | S x T^c, here checked through the algebra
-    s = DefSet.build(SCHEMA, grid_rects={"G": [(rows(2, 5), cols(-1, 3))]})
+    s = DefSet.of(SCHEMA, {"G": [(rows(2, 5), cols(-1, 3))]})
     comp = ~s
     assert Point.grid("G", 1, 0) in comp
     assert Point.grid("G", 3, 4) in comp
@@ -234,7 +248,7 @@ def test_complement_rectangle_identity():
 
 
 def test_schema_mismatch():
-    other = GroundSchema(atoms=("x",))
+    other = GroundSchema((("x", ()),))
     with pytest.raises(SchemaMismatch):
         DefSet.full(SCHEMA) & DefSet.full(other)
 
@@ -243,38 +257,28 @@ def test_schema_mismatch():
 
 
 def test_cardinality_finite_grid():
-    s = DefSet.build(SCHEMA, grid_rects={"G": [(rows(1, 4), cols(-2, 2))]})
+    s = DefSet.of(SCHEMA, {"G": [(rows(1, 4), cols(-2, 2))]})
     assert s.is_finite() and s.cardinality() == 20
 
 
 def test_cardinality_with_all_strands():
-    s = DefSet.build(
-        SCHEMA,
-        atoms=["pinf"],
-        ray_parts={"R": ray(0, 3)},
-        grid_rects={"G": [(rows(1, 2), cols(5, 6))]},
-    )
+    s = DefSet.of(SCHEMA, {"pinf": [()], "R": [(ray(0, 3),)], "G": [(rows(1, 2), cols(5, 6))]})
     assert s.cardinality() == 1 + 4 + 4
 
 
 def test_infinite_not_finite():
-    assert not DefSet.build(SCHEMA, ray_parts={"R": ray(5, None)}).is_finite()
+    assert not DefSet.of(SCHEMA, {"R": [(ray(5, None),)]}).is_finite()
 
 
 def test_meets():
-    a = DefSet.build(SCHEMA, grid_rects={"G": [(rows(1, None), cols(1, None))]})
-    b = DefSet.build(SCHEMA, grid_rects={"G": [(rows(3, 3), cols(-5, 1))]})
-    c = DefSet.build(SCHEMA, grid_rects={"G": [(rows(3, 3), cols(-5, -1))]})
+    a = DefSet.of(SCHEMA, {"G": [(rows(1, None), cols(1, None))]})
+    b = DefSet.of(SCHEMA, {"G": [(rows(3, 3), cols(-5, 1))]})
+    c = DefSet.of(SCHEMA, {"G": [(rows(3, 3), cols(-5, -1))]})
     assert a.meets(b) and not a.meets(c)
 
 
 def test_describe_mentions_each_strand():
-    s = DefSet.build(
-        SCHEMA,
-        atoms=["minf"],
-        ray_parts={"R": ray(2, None)},
-        grid_rects={"G": [(rows(1, None), cols(0, 0))]},
-    )
+    s = DefSet.of(SCHEMA, {"minf": [()], "R": [(ray(2, None),)], "G": [(rows(1, None), cols(0, 0))]})
     d = s.describe()
     assert "atom(minf)" in d and "ray(R; 2..)" in d and "grid(G;" in d
 
@@ -295,15 +299,17 @@ def seeded_interval(rng, axis):
 
 
 def seeded_defset(rng, schema):
-    return DefSet.build(
-        schema,
-        atoms=[a for a in schema.atoms if rng.random() < 0.5],
-        ray_parts={n: seeded_interval(rng, ax) for n, ax in schema.rays},
-        grid_rects={
-            n: [(seeded_interval(rng, r), seeded_interval(rng, c)) for _ in range(rng.randrange(4))]
-            for n, r, c in schema.grids
-        },
-    )
+    """Each atom in or out, one box on each ray, up to three on each grid,
+    drawn strand by strand in schema order."""
+    strands = {}
+    for name, axes in schema.strands:
+        if not axes:
+            if rng.random() < 0.5:
+                strands[name] = [()]
+        else:
+            count = 1 if len(axes) == 1 else rng.randrange(4)
+            strands[name] = [tuple(seeded_interval(rng, ax) for ax in axes) for _ in range(count)]
+    return DefSet.of(schema, strands)
 
 
 @pytest.mark.parametrize("key", BUILTINS)
@@ -312,7 +318,7 @@ def test_membership_is_meeting_the_point_set(key):
     rng = random.Random(f"membership:{key}")
     sets = [seeded_defset(rng, x.schema) for _ in range(24)]
     sets += [DefSet.empty(x.schema), DefSet.full(x.schema)]
-    if x.schema.grids:  # sets of several row groups, where the group that decides matters
+    if "G" in dict(x.schema.strands):  # sets of several row groups, where the group that decides matters
         assert any(len(s.boxes("G")) > 1 for s in sets)
     for p in box_points(x, 6):
         point = DefSet.point(x.schema, p)
@@ -326,13 +332,14 @@ def test_a_pattern_matches_the_points_of_its_region(key):
     schema = x.schema
     rng = random.Random(f"patterns:{key}")
     pats = [r.pattern for r in x.rules + sym_regularize(x).rules]
-    for n, ax in schema.rays:
-        pats += [PointPattern.ray(n, seeded_interval(rng, ax)) for _ in range(8)]
-    for n, r, c in schema.grids:
-        pats += [
-            PointPattern.grid(n, *(None if rng.random() < 0.3 else seeded_interval(rng, a) for a in (r, c)))
-            for _ in range(8)
-        ]
+    for n, axes in schema.strands:
+        if len(axes) == 1:
+            pats += [PointPattern.ray(n, seeded_interval(rng, axes[0])) for _ in range(8)]
+        elif axes:
+            pats += [
+                PointPattern(n, tuple(None if rng.random() < 0.3 else seeded_interval(rng, a) for a in axes))
+                for _ in range(8)
+            ]
     for pat in pats:
         region = pat.to_defset(schema)
         for p in box_points(x, 6):

@@ -13,13 +13,21 @@ module but ``record.py`` uses ``cached_property`` or writes an instance
 entry per axis and walk the axes in one loop, and ``import
 pretop.cli`` stays cheap (no ``dataclasses``, ``inspect``, ``json`` or
 oracle, one ``exec`` per value-class shape) and loads every name the
-benchmark's tracer wraps."""
+benchmark's tracer wraps, and every annotation of the package
+resolves."""
 
 import ast
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
+
+import pretop
+from pretop.record import lazy
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pretop"
 TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
@@ -28,8 +36,6 @@ TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 UNREACHED = {
     "phc_report": "H-closed on finite spaces, to be reached by `check h-closed`",
     "sym_compact_at": "the symbolic H-set check is compactness at a set of the regularization",
-    "sym_ray": "builds a parametric set on one ray, for the symbolic tests",
-    "sym_grid": "builds a parametric set on one grid, for the symbolic tests",
     "sym_restrict": "symbolic subspaces, the counterpart of FinitePretop.restrict",
     "solve_axis": "perfbench/tracer.py wraps it by name; goes with ROADMAP item 1",
     "fit_defsets": "perfbench/tracer.py wraps it by name; goes with ROADMAP item 1",
@@ -109,6 +115,41 @@ def test_every_public_name_is_reached_or_allowed():
     assert unreached == set(UNREACHED), sorted(unreached ^ set(UNREACHED))
     unreached = {qual for qual, name in methods.items() if name not in named}
     assert unreached == set(UNREACHED_METHODS), sorted(unreached ^ set(UNREACHED_METHODS))
+
+
+def _annotated(module):
+    """``(qualified name, object)`` of every function and class a module
+    defines, and of every method, property getter and lazy function of
+    those classes."""
+    for name, value in vars(module).items():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        qual = f"{module.__name__}.{name}"
+        if isinstance(value, type):
+            yield qual, value
+            for attr, member in vars(value).items():
+                if isinstance(member, property):
+                    member = member.fget
+                elif isinstance(member, lazy):
+                    member = member.fn
+                member = getattr(member, "__func__", member)  # a classmethod or staticmethod
+                if inspect.isfunction(member):
+                    yield f"{qual}.{attr}", member
+        elif inspect.isfunction(inspect.unwrap(value)):
+            yield qual, value
+
+
+def test_every_annotation_resolves():
+    # a name an annotation uses but its module never imports goes unseen
+    # until something reads the hints, as typing.get_type_hints does
+    broken = []
+    for info in pkgutil.walk_packages(pretop.__path__, "pretop."):
+        for qual, obj in _annotated(importlib.import_module(info.name)):
+            try:
+                typing.get_type_hints(obj)
+            except Exception as e:  # noqa: BLE001 - every failure is reported
+                broken.append(f"{qual}: {type(e).__name__}: {e}")
+    assert broken == []
 
 
 def _imports(path):

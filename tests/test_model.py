@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pretop.defsets import DefSet
+from pretop.defsets import KINDS, DefSet
 from pretop.errors import ParseError, WorkbenchError
 from pretop.model import (
     MapDecl,
@@ -135,9 +135,10 @@ def _interval_text(rng: random.Random) -> str:
 def _strand_names(key: str) -> dict:
     """The strand names of a builtin's schema by kind, and finite literals
     over its atoms."""
-    schema = builtin(key).schema
-    names = {"atom": schema.atoms, "ray": tuple(n for n, _ in schema.rays), "grid": tuple(n for n, *_ in schema.grids)}
-    names["lit"] = ("all", "empty", "{}", "{%s}" % " ".join(schema.atoms)) + tuple("{%s}" % a for a in schema.atoms)
+    strands = builtin(key).schema.strands
+    names = {kind: tuple(n for n, axes in strands if len(axes) == i) for i, kind in enumerate(KINDS)}
+    atoms = names["atom"]
+    names["lit"] = ("all", "empty", "{}", "{%s}" % " ".join(atoms)) + tuple("{%s}" % a for a in atoms)
     return names
 
 

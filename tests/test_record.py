@@ -50,17 +50,37 @@ def twin(cls):
 
 
 NAT = AxisDomain("nat")
-SCHEMA = GroundSchema(("a",), (("r", NAT),), (("g", NAT, AxisDomain("int")),))
+SCHEMA = GroundSchema((("a", ()), ("r", (NAT,)), ("g", (NAT, AxisDomain("int")))))
+
+
+# The field layout of ``GroundSchema`` before it held one strand list:
+# three fields, each defaulting to (), and a ``__post_init__`` that checks
+# the strand names.  No value class of the package keeps it, so this
+# stands in for it as a case of the checks below.
+@record
+class KindSchema:
+    atoms: tuple = ()
+    rays: tuple = ()
+    grids: tuple = ()
+
+    def __post_init__(self):
+        names = [*self.atoms, *(ray[0] for ray in self.rays), *(grid[0] for grid in self.grids)]
+        if len(names) != len(set(names)):
+            raise SchemaMismatch("duplicate strand name in schema")
+
 
 # (class, a full positional argument list, the number of required fields)
 CASES = [
     (Verdict, (False, ("1", "2")), 1),
     (FinitePretop, (("1", "2"), (1, 3)), 2),
     (SetDecl, ("A", SetRef("B"), 7), 2),
-    (GroundSchema, (SCHEMA.atoms, SCHEMA.rays, SCHEMA.grids), 0),
+    (GroundSchema, (SCHEMA.strands,), 0),
+    (KindSchema, (("a",), (("r", NAT),), (("g", NAT, AxisDomain("int")),)), 0),
     (SymbolicPretop, (SCHEMA, (), True, None, "S"), 2),
 ]
 IDS = [c[0].__name__ for c in CASES]
+# a first field unlike every case's; "x" cannot be a strand list
+OTHER_FIRST = {GroundSchema: (("x", ()),)}
 
 
 @pytest.mark.parametrize("cls, args, required", CASES, ids=IDS)
@@ -98,7 +118,7 @@ def test_eq_and_hash_match_the_twin(cls, args, required):
     # equal fields in another class are not equal
     assert a != std(*args) and not a == std(*args)
     assert a.__eq__(std(*args)) is NotImplemented
-    changed = cls("x", *args[1:])
+    changed = cls(OTHER_FIRST.get(cls, "x"), *args[1:])
     assert a != changed and not a == changed
 
 
@@ -174,8 +194,8 @@ def test_a_class_defined_hash_stays_like_the_twin():
 
 
 def test_the_schema_keeps_its_hash_but_no_pickle_carries_it():
-    schema = GroundSchema(SCHEMA.atoms, SCHEMA.rays, SCHEMA.grids)
-    assert hash(schema) == hash((schema.atoms, schema.rays, schema.grids))
+    schema = GroundSchema(SCHEMA.strands)
+    assert hash(schema) == hash((schema.strands,))
     assert vars(schema)["_hash"] == hash(schema)
     back = pickle.loads(pickle.dumps(schema))
     assert back == schema and "_hash" not in vars(back) and hash(back) == hash(schema)
@@ -183,19 +203,22 @@ def test_the_schema_keeps_its_hash_but_no_pickle_carries_it():
 
 def test_post_init_runs_after_every_field_is_set(monkeypatch):
     seen = []
-    check = GroundSchema.__post_init__
+    check = KindSchema.__post_init__
 
     def spy(self):
         seen.append((self.atoms, self.rays, self.grids))
         check(self)
 
-    monkeypatch.setattr(GroundSchema, "__post_init__", spy)
-    GroundSchema(("a",), grids=(("g", NAT, NAT),))
+    monkeypatch.setattr(KindSchema, "__post_init__", spy)
+    KindSchema(("a",), grids=(("g", NAT, NAT),))
     assert seen == [(("a",), (), (("g", NAT, NAT),))]
     monkeypatch.undo()
-    for cls in (GroundSchema, twin(GroundSchema)):
+    for cls in (KindSchema, twin(KindSchema)):
         with pytest.raises(SchemaMismatch, match="duplicate strand name"):
             cls(("a",), (("a", NAT),))
+    for cls in (GroundSchema, twin(GroundSchema)):
+        with pytest.raises(SchemaMismatch, match="duplicate strand name"):
+            cls((("a", ()), ("a", (NAT,))))
 
 
 @pytest.mark.parametrize("cls, args, required", CASES, ids=IDS)
@@ -274,7 +297,7 @@ class KindEnd:
     fixed: int | None = None
 
 
-LAYOUTS = RECORDS + [AtomTerm, RayTerm, GridTerm, KindPattern, KindEnd]
+LAYOUTS = RECORDS + [AtomTerm, RayTerm, GridTerm, KindPattern, KindEnd, KindSchema]
 
 
 def exec_reference(cls):

@@ -36,12 +36,11 @@ from pretop.symbolic import (
     sym_hausdorff,
     sym_inh,
     sym_is_compact,
-    sym_ray,
     sym_regularize,
     sym_restrict,
 )
 from pretop.symbolic.analysis import _membership_region
-from pretop.symbolic.exprs import SymDefSet, SymExpr, sym_grid, var
+from pretop.symbolic.exprs import SymDefSet, SymExpr, sym_box, var
 from pretop.symbolic.space import box_points, truncate
 from pretop.symbolic.utvpi import cells, conjoin, section, solution
 
@@ -64,7 +63,7 @@ def box_set(x: SymbolicPretop, window: int) -> DefSet:
 
 def test_builtin_cache_and_keys():
     assert builtin("urysohn") is builtin("urysohn")
-    assert builtin("discrete_ray(2)").schema.rays[1][0] == "R2"
+    assert builtin("discrete_ray(2)").schema.strands[1][0] == "R2"
     with pytest.raises(UnknownBuiltin):
         builtin("moebius")
 
@@ -104,7 +103,7 @@ def test_a_huge_or_padded_ray_count_is_read_by_its_digits():
 
 def test_urysohn_shape():
     x = builtin("urysohn")
-    assert x.schema.atoms == ("pinf", "minf")
+    assert [name for name, axes in x.schema.strands if not axes] == ["pinf", "minf"]
     assert [e.describe() for e in ends(x)] == [
         "G(p,+)",
         "G(p,-)",
@@ -125,19 +124,25 @@ def test_urysohn_shape():
 
 def _discrete(schema: GroundSchema, carrier: DefSet | None = None) -> SymbolicPretop:
     """The discrete space on a schema: each point's vicinity is the point."""
-    n, m = var("n"), var("m")
-    rules = [VicinityRule(PointPattern.atom(a), SymDefSet.assemble(schema, atoms=[a])) for a in schema.atoms]
-    rules += [VicinityRule(PointPattern.ray(r), sym_ray(schema, r, (n, n))) for r, _ in schema.rays]
-    rules += [VicinityRule(PointPattern.grid(g), sym_grid(schema, g, (n, n, m, m))) for g, *_ in schema.grids]
+    at = (var("n"), var("n"), var("m"), var("m"))
+    rules = [
+        VicinityRule(PointPattern(name, (None,) * len(axes)), SymDefSet.of(schema, {name: [sym_box(axes, at)]}))
+        for name, axes in schema.strands
+    ]
     return build_symbolic(schema, rules, topological=True, carrier=carrier)
 
 
 def test_ends_come_strand_by_strand_with_a_fixed_side_first():
     # an atom has no end; a minus end needs a two-sided axis
     schema = GroundSchema(
-        atoms=("a",),
-        rays=(("R", NATURALS0), ("Z", INTEGERS)),
-        grids=(("G", INTEGERS, INTEGERS), ("H", NATURALS1, INTEGERS), ("K", INTEGERS, NATURALS0)),
+        (
+            ("a", ()),
+            ("R", (NATURALS0,)),
+            ("Z", (INTEGERS,)),
+            ("G", (INTEGERS, INTEGERS)),
+            ("H", (NATURALS1, INTEGERS)),
+            ("K", (INTEGERS, NATURALS0)),
+        )
     )
     assert " ".join(e.describe() for e in ends(_discrete(schema))) == (
         "R(+) Z(+) Z(-) G(p,+) G(p,-) G(+,p) G(-,p) G(+,+) G(+,-) G(-,+) G(-,-) "
@@ -147,9 +152,9 @@ def test_ends_come_strand_by_strand_with_a_fixed_side_first():
 
 def test_the_end_extension_names_a_negative_pin():
     # columns -1..0 leave only the row end at a fixed column, which diverges at both
-    schema = GroundSchema(grids=(("G", NATURALS1, INTEGERS),))
+    schema = GroundSchema((("G", (NATURALS1, INTEGERS)),))
     cols = IntervalSet.bounded(INTEGERS, -1, 0)
-    x = _discrete(schema, DefSet.build(schema, grid_rects={"G": [(IntervalSet.full(NATURALS1), cols)]}))
+    x = _discrete(schema, DefSet.of(schema, {"G": [(IntervalSet.full(NATURALS1), cols)]}))
     assert [e.describe() for e in ends(x)] == ["G(+,p)"]
     ext = end_extension(x)
     assert [(name, e.describe()) for name, e in ext.added] == [("end_G_plus_m1", "G(+,-1)"), ("end_G_plus_0", "G(+,0)")]
@@ -337,8 +342,11 @@ def test_the_window_set_holds_exactly_the_window_points(key):
 # -- custom spaces and validation ---------------------------------------------------
 
 
+_RAY_AXES = (AxisDomain("nat", 0),)
+
+
 def _ray_schema() -> GroundSchema:
-    return GroundSchema(rays=(("R", AxisDomain("nat", 0)),))
+    return GroundSchema((("R", _RAY_AXES),))
 
 
 def test_build_symbolic_accepts_tail_space():
@@ -346,7 +354,7 @@ def test_build_symbolic_accepts_tail_space():
     rules = (
         VicinityRule(
             PointPattern.ray("R"),
-            sym_ray(schema, "R", (var("n"), INF)),
+            SymDefSet.of(schema, {"R": [sym_box(_RAY_AXES, (var("n"), INF))]}),
         ),
     )
     x = build_symbolic(schema, rules, label="tails")
@@ -358,7 +366,7 @@ def test_build_symbolic_rejects_gap():
     rules = (
         VicinityRule(
             PointPattern.ray("R", IntervalSet.from_pairs(AxisDomain("nat", 0), [(1, None)])),
-            sym_ray(schema, "R", (var("n"), var("n"))),
+            SymDefSet.of(schema, {"R": [sym_box(_RAY_AXES, (var("n"), var("n")))]}),
         ),
     )
     with pytest.raises(PatternGap):
@@ -371,11 +379,11 @@ def test_build_symbolic_rejects_overlap():
     rules = (
         VicinityRule(
             PointPattern.ray("R"),
-            sym_ray(schema, "R", (var("n"), var("n"))),
+            SymDefSet.of(schema, {"R": [sym_box(_RAY_AXES, (var("n"), var("n")))]}),
         ),
         VicinityRule(
             PointPattern.ray("R", IntervalSet.from_pairs(axis, [(2, 4)])),
-            sym_ray(schema, "R", (var("n"), var("n"))),
+            SymDefSet.of(schema, {"R": [sym_box(_RAY_AXES, (var("n"), var("n")))]}),
         ),
     )
     with pytest.raises(PatternOverlap):
@@ -387,7 +395,7 @@ def test_build_symbolic_rejects_missing_self():
     rules = (
         VicinityRule(
             PointPattern.ray("R"),
-            sym_ray(schema, "R", (var("n") + 1, INF)),
+            SymDefSet.of(schema, {"R": [sym_box(_RAY_AXES, (var("n") + 1, INF))]}),
         ),
     )
     with pytest.raises(SelfMembershipViolation):
@@ -401,7 +409,7 @@ def test_build_symbolic_rejects_growing_template():
     rules = (
         VicinityRule(
             PointPattern.ray("R"),
-            sym_ray(schema, "R", (var("n"), var("n")), (0, var("k"))),
+            SymDefSet.of(schema, {"R": [sym_box(_RAY_AXES, (var("n"), var("n"))), sym_box(_RAY_AXES, (0, var("k")))]}),
         ),
     )
     with pytest.raises(NonMonotoneRule):
@@ -411,18 +419,19 @@ def test_build_symbolic_rejects_growing_template():
 # -- Hausdorff separation by tight closure --------------------------------------
 
 _N, _K = var("n"), var("k")
-_NAT = GroundSchema(rays=(("R", NATURALS0),))
-_ZZ = GroundSchema(rays=(("Z", INTEGERS),))
+_NAT = GroundSchema((("R", (NATURALS0,)),))
+_ZZ = GroundSchema((("Z", (INTEGERS,)),))
 
 
 def _one_rule(schema: GroundSchema, *pieces) -> SymbolicPretop:
-    name = schema.rays[0][0]
-    return build_symbolic(schema, [VicinityRule(PointPattern.ray(name), sym_ray(schema, name, *pieces))])
+    [(name, axes)] = schema.strands
+    t = SymDefSet.of(schema, {name: [sym_box(axes, p) for p in pieces]})
+    return build_symbolic(schema, [VicinityRule(PointPattern.ray(name), t)])
 
 
 def _split_mirror() -> SymbolicPretop:
     # {n, -n+9} on Z, one rule for ..3 and one for 4..
-    t = sym_ray(_ZZ, "Z", (_N, _N), (-_N + 9, -_N + 9))
+    t = SymDefSet.of(_ZZ, {"Z": [sym_box((INTEGERS,), (_N, _N)), sym_box((INTEGERS,), (-_N + 9, -_N + 9))]})
     halves = ((None, 3), (4, None))
     return build_symbolic(
         _ZZ,
@@ -432,17 +441,18 @@ def _split_mirror() -> SymbolicPretop:
 
 def _coupled() -> SymbolicPretop:
     # rows [n, m] tie the two coordinates, so adherence regions are no boxes
-    schema = GroundSchema(grids=(("G", NATURALS0, NATURALS0),))
+    grid = (NATURALS0, NATURALS0)
+    schema = GroundSchema((("G", grid),))
     rows = IntervalSet.from_pairs(NATURALS0, [(0, 3)])
     cols = IntervalSet.from_pairs(NATURALS0, [(4, None)])
-    t = sym_grid(schema, "G", (_N, var("m"), var("m"), var("m")))
-    carrier = DefSet.build(schema, grid_rects={"G": [(rows, cols)]})
+    t = SymDefSet.of(schema, {"G": [sym_box(grid, (_N, var("m"), var("m"), var("m")))]})
+    carrier = DefSet.of(schema, {"G": [(rows, cols)]})
     return build_symbolic(schema, [VicinityRule(PointPattern.grid("G", rows, cols), t)], carrier=carrier)
 
 
 def _ray_from_zero() -> DefSet:
     # the carrier alone keeps -n and n apart
-    return DefSet.build(_ZZ, ray_parts={"Z": IntervalSet.from_pairs(INTEGERS, [(0, None)])})
+    return DefSet.of(_ZZ, {"Z": [(IntervalSet.from_pairs(INTEGERS, [(0, None)]),)]})
 
 
 def _restricted(text: str) -> SymbolicPretop:
@@ -564,8 +574,11 @@ def test_a_tie_the_other_comparisons_imply_is_answered_exactly():
     # rows [n, m] x cols [m, m] meets rows 2 only where n <= 2 <= m, so n <= m
     # follows; meeting cols 5 leaves n <= m = 5 to the tie, which the closed
     # bound n <= 5 then implies
-    schema = GroundSchema(grids=(("G", NATURALS0, NATURALS0),))
-    t = sym_grid(schema, "G", (_N, _N, var("m"), var("m")), (_N, var("m"), var("m"), var("m")))
+    grid = (NATURALS0, NATURALS0)
+    schema = GroundSchema((("G", grid),))
+    t = SymDefSet.of(
+        schema, {"G": [sym_box(grid, (_N, _N, var("m"), var("m"))), sym_box(grid, (_N, var("m"), var("m"), var("m")))]}
+    )
     x = build_symbolic(schema, [VicinityRule(PointPattern.grid("G"), t)])
     s = _set(x, "grid(G; rows=2)")
     adh = sym_adh(x, s)

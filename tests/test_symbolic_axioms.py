@@ -15,9 +15,8 @@ from pretop.symbolic import (
     PointPattern,
     VicinityRule,
     build_symbolic,
-    sym_ray,
 )
-from pretop.symbolic.exprs import SymDefSet, SymExpr, var
+from pretop.symbolic.exprs import SymDefSet, SymExpr, sym_box, var
 from pretop.symbolic.space import SymbolicPretop, box_points, builtin
 
 _W = 4  # coordinates -W..W, clipped to the axis
@@ -54,12 +53,10 @@ def _one_rule(draw):
     if draw(st.booleans()):
         lo = draw(st.integers(-2, 2))
         rows = IntervalSet.from_pairs(rows_ax, [(lo, draw(st.sampled_from((lo, lo + 2, None))))])
-    if grid:
-        schema = GroundSchema(grids=(("G", rows_ax, cols_ax),))
-        t, pat = SymDefSet.assemble(schema, grid_rects={"G": pieces}), PointPattern.grid("G", rows)
-    else:
-        schema = GroundSchema(rays=(("R", rows_ax),))
-        t, pat = SymDefSet.assemble(schema, ray_parts={"R": pieces}), PointPattern.ray("R", rows)
+    name, axes = ("G", (rows_ax, cols_ax)) if grid else ("R", (rows_ax,))
+    schema = GroundSchema(((name, axes),))
+    t = SymDefSet.of(schema, {name: [sym_box(axes, p) for p in pieces]})
+    pat = PointPattern(name, (rows, None)[: len(axes)])
     return schema, VicinityRule(pat, t), None if rows is None else pat.to_defset(schema)
 
 
@@ -145,14 +142,15 @@ def test_vicinity_binds_like_substitution_on_drawn_rules(case):
     _assert_vicinity_binds_like_substitution(x, _W)
 
 
-_RAY = GroundSchema(rays=(("R", NATURALS0),))
+_AXES = (NATURALS0,)
+_RAY = GroundSchema((("R", _AXES),))
 _N, _K = var("n"), var("k")
 
 
 def test_a_rule_breaking_both_axioms_reports_self_membership():
     # [k, k] holds n only at k = n, and grows at every step; the witness
     # fixes n, then k, nearest 0
-    rule = VicinityRule(PointPattern.ray("R"), sym_ray(_RAY, "R", (_K, _K)))
+    rule = VicinityRule(PointPattern.ray("R"), SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (_K, _K))]}))
     with pytest.raises(SelfMembershipViolation, match=r"^R\(0\) missing from its own vicinity at k=1$"):
         build_symbolic(_RAY, [rule])
 
@@ -160,18 +158,18 @@ def test_a_rule_breaking_both_axioms_reports_self_membership():
 def test_a_growing_rule_names_its_first_step():
     # [3, k] is empty up to k = 2 and then gains k + 1 at each step; the
     # first system puts the new point below n, so n = 4 at k = 2
-    rule = VicinityRule(PointPattern.ray("R"), sym_ray(_RAY, "R", (_N, _N), (3, _K)))
+    rule = VicinityRule(PointPattern.ray("R"), SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (_N, _N)), sym_box(_AXES, (3, _K))]}))
     with pytest.raises(NonMonotoneRule, match=r"^vicinity of R\(4\) grows from k=2 to k=3$"):
         build_symbolic(_RAY, [rule])
 
 
 def test_a_template_mask_without_a_carrier_must_hold_each_point():
-    five = DefSet.build(_RAY, ray_parts={"R": IntervalSet.from_pairs(NATURALS0, [(0, 5)])})
-    rule = VicinityRule(PointPattern.ray("R"), sym_ray(_RAY, "R", (_N, _N)).with_mask(five))
+    five = DefSet.of(_RAY, {"R": [(IntervalSet.from_pairs(NATURALS0, [(0, 5)]),)]})
+    rule = VicinityRule(PointPattern.ray("R"), SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (_N, _N))]}).with_mask(five))
     with pytest.raises(SelfMembershipViolation, match=r"^R\(6\) missing from its own vicinity at k=0$"):
         build_symbolic(_RAY, [rule])
     # the same mask as carrier confines the points instead
-    build_symbolic(_RAY, [VicinityRule(PointPattern.ray("R"), sym_ray(_RAY, "R", (_N, _N)))], carrier=five)
+    build_symbolic(_RAY, [VicinityRule(PointPattern.ray("R"), SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (_N, _N))]}))], carrier=five)
 
 
 # -- filter families -----------------------------------------------------------------
@@ -179,18 +177,18 @@ def test_a_template_mask_without_a_carrier_must_hold_each_point():
 
 def test_a_family_empty_from_three_on_raises_at_three():
     with pytest.raises(EmptyKernel, match="^filter family is empty at k=3$"):
-        DefFilterBase(sym_ray(_RAY, "R", (0, -_K + 2)))
+        DefFilterBase(SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (0, -_K + 2))]}))
 
 
 def test_a_growing_family_raises_at_its_first_step():
     with pytest.raises(NonMonotoneRule, match="^filter family grows from k=0 to k=1$"):
-        DefFilterBase(sym_ray(_RAY, "R", (0, _K)))
+        DefFilterBase(SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (0, _K))]}))
 
 
 def test_emptiness_comes_first_at_an_earlier_or_equal_step():
     # [k-2, k-2] is empty for k < 2 and grows from k=1 to k=2
     with pytest.raises(EmptyKernel, match="^filter family is empty at k=0$"):
-        DefFilterBase(sym_ray(_RAY, "R", (_K - 2, _K - 2)))
+        DefFilterBase(SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (_K - 2, _K - 2))]}))
 
 
 def test_the_principal_family_of_the_empty_set_is_empty():
@@ -199,5 +197,5 @@ def test_the_principal_family_of_the_empty_set_is_empty():
 
 
 def test_shrinking_families_are_accepted():
-    tail = DefFilterBase(sym_ray(_RAY, "R", (_K + 1, INF)))
-    assert tail.at(4) == DefSet.build(_RAY, ray_parts={"R": IntervalSet.from_pairs(NATURALS0, [(5, None)])})
+    tail = DefFilterBase(SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (_K + 1, INF))]}))
+    assert tail.at(4) == DefSet.of(_RAY, {"R": [(IntervalSet.from_pairs(NATURALS0, [(5, None)]),)]})

@@ -39,7 +39,7 @@ from pretop.symbolic import (
     sym_is_compact,
     sym_regularize,
 )
-from pretop.symbolic.exprs import SymDefSet, SymExpr, var
+from pretop.symbolic.exprs import SymDefSet, SymExpr, sym_box, var
 
 SEEDS = 150
 DIGEST = "75be19f7a2705035a069b0ec63cfc0c20e637465d41d2c500e7057d44ba218fb"
@@ -88,52 +88,39 @@ def _space(rng: random.Random):
     if rng.random() < 0.3:
         lo = rng.randint(-2, 2) if axes[0] is INTEGERS else rng.randint(0, 2)
         rows = IntervalSet.from_pairs(axes[0], [(lo, rng.choice((lo, lo + 2, None)))])
-    if grid:
-        schema = GroundSchema(atoms=("a",), grids=(("G", *axes),))
-        pat, parts = PointPattern.grid("G", rows), {"grid_rects": {"G": pieces}}
-        atom_tail = {"grid_rects": {"G": [tail]}}
-    else:
-        schema = GroundSchema(atoms=("a",), rays=(("R", axes[0]),))
-        pat, parts = PointPattern.ray("R", rows), {"ray_parts": {"R": pieces}}
-        atom_tail = {"ray_parts": {"R": [tail]}}
+    name = "G" if grid else "R"
+    schema = GroundSchema((("a", ()), (name, axes)))
+    pat = PointPattern(name, (rows, None)[: len(axes)])
     rules = (
-        VicinityRule(pat, SymDefSet.assemble(schema, **parts)),
-        VicinityRule(PointPattern.atom("a"), SymDefSet.assemble(schema, atoms=["a"], **atom_tail)),
+        VicinityRule(pat, SymDefSet.of(schema, {name: [sym_box(axes, p) for p in pieces]})),
+        VicinityRule(PointPattern.atom("a"), SymDefSet.of(schema, {"a": [()], name: [sym_box(axes, tail)]})),
     )
     carrier = None if rows is None else pat.to_defset(schema) | PointPattern.atom("a").to_defset(schema)
     return build_symbolic(schema, rules, topological=True, carrier=carrier, label="g"), pat.kind
 
 
 def _pieces(rng: random.Random, axes: tuple, coords: tuple) -> list:
-    """The point's own piece and one or two drawn pieces on one strand."""
+    """The boxes of the point's own piece and of one or two drawn pieces
+    on one strand."""
     names = coords + (("k",) if rng.random() < 0.5 else ())
     sides = ("lo", "hi") * len(axes)
     own = tuple(var(c) for c in coords for _ in range(2))
-    return [own] + [tuple(_endpoint(rng, names, s) for s in sides) for _ in range(rng.randint(1, 2))]
+    pieces = [own] + [tuple(_endpoint(rng, names, s) for s in sides) for _ in range(rng.randint(1, 2))]
+    return [sym_box(axes, p) for p in pieces]
 
 
 def _mixed_space(rng: random.Random):
     ray_axis = rng.choice((NATURALS0, INTEGERS))
     grid_axes = tuple(rng.choice((NATURALS0, INTEGERS)) for _ in range(2))
-    schema = GroundSchema(atoms=("b", "a"), rays=(("R", ray_axis),), grids=(("G", *grid_axes),))
+    ray_axes = (ray_axis,)
+    schema = GroundSchema((("b", ()), ("a", ()), ("R", ray_axes), ("G", grid_axes)))
     tail = (var("k") + 1, INF)
+    ray_tail, grid_tail = sym_box(ray_axes, tail), sym_box(grid_axes, tail * 2)
     rules = (
-        VicinityRule(
-            PointPattern.ray("R"),
-            SymDefSet.assemble(schema, ray_parts={"R": _pieces(rng, (ray_axis,), ("n",))}),
-        ),
-        VicinityRule(
-            PointPattern.grid("G"),
-            SymDefSet.assemble(schema, grid_rects={"G": _pieces(rng, grid_axes, ("n", "m"))}),
-        ),
-        VicinityRule(
-            PointPattern.atom("b"),
-            SymDefSet.assemble(schema, atoms=["b"], ray_parts={"R": [tail]}, grid_rects={"G": [tail * 2]}),
-        ),
-        VicinityRule(
-            PointPattern.atom("a"),
-            SymDefSet.assemble(schema, atoms=["a"], grid_rects={"G": [tail * 2]}),
-        ),
+        VicinityRule(PointPattern.ray("R"), SymDefSet.of(schema, {"R": _pieces(rng, ray_axes, ("n",))})),
+        VicinityRule(PointPattern.grid("G"), SymDefSet.of(schema, {"G": _pieces(rng, grid_axes, ("n", "m"))})),
+        VicinityRule(PointPattern.atom("b"), SymDefSet.of(schema, {"b": [()], "R": [ray_tail], "G": [grid_tail]})),
+        VicinityRule(PointPattern.atom("a"), SymDefSet.of(schema, {"a": [()], "G": [grid_tail]})),
     )
     return build_symbolic(schema, rules, topological=True, label="m")
 

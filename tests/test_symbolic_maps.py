@@ -176,9 +176,7 @@ def spaces():
 
 
 def _strands(x) -> list:
-    out = [(a, 0) for a in x.schema.atoms]
-    out += [(n, 1) for n, _ in x.schema.rays]
-    return out + [(n, 2) for n, *_ in x.schema.grids]
+    return [(n, len(axes)) for n, axes in x.schema.strands]
 
 
 def _random_map(rng: random.Random, spaces):
