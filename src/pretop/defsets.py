@@ -79,6 +79,15 @@ class GroundSchema:
             raise UnknownPoint(f"no {kind or 'strand'} named {name!r}")
         return axes
 
+    def check_boxes(self, name: str, boxes) -> tuple:
+        """The axes of a strand, once each of ``boxes`` is seen to hold one
+        entry per axis."""
+        axes = self._axes[name]
+        for box in boxes:
+            if len(box) != len(axes):
+                raise SchemaMismatch(f"a box of strand {name!r} has {len(box)} axes, not {len(axes)}")
+        return axes
+
     def in_order(self, named: dict) -> list:
         """The ``(strand name, value)`` items of ``named`` in schema order."""
         try:
@@ -222,7 +231,7 @@ class DefSet:
         """The union of the boxes given per strand name, canonicalized."""
         parts = []
         for name, boxes in schema.in_order(strands):
-            boxes = _canonical(schema._axes[name], boxes)
+            boxes = _canonical(schema.check_boxes(name, boxes), boxes)
             if boxes:
                 parts.append((name, boxes))
         return cls(schema, tuple(parts))

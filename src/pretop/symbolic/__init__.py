@@ -16,7 +16,7 @@ from .analysis import (
     sym_regularize,
     sym_restrict,
 )
-from .exprs import SymDefSet, SymExpr, SymInterval, SymIntervalSet
+from .exprs import SymDefSet, SymExpr
 from .maps import (
     StrandMap,
     SymbolicMap,
@@ -46,8 +46,6 @@ __all__ = [
     "StrandMap",
     "SymDefSet",
     "SymExpr",
-    "SymInterval",
-    "SymIntervalSet",
     "SymbolicMap",
     "SymbolicPretop",
     "VicinityRule",

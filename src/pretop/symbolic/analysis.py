@@ -36,7 +36,7 @@ from ..errors import (
 from ..finite import Verdict
 from ..intervals import INF, NEG_INF, NATURALS0, AxisDomain, IntervalSet
 from ..record import record
-from .exprs import SymDefSet, SymExpr, SymInterval, SymIntervalSet, sym_box, var
+from .exprs import SymDefSet, SymExpr, endpoint_vars, sym_box, var
 from .space import PointPattern, SymbolicPretop, VicinityRule
 from .utvpi import (
     LIMITS_K,
@@ -73,7 +73,7 @@ def _discrete_rules(schema: GroundSchema, names: tuple = ("n", "m")) -> tuple:
     large parameter."""
     rules = []
     for name, axes in schema.strands:
-        point = tuple(SymIntervalSet(ax, ((var(v), var(v)),)) for ax, v in zip(axes, names))
+        point = tuple((var(v), var(v)) for v in names[: len(axes)])
         template = SymDefSet.of(schema, {name: [point]})
         rules.append(VicinityRule(PointPattern(name, (None,) * len(axes)), template))
     return tuple(rules)
@@ -140,7 +140,7 @@ def _collect(schema: GroundSchema, found) -> SymDefSet:
     strands: dict = {}
     for pat, ends in found:
         strands.setdefault(pat.strand, {})[ends] = None
-    boxes = {n: [sym_box(schema.axes(n), e) for e in ends] for n, ends in strands.items()}
+    boxes = {n: [sym_box(e) for e in ends] for n, ends in strands.items()}
     return SymDefSet.of(schema, boxes)
 
 
@@ -250,10 +250,11 @@ def _fixed_axis(schema: GroundSchema, e: EndClass) -> AxisDomain:
 
 def trace_sym(schema: GroundSchema, e: EndClass, mask, param=_B) -> SymDefSet:
     """Base rectangle of the end's trace filter, symbolic in ``b``."""
+    schema.axes(e.strand, e.kind)  # an end of another shape names no strand
     fixed = _P if e.fixed is None else e.fixed
     bounds = {"plus": (param + 1, INF), "minus": (NEG_INF, -param - 1), "fixed": (fixed, fixed)}
     ends = tuple(end for side in e.sides for end in bounds[side])
-    return SymDefSet.of(schema, {e.strand: [sym_box(schema.axes(e.strand, e.kind), ends)]}, mask)
+    return SymDefSet.of(schema, {e.strand: [sym_box(ends)]}, mask)
 
 
 def _exists_region(x: SymbolicPretop, e: EndClass):
@@ -476,12 +477,11 @@ def _sweep_endpoint(e, name: str, vlo, vhi, want_max: bool):
     return SymExpr.const(e.sign * int(v) + e.offset)
 
 
-def _sweep_interval(p: SymInterval, ranges: dict) -> SymInterval:
-    lo, hi = p.lo, p.hi
+def _sweep_pair(lo, hi, ranges: dict) -> tuple:
     for name, (a, b) in ranges.items():
         lo = _sweep_endpoint(lo, name, a, b, want_max=False)
         hi = _sweep_endpoint(hi, name, a, b, want_max=True)
-    return SymInterval(lo, hi)
+    return lo, hi
 
 
 def _sweep_symdefset(t: SymDefSet, ranges: dict) -> SymDefSet:
@@ -494,12 +494,13 @@ def _sweep_symdefset(t: SymDefSet, ranges: dict) -> SymDefSet:
     """
 
     def sweep(box: tuple) -> tuple:
-        shared = frozenset(ranges).intersection(*(s.vars for s in box)) if len(box) > 1 else ()
+        axis_vars = (endpoint_vars(lo) | endpoint_vars(hi) for lo, hi in box)
+        shared = frozenset(ranges).intersection(*axis_vars) if len(box) > 1 else ()
         if shared:
             raise FragmentEscape(
                 f"row and column endpoints share {sorted(shared)}; the swept union is not a box"
             )
-        return tuple(SymIntervalSet(s.axis, tuple(_sweep_interval(p, ranges) for p in s.parts)) for s in box)
+        return tuple(_sweep_pair(lo, hi, ranges) for lo, hi in box)
 
     return t.map_boxes(sweep)
 

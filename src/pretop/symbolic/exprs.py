@@ -2,16 +2,21 @@
 
 The symbolic layer describes vicinity templates whose endpoints are
 affine in a single variable with slope +1 or -1 (``k+1``, ``-k-1``, a
-plain constant).  A symbolic definable set evaluates to an ordinary
-:class:`~pretop.defsets.DefSet` once every variable is bound, and the
-evaluation can optionally be clipped against a fixed concrete mask,
-which is how subspaces stay inside the fragment.
+plain constant).  A symbolic definable set lists boxes per strand, each
+box one ``(lo, hi)`` endpoint pair per axis of its strand, written from
+flat endpoints by :func:`sym_box` (``sym_box((n, n, k + 1, INF))`` on a
+grid).  It evaluates to an ordinary :class:`~pretop.defsets.DefSet`
+once every variable is bound, and the evaluation can optionally be
+clipped against a fixed concrete mask, which is how subspaces stay
+inside the fragment.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from ..defsets import DefSet, GroundSchema, display_order
-from ..intervals import INF, NEG_INF, AxisDomain, IntervalSet
+from ..intervals import INF, NEG_INF, IntervalSet
 from ..record import record
 
 
@@ -97,8 +102,12 @@ def _endpoint_value(e, env: dict):
     return e if isinstance(e, float) else e.evaluate(env)
 
 
-def _endpoint_vars(e) -> frozenset:
+def endpoint_vars(e) -> frozenset:
     return frozenset() if isinstance(e, float) else e.vars
+
+
+def _substitute_endpoint(e, env: dict):
+    return e if isinstance(e, float) else e.substitute(env)
 
 
 def _endpoint_bound(e) -> int:
@@ -113,87 +122,19 @@ def _describe_endpoint(e) -> str:
     return e.describe()
 
 
-@record
-class SymInterval:
-    """One interval whose endpoints are expressions or infinities."""
-
-    lo: object
-    hi: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_endpoint(self.lo))
-        object.__setattr__(self, "hi", as_endpoint(self.hi))
-
-    def evaluate(self, env: dict) -> tuple:
-        return (_endpoint_value(self.lo, env), _endpoint_value(self.hi, env))
-
-    def substitute(self, env: dict) -> "SymInterval":
-        def sub(e):
-            return e if isinstance(e, float) else e.substitute(env)
-
-        return SymInterval(sub(self.lo), sub(self.hi))
-
-    @property
-    def vars(self) -> frozenset:
-        return _endpoint_vars(self.lo) | _endpoint_vars(self.hi)
-
-    @property
-    def bound(self) -> int:
-        return max(_endpoint_bound(self.lo), _endpoint_bound(self.hi))
-
-    def describe(self) -> str:
-        return f"[{_describe_endpoint(self.lo)}, {_describe_endpoint(self.hi)}]"
+def sym_box(ends: tuple) -> tuple:
+    """One box from its flat endpoints: a (lower, upper) pair per axis."""
+    ends = tuple(map(as_endpoint, ends))
+    return tuple(zip(ends[::2], ends[1::2]))
 
 
-@record
-class SymIntervalSet:
-    """Finite union of symbolic intervals over one axis.
-
-    Pieces whose evaluated lower endpoint exceeds the upper one simply
-    vanish at that binding, so a single template can shrink to nothing
-    for large parameter values without a case split.
-    """
-
-    axis: AxisDomain
-    parts: tuple = ()
-
-    def __post_init__(self):
-        coerced = tuple(p if isinstance(p, SymInterval) else SymInterval(*p) for p in self.parts)
-        object.__setattr__(self, "parts", coerced)
-
-    @classmethod
-    def from_concrete(cls, s: IntervalSet) -> "SymIntervalSet":
-        return cls(s.axis, tuple(SymInterval(lo, hi) for lo, hi in s.parts))
-
-    def evaluate(self, env: dict) -> IntervalSet:
-        """The evaluated pieces clipped to the axis, empties dropped."""
-        low = self.axis.low_value
-        pairs = [(max(lo, low), hi) for lo, hi in (p.evaluate(env) for p in self.parts)]
-        return IntervalSet.from_pairs(self.axis, [(lo, hi) for lo, hi in pairs if lo <= hi])
-
-    def substitute(self, env: dict) -> "SymIntervalSet":
-        return SymIntervalSet(self.axis, tuple(p.substitute(env) for p in self.parts))
-
-    @property
-    def vars(self) -> frozenset:
-        out = frozenset()
-        for p in self.parts:
-            out |= p.vars
-        return out
-
-    @property
-    def bound(self) -> int:
-        return max((p.bound for p in self.parts), default=0)
-
-    def describe(self) -> str:
-        return " | ".join(p.describe() for p in self.parts) or "{}"
-
-
-def sym_box(axes: tuple, ends: tuple) -> tuple:
-    """One box of a strand with the given axes, from its flat endpoints
-    (lower, upper, per axis)."""
+def split_boxes(boxes) -> tuple:
+    """Concrete boxes as symbolic ones: one box per choice of part on
+    every axis, rows slowest."""
     return tuple(
-        SymIntervalSet(ax, (SymInterval(lo, hi),)) for ax, lo, hi in zip(axes, ends[::2], ends[1::2])
+        tuple((as_endpoint(lo), as_endpoint(hi)) for lo, hi in parts)
+        for box in boxes
+        for parts in product(*(s.parts for s in box))
     )
 
 
@@ -207,11 +148,14 @@ class SymDefSet:
     """Definable set with symbolic interval endpoints.
 
     ``parts`` lists ``(strand, boxes)`` in schema order, each box one
-    :class:`SymIntervalSet` per axis of its strand, as in
-    :class:`~pretop.defsets.DefSet` but not canonical.  A non-None
-    ``mask`` intersects every evaluation with a fixed concrete set;
-    templates of a subspace carry the subspace as their mask and need no
-    rewriting.
+    ``(lo, hi)`` endpoint pair per axis of its strand, each endpoint a
+    :class:`SymExpr` or an infinity; unlike
+    :class:`~pretop.defsets.DefSet` the boxes are not canonical.  A pair
+    whose evaluated lower endpoint exceeds the upper one empties its box
+    at that binding, so a single template can shrink to nothing for
+    large parameter values without a case split.  A non-None ``mask``
+    intersects every evaluation with a fixed concrete set; templates of
+    a subspace carry the subspace as their mask and need no rewriting.
     """
 
     schema: GroundSchema
@@ -221,19 +165,24 @@ class SymDefSet:
     @classmethod
     def of(cls, schema: GroundSchema, strands: dict, mask: DefSet | None = None) -> "SymDefSet":
         """The boxes given per strand name, in schema order."""
-        return cls(schema, tuple((n, tuple(boxes)) for n, boxes in schema.in_order(strands) if boxes), mask)
+        parts = []
+        for name, boxes in schema.in_order(strands):
+            boxes = tuple(boxes)
+            schema.check_boxes(name, boxes)
+            if boxes:
+                parts.append((name, boxes))
+        return cls(schema, tuple(parts), mask)
 
     @classmethod
     def from_defset(cls, d: DefSet) -> "SymDefSet":
-        parts = tuple(
-            (n, tuple(tuple(map(SymIntervalSet.from_concrete, box)) for box in boxes)) for n, boxes in d.parts
-        )
-        return cls(d.schema, parts)
+        return cls(d.schema, tuple((n, split_boxes(boxes)) for n, boxes in d.parts))
 
-    def _sets(self):
+    def _endpoints(self):
         for _, boxes in self.parts:
             for box in boxes:
-                yield from box
+                for lo, hi in box:
+                    yield lo
+                    yield hi
 
     def map_boxes(self, fn) -> "SymDefSet":
         """The set with every box replaced by ``fn(box)``."""
@@ -241,25 +190,39 @@ class SymDefSet:
         return SymDefSet(self.schema, parts, self.mask)
 
     def evaluate(self, env: dict) -> DefSet:
-        out = DefSet.of(
-            self.schema,
-            {n: [tuple(s.evaluate(env) for s in box) for box in boxes] for n, boxes in self.parts},
-        )
+        """The evaluated boxes, each pair clipped to its axis, empty boxes
+        dropped."""
+        strands = {}
+        for name, boxes in self.parts:
+            axes = self.schema.axes(name)
+            kept = strands[name] = []
+            for box in boxes:
+                sets = []
+                for (lo, hi), ax in zip(box, axes):
+                    lo, hi = max(_endpoint_value(lo, env), ax.low_value), _endpoint_value(hi, env)
+                    if lo > hi:
+                        break
+                    sets.append(IntervalSet.from_pairs(ax, ((lo, hi),)))
+                else:
+                    kept.append(tuple(sets))
+        out = DefSet.of(self.schema, strands)
         return out if self.mask is None else out & self.mask
 
     def substitute(self, env: dict) -> "SymDefSet":
-        return self.map_boxes(lambda box: tuple(s.substitute(env) for s in box))
+        return self.map_boxes(
+            lambda box: tuple((_substitute_endpoint(lo, env), _substitute_endpoint(hi, env)) for lo, hi in box)
+        )
 
     def with_mask(self, mask: DefSet | None) -> "SymDefSet":
         return SymDefSet(self.schema, self.parts, mask)
 
     @property
     def vars(self) -> frozenset:
-        return frozenset().union(*(s.vars for s in self._sets()))
+        return frozenset().union(*map(endpoint_vars, self._endpoints()))
 
     @property
     def bound(self) -> int:
-        b = max((s.bound for s in self._sets()), default=0)
+        b = max(map(_endpoint_bound, self._endpoints()), default=0)
         return b if self.mask is None else max(b, defset_bound(self.mask))
 
     def describe(self) -> str:
@@ -268,12 +231,13 @@ class SymDefSet:
             if not boxes[0]:
                 bits.append(f"atom {name}")
                 continue
-            shown = [" x ".join(s.describe() for s in box) for box in boxes if all(s.parts for s in box)]
-            if len(boxes[0]) == 1 and shown:  # the pieces of a ray read as one union
+            shown = [
+                " x ".join(f"[{_describe_endpoint(lo)}, {_describe_endpoint(hi)}]" for lo, hi in box) for box in boxes
+            ]
+            if len(boxes[0]) == 1:  # the pieces of a ray read as one union
                 shown = [" | ".join(shown)]
             bits += [f"{name}: {b}" for b in shown]
         body = "; ".join(bits) or "empty"
         if self.mask is not None:
             body += " (masked)"
         return body
-

@@ -18,9 +18,11 @@ approximation.
 
 from __future__ import annotations
 
+from itertools import product
+
 from ..errors import FragmentEscape
 from ..intervals import INF, NEG_INF, AxisDomain, IntervalSet
-from .exprs import SymDefSet, SymExpr, SymInterval, SymIntervalSet
+from .exprs import SymDefSet, SymExpr
 
 GUARD_OFFSETS = (2, 5, 9)
 
@@ -125,30 +127,29 @@ def fit_endpoint(varname: str, samples):
     return None
 
 
-def fit_intervalsets(varname: str, axis: AxisDomain, samples) -> SymIntervalSet | None:
-    """Fit a family of interval sets as one symbolic set, or None."""
+def fit_intervalsets(varname: str, samples) -> tuple | None:
+    """Fit a family of interval sets as one endpoint pair per part, or None."""
     sets = [s for _, s in samples]
     n = len(sets[0].parts)
     if any(len(s.parts) != n for s in sets):
         return None
-    pieces = []
+    pairs = []
     for i in range(n):
         lo = fit_endpoint(varname, [(x, s.parts[i][0]) for x, s in samples])
         hi = fit_endpoint(varname, [(x, s.parts[i][1]) for x, s in samples])
         if lo is None or hi is None:
             return None
-        pieces.append(SymInterval(lo, hi))
-    return SymIntervalSet(axis, tuple(pieces))
+        pairs.append((lo, hi))
+    return tuple(pairs)
 
 
 def fit_defsets(varname: str, samples) -> SymDefSet | None:
     """Fit a family of concrete sets as one symbolic set, or None.
 
     Requires the canonical shape (strands met, box counts, piece counts)
-    to be uniform across the samples.
+    to be uniform across the samples; boxes split as in ``from_defset``.
     """
-    sets = [d for _, d in samples]
-    schema = sets[0].schema
+    xs, sets = zip(*samples)
     shape = [(name, len(boxes)) for name, boxes in sets[0].parts]
     if any([(name, len(boxes)) for name, boxes in d.parts] != shape for d in sets):
         return None
@@ -156,12 +157,10 @@ def fit_defsets(varname: str, samples) -> SymDefSet | None:
     for i, (name, count) in enumerate(shape):
         boxes = []
         for j in range(count):
-            box = []
-            for a, axis in enumerate(schema.axes(name)):
-                fitted = fit_intervalsets(varname, axis, [(x, d.parts[i][1][j][a]) for x, d in samples])
-                if fitted is None:
-                    return None
-                box.append(fitted)
-            boxes.append(tuple(box))
+            per_axis = zip(*(d.parts[i][1][j] for d in sets))
+            fitted = [fit_intervalsets(varname, list(zip(xs, axis))) for axis in per_axis]
+            if None in fitted:
+                return None
+            boxes += product(*fitted)
         parts.append((name, tuple(boxes)))
-    return SymDefSet(schema, tuple(parts))
+    return SymDefSet(sets[0].schema, tuple(parts))

@@ -35,7 +35,8 @@ The API, in three parts:
   :func:`solution` fixes a witness, and :func:`bound_conds` and
   :func:`overlap_conds` write boxes and shared points as comparisons;
 - pieces: :func:`template_pieces` is the one walk over the pieces of a
-  symbolic set, and :func:`meet_conds`, :func:`meets_boxes`,
+  symbolic set, a piece being one box (an endpoint pair per axis) with
+  one part of the set's mask, and :func:`meet_conds`, :func:`meets_boxes`,
   :func:`carrier_conds`, :func:`region_boxes` and :func:`outside` state
   meets, carrier boxes and escapes with it;
 - the projection: :func:`section` sorts one system by what each
@@ -54,7 +55,7 @@ from itertools import product
 from ..defsets import DefSet, GroundSchema
 from ..errors import FragmentEscape
 from ..intervals import INF, NEG_INF, IntervalSet
-from .exprs import SymDefSet, SymExpr, as_endpoint, var
+from .exprs import SymDefSet, SymExpr, split_boxes, var
 from .space import PointPattern, SymbolicPretop
 
 # the limit variables: the shrink parameter, and an end's trace parameter
@@ -215,32 +216,20 @@ def overlap_conds(coords) -> list:
 
 # -- pieces of symbolic sets -----------------------------------------------------
 
-def _endpoints(part) -> tuple:
-    lo, hi = part
-    return as_endpoint(lo), as_endpoint(hi)
-
-
 def template_pieces(t: SymDefSet, masked: bool = True):
-    """(strand, coordinates) of each piece of ``t``: per coordinate, the
-    intervals a point of the piece lies in, its own first, then, when
-    ``masked``, one part of ``t``'s mask, and the axis floor (None on a
-    two-sided axis).  An atom is a piece without coordinates.  Pieces
-    come box by box, then mask part by mask part."""
+    """(strand, coordinates) of each piece of ``t``: a box of ``t``
+    together with, when ``masked``, one part of ``t``'s mask.  Per
+    coordinate a piece lists the intervals a point of it lies in, the
+    box's endpoint pair first, then the mask part's, and the axis floor
+    (None on a two-sided axis).  An atom is a piece without coordinates.
+    Pieces come box by box, then mask part by mask part."""
     schema, mask = t.schema, t.mask if masked else None
     for name, boxes in t.parts:
         lows = [ax.low for ax in schema.axes(name)]
-        cuts = [[[]] * len(lows)]
-        if mask is not None:
-            cuts = [
-                [[_endpoints(p)] for p in ps]
-                for b in mask.boxes(name)
-                for ps in product(*(s.parts for s in b))
-            ]
+        cuts = [((),) * len(lows)] if mask is None else [[(p,) for p in b] for b in split_boxes(mask.boxes(name))]
         for box in boxes:
             for cut in cuts:
-                coords = [[([(p.lo, p.hi), *m], low) for p in s.parts] for s, m, low in zip(box, cut, lows)]
-                for piece in product(*coords):
-                    yield name, piece
+                yield name, tuple(([pair, *m], low) for pair, m, low in zip(box, cut, lows))
 
 
 def meet_conds(left: SymDefSet, right: SymDefSet):

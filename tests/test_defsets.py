@@ -11,10 +11,11 @@ import pytest
 from pretop.construct import end_extension
 from pretop.defsets import DefSet, GroundSchema, Point
 from pretop.errors import SchemaMismatch, UnknownPoint
-from pretop.intervals import INTEGERS, NATURALS0, NATURALS1, IntervalSet
+from pretop.intervals import INF, INTEGERS, NATURALS0, NATURALS1, IntervalSet
 from pretop.symbolic.analysis import sym_regularize
-from pretop.symbolic.exprs import SymDefSet, sym_box, var
+from pretop.symbolic.exprs import SymDefSet, SymExpr, sym_box, var
 from pretop.symbolic.space import PointPattern, VicinityRule, box_points, build_symbolic, builtin
+from pretop.symbolic.utvpi import template_pieces
 
 SCHEMA = GroundSchema((("pinf", ()), ("minf", ()), ("R", (NATURALS0,)), ("G", (NATURALS1, INTEGERS))))
 
@@ -71,6 +72,17 @@ def test_duplicate_strand_names_rejected():
         GroundSchema((("a", ()), ("a", (NATURALS0,))))
 
 
+def test_a_box_needs_one_entry_per_axis_of_its_strand():
+    schema = GroundSchema((("p", ()), ("R", (NATURALS0,)), ("G", (NATURALS1, INTEGERS))))
+    with pytest.raises(SchemaMismatch, match="^a box of strand 'p' has 1 axes, not 0$"):
+        DefSet.of(schema, {"p": [(IntervalSet.full(NATURALS0),)], "R": [()]})
+    with pytest.raises(SchemaMismatch, match="^a box of strand 'R' has 0 axes, not 1$"):
+        DefSet.of(schema, {"R": [()]})
+    with pytest.raises(SchemaMismatch, match="^a box of strand 'G' has 1 axes, not 2$"):
+        SymDefSet.of(schema, {"G": [sym_box((0, 3))]})
+    assert SymDefSet.of(schema, {"G": [sym_box((1, 1, 0, 3))]}).evaluate({}).describe() == "grid(G; rows 1; cols 0..3)"
+
+
 def test_the_schema_lists_atoms_then_rays_then_grids_each_in_the_order_given():
     grid, ray = ("G", (NATURALS1, INTEGERS)), ("R", (NATURALS0,))
     schema = GroundSchema((grid, ("b", ()), ray, ("a", ())))
@@ -87,7 +99,7 @@ def test_an_end_extension_puts_its_atoms_after_the_old_atoms_and_before_the_rays
     at = (var("n"), var("n"), var("m"), var("m"))
     schema = GroundSchema((("G", (NATURALS1, INTEGERS)), ("R", (NATURALS0,)), ("p", ())))
     rules = [
-        VicinityRule(PointPattern(name, (None,) * len(axes)), SymDefSet.of(schema, {name: [sym_box(axes, at)]}))
+        VicinityRule(PointPattern(name, (None,) * len(axes)), SymDefSet.of(schema, {name: [sym_box(at[: 2 * len(axes)])]}))
         for name, axes in schema.strands
     ]
     # two columns keep the grid's row end pinned, as the end extension needs
@@ -324,6 +336,36 @@ def test_membership_is_meeting_the_point_set(key):
         point = DefSet.point(x.schema, p)
         for s in sets:
             assert (p in s) == (not (point & s).is_empty()), (p.describe(), s.describe())
+
+
+@pytest.mark.parametrize("key", BUILTINS)
+def test_a_concrete_set_evaluates_back_from_its_symbolic_form(key):
+    schema = builtin(key).schema
+    rng = random.Random(f"symbolic form:{key}")
+    sets = [seeded_defset(rng, schema) for _ in range(24)] + [DefSet.empty(schema), DefSet.full(schema)]
+    if "G" in dict(schema.strands):  # boxes of several row groups, each of several parts
+        assert any(len(s.boxes("G")) > 1 for s in sets)
+        assert any(len(box[0].parts) > 1 and len(box[1].parts) > 1 for s in sets for box in s.boxes("G"))
+    for d in sets:
+        sym = SymDefSet.from_defset(d)
+        assert sym.evaluate({}) == d, d.describe()
+        for m in sets[::5]:
+            assert sym.with_mask(m).evaluate({}) == d & m, (d.describe(), m.describe())
+
+
+def test_the_pieces_of_a_grid_set_come_box_by_box_rows_slowest():
+    split = (IntervalSet.from_pairs(NATURALS1, [(1, 2), (5, 6)]), IntervalSet.from_pairs(INTEGERS, [(0, 0), (3, 4)]))
+    d = DefSet.of(SCHEMA, {"G": [(rows(8), cols(-2, -1)), split]})
+    c = SymExpr.const
+    expected = [
+        ((c(1), c(2)), (c(0), c(0))),
+        ((c(1), c(2)), (c(3), c(4))),
+        ((c(5), c(6)), (c(0), c(0))),
+        ((c(5), c(6)), (c(3), c(4))),
+        ((c(8), INF), (c(-2), c(-1))),
+    ]
+    got = list(template_pieces(SymDefSet.from_defset(d), masked=False))
+    assert got == [("G", (([r], 1), ([col], None))) for r, col in expected]
 
 
 @pytest.mark.parametrize("key", BUILTINS)

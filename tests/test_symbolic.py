@@ -126,7 +126,7 @@ def _discrete(schema: GroundSchema, carrier: DefSet | None = None) -> SymbolicPr
     """The discrete space on a schema: each point's vicinity is the point."""
     at = (var("n"), var("n"), var("m"), var("m"))
     rules = [
-        VicinityRule(PointPattern(name, (None,) * len(axes)), SymDefSet.of(schema, {name: [sym_box(axes, at)]}))
+        VicinityRule(PointPattern(name, (None,) * len(axes)), SymDefSet.of(schema, {name: [sym_box(at[: 2 * len(axes)])]}))
         for name, axes in schema.strands
     ]
     return build_symbolic(schema, rules, topological=True, carrier=carrier)
@@ -354,7 +354,7 @@ def test_build_symbolic_accepts_tail_space():
     rules = (
         VicinityRule(
             PointPattern.ray("R"),
-            SymDefSet.of(schema, {"R": [sym_box(_RAY_AXES, (var("n"), INF))]}),
+            SymDefSet.of(schema, {"R": [sym_box((var("n"), INF))]}),
         ),
     )
     x = build_symbolic(schema, rules, label="tails")
@@ -366,7 +366,7 @@ def test_build_symbolic_rejects_gap():
     rules = (
         VicinityRule(
             PointPattern.ray("R", IntervalSet.from_pairs(AxisDomain("nat", 0), [(1, None)])),
-            SymDefSet.of(schema, {"R": [sym_box(_RAY_AXES, (var("n"), var("n")))]}),
+            SymDefSet.of(schema, {"R": [sym_box((var("n"), var("n")))]}),
         ),
     )
     with pytest.raises(PatternGap):
@@ -379,15 +379,42 @@ def test_build_symbolic_rejects_overlap():
     rules = (
         VicinityRule(
             PointPattern.ray("R"),
-            SymDefSet.of(schema, {"R": [sym_box(_RAY_AXES, (var("n"), var("n")))]}),
+            SymDefSet.of(schema, {"R": [sym_box((var("n"), var("n")))]}),
         ),
         VicinityRule(
             PointPattern.ray("R", IntervalSet.from_pairs(axis, [(2, 4)])),
-            SymDefSet.of(schema, {"R": [sym_box(_RAY_AXES, (var("n"), var("n")))]}),
+            SymDefSet.of(schema, {"R": [sym_box((var("n"), var("n")))]}),
         ),
     )
     with pytest.raises(PatternOverlap):
         build_symbolic(schema, rules)
+
+
+def test_coverage_errors_keep_their_rule_and_points_over_several_strands():
+    grid = (NATURALS1, INTEGERS)
+    schema = GroundSchema((("p", ()), ("R1", (NATURALS0,)), ("R2", (NATURALS0,)), ("G", grid)))
+    own = {0: (), 1: (_N, _N), 2: (_N, _N, var("m"), var("m"))}
+
+    def rule(pattern):
+        return VicinityRule(pattern, SymDefSet.of(schema, {pattern.strand: [sym_box(own[len(pattern.sels)])]}))
+
+    left, right = IntervalSet.from_pairs(INTEGERS, [(None, 0)]), IntervalSet.from_pairs(INTEGERS, [(0, None)])
+    rules = [
+        rule(PointPattern.grid("G", cols=left)),
+        rule(PointPattern.ray("R1", IntervalSet.bounded(NATURALS0, 0, 5))),
+        rule(PointPattern.ray("R2")),
+        rule(PointPattern.atom("p")),
+        rule(PointPattern.grid("G", cols=right)),
+    ]
+    with pytest.raises(PatternOverlap, match=r"^rule 4 claims already-covered points: grid\(G; rows all; cols 0\)$"):
+        build_symbolic(schema, rules)
+    rules[4] = rule(PointPattern.grid("G", cols=right - left))
+    with pytest.raises(PatternGap, match=r"^no rule covers ray\(R1; 6\.\.\)$"):
+        build_symbolic(schema, rules)
+    carrier = ~DefSet.of(schema, {"p": [()], "R1": [(IntervalSet.at_least(NATURALS0, 6),)]})
+    assert build_symbolic(schema, rules, carrier=carrier).carrier == carrier
+    with pytest.raises(PatternGap, match=r"^no rule covers atom\(p\) \| ray\(R1; 6\.\.\)$"):
+        build_symbolic(schema, rules[:3] + rules[4:])
 
 
 def test_build_symbolic_rejects_missing_self():
@@ -395,7 +422,7 @@ def test_build_symbolic_rejects_missing_self():
     rules = (
         VicinityRule(
             PointPattern.ray("R"),
-            SymDefSet.of(schema, {"R": [sym_box(_RAY_AXES, (var("n") + 1, INF))]}),
+            SymDefSet.of(schema, {"R": [sym_box((var("n") + 1, INF))]}),
         ),
     )
     with pytest.raises(SelfMembershipViolation):
@@ -409,7 +436,7 @@ def test_build_symbolic_rejects_growing_template():
     rules = (
         VicinityRule(
             PointPattern.ray("R"),
-            SymDefSet.of(schema, {"R": [sym_box(_RAY_AXES, (var("n"), var("n"))), sym_box(_RAY_AXES, (0, var("k")))]}),
+            SymDefSet.of(schema, {"R": [sym_box((var("n"), var("n"))), sym_box((0, var("k")))]}),
         ),
     )
     with pytest.raises(NonMonotoneRule):
@@ -425,13 +452,13 @@ _ZZ = GroundSchema((("Z", (INTEGERS,)),))
 
 def _one_rule(schema: GroundSchema, *pieces) -> SymbolicPretop:
     [(name, axes)] = schema.strands
-    t = SymDefSet.of(schema, {name: [sym_box(axes, p) for p in pieces]})
+    t = SymDefSet.of(schema, {name: [sym_box(p) for p in pieces]})
     return build_symbolic(schema, [VicinityRule(PointPattern.ray(name), t)])
 
 
 def _split_mirror() -> SymbolicPretop:
     # {n, -n+9} on Z, one rule for ..3 and one for 4..
-    t = SymDefSet.of(_ZZ, {"Z": [sym_box((INTEGERS,), (_N, _N)), sym_box((INTEGERS,), (-_N + 9, -_N + 9))]})
+    t = SymDefSet.of(_ZZ, {"Z": [sym_box((_N, _N)), sym_box((-_N + 9, -_N + 9))]})
     halves = ((None, 3), (4, None))
     return build_symbolic(
         _ZZ,
@@ -445,7 +472,7 @@ def _coupled() -> SymbolicPretop:
     schema = GroundSchema((("G", grid),))
     rows = IntervalSet.from_pairs(NATURALS0, [(0, 3)])
     cols = IntervalSet.from_pairs(NATURALS0, [(4, None)])
-    t = SymDefSet.of(schema, {"G": [sym_box(grid, (_N, var("m"), var("m"), var("m")))]})
+    t = SymDefSet.of(schema, {"G": [sym_box((_N, var("m"), var("m"), var("m")))]})
     carrier = DefSet.of(schema, {"G": [(rows, cols)]})
     return build_symbolic(schema, [VicinityRule(PointPattern.grid("G", rows, cols), t)], carrier=carrier)
 
@@ -577,7 +604,7 @@ def test_a_tie_the_other_comparisons_imply_is_answered_exactly():
     grid = (NATURALS0, NATURALS0)
     schema = GroundSchema((("G", grid),))
     t = SymDefSet.of(
-        schema, {"G": [sym_box(grid, (_N, _N, var("m"), var("m"))), sym_box(grid, (_N, var("m"), var("m"), var("m")))]}
+        schema, {"G": [sym_box((_N, _N, var("m"), var("m"))), sym_box((_N, var("m"), var("m"), var("m")))]}
     )
     x = build_symbolic(schema, [VicinityRule(PointPattern.grid("G"), t)])
     s = _set(x, "grid(G; rows=2)")

@@ -55,7 +55,7 @@ def _one_rule(draw):
         rows = IntervalSet.from_pairs(rows_ax, [(lo, draw(st.sampled_from((lo, lo + 2, None))))])
     name, axes = ("G", (rows_ax, cols_ax)) if grid else ("R", (rows_ax,))
     schema = GroundSchema(((name, axes),))
-    t = SymDefSet.of(schema, {name: [sym_box(axes, p) for p in pieces]})
+    t = SymDefSet.of(schema, {name: [sym_box(p) for p in pieces]})
     pat = PointPattern(name, (rows, None)[: len(axes)])
     return schema, VicinityRule(pat, t), None if rows is None else pat.to_defset(schema)
 
@@ -150,7 +150,7 @@ _N, _K = var("n"), var("k")
 def test_a_rule_breaking_both_axioms_reports_self_membership():
     # [k, k] holds n only at k = n, and grows at every step; the witness
     # fixes n, then k, nearest 0
-    rule = VicinityRule(PointPattern.ray("R"), SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (_K, _K))]}))
+    rule = VicinityRule(PointPattern.ray("R"), SymDefSet.of(_RAY, {"R": [sym_box((_K, _K))]}))
     with pytest.raises(SelfMembershipViolation, match=r"^R\(0\) missing from its own vicinity at k=1$"):
         build_symbolic(_RAY, [rule])
 
@@ -158,18 +158,18 @@ def test_a_rule_breaking_both_axioms_reports_self_membership():
 def test_a_growing_rule_names_its_first_step():
     # [3, k] is empty up to k = 2 and then gains k + 1 at each step; the
     # first system puts the new point below n, so n = 4 at k = 2
-    rule = VicinityRule(PointPattern.ray("R"), SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (_N, _N)), sym_box(_AXES, (3, _K))]}))
+    rule = VicinityRule(PointPattern.ray("R"), SymDefSet.of(_RAY, {"R": [sym_box((_N, _N)), sym_box((3, _K))]}))
     with pytest.raises(NonMonotoneRule, match=r"^vicinity of R\(4\) grows from k=2 to k=3$"):
         build_symbolic(_RAY, [rule])
 
 
 def test_a_template_mask_without_a_carrier_must_hold_each_point():
     five = DefSet.of(_RAY, {"R": [(IntervalSet.from_pairs(NATURALS0, [(0, 5)]),)]})
-    rule = VicinityRule(PointPattern.ray("R"), SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (_N, _N))]}).with_mask(five))
+    rule = VicinityRule(PointPattern.ray("R"), SymDefSet.of(_RAY, {"R": [sym_box((_N, _N))]}).with_mask(five))
     with pytest.raises(SelfMembershipViolation, match=r"^R\(6\) missing from its own vicinity at k=0$"):
         build_symbolic(_RAY, [rule])
     # the same mask as carrier confines the points instead
-    build_symbolic(_RAY, [VicinityRule(PointPattern.ray("R"), SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (_N, _N))]}))], carrier=five)
+    build_symbolic(_RAY, [VicinityRule(PointPattern.ray("R"), SymDefSet.of(_RAY, {"R": [sym_box((_N, _N))]}))], carrier=five)
 
 
 # -- filter families -----------------------------------------------------------------
@@ -177,18 +177,18 @@ def test_a_template_mask_without_a_carrier_must_hold_each_point():
 
 def test_a_family_empty_from_three_on_raises_at_three():
     with pytest.raises(EmptyKernel, match="^filter family is empty at k=3$"):
-        DefFilterBase(SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (0, -_K + 2))]}))
+        DefFilterBase(SymDefSet.of(_RAY, {"R": [sym_box((0, -_K + 2))]}))
 
 
 def test_a_growing_family_raises_at_its_first_step():
     with pytest.raises(NonMonotoneRule, match="^filter family grows from k=0 to k=1$"):
-        DefFilterBase(SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (0, _K))]}))
+        DefFilterBase(SymDefSet.of(_RAY, {"R": [sym_box((0, _K))]}))
 
 
 def test_emptiness_comes_first_at_an_earlier_or_equal_step():
     # [k-2, k-2] is empty for k < 2 and grows from k=1 to k=2
     with pytest.raises(EmptyKernel, match="^filter family is empty at k=0$"):
-        DefFilterBase(SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (_K - 2, _K - 2))]}))
+        DefFilterBase(SymDefSet.of(_RAY, {"R": [sym_box((_K - 2, _K - 2))]}))
 
 
 def test_the_principal_family_of_the_empty_set_is_empty():
@@ -197,5 +197,5 @@ def test_the_principal_family_of_the_empty_set_is_empty():
 
 
 def test_shrinking_families_are_accepted():
-    tail = DefFilterBase(SymDefSet.of(_RAY, {"R": [sym_box(_AXES, (_K + 1, INF))]}))
+    tail = DefFilterBase(SymDefSet.of(_RAY, {"R": [sym_box((_K + 1, INF))]}))
     assert tail.at(4) == DefSet.of(_RAY, {"R": [(IntervalSet.from_pairs(NATURALS0, [(5, None)]),)]})

@@ -92,8 +92,8 @@ def _space(rng: random.Random):
     schema = GroundSchema((("a", ()), (name, axes)))
     pat = PointPattern(name, (rows, None)[: len(axes)])
     rules = (
-        VicinityRule(pat, SymDefSet.of(schema, {name: [sym_box(axes, p) for p in pieces]})),
-        VicinityRule(PointPattern.atom("a"), SymDefSet.of(schema, {"a": [()], name: [sym_box(axes, tail)]})),
+        VicinityRule(pat, SymDefSet.of(schema, {name: [sym_box(p) for p in pieces]})),
+        VicinityRule(PointPattern.atom("a"), SymDefSet.of(schema, {"a": [()], name: [sym_box(tail)]})),
     )
     carrier = None if rows is None else pat.to_defset(schema) | PointPattern.atom("a").to_defset(schema)
     return build_symbolic(schema, rules, topological=True, carrier=carrier, label="g"), pat.kind
@@ -106,7 +106,7 @@ def _pieces(rng: random.Random, axes: tuple, coords: tuple) -> list:
     sides = ("lo", "hi") * len(axes)
     own = tuple(var(c) for c in coords for _ in range(2))
     pieces = [own] + [tuple(_endpoint(rng, names, s) for s in sides) for _ in range(rng.randint(1, 2))]
-    return [sym_box(axes, p) for p in pieces]
+    return [sym_box(p) for p in pieces]
 
 
 def _mixed_space(rng: random.Random):
@@ -115,7 +115,7 @@ def _mixed_space(rng: random.Random):
     ray_axes = (ray_axis,)
     schema = GroundSchema((("b", ()), ("a", ()), ("R", ray_axes), ("G", grid_axes)))
     tail = (var("k") + 1, INF)
-    ray_tail, grid_tail = sym_box(ray_axes, tail), sym_box(grid_axes, tail * 2)
+    ray_tail, grid_tail = sym_box(tail), sym_box(tail * 2)
     rules = (
         VicinityRule(PointPattern.ray("R"), SymDefSet.of(schema, {"R": _pieces(rng, ray_axes, ("n",))})),
         VicinityRule(PointPattern.grid("G"), SymDefSet.of(schema, {"G": _pieces(rng, grid_axes, ("n", "m"))})),
