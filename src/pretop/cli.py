@@ -21,8 +21,8 @@ from .errors import (
     UnclassifiableImageTrace,
     WorkbenchError,
 )
-from .finite import FinitePretop, is_cover_compact, is_hausdorff, is_topological
-from .maps import is_continuous, is_perfect
+from .finite import COVER_COMPACT_METHODS, FinitePretop, Verdict, is_cover_compact, is_hausdorff, is_topological
+from .maps import CONTINUITY_METHODS, PERFECT_METHODS, is_continuous, is_perfect
 from .model import (
     ModelDocument,
     SpaceDecl,
@@ -33,7 +33,7 @@ from .model import (
     print_model,
     set_literal,
 )
-from .regularize import is_quasi_phc, partial_regularization
+from .regularize import PHC_METHODS, is_quasi_phc, partial_regularization
 from .symbolic import (
     EndClass,
     SymbolicPretop,
@@ -174,40 +174,61 @@ def _cmd_compute(args) -> Report:
     return Report(finite_literal(target, out))
 
 
+# property -> (methods, default first; decide(target, method)).  A decider names
+# its function when it runs, so a wrapper set over the module attribute sees it.
+FINITE_CHECKS = {
+    "hausdorff": ((), lambda x, m: is_hausdorff(x)),
+    "topological": ((), lambda x, m: is_topological(x)),
+    "compact": (COVER_COMPACT_METHODS, lambda x, m: is_cover_compact(x, x.full, m)),
+    "quasi-phc": (PHC_METHODS, lambda x, m: is_quasi_phc(x, m)),
+    "h-closed": ((), lambda x, m: _h_closed(FINITE_CHECKS, x)),
+}
+SYMBOLIC_CHECKS = {
+    "hausdorff": (("plain", "theta"), lambda x, m: sym_hausdorff(sym_regularize(x) if m == "theta" else x)),
+    "compact": (
+        ("plain", "theta"),
+        lambda x, m: sym_is_compact(x) if m == "plain" else _decide(SYMBOLIC_CHECKS, "quasi-phc", x),
+    ),
+    "quasi-phc": (("rpi-compact",), lambda x, m: sym_is_compact(sym_regularize(x))),
+    "h-closed": ((), lambda x, m: _h_closed(SYMBOLIC_CHECKS, x)),
+}
+MAP_CHECKS = {
+    "continuous": (("vicinity", *(m for m in CONTINUITY_METHODS if m != "vicinity")), lambda f, m: is_continuous(f, m)),
+    "perfect": (PERFECT_METHODS, lambda f, m: is_perfect(f, m)),
+}
+
+
+def _decide(table: dict, prop: str, target, method=None):
+    """``prop`` of ``target`` by ``method``, or by the default route."""
+    methods, decide = table[prop]
+    if method is not None and method not in methods:
+        raise ValueError(f"unknown method {method!r}")
+    return decide(target, method or (methods[0] if methods else None))
+
+
+def _h_closed(table: dict, target):
+    """Hausdorff, then quasi-PHC, by default routes; a failure names its half, as a-and-b does."""
+    for half in ("hausdorff", "quasi-phc"):
+        v = _decide(table, half, target)
+        if not v.ok:
+            return Verdict(False, (half, v.witness))
+    return v
+
+
 def _cmd_check(args) -> Report:
-    if args.prop in ("continuous", "perfect"):
+    if args.prop in MAP_CHECKS:
         doc = _load(args.file)
         if not args.map:
             raise MissingFlag("--map is required for map properties")
-        f = doc.map(args.map)
-        if args.prop == "continuous":
-            v = is_continuous(f, args.method) if args.method else is_continuous(f)
-        else:
-            v = is_perfect(f, args.method) if args.method else is_perfect(f)
-        return Report.from_verdict(v)
-    if not args.space:
+        table, target = MAP_CHECKS, doc.map(args.map)
+    elif not args.space:
         raise MissingFlag("--space is required for space properties")
-    _, target = _target(args)
-    if isinstance(target, SymbolicPretop):
-        if args.method not in (None, "plain", "theta"):
-            raise ValueError(f"unknown method {args.method!r}")
-        if args.method == "theta":
-            target = sym_regularize(target)
-        if args.prop == "hausdorff":
-            return Report.from_verdict(sym_hausdorff(target))
-        if args.prop == "compact":
-            return Report.from_verdict(sym_is_compact(target))
+    else:
+        target = _target(args)[1]
+        table = SYMBOLIC_CHECKS if isinstance(target, SymbolicPretop) else FINITE_CHECKS
+    if args.prop not in table:
         raise MissingFlag(f"{args.prop} is a finite-space property")
-    if args.prop in ("hausdorff", "topological"):
-        if args.method is not None:  # the one route takes no method
-            raise ValueError(f"unknown method {args.method!r}")
-        decide = is_hausdorff if args.prop == "hausdorff" else is_topological
-        return Report.from_verdict(decide(target))
-    if args.prop == "compact":
-        method = args.method or "cover"
-        return Report.from_verdict(is_cover_compact(target, target.full, method))
-    method = args.method or "rpi-compact"
-    return Report.from_verdict(is_quasi_phc(target, method))
+    return Report.from_verdict(_decide(table, args.prop, target, args.method))
 
 
 def _cmd_map(args) -> Report:
@@ -279,21 +300,14 @@ def _cmd_builtin(args) -> Report:
     """``builtin NAME --check P`` is ``check P --space NAME`` and
     ``builtin NAME --compute W`` is ``compute W --space NAME``."""
     builtin(args.name)  # an unknown name is reported before a missing flag
+    args = argparse.Namespace(**vars(args), prop=args.check, what=args.compute, file=None, space=args.name, map=None)
     if args.check:
-        return _cmd_check(
-            argparse.Namespace(
-                prop=args.check, file=None, space=args.name, map=None, method=args.method
-            )
-        )
+        return _cmd_check(args)
     if not args.compute:
         raise MissingFlag("one of --compute or --check is required")
     if not args.set:
         raise MissingFlag("--set is required with --compute")
-    return _cmd_compute(
-        argparse.Namespace(
-            what=args.compute, file=None, space=args.name, set=args.set, iterations=args.iterations
-        )
-    )
+    return _cmd_compute(args)
 
 
 _COMMANDS = {
@@ -329,10 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=1)
 
     p = sub.add_parser("check", help="decide a property, exit 1 with a witness if false")
-    p.add_argument(
-        "prop",
-        choices=("hausdorff", "topological", "compact", "quasi-phc", "continuous", "perfect"),
-    )
+    p.add_argument("prop", choices=tuple({**FINITE_CHECKS, **SYMBOLIC_CHECKS, **MAP_CHECKS}))
     common(p)
     p.add_argument("--space", help="space name (model space, or builtin key without -f)")
     p.add_argument("--map")
@@ -366,10 +377,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("name", help="urysohn | half_grid | discrete_ray(N)")
     p.add_argument("--compute", choices=("adh", "inh", "cl-theta"))
-    p.add_argument("--check", choices=("compact", "hausdorff"))
+    p.add_argument("--check", choices=tuple(SYMBOLIC_CHECKS))
     p.add_argument("--set")
     p.add_argument("--iterations", type=int, default=1)
-    p.add_argument("--method", choices=("plain", "theta"), default="plain")
+    p.add_argument("--method")
     common(p, file=False)
 
     return top

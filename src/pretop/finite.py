@@ -361,6 +361,9 @@ def is_cover_compact(space: FinitePretop, at: int, method: str = "cover") -> Ver
     return PASS if ok else Verdict(False, space.names(rest))
 
 
+COVER_COMPACT_METHODS = ("cover", "filter-refines", "vicinity-separation")
+
+
 # -- enumeration -----------------------------------------------------------------
 
 

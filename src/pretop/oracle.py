@@ -37,6 +37,7 @@ from .construct import (
 from .defsets import DefSet, Point
 from .errors import SizeLimit
 from .finite import (
+    COVER_COMPACT_METHODS,
     PASS,
     FinitePretop,
     PrincipalFilter,
@@ -59,6 +60,7 @@ from .maps import (
 )
 from .model import eval_set, parse_set_expr
 from .regularize import (
+    HSET_METHODS,
     PHC_METHODS,
     hset_check,
     is_quasi_phc,
@@ -81,9 +83,6 @@ _SAMPLE = 1200
 _CHUNK = 512
 _MAX_POINTS = 4
 _IN_FLIGHT = 2  # chunks per pool worker submitted ahead of the fold
-
-COVER_COMPACT_METHODS = ("cover", "filter-refines", "vicinity-separation")
-HSET_METHODS = ("open-filter", "open-ultrafilter", "theta-adh")
 
 
 # The exhaustive parts reuse the 69 spaces of at most 3 points chunk after

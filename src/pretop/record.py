@@ -31,7 +31,7 @@ each class then renames the placeholders in the cached code objects
 (``code.replace``) and passes its defaults to ``FunctionType``, so every
 class runs the bytecode a one-off ``exec`` of its own source would give
 (only the column offsets in the line table differ).
-The 36 classes ``pretop.cli`` loads fall into 10 shapes.
+The 35 classes ``pretop.cli`` loads fall into 10 shapes.
 
 ``dataclasses`` itself builds six functions per class with six
 ``exec`` calls and imports ``inspect``; for the classes ``pretop.cli``

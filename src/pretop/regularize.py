@@ -15,7 +15,6 @@ from .finite import (
     FinitePretop,
     PrincipalFilter,
     Verdict,
-    is_hausdorff,
     is_topological,
     least_choice,
     vicinity_sweep,
@@ -143,22 +142,7 @@ def is_quasi_phc(space: FinitePretop, method: str = "rpi-compact") -> Verdict:
     raise ValueError(f"unknown method {method!r}")
 
 
-@record
-class PhcReport:
-    quasi: bool
-    hausdorff: bool
-    phc: bool
-    methods: tuple[tuple[str, bool], ...]
-
-
 PHC_METHODS = ("rpi-compact", "adh-cover", "inherent-filter", "tower-adh")
-
-
-def phc_report(space: FinitePretop) -> PhcReport:
-    methods = tuple((m, is_quasi_phc(space, m).ok) for m in PHC_METHODS)
-    quasi = all(ok for _, ok in methods)
-    h = is_hausdorff(space).ok
-    return PhcReport(quasi=quasi, hausdorff=h, phc=quasi and h, methods=methods)
 
 
 # -- H-set checks on finite topologies -----------------------------------------
@@ -207,3 +191,6 @@ def hset_check(space: FinitePretop, at: int, method: str = "open-filter") -> Ver
                 return Verdict(False, space.names(1 << j))
         return PASS
     raise ValueError(f"unknown method {method!r}")
+
+
+HSET_METHODS = ("open-filter", "open-ultrafilter", "theta-adh")

@@ -1,19 +1,23 @@
 """Command line exit codes and error reports, through ``run_command``."""
 
 import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from pretop.cli import run_command
+from pretop import cli
+from pretop.cli import FINITE_CHECKS, MAP_CHECKS, SYMBOLIC_CHECKS, run_command
 from pretop.maps import CONTINUITY_METHODS, PERFECT_METHODS
 
 ROOT = Path(__file__).resolve().parent.parent
 FINITE = str(ROOT / "corpus" / "finite.pt")
+URYSOHN = str(ROOT / "corpus" / "urysohn.pt")
 SRC = ROOT / "src"
 
 
@@ -98,14 +102,125 @@ def test_builtin_compute_is_compute_on_a_builtin_key(capsys, key, what):
     assert via_builtin[:2] == via_compute[:2]
 
 
+# every method of the symbolic table; theta keeps its place after no method
+SYMBOLIC_METHODS = sorted({m for methods, _ in SYMBOLIC_CHECKS.values() for m in methods}, reverse=True)
+
+
 @pytest.mark.parametrize("key", sorted(BUILTIN_SETS))
-@pytest.mark.parametrize("prop", ["hausdorff", "compact"])
-@pytest.mark.parametrize("method", [(), ("--method", "theta")])
+@pytest.mark.parametrize("prop", sorted(SYMBOLIC_CHECKS))
+@pytest.mark.parametrize("method", [()] + [("--method", m) for m in SYMBOLIC_METHODS])
 def test_builtin_check_is_check_on_a_builtin_key(capsys, key, prop, method):
     via_builtin = run(capsys, "builtin", key, "--check", prop, *method)
     via_check = run(capsys, "check", prop, "--space", key, *method)
-    assert via_builtin[0] in (0, 1)
-    assert via_builtin[:2] == via_check[:2]
+    takes = not method or method[1] in SYMBOLIC_CHECKS[prop][0]
+    assert via_builtin[0] in ((0, 1) if takes else (3,))
+    assert via_builtin == via_check
+
+
+# The paper's H-closed but not compact space is urysohn (corpus/urysohn.pt's
+# U); a discrete ray is Hausdorff and not quasi-PHC; a finite space is
+# compact, so quasi-PHC, and H-closed exactly when it is Hausdorff.
+@pytest.mark.parametrize(
+    "space, prop, out",
+    [
+        (("--space", "urysohn"), "quasi-phc", "true\n"),
+        (("--space", "urysohn"), "h-closed", "true\n"),
+        (("--space", "urysohn"), "compact", 'false\nwitness: "G(+,0)"\n'),
+        (("-f", URYSOHN, "--space", "U"), "quasi-phc", "true\n"),
+        (("-f", URYSOHN, "--space", "U"), "h-closed", "true\n"),
+        (("-f", URYSOHN, "--space", "U"), "compact", 'false\nwitness: "G(+,0)"\n'),
+        (("--space", "half_grid"), "quasi-phc", "true\n"),
+        (("--space", "half_grid"), "h-closed", "true\n"),
+        (("--space", "discrete_ray(2)"), "quasi-phc", 'false\nwitness: "R1(+)"\n'),
+        (("--space", "discrete_ray(2)"), "h-closed", 'false\nwitness: ["quasi-phc", "R1(+)"]\n'),
+        (("-f", FINITE, "--space", "Q3"), "quasi-phc", "true\n"),
+        (("-f", FINITE, "--space", "Q3"), "h-closed", 'false\nwitness: ["hausdorff", ["1", "2"]]\n'),
+        (("-f", FINITE, "--space", "D2"), "h-closed", "true\n"),
+    ],
+)
+def test_quasi_phc_and_h_closed_on_both_engines(capsys, space, prop, out):
+    assert run(capsys, "check", prop, *space) == (0 if out == "true\n" else 1, out, "")
+
+
+@pytest.mark.parametrize("key", sorted(BUILTIN_SETS))
+def test_compact_by_theta_is_quasi_phc(capsys, key):
+    by_theta = run(capsys, "check", "compact", "--space", key, "--method", "theta")
+    assert by_theta[:2] == run(capsys, "check", "quasi-phc", "--space", key)[:2]
+
+
+# the functions the three tables decide with, as pretop.cli names them
+DECIDERS = (
+    "is_hausdorff",
+    "is_topological",
+    "is_cover_compact",
+    "is_quasi_phc",
+    "is_continuous",
+    "is_perfect",
+    "sym_hausdorff",
+    "sym_is_compact",
+    "sym_regularize",
+)
+
+
+def _table_queries():
+    """One ``check`` argv per row and method of the three tables."""
+    for table, target in (
+        (FINITE_CHECKS, ("-f", FINITE, "--space", "Q3")),
+        (SYMBOLIC_CHECKS, ("--space", "discrete_ray(2)")),
+        (MAP_CHECKS, ("-f", FINITE, "--map", "fold")),
+    ):
+        for prop, (methods, _) in table.items():
+            for m in methods or (None,):
+                yield ("check", prop, *target) + (("--method", m) if m else ())
+
+
+def test_every_decision_goes_through_the_cli_module_attribute(capsys, monkeypatch):
+    # perfbench/tracer.py wraps a layer by replacing the module attributes
+    # that hold it; a table holding a function object would skip the wrapper
+    wrapped, direct = [], []
+    codes = {inspect.unwrap(getattr(cli, name)).__code__: name for name in DECIDERS}
+    # a cache hit runs no frame to see, so each query starts with empty caches
+    caches = [getattr(cli, name) for name in DECIDERS if hasattr(getattr(cli, name), "cache_clear")]
+    for name in DECIDERS:
+        fn = getattr(cli, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            wrapped.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+
+    def profile(frame, event, arg):
+        # a decider entered straight from pretop/cli.py bypassed its wrapper
+        if event == "call" and frame.f_code in codes and frame.f_back.f_code.co_filename == cli.__file__:
+            direct.append(codes[frame.f_code])
+
+    for argv in _table_queries():
+        wrapped.clear()
+        for cache in caches:
+            cache.cache_clear()
+        sys.setprofile(profile)
+        try:
+            code, _, err = run(capsys, *argv)
+        finally:
+            sys.setprofile(None)
+        assert code in (0, 1), (argv, err)
+        assert wrapped and direct == [], argv
+
+
+def test_the_readme_method_table_follows_the_cli_tables():
+    # README's `check --method` table: one row per property and kind of
+    # target, its methods in the table's order, default first
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| property | target | methods |")
+    rows = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        prop, target, methods = (c.strip() for c in line.strip("|").split("|"))
+        rows[target, prop.strip("`")] = tuple(re.findall(r"`([^`]+)`", methods))
+    tables = {"finite": FINITE_CHECKS, "symbolic": SYMBOLIC_CHECKS, "map": MAP_CHECKS}
+    assert rows == {(t, prop): methods for t, table in tables.items() for prop, (methods, _) in table.items()}
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,6 @@ TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 
 # Public names that no module of the package uses, each kept on purpose.
 UNREACHED = {
-    "phc_report": "H-closed on finite spaces, to be reached by `check h-closed`",
     "sym_compact_at": "the symbolic H-set check is compactness at a set of the regularization",
     "sym_restrict": "symbolic subspaces, the counterpart of FinitePretop.restrict",
     "solve_axis": "perfbench/tracer.py wraps it by name; goes with ROADMAP item 1",

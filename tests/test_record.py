@@ -335,7 +335,7 @@ def exec_reference(cls):
 
 
 def test_every_value_class_is_found():
-    assert len(RECORDS) == 36
+    assert len(RECORDS) == 35
     assert {FinitePretop, GroundSchema, SetDecl, SymbolicPretop, Verdict} <= set(RECORDS)
 
 

@@ -13,16 +13,14 @@ from pretop.finite import (
     validate_space,
 )
 from pretop.regularize import (
+    HSET_METHODS,
     PHC_METHODS,
     filter_tower,
     hset_check,
     is_quasi_phc,
     partial_regularization,
-    phc_report,
     tower_lemmas_check,
 )
-
-HSET_METHODS = ("open-filter", "open-ultrafilter", "theta-adh")
 
 
 def tower_level_members(space, f, level):
@@ -153,13 +151,6 @@ def test_quasi_phc_methods_agree_exhaustive():
         verdicts = [is_quasi_phc(sp, m).ok for m in PHC_METHODS]
         assert all(verdicts) or not any(verdicts)
         assert all(verdicts)  # finite spaces are compact
-
-
-def test_phc_report(q3, d2):
-    rep = phc_report(q3)
-    assert rep.quasi and not rep.hausdorff and not rep.phc
-    rep = phc_report(d2)
-    assert rep.quasi and rep.hausdorff and rep.phc
 
 
 # -- H-set checks -------------------------------------------------------------------
